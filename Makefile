@@ -45,13 +45,16 @@ doc:
 fuzz:
 	$(DUNE) exec fuzz/fuzz_main.exe
 
-# Kill-anywhere durability proof: SIGKILL the CLI at randomized
-# durable-byte offsets, recover with `infer --recover`, and require the
-# recovered event log to be byte-identical to an uninterrupted run's.
-# Seeds are logged; reproduce one trial with
-# `dune exec crash/crash_main.exe -- 1 SEED`.
+# Kill-anywhere durability proof, one pass line per mode: SIGKILL the
+# CLI at randomized durable-byte offsets, recover with `--recover`, and
+# require the recovered event log to be byte-identical to an
+# uninterrupted run's. `infer` mode kills the batch run (50 trials);
+# `serve` mode kills `serve --port 0` mid-feed, recovers, re-feeds the
+# whole trace and DRAINs (30 trials). Seeds are logged; reproduce one
+# trial with `dune exec crash/crash_main.exe -- [serve] 1 SEED`.
 crash-test:
 	$(DUNE) exec crash/crash_main.exe -- 50
+	$(DUNE) exec crash/crash_main.exe -- serve 30
 
 # End-to-end gate on the stream server: boots the real `rfid_clean
 # serve` binary on an ephemeral port, feeds ~100 epochs over loopback,

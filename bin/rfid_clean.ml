@@ -3,14 +3,21 @@
    Subcommands:
      simulate   generate a warehouse scan and dump the raw streams
      infer      simulate, clean with the inference engine, print events
+     replay     clean a recorded observation stream
      calibrate  EM self-calibration on a simulated training trace
      lab        the lab-deployment comparison (ours vs SMURF vs uniform)
+     serve      serve the engine over TCP (PROTOCOL.md)
+
+   infer and serve share their durability flags (Rfid_robust.Session
+   owns what they mean); infer, replay and serve share the engine
+   flags.
 
    The full table/figure reproduction harness is a separate executable:
    dune exec bench/main.exe. *)
 
 open Cmdliner
 open Rfid_model
+module Session = Rfid_robust.Session
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -31,10 +38,21 @@ let read_rate_arg =
     & info [ "read-rate" ] ~docv:"R"
         ~doc:"Read rate in the sensor's major detection range (0..1].")
 
+(* Integer flags with a lower bound are rejected by cmdliner itself,
+   so a bad value is a usage error (exit 124), never an exception from
+   deep inside the engine. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let particles_arg =
   Arg.(
     value
-    & opt int 200
+    & opt (int_at_least 1) 200
     & info [ "particles"; "k" ] ~docv:"K" ~doc:"Particles per object.")
 
 let min_particles_arg =
@@ -63,9 +81,6 @@ let resample_ess_arg =
            bit-identical output; lowering it below the 0.5 trigger skips \
            resamples whose weight degeneracy is still mild, trading diversity \
            refresh for throughput.")
-
-let resolve_budget ~particles ~min_particles =
-  if min_particles = 0 then particles else min_particles
 
 let domains_arg =
   (* An int conv with auto-detection: 0 asks the runtime how many
@@ -113,6 +128,115 @@ let variant_arg =
           "Engine variant: $(b,unfactorized), $(b,factorized), $(b,indexed) \
            (factorized + spatial index), or $(b,compressed) (+ belief \
            compression).")
+
+(* The engine flags shared by infer, replay and serve, validated by
+   the one Config.create call: a value it rejects is a usage error. *)
+type engine_flags = { objects : int; seed : int; config : Rfid_core.Config.t }
+
+let engine_term =
+  let make objects seed variant particles min_particles resample_ess domains =
+    match
+      Rfid_core.Config.create ~variant ~num_object_particles:particles
+        ~min_object_particles:(if min_particles = 0 then particles else min_particles)
+        ~resample_ess_ratio:resample_ess ~num_domains:domains ()
+    with
+    | config -> `Ok { objects; seed; config }
+    | exception Invalid_argument msg -> `Error (true, msg)
+  in
+  Term.(
+    ret
+      (const make $ objects_arg $ seed_arg $ variant_arg $ particles_arg
+     $ min_particles_arg $ resample_ess_arg $ domains_arg))
+
+(* The durability flags shared by infer and serve; Session owns what
+   they mean. *)
+let durability_term =
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ] ~docv:"PATH"
+          ~doc:
+            "Write engine checkpoints to PATH — a single file, or with \
+             $(b,--checkpoint-keep) > 1 a rotation directory of \
+             $(i,ckpt-<epoch>.bin) files.")
+  in
+  let checkpoint_keep =
+    Arg.(
+      value
+      & opt (int_at_least 1) 1
+      & info [ "checkpoint-keep" ] ~docv:"N"
+          ~doc:
+            "Keep the N newest checkpoints (rotating in a directory); recovery \
+             falls back down the chain past a corrupted file. 1 (default) = a \
+             single checkpoint file.")
+  in
+  let checkpoint_every =
+    Arg.(
+      value
+      & opt (int_at_least 0) 0
+      & info [ "checkpoint-every" ] ~docv:"K"
+          ~doc:
+            "Checkpoint every K admitted epochs (0 = only at exit, or on \
+             DRAIN/shutdown when serving).")
+  in
+  let wal =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "wal" ] ~docv:"FILE"
+          ~doc:
+            "Append each admitted epoch to a write-ahead log at FILE, closing \
+             the data-loss window between checkpoints; see $(b,--recover).")
+  in
+  let wal_fsync_every =
+    Arg.(
+      value & opt int 8
+      & info [ "wal-fsync-every" ] ~docv:"K"
+          ~doc:"Force the write-ahead log to disk every K records (min 1).")
+  in
+  let events =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "events" ] ~docv:"FILE"
+          ~doc:
+            "Also append cleaned events to FILE durably, in emission order \
+             (trimmed and regenerated consistently by $(b,--recover)).")
+  in
+  let recover =
+    Arg.(
+      value & flag
+      & info [ "recover" ]
+          ~doc:
+            "Recover a crashed run: load the newest valid checkpoint from \
+             $(b,--checkpoint), trim the $(b,--wal) and $(b,--events) files to \
+             their intact prefixes, replay the logged epochs past the \
+             checkpoint, then continue — producing the event stream the \
+             uninterrupted run would have, bit-identically. A recovered server \
+             also reseeds its EVENTS ring from $(b,--events); clients resume \
+             PUTting where they left off.")
+  in
+  let make checkpoint checkpoint_keep checkpoint_every wal wal_fsync_every events
+      recover =
+    if recover && checkpoint = None then
+      `Error (true, "--recover needs --checkpoint to know where the checkpoints live")
+    else
+      `Ok
+        {
+          Session.checkpoint;
+          checkpoint_keep;
+          checkpoint_every;
+          wal;
+          wal_fsync_every;
+          events;
+          recover;
+        }
+  in
+  Term.(
+    ret
+      (const make $ checkpoint $ checkpoint_keep $ checkpoint_every $ wal
+     $ wal_fsync_every $ events $ recover))
 
 let build_scenario ~objects ~rounds ~read_rate ~seed =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
@@ -246,15 +370,15 @@ let on_ooo_arg =
         ~doc:"What to do with an out-of-order epoch: $(b,halt) (default) or $(b,drop).")
 
 (* Drive a (possibly corrupted) observation stream through the ingest
-   guard into the engine, calling [save_checkpoint] every
-   [checkpoint_every] admitted epochs and at exit, and [on_events] with
-   each batch of emitted events as they appear (the durable event log
-   rides on this, so events hit disk in emission order, before the
-   checkpoint that covers them).  Returns the events plus whether the
-   run stopped early ([--stop-after] or a halt policy). *)
-let guarded_run ?(on_admitted = fun _ -> ()) ?(on_events = fun _ -> ())
-    ?(on_flush_mark = fun () -> ()) ~guard ~engine ~save_checkpoint
-    ~checkpoint_every ~stop_after observations =
+   guard into the engine, logging each batch of emitted events durably
+   as it appears (so events hit disk in emission order, before the
+   checkpoint that covers them) and checkpointing every
+   [checkpoint_every] admitted epochs and at exit.  Returns the events
+   plus whether the run stopped early ([--stop-after] or a halt
+   policy). *)
+let guarded_run ~on_admitted ~session ~guard ~checkpoint_every ~stop_after
+    observations =
+  let engine = Session.engine session in
   let events = ref [] in
   let admitted = ref 0 in
   let stopped = ref false in
@@ -267,70 +391,27 @@ let guarded_run ?(on_admitted = fun _ -> ()) ?(on_events = fun _ -> ())
          let before = Rfid_core.Engine.epoch engine in
          match Rfid_robust.Ingest.step_engine guard engine obs with
          | Ok evs ->
-             on_events evs;
+             Session.log_events session evs;
              events := List.rev_append evs !events;
              if Rfid_core.Engine.epoch engine > before then begin
                incr admitted;
                on_admitted !admitted;
                if checkpoint_every > 0 && !admitted mod checkpoint_every = 0 then
-                 save_checkpoint ()
+                 Session.checkpoint session
              end
          | Error (_, msg) ->
              prerr_endline msg;
              raise Exit)
        observations
    with Exit -> stopped := true);
-  if !stopped then save_checkpoint ()
-  else begin
+  if not !stopped then begin
     let final = Rfid_core.Engine.flush engine in
-    (* The marker separates replayable step events from end-of-stream
-       flush events in the durable log: flush events share the final
-       step's epoch, so without it recovery could not tell whether the
-       log's tail still needs regenerating (see truncate_events_file). *)
-    on_flush_mark ();
-    on_events final;
-    events := List.rev_append final !events;
-    save_checkpoint ()
+    Session.flush_mark session;
+    Session.log_events session final;
+    events := List.rev_append final !events
   end;
+  Session.checkpoint session;
   (List.rev !events, !stopped)
-
-(* Chop a durable event log back to the complete lines covered by the
-   checkpoint being recovered from (epoch <= [epoch]); everything past
-   that — a line torn mid-write by the crash, flush events (behind
-   their "# flush" marker, which deliberately fails the epoch parse),
-   anything newer than the checkpoint — is regenerated by WAL replay
-   and the continued run. *)
-let truncate_events_file ~path ~epoch =
-  let data =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  in
-  match data with
-  | None -> ()
-  | Some data ->
-      let len = String.length data in
-      let keep = ref 0 in
-      (try
-         let pos = ref 0 in
-         while !pos < len do
-           match String.index_from data !pos '\n' with
-           | exception Not_found -> raise Exit (* torn last line *)
-           | nl -> (
-               let line = String.sub data !pos (nl - !pos) in
-               match Scanf.sscanf line "t=%d" (fun e -> e) with
-               | e when e <= epoch ->
-                   keep := nl + 1;
-                   pos := nl + 1
-               | _ -> raise Exit
-               | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
-                   raise Exit)
-         done
-       with Exit -> ());
-      if !keep <> len then Unix.truncate path !keep
 
 (* Write the collected observability snapshots as one JSON document;
    snapshots are ordered oldest first. *)
@@ -365,9 +446,8 @@ let print_stage_summary () =
       stages
   end
 
-let infer objects rounds read_rate seed variant particles min_particles resample_ess
-    domains ff on_ooo checkpoint checkpoint_keep checkpoint_every resume stop_after
-    wal wal_fsync_every events_out recover metrics metrics_every =
+let infer { objects; seed; config } rounds read_rate ff on_ooo
+    (durability : Session.config) resume stop_after metrics metrics_every =
   (* Scope counters to this run: the registry is process-global and the
      snapshots below must start from zero for their deltas to mean
      anything. *)
@@ -376,11 +456,8 @@ let infer objects rounds read_rate seed variant particles min_particles resample
   let world = wh.Rfid_sim.Warehouse.world in
   let params = fitted_params sensor in
   let config =
-    Rfid_core.Config.create ~variant ~num_object_particles:particles
-      ~min_object_particles:(resolve_budget ~particles ~min_particles)
-      ~resample_ess_ratio:resample_ess ~num_domains:domains
-      ~drop_out_of_order:(on_ooo = Rfid_robust.Ingest.Drop)
-      ()
+    { config with
+      Rfid_core.Config.drop_out_of_order = on_ooo = Rfid_robust.Ingest.Drop }
   in
   let faults = faults_of_flags ff in
   let observations = Trace.observations trace in
@@ -391,32 +468,6 @@ let infer objects rounds read_rate seed variant particles min_particles resample
       Rfid_sim.Faults.apply faults ~seed:ff.ff_seed observations
     end
   in
-  (if recover && checkpoint = None then
-     failwith "--recover needs --checkpoint to know where the checkpoints live");
-  let fresh_engine () =
-    Rfid_core.Engine.create ~world ~params ~config
-      ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
-      ~num_objects:objects ~seed ()
-  in
-  let resume_source = if recover then checkpoint else resume in
-  let engine =
-    match resume_source with
-    | Some path -> (
-        (* Either a single checkpoint file or a rotation directory;
-           load_auto walks the rotation chain past corrupted files. *)
-        match Rfid_robust.Checkpoint.load_auto ~path with
-        | Ok snapshot ->
-            Format.eprintf "# resuming from %s at epoch %d@." path
-              (Rfid_core.Engine.snapshot_epoch snapshot);
-            Rfid_core.Engine.restore ~world ~params ~config snapshot
-        | Error msg when recover ->
-            (* The crash happened before the first checkpoint became
-               durable; recovery degenerates to a fresh run. *)
-            Format.eprintf "# no loadable checkpoint (%s); recovering from the start@." msg;
-            fresh_engine ()
-        | Error msg -> failwith msg)
-    | None -> fresh_engine ()
-  in
   let guard =
     Rfid_robust.Ingest.create
       ~policies:
@@ -424,130 +475,24 @@ let infer objects rounds read_rate seed variant particles min_particles resample
           Rfid_robust.Ingest.on_out_of_order_epoch = on_ooo }
       ~bounds:(World.bounding_box world) ~max_object_id:objects ()
   in
-  (* A run starting from scratch truncates its WAL and event log below;
-     stale checkpoints need the same hygiene, or a later crash would
-     recover from a previous run's newer state instead of this one's. *)
-  (match checkpoint with
-  | Some path when resume_source = None ->
-      if checkpoint_keep > 1 then Rfid_robust.Checkpoint.clear_rotation ~dir:path
-      else
-        List.iter
-          (fun p -> if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ())
-          [ path; path ^ ".tmp" ]
-  | _ -> ());
-  (* Recovery, step 1: trim both durable logs back to a consistent
-     prefix — the event log to complete lines covered by the restored
-     checkpoint, the WAL to its last intact record — before anything
-     reopens them for append. *)
-  (if recover then begin
-     let e0 = Rfid_core.Engine.epoch engine in
-     (match events_out with
-     | Some path -> truncate_events_file ~path ~epoch:e0
-     | None -> ());
-     match wal with
-     | None -> ()
-     | Some path ->
-         let tail = Rfid_robust.Wal.read ~path in
-         (match tail.Rfid_robust.Wal.note with
-         | Some why ->
-             Format.eprintf "# wal: %s; discarding %d byte(s) of torn tail@." why
-               tail.Rfid_robust.Wal.discarded_bytes
-         | None -> ());
-         Rfid_robust.Wal.truncate ~path
-           ~valid_bytes:tail.Rfid_robust.Wal.valid_bytes
-   end);
-  let events_fd =
-    match events_out with
-    | None -> None
-    | Some path -> (
-        let flags =
-          Unix.O_WRONLY :: Unix.O_CREAT
-          :: (if recover then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-        in
-        match Unix.openfile path flags 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-            raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-        | fd -> Some fd)
+  let session =
+    Session.start ?resume ~guard
+      ~fresh:(fun () ->
+        Rfid_core.Engine.create ~world ~params ~config
+          ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
+          ~num_objects:objects ~seed ())
+      ~restore:(Rfid_core.Engine.restore ~world ~params ~config)
+      durability
   in
-  let on_events evs =
-    match events_fd with
-    | None -> ()
-    | Some fd ->
-        List.iter
-          (fun ev ->
-            Rfid_robust.Durable.write fd
-              (Format.asprintf "%a\n" Rfid_core.Event.pp ev))
-          evs
-  in
-  let on_flush_mark () =
-    match events_fd with
-    | None -> ()
-    | Some fd -> Rfid_robust.Durable.write fd "# flush\n"
-  in
-  (* Recovery, step 2: replay the WAL entries past the checkpoint
-     through a fresh guard, regenerating the lost epochs' events —
-     bit-identical, because replayed inputs equal original inputs and
-     the checkpoint restored the RNG streams. The journal is attached
-     only afterwards, so replayed entries are not logged twice. *)
-  let replayed_events =
-    if not recover then []
-    else
-      match wal with
-      | None -> []
-      | Some path -> (
-          let tail = Rfid_robust.Wal.read ~path in
-          match Rfid_robust.Wal.replay ~guard ~engine tail.Rfid_robust.Wal.entries with
-          | Ok evs ->
-              if evs <> [] || tail.Rfid_robust.Wal.entries <> [] then
-                Format.eprintf "# wal: replayed %d entr(ies) to epoch %d@."
-                  (List.length tail.Rfid_robust.Wal.entries)
-                  (Rfid_core.Engine.epoch engine);
-              on_events evs;
-              evs
-          | Error msg -> failwith msg)
-  in
-  let wal_writer =
-    match wal with
-    | None -> None
-    | Some path ->
-        Some
-          (Rfid_robust.Wal.create_writer ~append:recover
-             ~fsync_every:wal_fsync_every ~path ())
-  in
-  (match wal_writer with
-  | None -> ()
-  | Some w ->
-      Rfid_core.Engine.set_journal engine
-        (Some
-           (fun entry ->
-             Rfid_robust.Wal.append w
-               (match entry with
-               | Rfid_core.Engine.Journal_step o -> Rfid_robust.Wal.Step o
-               | Rfid_core.Engine.Journal_degraded (e, tags) ->
-                   Rfid_robust.Wal.Degraded (e, tags)))));
-  let save_checkpoint () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        (* Durability barrier: everything the checkpoint's epoch covers
-           — WAL records and event lines — must be on disk before the
-           checkpoint that supersedes them is published. *)
-        (match wal_writer with Some w -> Rfid_robust.Wal.sync w | None -> ());
-        (match events_fd with Some fd -> Rfid_robust.Durable.fsync fd | None -> ());
-        let snapshot = Rfid_core.Engine.snapshot engine in
-        if checkpoint_keep > 1 then
-          Rfid_robust.Checkpoint.save_rotating ~dir:path ~keep:checkpoint_keep snapshot
-        else Rfid_robust.Checkpoint.save ~path snapshot
-  in
+  let engine = Session.engine session in
+  let restored = durability.recover || resume <> None in
   let observations =
-    (* After a resume (or recovery replay) the engine has already
-       consumed everything up to its current epoch; feed it only the
-       remainder. *)
-    match resume_source with
-    | None -> observations
-    | Some _ ->
-        let e0 = Rfid_core.Engine.epoch engine in
-        List.filter (fun (o : Types.observation) -> o.Types.o_epoch > e0) observations
+    (* A restored engine (and its WAL replay) has already consumed
+       everything up to its current epoch; feed it only the remainder. *)
+    if not restored then observations
+    else
+      let e0 = Rfid_core.Engine.epoch engine in
+      List.filter (fun (o : Types.observation) -> o.Types.o_epoch > e0) observations
   in
   let snapshots = ref [] in
   let take_snapshot () =
@@ -563,19 +508,11 @@ let infer objects rounds read_rate seed variant particles min_particles resample
   in
   let t0 = Unix.gettimeofday () in
   let events, stopped =
-    guarded_run ~on_admitted ~on_events ~on_flush_mark ~guard ~engine
-      ~save_checkpoint ~checkpoint_every ~stop_after observations
+    guarded_run ~on_admitted ~session ~guard
+      ~checkpoint_every:durability.checkpoint_every ~stop_after observations
   in
-  let events = replayed_events @ events in
-  (match wal_writer with Some w -> Rfid_robust.Wal.close w | None -> ());
-  (match events_fd with
-  | Some fd ->
-      (try Rfid_robust.Durable.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  if wal <> None then
-    (* The crash-test harness reads this to bound its kill offsets. *)
-    Printf.eprintf "# durable-bytes=%d\n%!" (Rfid_robust.Durable.total_written ());
+  let events = Session.replayed session @ events in
+  Session.close session;
   List.iter (fun ev -> Format.printf "%a@." Rfid_core.Event.pp ev) events;
   let stats = Rfid_core.Engine.stats engine in
   Format.printf "@.ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
@@ -591,10 +528,10 @@ let infer objects rounds read_rate seed variant particles min_particles resample
   if stopped then
     Format.printf "stopped early at epoch %d%s@."
       (Rfid_core.Engine.epoch engine)
-      (match checkpoint with
+      (match durability.checkpoint with
       | Some path -> Printf.sprintf " (checkpoint saved to %s)" path
       | None -> "")
-  else if resume_source = None && Rfid_sim.Faults.is_none faults then begin
+  else if (not restored) && Rfid_sim.Faults.is_none faults then begin
     let error = Rfid_eval.Metrics.inference_error events trace in
     Format.printf "%a | %.1fs total@." Rfid_eval.Metrics.pp_error error
       (Unix.gettimeofday () -. t0)
@@ -608,31 +545,6 @@ let infer_cmd =
      ($(b,--resume)) — a resumed run reproduces the uninterrupted event \
      stream bit-identically."
   in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"PATH"
-          ~doc:
-            "Write engine checkpoints to PATH — a single file, or with \
-             $(b,--checkpoint-keep) > 1 a rotation directory of \
-             $(i,ckpt-<epoch>.bin) files.")
-  in
-  let checkpoint_keep =
-    Arg.(
-      value & opt int 1
-      & info [ "checkpoint-keep" ] ~docv:"N"
-          ~doc:
-            "Keep the N newest checkpoints (rotating in a directory); recovery \
-             falls back down the chain past a corrupted file. 1 (default) = a \
-             single checkpoint file.")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"K"
-          ~doc:"Checkpoint every K admitted epochs (0 = only at exit).")
-  in
   let resume =
     Arg.(
       value
@@ -641,41 +553,6 @@ let infer_cmd =
           ~doc:
             "Resume from a checkpoint: a file, or a rotation directory (the \
              newest checkpoint that still verifies wins).")
-  in
-  let wal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:
-            "Append each admitted epoch to a write-ahead log at FILE, closing \
-             the data-loss window between checkpoints; see $(b,--recover).")
-  in
-  let wal_fsync_every =
-    Arg.(
-      value & opt int 8
-      & info [ "wal-fsync-every" ] ~docv:"K"
-          ~doc:"Force the write-ahead log to disk every K records (min 1).")
-  in
-  let events_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "events" ] ~docv:"FILE"
-          ~doc:
-            "Also append cleaned events to FILE durably, in emission order \
-             (trimmed and regenerated consistently by $(b,--recover)).")
-  in
-  let recover =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "Recover a crashed run: load the newest valid checkpoint from \
-             $(b,--checkpoint), trim the $(b,--wal) and $(b,--events) files to \
-             their intact prefixes, replay the logged epochs past the \
-             checkpoint, then continue the run — producing the event stream \
-             the uninterrupted run would have, bit-identically.")
   in
   let stop_after =
     Arg.(
@@ -704,11 +581,8 @@ let infer_cmd =
   Cmd.v
     (Cmd.info "infer" ~doc)
     Term.(
-      const infer $ objects_arg $ rounds_arg $ read_rate_arg $ seed_arg $ variant_arg
-      $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
-      $ fault_flags_term $ on_ooo_arg $ checkpoint $ checkpoint_keep
-      $ checkpoint_every $ resume $ stop_after $ wal $ wal_fsync_every $ events_out
-      $ recover $ metrics $ metrics_every)
+      const infer $ engine_term $ rounds_arg $ read_rate_arg $ fault_flags_term
+      $ on_ooo_arg $ durability_term $ resume $ stop_after $ metrics $ metrics_every)
 
 (* ------------------------------------------------------------------ *)
 (* calibrate                                                           *)
@@ -756,8 +630,7 @@ let calibrate_cmd =
 (* ------------------------------------------------------------------ *)
 (* replay                                                              *)
 
-let replay file objects variant particles min_particles resample_ess seed domains
-    lenient =
+let replay file { objects; seed; config } lenient =
   let ic = open_in file in
   let observations =
     Fun.protect
@@ -779,11 +652,6 @@ let replay file objects variant particles min_particles resample_ess seed domain
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
   let sensor = Rfid_sim.Truth_sensor.cone () in
   let params = fitted_params sensor in
-  let config =
-    Rfid_core.Config.create ~variant ~num_object_particles:particles
-      ~min_object_particles:(resolve_budget ~particles ~min_particles)
-      ~resample_ess_ratio:resample_ess ~num_domains:domains ()
-  in
   let init_reader =
     match observations with
     | o :: _ ->
@@ -844,8 +712,7 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc)
     Term.(
-      const replay $ file $ objects_arg $ variant_arg $ particles_arg
-      $ min_particles_arg $ resample_ess_arg $ seed_arg $ domains_arg $ lenient)
+      const replay $ file $ engine_term $ lenient)
 
 (* ------------------------------------------------------------------ *)
 (* lab                                                                 *)
@@ -909,207 +776,33 @@ let lab_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
-(* Parse one durable events-log line back into an event, to reseed the
-   server's EVENTS ring on --recover. The log prints through Event.pp
-   at fixed (3-decimal) precision, so the reconstruction is lossy in
-   the covariance — only sd_xy survives, as a diagonal — but re-printing
-   the parsed event yields the original line byte-for-byte, which is
-   the property EVENTS replies need across a crash. *)
-let event_of_log_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    let degraded =
-      let suffix = " [degraded]" in
-      let n = String.length line and k = String.length suffix in
-      n >= k && String.sub line (n - k) k = suffix
-    in
-    let mk e o x y z sd =
-      let cov =
-        Option.map
-          (fun s ->
-            let v = s *. s in
-            [| [| v; 0.; 0. |]; [| 0.; v; 0. |]; [| 0.; 0.; 0. |] |])
-          sd
-      in
-      Rfid_core.Event.make ~epoch:e ~obj:o ~loc:(Rfid_geom.Vec3.make x y z) ?cov
-        ~degraded ()
-    in
-    match
-      Scanf.sscanf line "t=%d obj=%d loc=(%f, %f, %f) (sd_xy=%f" (fun e o x y z s ->
-          mk e o x y z (Some s))
-    with
-    | ev -> Some ev
-    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> (
-        match
-          Scanf.sscanf line "t=%d obj=%d loc=(%f, %f, %f" (fun e o x y z ->
-              mk e o x y z None)
-        with
-        | ev -> Some ev
-        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
-
-let serve host port objects seed variant particles min_particles resample_ess
-    domains admit_cap max_steps_per_tick events_keep checkpoint checkpoint_keep
-    checkpoint_every wal wal_fsync_every events_out recover metrics_push
-    metrics_push_every =
+let serve host port { objects; seed; config } admit_cap max_steps_per_tick events_keep
+    (durability : Session.config) metrics_push metrics_push_every =
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
-  let boot =
-    Rfid_serve.Bootstrap.make ~objects ~seed ~variant ~particles ~min_particles
-      ~resample_ess ~domains ()
-  in
-  (if recover && checkpoint = None then
-     failwith "--recover needs --checkpoint to know where the checkpoints live");
-  let engine =
-    if recover then
-      match Rfid_robust.Checkpoint.load_auto ~path:(Option.get checkpoint) with
-      | Ok snapshot ->
-          Format.eprintf "# resuming from %s at epoch %d@." (Option.get checkpoint)
-            (Rfid_core.Engine.snapshot_epoch snapshot);
-          Rfid_serve.Bootstrap.restore_engine boot snapshot
-      | Error msg ->
-          Format.eprintf "# no loadable checkpoint (%s); recovering from the start@."
-            msg;
-          Rfid_serve.Bootstrap.fresh_engine boot
-    else Rfid_serve.Bootstrap.fresh_engine boot
-  in
+  let boot = Rfid_serve.Bootstrap.of_config ~objects ~seed config in
   let guard = Rfid_serve.Bootstrap.fresh_guard boot in
-  Rfid_robust.Ingest.advance_timeline guard (Rfid_core.Engine.epoch engine);
-  (* Fresh-run hygiene, as in infer: stale checkpoints from a previous
-     run must not shadow this one's. *)
-  (match checkpoint with
-  | Some path when not recover ->
-      if checkpoint_keep > 1 then Rfid_robust.Checkpoint.clear_rotation ~dir:path
-      else
-        List.iter
-          (fun p -> if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ())
-          [ path; path ^ ".tmp" ]
-  | _ -> ());
-  (* Recovery, step 1: trim the durable logs to a consistent prefix
-     before reopening them for append (same discipline as infer). *)
-  (if recover then begin
-     let e0 = Rfid_core.Engine.epoch engine in
-     (match events_out with
-     | Some path -> truncate_events_file ~path ~epoch:e0
-     | None -> ());
-     match wal with
-     | None -> ()
-     | Some path ->
-         let tail = Rfid_robust.Wal.read ~path in
-         (match tail.Rfid_robust.Wal.note with
-         | Some why ->
-             Format.eprintf "# wal: %s; discarding %d byte(s) of torn tail@." why
-               tail.Rfid_robust.Wal.discarded_bytes
-         | None -> ());
-         Rfid_robust.Wal.truncate ~path ~valid_bytes:tail.Rfid_robust.Wal.valid_bytes
-   end);
-  let events_fd =
-    match events_out with
-    | None -> None
-    | Some path -> (
-        let flags =
-          Unix.O_WRONLY :: Unix.O_CREAT
-          :: (if recover then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-        in
-        match Unix.openfile path flags 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-            raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-        | fd -> Some fd)
-  in
-  let on_events evs =
-    match events_fd with
-    | None -> ()
-    | Some fd ->
-        List.iter
-          (fun ev ->
-            Rfid_robust.Durable.write fd (Format.asprintf "%a\n" Rfid_core.Event.pp ev))
-          evs
-  in
-  let on_flush_mark () =
-    match events_fd with
-    | None -> ()
-    | Some fd -> Rfid_robust.Durable.write fd "# flush\n"
-  in
-  (* Recovery, step 2: replay the WAL past the checkpoint; the journal
-     is attached only afterwards, so replayed entries are not logged
-     twice. *)
-  (if recover then
-     match wal with
-     | None -> ()
-     | Some path -> (
-         let tail = Rfid_robust.Wal.read ~path in
-         match Rfid_robust.Wal.replay ~guard ~engine tail.Rfid_robust.Wal.entries with
-         | Ok evs ->
-             if evs <> [] || tail.Rfid_robust.Wal.entries <> [] then
-               Format.eprintf "# wal: replayed %d entr(ies) to epoch %d@."
-                 (List.length tail.Rfid_robust.Wal.entries)
-                 (Rfid_core.Engine.epoch engine);
-             on_events evs
-         | Error msg -> failwith msg));
-  let wal_writer =
-    match wal with
-    | None -> None
-    | Some path ->
-        Some
-          (Rfid_robust.Wal.create_writer ~append:recover ~fsync_every:wal_fsync_every
-             ~path ())
-  in
-  (match wal_writer with
-  | None -> ()
-  | Some w ->
-      Rfid_core.Engine.set_journal engine
-        (Some
-           (fun entry ->
-             Rfid_robust.Wal.append w
-               (match entry with
-               | Rfid_core.Engine.Journal_step o -> Rfid_robust.Wal.Step o
-               | Rfid_core.Engine.Journal_degraded (e, tags) ->
-                   Rfid_robust.Wal.Degraded (e, tags)))));
-  let save_checkpoint eng =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        (* Durability barrier (as in infer): WAL records and event
-           lines covered by the checkpoint reach disk first. *)
-        (match wal_writer with Some w -> Rfid_robust.Wal.sync w | None -> ());
-        (match events_fd with Some fd -> Rfid_robust.Durable.fsync fd | None -> ());
-        let snapshot = Rfid_core.Engine.snapshot eng in
-        if checkpoint_keep > 1 then
-          Rfid_robust.Checkpoint.save_rotating ~dir:path ~keep:checkpoint_keep snapshot
-        else Rfid_robust.Checkpoint.save ~path snapshot
+  let session =
+    Session.start ~guard
+      ~fresh:(fun () -> Rfid_serve.Bootstrap.fresh_engine boot)
+      ~restore:(Rfid_serve.Bootstrap.restore_engine boot)
+      durability
   in
   let hooks =
     {
-      Rfid_serve.Core.on_events;
-      on_flush_mark;
-      on_admitted = (fun _ -> ());
-      on_checkpoint = save_checkpoint;
+      Rfid_serve.Core.on_events = Session.log_events session;
+      on_flush_mark = (fun () -> Session.flush_mark session);
+      on_admitted = ignore;
+      on_checkpoint = (fun _ -> Session.checkpoint session);
     }
   in
   let core =
-    Rfid_serve.Core.create ~guard ~engine ~num_objects:objects ~admit_cap
-      ~events_keep ~checkpoint_every ~hooks ()
+    Rfid_serve.Core.create ~guard ~engine:(Session.engine session)
+      ~num_objects:objects ~admit_cap ~events_keep
+      ~checkpoint_every:durability.checkpoint_every ~hooks ()
   in
-  (* Reseed the EVENTS ring from the durable log (which now also holds
-     any WAL-regenerated lines), oldest first, so a recovered server
-     answers EVENTS with the same history the uninterrupted one
-     would — without duplicating any event. *)
-  (if recover then
-     match events_out with
-     | None -> ()
-     | Some path -> (
-         match open_in_bin path with
-         | exception Sys_error _ -> ()
-         | ic ->
-             Fun.protect
-               ~finally:(fun () -> close_in_noerr ic)
-               (fun () ->
-                 try
-                   while true do
-                     match event_of_log_line (input_line ic) with
-                     | Some ev -> Rfid_serve.Core.preload_event core ev
-                     | None -> ()
-                   done
-                 with End_of_file -> ())));
+  (* A recovered server answers EVENTS with the history the
+     uninterrupted one would have (a fresh run's log is empty). *)
+  List.iter (Rfid_serve.Core.preload_event core) (Session.logged_events session);
   let pusher =
     match metrics_push with
     | None -> None
@@ -1138,7 +831,7 @@ let serve host port objects seed variant particles min_particles resample_ess
             (Rfid_obs.Openmetrics.render Rfid_obs.Metrics.global)
         end
   in
-  let config =
+  let server_config =
     {
       Rfid_serve.Server.default_config with
       Rfid_serve.Server.host;
@@ -1149,24 +842,17 @@ let serve host port objects seed variant particles min_particles resample_ess
   let on_listening ~host ~port =
     Printf.printf "# rfid-serve listening on %s:%d\n%!" host port
   in
-  Rfid_serve.Server.run ~on_listening ~on_pass core config;
+  Rfid_serve.Server.run ~on_listening ~on_pass core server_config;
   (* The loop has returned: stop was requested and Core.drain ran
      (flush + checkpoint through the hooks). Close the durable tail. *)
-  (match wal_writer with Some w -> Rfid_robust.Wal.close w | None -> ());
-  (match events_fd with
-  | Some fd ->
-      (try Rfid_robust.Durable.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  Session.close session;
   (match pusher with Some p -> Rfid_serve.Push.close p | None -> ());
-  if wal <> None then
-    Printf.eprintf "# durable-bytes=%d\n%!" (Rfid_robust.Durable.total_written ());
   Format.printf "drained at epoch %d (admitted %d)@."
     (Rfid_serve.Core.epoch core)
     (Rfid_serve.Core.admitted core);
   Format.printf "ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
   Format.printf "engine: %a@." Rfid_core.Engine.pp_stats
-    (Rfid_core.Engine.stats engine)
+    (Rfid_core.Engine.stats (Rfid_serve.Core.engine core))
 
 let serve_cmd =
   let doc =
@@ -1190,7 +876,8 @@ let serve_cmd =
   in
   let admit_cap =
     Arg.(
-      value & opt int 1024
+      value
+      & opt (int_at_least 1) 1024
       & info [ "admit-cap" ] ~docv:"N"
           ~doc:
             "Admission queue bound: PUTs beyond N queued observations are \
@@ -1211,58 +898,6 @@ let serve_cmd =
           ~doc:
             "Bound on the in-memory EVENTS ring; older events are evicted \
              (and counted in STATS events_dropped).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"PATH"
-          ~doc:
-            "Write engine checkpoints to PATH (file, or rotation directory \
-             with $(b,--checkpoint-keep) > 1) on DRAIN, shutdown, and the \
-             $(b,--checkpoint-every) cadence.")
-  in
-  let checkpoint_keep =
-    Arg.(
-      value & opt int 1
-      & info [ "checkpoint-keep" ] ~docv:"N"
-          ~doc:"Keep the N newest checkpoints (rotating in a directory).")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"K"
-          ~doc:"Checkpoint every K admitted epochs (0 = only on DRAIN/shutdown).")
-  in
-  let wal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE"
-          ~doc:"Append each admitted epoch to a write-ahead log at FILE.")
-  in
-  let wal_fsync_every =
-    Arg.(
-      value & opt int 8
-      & info [ "wal-fsync-every" ] ~docv:"K"
-          ~doc:"Force the write-ahead log to disk every K records (min 1).")
-  in
-  let events_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "events" ] ~docv:"FILE"
-          ~doc:"Append cleaned events to FILE durably, in emission order.")
-  in
-  let recover =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "Recover a crashed server: load the newest valid checkpoint from \
-             $(b,--checkpoint), trim and replay the $(b,--wal), reseed the \
-             EVENTS ring from $(b,--events), then serve — clients resume \
-             PUTting where they left off, without event duplication.")
   in
   let metrics_push =
     let hostport =
@@ -1294,11 +929,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const serve $ host $ port $ objects_arg $ seed_arg $ variant_arg
-      $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
-      $ admit_cap $ max_steps_per_tick $ events_keep $ checkpoint $ checkpoint_keep
-      $ checkpoint_every $ wal $ wal_fsync_every $ events_out $ recover
-      $ metrics_push $ metrics_push_every)
+      const serve $ host $ port $ engine_term $ admit_cap $ max_steps_per_tick
+      $ events_keep $ durability_term $ metrics_push $ metrics_push_every)
 
 (* ------------------------------------------------------------------ *)
 

@@ -7,32 +7,32 @@ type t = {
   seed : int;
 }
 
-let make ~objects ~seed ?(variant = Rfid_core.Config.Factorized_indexed)
-    ?(particles = 200) ?(min_particles = 0) ?(resample_ess = 1.0) ?(domains = 1)
-    () =
+let of_config ~objects ~seed config =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
   let sensor = Rfid_sim.Truth_sensor.cone () in
   let fitted =
     Rfid_learn.Supervised.fit_sensor
       ~read_prob:sensor.Rfid_sim.Truth_sensor.read_prob ~seed:99 ()
   in
-  let params = Rfid_model.Params.create ~sensor:fitted () in
-  let min_object_particles =
-    if min_particles = 0 then particles else min_particles
-  in
-  let config =
-    Rfid_core.Config.create ~variant ~num_object_particles:particles
-      ~min_object_particles ~resample_ess_ratio:resample_ess
-      ~num_domains:domains ~drop_out_of_order:true ()
-  in
   {
     world = wh.Rfid_sim.Warehouse.world;
-    params;
-    config;
+    params = Rfid_model.Params.create ~sensor:fitted ();
+    config = { config with Rfid_core.Config.drop_out_of_order = true };
     init_reader = Rfid_sim.Warehouse.reader_start wh;
     num_objects = objects;
     seed;
   }
+
+let make ~objects ~seed ?(variant = Rfid_core.Config.Factorized_indexed)
+    ?(particles = 200) ?(min_particles = 0) ?(resample_ess = 1.0) ?(domains = 1)
+    () =
+  let min_object_particles =
+    if min_particles = 0 then particles else min_particles
+  in
+  of_config ~objects ~seed
+    (Rfid_core.Config.create ~variant ~num_object_particles:particles
+       ~min_object_particles ~resample_ess_ratio:resample_ess
+       ~num_domains:domains ())
 
 let fresh_engine t =
   Rfid_core.Engine.create ~world:t.world ~params:t.params ~config:t.config

@@ -25,6 +25,11 @@ type t = {
   seed : int;
 }
 
+val of_config : objects:int -> seed:int -> Rfid_core.Config.t -> t
+(** The fixture around an already-validated engine configuration (the
+    CLI's engine flags build one); [drop_out_of_order] is forced on to
+    match the guard. *)
+
 val make :
   objects:int ->
   seed:int ->

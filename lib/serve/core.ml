@@ -127,11 +127,13 @@ let drain t =
       (* [flush] emits pending reports but moves no posterior, so the
          query cache stays valid as-is. *)
       let events = Engine.flush t.engine in
+      (* The marker goes first: flush events share the last step's
+         epoch, and recovery trims the events log at the marker. *)
+      t.hooks.on_flush_mark ();
       if events <> [] then begin
         List.iter (Query.record_event t.query) events;
         t.hooks.on_events events
       end;
-      t.hooks.on_flush_mark ();
       t.hooks.on_checkpoint t.engine
     end;
     t.draining <- true

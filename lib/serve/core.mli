@@ -26,8 +26,9 @@ type hooks = {
       (** fired with each batch of newly emitted events, after they are
           in the ring — the durable events log writes here *)
   on_flush_mark : unit -> unit;
-      (** fired when [DRAIN] flushes the engine — the events log writes
-          its ["# flush"] marker here *)
+      (** fired when [DRAIN] flushes the engine, before [on_events]
+          delivers the flush events — the events log writes its
+          ["# flush"] marker here *)
   on_admitted : int -> unit;
       (** fired with the new engine epoch each time a queued
           observation advances it — WAL sync cadence hangs here *)

@@ -235,6 +235,30 @@ let test_core_backpressure () =
   if not (contains_sub stats "busy_rejections 1") then
     Alcotest.failf "STATS should count 1 busy rejection:\n%s" stats
 
+(* Flush events share the last step's epoch, so recovery can only tell
+   them apart by the "# flush" marker in front of them. *)
+let test_core_drain_marks_flush () =
+  let boot = Lazy.force boot in
+  let calls = ref [] in
+  let hooks =
+    {
+      Core.no_hooks with
+      Core.on_events = (fun evs -> calls := `Events (List.length evs) :: !calls);
+      on_flush_mark = (fun () -> calls := `Mark :: !calls);
+    }
+  in
+  let core =
+    Core.create ~guard:(Bootstrap.fresh_guard boot) ~engine:(Bootstrap.fresh_engine boot)
+      ~num_objects:boot.Bootstrap.num_objects ~hooks ()
+  in
+  List.iter
+    (fun obs -> ignore (req core ("PUT " ^ Rfid_model.Trace_io.observation_to_line obs)))
+    sample_obs;
+  ignore (req core "DRAIN");
+  match !calls with
+  | `Events n :: `Mark :: _ when n > 0 -> ()
+  | _ -> Alcotest.fail "DRAIN must fire on_flush_mark before the flush events"
+
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics + UDP push *)
 
@@ -479,6 +503,8 @@ let suite =
       Alcotest.test_case "query: event ring" `Quick test_event_ring;
       Alcotest.test_case "core: wire = direct replay" `Quick test_core_consistency;
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
+      Alcotest.test_case "core: DRAIN marks before flush events" `Quick
+        test_core_drain_marks_flush;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;
       Alcotest.test_case "push: UDP loopback" `Quick test_push_udp;
       Alcotest.test_case "PROTOCOL.md conformance" `Quick test_protocol_conformance;
