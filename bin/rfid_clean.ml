@@ -137,7 +137,7 @@ let engine_term =
   let make objects seed variant particles min_particles resample_ess domains =
     match
       Rfid_core.Config.create ~variant ~num_object_particles:particles
-        ~min_object_particles:(if min_particles = 0 then particles else min_particles)
+        ?min_object_particles:(if min_particles = 0 then None else Some min_particles)
         ~resample_ess_ratio:resample_ess ~num_domains:domains ()
     with
     | config -> `Ok { objects; seed; config }
@@ -149,7 +149,9 @@ let engine_term =
      $ min_particles_arg $ resample_ess_arg $ domains_arg))
 
 (* The durability flags shared by infer and serve; Session owns what
-   they mean. *)
+   they mean, the caller owns the checkpoint cadence. *)
+type durability = { session : Session.config; checkpoint_every : int }
+
 let durability_term =
   let checkpoint =
     Arg.(
@@ -224,13 +226,9 @@ let durability_term =
     else
       `Ok
         {
-          Session.checkpoint;
-          checkpoint_keep;
+          session =
+            { Session.checkpoint; checkpoint_keep; wal; wal_fsync_every; events; recover };
           checkpoint_every;
-          wal;
-          wal_fsync_every;
-          events;
-          recover;
         }
   in
   Term.(
@@ -404,13 +402,8 @@ let guarded_run ~on_admitted ~session ~guard ~checkpoint_every ~stop_after
              raise Exit)
        observations
    with Exit -> stopped := true);
-  if not !stopped then begin
-    let final = Rfid_core.Engine.flush engine in
-    Session.flush_mark session;
-    Session.log_events session final;
-    events := List.rev_append final !events
-  end;
-  Session.checkpoint session;
+  if !stopped then Session.checkpoint session
+  else events := List.rev_append (Session.finish session) !events;
   (List.rev !events, !stopped)
 
 (* Write the collected observability snapshots as one JSON document;
@@ -447,7 +440,7 @@ let print_stage_summary () =
   end
 
 let infer { objects; seed; config } rounds read_rate ff on_ooo
-    (durability : Session.config) resume stop_after metrics metrics_every =
+    durability resume stop_after metrics metrics_every =
   (* Scope counters to this run: the registry is process-global and the
      snapshots below must start from zero for their deltas to mean
      anything. *)
@@ -482,10 +475,10 @@ let infer { objects; seed; config } rounds read_rate ff on_ooo
           ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
           ~num_objects:objects ~seed ())
       ~restore:(Rfid_core.Engine.restore ~world ~params ~config)
-      durability
+      durability.session
   in
   let engine = Session.engine session in
-  let restored = durability.recover || resume <> None in
+  let restored = durability.session.recover || resume <> None in
   let observations =
     (* A restored engine (and its WAL replay) has already consumed
        everything up to its current epoch; feed it only the remainder. *)
@@ -528,7 +521,7 @@ let infer { objects; seed; config } rounds read_rate ff on_ooo
   if stopped then
     Format.printf "stopped early at epoch %d%s@."
       (Rfid_core.Engine.epoch engine)
-      (match durability.checkpoint with
+      (match durability.session.checkpoint with
       | Some path -> Printf.sprintf " (checkpoint saved to %s)" path
       | None -> "")
   else if (not restored) && Rfid_sim.Faults.is_none faults then begin
@@ -777,7 +770,7 @@ let lab_cmd =
 (* serve                                                               *)
 
 let serve host port { objects; seed; config } admit_cap max_steps_per_tick events_keep
-    (durability : Session.config) metrics_push metrics_push_every =
+    durability metrics_push metrics_push_every =
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
   let boot = Rfid_serve.Bootstrap.of_config ~objects ~seed config in
   let guard = Rfid_serve.Bootstrap.fresh_guard boot in
@@ -785,7 +778,7 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
     Session.start ~guard
       ~fresh:(fun () -> Rfid_serve.Bootstrap.fresh_engine boot)
       ~restore:(Rfid_serve.Bootstrap.restore_engine boot)
-      durability
+      durability.session
   in
   let hooks =
     {

@@ -7,7 +7,8 @@
    `--recover` and asserts the durable event log is byte-identical to
    an uninterrupted golden run's. Kill offsets are drawn uniformly over
    the golden run's total durable bytes, so mid-checkpoint, mid-WAL,
-   and mid-event-line tears all get hit.
+   and mid-event-line tears all get hit. The golden run itself is then
+   recovered too, as if killed after its last durable byte.
 
    Two modes drive the same durability code (Rfid_robust.Session):
    - infer: the batch run is killed, then `infer --recover` finishes it;
@@ -211,6 +212,14 @@ let () =
   Printf.printf "crash-test %s: %d trials, base seed %d, %d durable bytes to aim at\n%!"
     mode trials base_seed total_bytes;
   let failures = ref 0 in
+  (* Kill after the last durable byte: a completed run recovered anyway
+     must come back to the same log. *)
+  (match run ~cli ~dir:golden_dir ~crash_at:None ~recover:true with
+  | Unix.WEXITED 0 when read_file (Filename.concat golden_dir "events.log") = golden_events ->
+      Printf.printf "recover after completion ok\n%!"
+  | _ ->
+      incr failures;
+      Printf.printf "recover after completion FAIL (kept %s)\n%!" golden_dir);
   for t = 0 to trials - 1 do
     let seed = base_seed + t in
     let rng = Rfid_prob.Rng.create ~seed in
@@ -247,7 +256,7 @@ let () =
       trials
   end
   else begin
-    Printf.printf "crash-test %s: %d/%d trials FAILED (artifacts under %s)\n" mode
-      !failures trials root;
+    Printf.printf "crash-test %s: %d of %d trials + 1 completed-run recovery FAILED \
+                   (artifacts under %s)\n" mode !failures trials root;
     exit 1
   end

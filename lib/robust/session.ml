@@ -4,7 +4,6 @@ module Event = Rfid_core.Event
 type config = {
   checkpoint : string option;
   checkpoint_keep : int;
-  checkpoint_every : int;
   wal : string option;
   wal_fsync_every : int;
   events : string option;
@@ -211,6 +210,13 @@ let checkpoint t =
       if keep > 1 then Checkpoint.save_rotating ~dir:path ~keep snapshot
       else Checkpoint.save ~path snapshot)
     t.config.checkpoint
+
+let finish t =
+  checkpoint t;
+  flush_mark t;
+  let evs = Engine.flush t.engine in
+  log_events t evs;
+  evs
 
 let close t =
   Option.iter Wal.close t.wal_writer;

@@ -28,7 +28,11 @@
 
     While running, every {!checkpoint} publish first fsyncs the WAL and
     the events log (the durability barrier: a published checkpoint
-    implies everything it covers is on disk). {!close} syncs and closes
+    implies everything it covers is on disk). The end of the stream
+    ({!finish}) checkpoints {e before} it writes the marker and the
+    flush events, so every checkpoint holds a pre-flush engine: a
+    recovery, even of a run that completed, trims the flush events and
+    regenerates them behind a new marker. {!close} syncs and closes
     both files. *)
 
 type config = {
@@ -37,9 +41,6 @@ type config = {
           [checkpoint_keep = 1], a rotation directory of
           [ckpt-<epoch>.bin] files when it is larger *)
   checkpoint_keep : int;  (** checkpoints kept, >= 1 *)
-  checkpoint_every : int;
-      (** admitted-epoch cadence for the caller's {!checkpoint} calls,
-          >= 0 (0 = only at the end) *)
   wal : string option;  (** write-ahead log path *)
   wal_fsync_every : int;  (** WAL records between forced syncs *)
   events : string option;  (** durable events log path *)
@@ -74,12 +75,16 @@ val log_events : t -> Rfid_core.Event.t list -> unit
     line each. *)
 
 val flush_mark : t -> unit
-(** Append the ["# flush"] marker; call right before logging the
-    engine's end-of-stream flush events. *)
+(** Append the ["# flush"] marker. Only for a caller that flushes the
+    engine itself, in {!finish}'s order (the server's [DRAIN] hooks). *)
 
 val checkpoint : t -> unit
 (** Publish a checkpoint of {!engine} behind the durability barrier.
     No-op without [checkpoint]. *)
+
+val finish : t -> Rfid_core.Event.t list
+(** End the stream: {!checkpoint}, {!flush_mark}, then flush the
+    engine and log the flush events, which are returned. *)
 
 val close : t -> unit
 (** Sync and close the WAL and events log. With a WAL it prints

@@ -23,16 +23,9 @@ let of_config ~objects ~seed config =
     seed;
   }
 
-let make ~objects ~seed ?(variant = Rfid_core.Config.Factorized_indexed)
-    ?(particles = 200) ?(min_particles = 0) ?(resample_ess = 1.0) ?(domains = 1)
-    () =
-  let min_object_particles =
-    if min_particles = 0 then particles else min_particles
-  in
+let make ~objects ~seed ?variant ?particles () =
   of_config ~objects ~seed
-    (Rfid_core.Config.create ~variant ~num_object_particles:particles
-       ~min_object_particles ~resample_ess_ratio:resample_ess
-       ~num_domains:domains ())
+    (Rfid_core.Config.create ?variant ?num_object_particles:particles ())
 
 let fresh_engine t =
   Rfid_core.Engine.create ~world:t.world ~params:t.params ~config:t.config

@@ -35,14 +35,11 @@ val make :
   seed:int ->
   ?variant:Rfid_core.Config.variant ->
   ?particles:int ->
-  ?min_particles:int ->
-  ?resample_ess:float ->
-  ?domains:int ->
   unit ->
   t
-(** Defaults match the CLI: [variant = Factorized_indexed],
-    [particles = 200], [min_particles = 0] (meaning [particles] — no
-    adaptation), [resample_ess = 1.0], [domains = 1]. *)
+(** {!of_config} over {!Rfid_core.Config.create}'s defaults, which
+    match the CLI's: [variant = Factorized_indexed], [particles = 200],
+    no adaptation, [resample_ess = 1.0], [domains = 1]. *)
 
 val fresh_engine : t -> Rfid_core.Engine.t
 

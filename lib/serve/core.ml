@@ -124,17 +124,18 @@ let drain t =
   if not t.draining then begin
     process_queue t;
     if t.halted = None then begin
+      (* Checkpoint, marker, then the flush events: recovery always
+         restores a pre-flush engine, trims the log at the marker and
+         regenerates what follows it (Rfid_robust.Session). *)
+      t.hooks.on_checkpoint t.engine;
+      t.hooks.on_flush_mark ();
       (* [flush] emits pending reports but moves no posterior, so the
          query cache stays valid as-is. *)
       let events = Engine.flush t.engine in
-      (* The marker goes first: flush events share the last step's
-         epoch, and recovery trims the events log at the marker. *)
-      t.hooks.on_flush_mark ();
       if events <> [] then begin
         List.iter (Query.record_event t.query) events;
         t.hooks.on_events events
-      end;
-      t.hooks.on_checkpoint t.engine
+      end
     end;
     t.draining <- true
   end

@@ -26,9 +26,9 @@ type hooks = {
       (** fired with each batch of newly emitted events, after they are
           in the ring — the durable events log writes here *)
   on_flush_mark : unit -> unit;
-      (** fired when [DRAIN] flushes the engine, before [on_events]
-          delivers the flush events — the events log writes its
-          ["# flush"] marker here *)
+      (** fired when [DRAIN] flushes the engine, after its
+          [on_checkpoint] and before [on_events] delivers the flush
+          events — the events log writes its ["# flush"] marker here *)
   on_admitted : int -> unit;
       (** fired with the new engine epoch each time a queued
           observation advances it — WAL sync cadence hangs here *)
@@ -72,7 +72,7 @@ val tick : t -> max_steps:int -> int
 
 val drain : t -> unit
 (** The [DRAIN] action without the reply: process the whole queue,
-    flush the engine, fire [on_flush_mark] and [on_checkpoint], latch
+    fire [on_checkpoint] and [on_flush_mark], flush the engine, latch
     draining. Idempotent. The server's SIGTERM path calls this. *)
 
 val queue_depth : t -> int

@@ -236,8 +236,9 @@ let test_core_backpressure () =
     Alcotest.failf "STATS should count 1 busy rejection:\n%s" stats
 
 (* Flush events share the last step's epoch, so recovery can only tell
-   them apart by the "# flush" marker in front of them. *)
-let test_core_drain_marks_flush () =
+   them apart by the "# flush" marker in front of them; the checkpoint
+   comes first so that recovery always regenerates them. *)
+let test_core_drain_order () =
   let boot = Lazy.force boot in
   let calls = ref [] in
   let hooks =
@@ -245,6 +246,7 @@ let test_core_drain_marks_flush () =
       Core.no_hooks with
       Core.on_events = (fun evs -> calls := `Events (List.length evs) :: !calls);
       on_flush_mark = (fun () -> calls := `Mark :: !calls);
+      on_checkpoint = (fun _ -> calls := `Checkpoint :: !calls);
     }
   in
   let core =
@@ -256,8 +258,8 @@ let test_core_drain_marks_flush () =
     sample_obs;
   ignore (req core "DRAIN");
   match !calls with
-  | `Events n :: `Mark :: _ when n > 0 -> ()
-  | _ -> Alcotest.fail "DRAIN must fire on_flush_mark before the flush events"
+  | `Events n :: `Mark :: `Checkpoint :: _ when n > 0 -> ()
+  | _ -> Alcotest.fail "DRAIN must fire on_checkpoint, on_flush_mark, then the flush events"
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics + UDP push *)
@@ -503,8 +505,8 @@ let suite =
       Alcotest.test_case "query: event ring" `Quick test_event_ring;
       Alcotest.test_case "core: wire = direct replay" `Quick test_core_consistency;
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
-      Alcotest.test_case "core: DRAIN marks before flush events" `Quick
-        test_core_drain_marks_flush;
+      Alcotest.test_case "core: DRAIN checkpoints, marks, flushes" `Quick
+        test_core_drain_order;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;
       Alcotest.test_case "push: UDP loopback" `Quick test_push_udp;
       Alcotest.test_case "PROTOCOL.md conformance" `Quick test_protocol_conformance;

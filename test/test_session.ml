@@ -136,7 +136,6 @@ let durable_config dir ~recover =
   {
     Session.checkpoint = Some (p "ck");
     checkpoint_keep = 2;
-    checkpoint_every = 20;
     wal = Some (p "wal.log");
     wal_fsync_every = 3;
     events = Some (p "events.log");
@@ -154,9 +153,11 @@ let start config =
   in
   (s, guard)
 
+let checkpoint_every = 20
+
 (* Feed observations the way both commands do: step through the guard,
    log what comes out, checkpoint on the admitted-epoch cadence. *)
-let feed (s, guard) config obs =
+let feed (s, guard) obs =
   let engine = Session.engine s in
   let admitted = ref 0 in
   List.iter
@@ -168,16 +169,19 @@ let feed (s, guard) config obs =
           Session.log_events s evs;
           if Engine.epoch engine > before then begin
             incr admitted;
-            if !admitted mod config.Session.checkpoint_every = 0 then Session.checkpoint s
+            if !admitted mod checkpoint_every = 0 then Session.checkpoint s
           end)
     obs
 
 let finish (s, _) =
-  let final = Engine.flush (Session.engine s) in
-  Session.flush_mark s;
-  Session.log_events s final;
-  Session.checkpoint s;
-  Session.close s
+  let flushed = Session.finish s in
+  Session.close s;
+  flushed
+
+let same_file ~golden_dir ~dir name =
+  Alcotest.(check string) (name ^ " byte-identical to the uninterrupted session")
+    (read_file (Filename.concat golden_dir name))
+    (read_file (Filename.concat dir name))
 
 let test_recover_matches_uninterrupted () =
   let obs = Lazy.force observations in
@@ -187,15 +191,15 @@ let test_recover_matches_uninterrupted () =
       Unix.mkdir victim_dir 0o755;
       let golden = durable_config golden_dir ~recover:false in
       let g = start golden in
-      feed g golden obs;
-      finish g;
+      feed g obs;
+      ignore (finish g);
       (* Victim: stop five epochs past the fourth checkpoint (epoch 79),
          after events at 67-81, leaving a torn event line and a torn WAL
          record behind, as a crash would. *)
       let victim = durable_config victim_dir ~recover:false in
       let v = start victim in
       let cut = 85 in
-      feed v victim (List.filteri (fun i _ -> i < cut) obs);
+      feed v (List.filteri (fun i _ -> i < cut) obs);
       let crashed_epoch = Engine.epoch (Session.engine (fst v)) in
       Session.close (fst v);
       write_file ~append:true (Filename.concat victim_dir "events.log") "t=999 obj=1 loc=(1.0";
@@ -210,17 +214,81 @@ let test_recover_matches_uninterrupted () =
         (read_file (Filename.concat victim_dir "events.log"))
         (String.concat "" (List.map (fun ev -> pp_line ev ^ "\n") (Session.logged_events (fst r))));
       (* Re-feed the whole trace: the guard drops what the log already has. *)
-      feed r recovering obs;
-      finish r;
-      let same name =
-        Alcotest.(check string) (name ^ " byte-identical to the uninterrupted session")
-          (read_file (Filename.concat golden_dir name))
-          (read_file (Filename.concat victim_dir name))
-      in
+      feed r obs;
+      ignore (finish r);
+      let same = same_file ~golden_dir ~dir:victim_dir in
       (* Each WAL entry journaled exactly once: replayed entries are not
          logged again, re-fed ones are dropped before the journal. *)
       same "wal.log";
       same "events.log")
+
+(* Ends during the second pass, before the reports it scheduled fall
+   due, so the end-of-stream flush has reports to emit. *)
+let flushing_obs = lazy (List.filteri (fun i _ -> i < 130) (Lazy.force observations))
+
+(* A run that completed and is then recovered anyway (killed while it
+   stayed up with nothing left to write): the last checkpoint predates
+   the flush, so recovery trims the flush events at the marker and the
+   second finish regenerates them. *)
+let test_recover_after_finish () =
+  let obs = Lazy.force flushing_obs in
+  with_tmp_dir (fun dir ->
+      let golden_dir = Filename.concat dir "golden" and done_dir = Filename.concat dir "done" in
+      Unix.mkdir golden_dir 0o755;
+      Unix.mkdir done_dir 0o755;
+      List.iter
+        (fun d ->
+          let s = start (durable_config d ~recover:false) in
+          feed s obs;
+          Alcotest.(check bool) "the flush emits events" true (finish s <> []))
+        [ golden_dir; done_dir ];
+      let r = start (durable_config done_dir ~recover:true) in
+      feed r obs;
+      ignore (finish r);
+      same_file ~golden_dir ~dir:done_dir "events.log")
+
+(* The same for the server: its DRAIN runs through Core's hooks. *)
+let test_recover_after_drain () =
+  let obs = Lazy.force flushing_obs in
+  let serve dir ~recover =
+    let config = durable_config dir ~recover in
+    let s, guard = start config in
+    let hooks =
+      {
+        Rfid_serve.Core.on_events = Session.log_events s;
+        on_flush_mark = (fun () -> Session.flush_mark s);
+        on_admitted = ignore;
+        on_checkpoint = (fun _ -> Session.checkpoint s);
+      }
+    in
+    let core =
+      Rfid_serve.Core.create ~guard ~engine:(Session.engine s)
+        ~num_objects:(Lazy.force boot).Bootstrap.num_objects ~admit_cap:(List.length obs)
+        ~checkpoint_every ~hooks ()
+    in
+    List.iter
+      (fun o ->
+        ignore (Rfid_serve.Core.handle_line core ("PUT " ^ Trace_io.observation_to_line o)))
+      obs;
+    Rfid_serve.Core.drain core;
+    Session.close s
+  in
+  with_tmp_dir (fun dir ->
+      let golden_dir = Filename.concat dir "golden" and done_dir = Filename.concat dir "done" in
+      Unix.mkdir golden_dir 0o755;
+      Unix.mkdir done_dir 0o755;
+      serve golden_dir ~recover:false;
+      serve done_dir ~recover:false;
+      serve done_dir ~recover:true;
+      let rec after_mark = function
+        | "# flush" :: rest -> List.filter (( <> ) "") rest
+        | _ :: rest -> after_mark rest
+        | [] -> []
+      in
+      Alcotest.(check bool) "the flush emits events" true
+        (after_mark (String.split_on_char '\n' (read_file (Filename.concat golden_dir "events.log")))
+        <> []);
+      same_file ~golden_dir ~dir:done_dir "events.log")
 
 let test_fresh_run_clears_stale_checkpoints () =
   with_tmp_dir (fun dir ->
@@ -255,4 +323,6 @@ let suite =
         test_fresh_run_clears_stale_checkpoints;
       Alcotest.test_case "recover matches uninterrupted" `Quick
         test_recover_matches_uninterrupted;
+      Alcotest.test_case "recover after finish" `Quick test_recover_after_finish;
+      Alcotest.test_case "recover after DRAIN" `Quick test_recover_after_drain;
     ] )
