@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test doc bench bench-json bench-smoke perf-gate perf-gate-strict perf-baseline fuzz crash-test serve-smoke fmt clean
+.PHONY: all build test doc bench bench-json bench-smoke perf-gate perf-gate-strict perf-baseline fuzz crash-test serve-smoke serve-soak fmt clean
 
 all: build
 
@@ -18,6 +18,7 @@ test:
 	cd test && OBS_TRACE=/tmp/rfid_golden_trace.json $(DUNE) exec ./test_main.exe -- test golden
 	$(MAKE) crash-test
 	$(MAKE) serve-smoke
+	$(MAKE) serve-soak
 	$(MAKE) doc
 	$(MAKE) bench-smoke
 	-$(MAKE) perf-gate
@@ -64,6 +65,19 @@ crash-test:
 # byte-identical to an uninterrupted run's. Fatal in `make test`.
 serve-smoke:
 	$(DUNE) exec smoke/serve_smoke.exe
+
+# Misbehaving-client soak of the stream server, one pass line per
+# round and phase: boots `rfid_clean serve --port 0` (200 objects) and
+# runs 12 rounds of ingest, a stuck-then-slow reader pipelining 12 MiB
+# of RANGE replies, 32 half-open sockets, connect/close churn past
+# max_conns = 64, and an open-loop PING train at 1 ms spacing. Fails if
+# VmRSS rises more than 16 MiB while the reader is stuck, if the peak
+# VmRSS of the last two rounds exceeds the first two after warm-up by
+# over 10%, if the server's fd count does not return to its pre-client
+# value, if any request goes unanswered, or if the PING p50 reaches
+# 0.5 ms. Fatal in `make test`; ~20 s.
+serve-soak:
+	$(DUNE) exec smoke/serve_soak.exe
 
 # Full table/figure reproduction harness (slow).
 bench:

@@ -808,7 +808,7 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
   let g_queue = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.queue_depth" in
   let g_admitted = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.admitted" in
   let last_push = ref (Unix.gettimeofday ()) in
-  let on_pass () =
+  let on_pass ~out_backlog:_ =
     match pusher with
     | None -> ()
     | Some p ->

@@ -4,15 +4,20 @@
     client connection, inference progress and periodic work — no
     threads, no domain crossing, so the engine behind {!Core} keeps its
     deterministic single-writer discipline by construction. Each pass
-    the loop accepts new connections, reads what the kernel has
+    the loop accepts new connections (the greeting is written at once),
+    then for each readable connection reads what the kernel has
     buffered, frames it ({!Framing}), answers each complete line
-    through {!Core.handle_line}, flushes what each connection will
-    take, then gives the engine a bounded tick
-    ([max_steps_per_tick] queued observations), so one firehose client
-    cannot starve queries on other connections.
+    through {!Core.handle_line} and writes the replies of that read
+    straight away, in one write; only then does the engine get a
+    bounded tick ([max_steps_per_tick] queued observations), so a reply
+    never waits behind inference and one firehose client cannot starve
+    queries on other connections. Accepted sockets set [TCP_NODELAY].
 
-    Connections are non-blocking end to end: a client that stops
-    reading only grows its own reply buffer. [SIGPIPE] is ignored;
+    Connections are non-blocking end to end. A client that stops
+    reading grows only its own reply backlog, and only to
+    {!max_out_bytes} plus one reply: past that the loop stops reading
+    the connection (framed lines wait undispatched) until the client
+    reads. [SIGPIPE] is ignored;
     [SIGTERM]/[SIGINT] latch a stop flag, and the loop then drains
     ({!Core.drain}: queue → flush → checkpoint hook), makes a best
     effort to flush pending replies, closes every socket and
@@ -24,16 +29,25 @@ type config = {
   max_conns : int;  (** accept cap; excess connections are refused *)
   max_steps_per_tick : int;
       (** queued observations stepped per loop pass *)
-  tick_timeout : float;  (** select timeout in seconds *)
+  tick_timeout : float;
+      (** select timeout in seconds; the loop only polls while a tick
+          left queued work behind *)
 }
 
 val default_config : config
 (** [{host = "127.0.0.1"; port = 0; max_conns = 64;
     max_steps_per_tick = 256; tick_timeout = 0.05}] *)
 
+val max_out_bytes : int
+(** Read backpressure threshold (1 MiB): a connection with more unsent
+    reply bytes than this is not read, and its framed lines are not
+    answered, until the client has read enough to bring the backlog
+    back under it; so no backlog exceeds it by more than one reply
+    (PROTOCOL.md §1). Nothing is dropped. *)
+
 val run :
   ?on_listening:(host:string -> port:int -> unit) ->
-  ?on_pass:(unit -> unit) ->
+  ?on_pass:(out_backlog:int -> unit) ->
   ?should_stop:(unit -> bool) ->
   Core.t ->
   config ->
@@ -43,7 +57,8 @@ val run :
     [on_listening] fires once with the bound address — with [port = 0]
     this is the only way to learn the actual port. [on_pass] fires
     once per loop pass after the engine tick (metrics push cadence
-    hangs here). [should_stop] is polled each pass in addition to the
-    signal latch, for embedding in tests.
+    hangs here) with the largest unsent reply backlog of any
+    connection, in bytes. [should_stop] is polled each pass in
+    addition to the signal latch, for embedding in tests.
 
     @raise Unix.Unix_error if the listening socket cannot be bound. *)

@@ -339,6 +339,310 @@ let test_push_udp () =
       Push.close p)
 
 (* ------------------------------------------------------------------ *)
+(* Server loop over loopback: Server.run in its own domain on port 0,
+   driven by blocking clients from the test's domain. *)
+
+(* PUT lines for [epochs] consecutive epochs of scan passes over the
+   fixture's warehouse. *)
+let put_lines boot ~epochs =
+  let wh = Rfid_sim.Warehouse.layout ~num_objects:boot.Bootstrap.num_objects () in
+  let rec gen rounds =
+    let trace =
+      Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
+        ~object_locs:wh.Rfid_sim.Warehouse.object_locs
+        ~start:(Rfid_sim.Warehouse.reader_start wh)
+        ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds)
+        ~config:
+          (Rfid_sim.Trace_gen.default_config ~sensor:(Rfid_sim.Truth_sensor.cone ()) ())
+        (Rfid_prob.Rng.create ~seed:boot.Bootstrap.seed)
+    in
+    let obs = Rfid_model.Trace.observations trace in
+    if List.length obs >= epochs then obs else gen (2 * rounds)
+  in
+  gen 1
+  |> List.filteri (fun i _ -> i < epochs)
+  |> List.map (fun o -> "PUT " ^ Rfid_model.Trace_io.observation_to_line o)
+
+type live = {
+  port : int;
+  max_backlog : int Atomic.t;  (* largest [out_backlog] any pass saw *)
+  drained_at : float Atomic.t;  (* when a pass last saw the queue empty out *)
+}
+
+let with_server ?(config = Server.default_config) ?(probe = ignore) core f =
+  let port = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let max_backlog = Atomic.make 0 in
+  let drained_at = Atomic.make 0. in
+  let depth = ref 0 in
+  let on_pass ~out_backlog =
+    probe ();
+    if out_backlog > Atomic.get max_backlog then Atomic.set max_backlog out_backlog;
+    let d = Core.queue_depth core in
+    if d = 0 && !depth > 0 then Atomic.set drained_at (Unix.gettimeofday ());
+    depth := d
+  in
+  let domain =
+    Domain.spawn (fun () ->
+        Server.run
+          ~on_listening:(fun ~host:_ ~port:p -> Atomic.set port p)
+          ~on_pass
+          ~should_stop:(fun () -> Atomic.get stop)
+          core config)
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let live = { port = Atomic.get port; max_backlog; drained_at } in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join domain)
+    (fun () ->
+      if live.port = 0 then Alcotest.fail "server never listened";
+      f live)
+
+type client = { fd : Unix.file_descr; ic : in_channel }
+
+let connect live =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, live.port));
+  (* A stuck server fails the test instead of hanging it. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+  let c = { fd; ic = Unix.in_channel_of_descr fd } in
+  ignore (input_line c.ic);
+  c
+
+let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+let send c s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring c.fd s off (String.length s - off))
+  in
+  go 0
+
+let send_lines c lines = send c (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let expect_line c what expected =
+  Alcotest.(check string) what expected (input_line c.ic)
+
+(* PAUSE, then queue every line (acks read), so a later RESUME hands
+   the server one backlog of known size. *)
+let queue_paused c lines =
+  send c "PAUSE\n";
+  expect_line c "paused" "OK paused";
+  send_lines c lines;
+  List.iteri
+    (fun i _ -> expect_line c "PUT queued" (Printf.sprintf "OK %d" (i + 1)))
+    lines
+
+let big_boot = lazy (Bootstrap.make ~objects:200 ~seed:7 ~particles:60 ())
+
+let wait_until ~what ~timeout cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* PUT lines for a backlog that takes [boot] about 600 ms to step on
+   this machine, timed on a fresh core. *)
+let slow_backlog boot =
+  let probe = put_lines boot ~epochs:300 in
+  let core = make_core ~admit_cap:300 boot in
+  List.iter (fun l -> ignore (req core l)) probe;
+  let t0 = Unix.gettimeofday () in
+  ignore (Core.tick core ~max_steps:300);
+  let per_step = (Unix.gettimeofday () -. t0) /. 300. in
+  let epochs = int_of_float (Float.ceil (0.6 /. per_step)) in
+  (epochs, put_lines boot ~epochs)
+
+(* A reply leaves in the pass that read its request, not after that
+   pass's tick: with a tick of at least 300 ms queued behind RESUME, the
+   PING beside it is still answered at once. *)
+let test_server_reply_before_tick () =
+  let boot = Lazy.force big_boot in
+  let epochs, lines = slow_backlog boot in
+  let core = make_core ~admit_cap:epochs boot in
+  let config = { Server.default_config with Server.max_steps_per_tick = epochs } in
+  with_server ~config core (fun live ->
+      let c = connect live in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          queue_paused c lines;
+          let t0 = Unix.gettimeofday () in
+          send c "RESUME\nPING\n";
+          expect_line c "resumed" "OK running";
+          expect_line c "pong" "OK pong";
+          let waited = Unix.gettimeofday () -. t0 in
+          wait_until ~what:"the tick" ~timeout:30. (fun () ->
+              Atomic.get live.drained_at > t0);
+          let tick = Atomic.get live.drained_at -. t0 in
+          if tick < 0.3 then
+            Alcotest.failf "fixture too fast: the tick took %.0f ms, not >= 300"
+              (tick *. 1e3);
+          if waited > 0.1 then
+            Alcotest.failf "pong took %.0f ms, behind a %.0f ms tick"
+              (waited *. 1e3) (tick *. 1e3)))
+
+(* Replies are not held for the peer's delayed ACK (TCP_NODELAY). A
+   PING sent while a long SYNC runs is read in the pass after the SYNC
+   reply went out; the client has not ACKed that reply yet, and Nagle
+   would hold the pong until its delayed-ACK timer fired. *)
+let test_server_no_nagle_hold () =
+  let boot = Lazy.force big_boot in
+  let epochs, lines = slow_backlog boot in
+  let core = make_core ~admit_cap:epochs boot in
+  with_server core (fun live ->
+      let c = connect live in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          queue_paused c lines;
+          send c "SYNC\n";
+          Unix.sleepf 0.05;
+          send c "PING\n";
+          let synced = input_line c.ic in
+          let t1 = Unix.gettimeofday () in
+          if not (String.starts_with ~prefix:"OK " synced) then
+            Alcotest.failf "SYNC answered %S" synced;
+          expect_line c "pong" "OK pong";
+          let held = Unix.gettimeofday () -. t1 in
+          if held > 0.02 then
+            Alcotest.failf "pong arrived %.0f ms after the SYNC reply" (held *. 1e3)))
+
+(* A tick that leaves epochs queued makes the next select only poll:
+   1024 queued epochs and no further traffic drain within the ticks'
+   own time, not with a select timeout between ticks. A pass's tick
+   time runs from its first admitted epoch to its [on_pass]. *)
+let test_server_idle_drain () =
+  let boot = Lazy.force boot in
+  let lines = put_lines boot ~epochs:1024 in
+  let pass_start = ref None in
+  let tick_sum = Atomic.make 0. in
+  let hooks =
+    {
+      Core.no_hooks with
+      Core.on_admitted =
+        (fun _ ->
+          if !pass_start = None then pass_start := Some (Unix.gettimeofday ()));
+    }
+  in
+  let probe () =
+    Option.iter
+      (fun t ->
+        Atomic.set tick_sum (Atomic.get tick_sum +. (Unix.gettimeofday () -. t)))
+      !pass_start;
+    pass_start := None
+  in
+  let core =
+    Core.create ~guard:(Bootstrap.fresh_guard boot)
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:boot.Bootstrap.num_objects
+      ~admit_cap:1024 ~hooks ()
+  in
+  with_server ~probe core (fun live ->
+      let c = connect live in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          queue_paused c lines;
+          let t0 = Unix.gettimeofday () in
+          send c "RESUME\n";
+          expect_line c "resumed" "OK running";
+          wait_until ~what:"the drain" ~timeout:30. (fun () ->
+              Atomic.get live.drained_at > t0);
+          let span = Atomic.get live.drained_at -. t0 in
+          let busy = Atomic.get tick_sum in
+          if span > busy +. 0.04 then
+            Alcotest.failf "1024 epochs drained in %.0f ms; the ticks took %.0f ms"
+              (span *. 1e3) (busy *. 1e3)))
+
+(* A client that sends and never reads holds at most max_out_bytes plus
+   one reply in the server, and does not stop others being served. *)
+let test_server_out_backpressure () =
+  let boot = Lazy.force big_boot in
+  let core = make_core ~admit_cap:4096 boot in
+  List.iter (fun l -> ignore (req core l)) (put_lines boot ~epochs:1100);
+  ignore (req core "SYNC");
+  let range = "RANGE -1000 -1000 1000 1000 0.001" in
+  let one_reply = String.length (req core range) in
+  with_server core (fun live ->
+      let hog = connect live in
+      Fun.protect
+        ~finally:(fun () -> close_client hog)
+        (fun () ->
+          Unix.setsockopt_float hog.fd Unix.SO_SNDTIMEO 20.;
+          send_lines hog (List.init 2000 (fun _ -> range));
+          wait_until ~what:"the reply backlog to reach the cap" ~timeout:30.
+            (fun () -> Atomic.get live.max_backlog > Server.max_out_bytes);
+          Unix.sleepf 0.2;
+          let other = connect live in
+          Fun.protect
+            ~finally:(fun () -> close_client other)
+            (fun () ->
+              send other "PING\n";
+              expect_line other "served beside a stuck reader" "OK pong");
+          let peak = Atomic.get live.max_backlog in
+          if peak > Server.max_out_bytes + one_reply then
+            Alcotest.failf "reply backlog reached %d bytes; cap %d + one reply %d"
+              peak Server.max_out_bytes one_reply))
+
+(* A slow reader costs the server the bytes written to it, not a copy
+   of the whole backlog per write: while a client with a small receive
+   buffer drains ~6 MB of RANGE replies a few KB at a time, the server
+   domain allocates about what rendering those replies costs
+   in-process. *)
+let test_server_write_no_copy () =
+  let boot = Lazy.force big_boot in
+  let core = make_core ~admit_cap:4096 boot in
+  List.iter (fun l -> ignore (req core l)) (put_lines boot ~epochs:1100);
+  ignore (req core "SYNC");
+  let range = "RANGE -1000 -1000 1000 1000 0.001" in
+  let count = 500 in
+  let before = Gc.allocated_bytes () in
+  let reply = req core range in
+  for _ = 2 to count do
+    ignore (req core range)
+  done;
+  let render = Gc.allocated_bytes () -. before in
+  let total = count * String.length reply in
+  let allocated = Atomic.make 0. in
+  let probe () = Atomic.set allocated (Gc.allocated_bytes ()) in
+  with_server ~probe core (fun live ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let c = { fd; ic = Unix.in_channel_of_descr fd } in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          Unix.setsockopt_int fd Unix.SO_RCVBUF 8192;
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, live.port));
+          ignore (input_line c.ic);
+          (* Passes run at least every tick_timeout; let one record the
+             starting count. *)
+          Unix.sleepf 0.2;
+          let start = Atomic.get allocated in
+          send_lines c (List.init count (fun _ -> range));
+          let buf = Bytes.create 4096 in
+          let got = ref 0 in
+          while !got < total do
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then Alcotest.fail "server closed the connection";
+            got := !got + n;
+            Unix.sleepf 0.0002
+          done;
+          Unix.sleepf 0.2;
+          let spent = Atomic.get allocated -. start in
+          if spent > render +. float_of_int total +. 16e6 then
+            Alcotest.failf
+              "server allocated %.0f MB sending %.1f MB of replies \
+               (rendering them: %.0f MB)"
+              (spent /. 1e6) (float_of_int total /. 1e6) (render /. 1e6)))
+
+(* ------------------------------------------------------------------ *)
 (* PROTOCOL.md conformance *)
 
 type exchange = { request : string option; expected : string list }
@@ -509,5 +813,13 @@ let suite =
         test_core_drain_order;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;
       Alcotest.test_case "push: UDP loopback" `Quick test_push_udp;
+      Alcotest.test_case "server: reply before tick" `Quick
+        test_server_reply_before_tick;
+      Alcotest.test_case "server: no Nagle hold" `Quick test_server_no_nagle_hold;
+      Alcotest.test_case "server: idle drain" `Quick test_server_idle_drain;
+      Alcotest.test_case "server: reply backpressure" `Quick
+        test_server_out_backpressure;
+      Alcotest.test_case "server: writes copy no backlog" `Quick
+        test_server_write_no_copy;
       Alcotest.test_case "PROTOCOL.md conformance" `Quick test_protocol_conformance;
     ] )
