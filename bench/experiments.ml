@@ -563,7 +563,7 @@ let ablate_index () =
             ])
           [
             ("brute force", Rfid_core.Config.Factorized);
-            ("R-tree index", Rfid_core.Config.Factorized_indexed);
+            ("spatial index", Rfid_core.Config.Factorized_indexed);
           ])
       [ 25; 100; 400 ]
   in
@@ -609,6 +609,6 @@ let all : (string * string * (unit -> unit)) list =
     ("lab-table", "Fig 6(b): lab deployment, ours vs SMURF vs uniform", lab_table);
     ("throughput", "Text of SV-D: readings/second", throughput);
     ("ablate-resample", "Ablation: resampling schemes/triggers", ablate_resample);
-    ("ablate-index", "Ablation: R-tree vs brute force", ablate_index);
+    ("ablate-index", "Ablation: spatial index vs brute force", ablate_index);
     ("ablate-compress", "Ablation: decompression particle budget", ablate_compress);
   ]

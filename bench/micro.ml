@@ -25,19 +25,21 @@ let resample_test =
   Test.make ~name:"systematic resample, 200 particles (fig5i inner loop)"
     (Staged.stage (fun () -> ignore (Rfid_prob.Resample.systematic rng w ~n:200)))
 
-let rtree_test =
+let index_test =
   let rng = Rfid_prob.Rng.create ~seed:2 in
-  let t = Rfid_geom.Rtree.create () in
+  let t = Rfid_geom.Dyn_index.create ~dummy:(-1) () in
   for i = 0 to 999 do
     let x = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:500. in
     let y = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:10. in
-    Rfid_geom.Rtree.insert t
-      (Rfid_geom.Box2.make ~min_x:x ~min_y:y ~max_x:(x +. 8.) ~max_y:(y +. 8.))
-      i
+    ignore
+      (Rfid_geom.Dyn_index.insert t
+         (Rfid_geom.Box2.make ~min_x:x ~min_y:y ~max_x:(x +. 8.) ~max_y:(y +. 8.))
+         i)
   done;
   let probe = Rfid_geom.Box2.make ~min_x:200. ~min_y:0. ~max_x:210. ~max_y:10. in
-  Test.make ~name:"R-tree probe over 1000 sensing boxes (fig5j inner loop)"
-    (Staged.stage (fun () -> ignore (Rfid_geom.Rtree.query t probe)))
+  let hits = Rfid_geom.Dyn_index.Hits.create ~dummy:(-1) in
+  Test.make ~name:"index probe over 1000 sensing boxes (fig5j inner loop)"
+    (Staged.stage (fun () -> Rfid_geom.Dyn_index.query_into t probe hits))
 
 let gaussian_fit_test =
   let rng = Rfid_prob.Rng.create ~seed:3 in
@@ -81,7 +83,7 @@ let engine_step_test =
 
 let suite () =
   Test.make_grouped ~name:"rfid_streams"
-    [ sensor_model_test; resample_test; rtree_test; gaussian_fit_test; engine_step_test ]
+    [ sensor_model_test; resample_test; index_test; gaussian_fit_test; engine_step_test ]
 
 let benchmark () =
   let instances = Instance.[ monotonic_clock ] in

@@ -92,7 +92,7 @@ type t = {
           this bound (the KL-threshold policy of §IV-D) *)
   index_min_displacement : float;
       (** consolidate index insertions until the reader has moved this
-          far (ft), to keep the R-tree compact *)
+          far (ft), to keep the sensing-region index compact *)
   detection_threshold : float;
       (** read-probability level treated as the sensing-region edge *)
   case4_margin : float;

@@ -53,13 +53,15 @@ type obj_state = {
          last read — the next read is a re-discovery (newly seen) *)
 }
 
-(* Past sensing regions: boxes in an R-tree, each carrying the objects
-   that had particles there when the box was inserted (Fig. 4(b)/(c)).
-   Box contents are ascending id arrays — queries are consumed as sets,
-   and the dense form walks without allocating. [pending] accumulates
-   the processed scope between flushes by word-wise bitset union. *)
+(* Past sensing regions: boxes in the spatial index, each carrying the
+   objects that had particles there when the box was inserted
+   (Fig. 4(b)/(c)). Entries are never removed, so their handles are
+   dropped. Box contents are ascending id arrays — hits are consumed as
+   sets, and the dense form walks without allocating. [pending]
+   accumulates the processed scope between flushes by word-wise bitset
+   union. *)
 type obj_index = {
-  rtree : int array Rtree.t;
+  regions : int array Dyn_index.t;
   pending : Bitset.t;
   mutable pending_box : Box2.t option;
   mutable last_insert_loc : Vec3.t option;
@@ -98,7 +100,8 @@ type t = {
   mutable reader_gen : int;
   objects : (int, obj_state) Hashtbl.t;
   cache : Common.Sensor_cache.t;
-  shelf_rtree : (int * Vec3.t) Rtree.t;
+  shelf_tags : (int * Vec3.t) array;  (* (id, location), ascending id *)
+  shelf_index : int Dyn_index.t;  (* positions in [shelf_tags] *)
   index : obj_index option;
   compress : bool;
   compress_queue : (int * int) Queue.t;  (* (deadline epoch, obj id) *)
@@ -107,8 +110,8 @@ type t = {
          out-of-scope sweep touches only candidates whose deadline has
          passed, never the whole object table *)
   shelf_read : (int, unit) Hashtbl.t;  (* per-epoch, cleared not rebuilt *)
-  idx_hits : int array Rtree.Hits.t;  (* Case-2 probe results, reused *)
-  shelf_hits : (int * Vec3.t) Rtree.Hits.t;  (* shelf-tag probe results, reused *)
+  idx_hits : int array Dyn_index.Hits.t;  (* Case-2 probe results, reused *)
+  shelf_hits : int Dyn_index.Hits.t;  (* shelf-tag probe results, reused *)
   mutable scope_ids : int array;  (* ascending scope, dense; first [scope_len] valid *)
   mutable scope_len : int;
   mutable work : work_item array;  (* first [work_len] valid this epoch *)
@@ -151,18 +154,21 @@ let bslot_case1 = 0
 let bslot_scope = 1
 let bslot_near = 2
 
-let make_shelf_rtree world =
-  let shelf_rtree = Rtree.create () in
-  List.iter
-    (fun (tag, loc) ->
-      match tag with
-      | Types.Shelf_tag id ->
-          Rtree.insert shelf_rtree
-            (Box2.of_center loc ~half_width:0.01 ~half_height:0.01)
-            (id, loc)
-      | Types.Object_tag _ -> ())
-    (World.shelf_tags world);
-  shelf_rtree
+let make_shelf_index world =
+  let tags =
+    World.shelf_tags world
+    |> List.filter_map (function
+         | Types.Shelf_tag id, loc -> Some (id, loc)
+         | Types.Object_tag _, _ -> None)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> Array.of_list
+  in
+  let index = Dyn_index.create ~dummy:(-1) () in
+  Array.iteri
+    (fun i (_, loc) ->
+      ignore (Dyn_index.insert index (Box2.of_center loc ~half_width:0.01 ~half_height:0.01) i))
+    tags;
+  (tags, index)
 
 (* The adaptive budget ladder: doubling rungs from the floor up, capped
    at the full budget. *)
@@ -237,7 +243,7 @@ let create ~world ~params ~config ~init_reader ~rng =
           log_w = 0.;
         })
   in
-  let shelf_rtree = make_shelf_rtree world in
+  let shelf_tags, shelf_index = make_shelf_index world in
   {
     world;
     params;
@@ -256,12 +262,13 @@ let create ~world ~params ~config ~init_reader ~rng =
       Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
         ~max_range:config.Config.max_sensing_range
         params.Params.sensor;
-    shelf_rtree;
+    shelf_tags;
+    shelf_index;
     index =
       (if use_index then
          Some
            {
-             rtree = Rtree.create ();
+             regions = Dyn_index.create ~dummy:[||] ();
              pending = Bitset.create ();
              pending_box = None;
              last_insert_loc = None;
@@ -271,8 +278,8 @@ let create ~world ~params ~config ~init_reader ~rng =
     compress_queue = Queue.create ();
     evict_queue = Queue.create ();
     shelf_read = Hashtbl.create 8;
-    idx_hits = Rtree.Hits.create ~dummy:[||];
-    shelf_hits = Rtree.Hits.create ~dummy:(0, Vec3.zero);
+    idx_hits = Dyn_index.Hits.create ~dummy:[||];
+    shelf_hits = Dyn_index.Hits.create ~dummy:(-1);
     scope_ids = [||];
     scope_len = 0;
     work = [||];
@@ -377,32 +384,28 @@ let sensing_box t loc =
   let r = t.cache.Common.Sensor_cache.range +. t.config.Config.case4_margin in
   Box2.of_center loc ~half_width:r ~half_height:r
 
-(* Was a shelf-tag hit with this id returned by the last shelf-tree
-   probe? Non-negative ids are answered by the scratch bitset; the
-   (never-seen-in-practice) negative ids a hand-built world could carry
-   fall back to scanning the hit buffer, since a bitset cannot hold
-   them. *)
-let shelf_near_mem t near id =
-  if id >= 0 then Bitset.mem near id
-  else begin
-    let found = ref false in
-    for h = 0 to Rtree.Hits.length t.shelf_hits - 1 do
-      let hid, _ = Rtree.Hits.get t.shelf_hits h in
-      if hid = id then found := true
+(* Sort [a.(0) .. a.(n - 1)] ascending in place. The runs sorted here
+   (one probe's shelf-tag hits, the read tags it missed) hold a handful
+   of ids, so insertion sort suffices and allocates nothing. *)
+let sort_prefix a n =
+  for i = 1 to n - 1 do
+    let v = a.(i) in
+    let j = ref i in
+    while !j > 0 && a.(!j - 1) > v do
+      a.(!j) <- a.(!j - 1);
+      decr j
     done;
-    !found
-  end
+    a.(!j) <- v
+  done
 
 (* Requires the memo to hold the current (freshly proposed) poses: both
    the batched location term and the per-tag accumulation evaluate
    against every pose in one call. Miss evidence is tempered by
    [Config.shelf_miss_weight]: it flows through the sensor model's soft
    boundary, where a fitted logistic deviates most from the true
-   region. Tag processing order is the order the former list-building
-   code produced — probe hits in reverse visit order (the reversed
-   [Rtree.query] list), then read-but-not-near tags by descending id
-   (the prepend-built [Int_set.fold] list) — so the accumulated floats
-   are bit-identical. *)
+   region. Tags are processed in a fixed order — probe hits by
+   ascending id, then read-but-not-near tags by descending id — so the
+   accumulated floats never depend on the index's hit order. *)
 let weight_readers t reported =
   let sensing = t.params.Params.sensing in
   let j = num_readers t in
@@ -411,14 +414,20 @@ let weight_readers t reported =
   let rx, ry, rz, _ = Sensor_model.pre_poses t.pre in
   Location_sensing.log_pdf_poses_into sensing ~reported ~rx ~ry ~rz ~n:j acc;
   let box = sensing_box t reported in
-  Rtree.query_into t.shelf_rtree box t.shelf_hits;
-  let nh = Rtree.Hits.length t.shelf_hits in
+  Dyn_index.query_into t.shelf_index box t.shelf_hits;
+  let nh = Dyn_index.Hits.length t.shelf_hits in
+  (* Hits are positions in the id-sorted [shelf_tags]. *)
+  ensure_tmp t nh;
+  for h = 0 to nh - 1 do
+    t.tmp_ids.(h) <- Dyn_index.Hits.get t.shelf_hits h
+  done;
+  sort_prefix t.tmp_ids nh;
   (* Shelf-tag saturation-cull accounting stays on the coordinator
      (this whole function runs there), recorded once at the end. *)
   let tag_calls = ref 0 in
   let tag_culled = ref 0 in
-  for h = nh - 1 downto 0 do
-    let id, tag_loc = Rtree.Hits.get t.shelf_hits h in
+  for h = 0 to nh - 1 do
+    let id, tag_loc = t.shelf_tags.(t.tmp_ids.(h)) in
     let read = Hashtbl.mem t.shelf_read id in
     tag_calls := !tag_calls + j;
     tag_culled :=
@@ -432,30 +441,19 @@ let weight_readers t reported =
     let near = Scratch.bits scratch0 ~slot:bslot_near in
     Bitset.clear near;
     for h = 0 to nh - 1 do
-      let id, _ = Rtree.Hits.get t.shelf_hits h in
-      if id >= 0 then Bitset.add near id
+      Bitset.add near (fst t.shelf_tags.(Dyn_index.Hits.get t.shelf_hits h))
     done;
     ensure_tmp t (Hashtbl.length t.shelf_read);
     let m = ref 0 in
     Hashtbl.iter
       (fun id () ->
-        if not (shelf_near_mem t near id) then begin
+        if not (Bitset.mem near id) then begin
           t.tmp_ids.(!m) <- id;
           incr m
         end)
       t.shelf_read;
-    (* Descending id order; the set is almost always empty and never
-       more than the epoch's read list, so insertion sort suffices. *)
-    for a = 1 to !m - 1 do
-      let v = t.tmp_ids.(a) in
-      let b = ref a in
-      while !b > 0 && t.tmp_ids.(!b - 1) < v do
-        t.tmp_ids.(!b) <- t.tmp_ids.(!b - 1);
-        decr b
-      done;
-      t.tmp_ids.(!b) <- v
-    done;
-    for k = 0 to !m - 1 do
+    sort_prefix t.tmp_ids !m;
+    for k = !m - 1 downto 0 do
       let id = t.tmp_ids.(k) in
       match World.shelf_tag_location t.world id with
       | tag_loc ->
@@ -517,9 +515,9 @@ let add_case2_objects t reported scope =
   | None -> Hashtbl.iter (fun id _ -> Bitset.add scope id) t.objects
   | Some idx ->
       let probe = sensing_box t reported in
-      Rtree.query_into idx.rtree probe t.idx_hits;
-      for h = 0 to Rtree.Hits.length t.idx_hits - 1 do
-        let ids = Rtree.Hits.get t.idx_hits h in
+      Dyn_index.query_into idx.regions probe t.idx_hits;
+      for h = 0 to Dyn_index.Hits.length t.idx_hits - 1 do
+        let ids = Dyn_index.Hits.get t.idx_hits h in
         for k = 0 to Array.length ids - 1 do
           Bitset.add scope (Array.unsafe_get ids k)
         done
@@ -789,7 +787,8 @@ let update_index t reported scope =
             (* The stored array is a fresh exact-size copy (ascending,
                as the bitset iterates): allocation happens on flush
                only, and the entry must outlive the scratch buffer. *)
-            if !m > 0 then Rtree.insert idx.rtree b (Array.sub t.tmp_ids 0 !m)
+            if !m > 0 then
+              ignore (Dyn_index.insert idx.regions b (Array.sub t.tmp_ids 0 !m))
         | Some _ | None -> ());
         Bitset.clear idx.pending;
         idx.pending_box <- None;
@@ -1039,7 +1038,7 @@ let step t (obs : Types.observation) =
   run_compression t e;
   Obs.stop sp_compression t_comp;
   Obs.set g_index_boxes
-    (float_of_int (match t.index with None -> 0 | Some idx -> Rtree.size idx.rtree));
+    (float_of_int (match t.index with None -> 0 | Some idx -> Dyn_index.size idx.regions));
   t.last_reported <- Some reported;
   t.consecutive_degraded <- 0;
   t.epoch <- e
@@ -1195,7 +1194,7 @@ let is_compressed t obj_id =
   | Some { belief = Compressed _; _ } -> true
   | Some { belief = Active _; _ } | None -> false
 
-let num_index_boxes t = match t.index with None -> 0 | Some idx -> Rtree.size idx.rtree
+let num_index_boxes t = match t.index with None -> 0 | Some idx -> Dyn_index.size idx.regions
 
 let sensor_memo_hits t = Sensor_model.pre_hits t.pre
 let sensor_memo_size t = Sensor_model.pre_size t.pre
@@ -1206,14 +1205,15 @@ let iter_reader_particles t f =
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing: the complete dynamic state as plain data. Static
-   structure (world geometry, params, sensor cache, shelf R-tree, the
-   domain pool) is rebuilt by [restore] from the same creation inputs;
-   the spatial index is rebuilt by re-inserting its recorded entries —
-   queries are consumed as sets, so the exact tree shape is
-   unobservable. The particle slabs are serialized to the same logical
-   (loc, reader pointer, log weight) tuples as before the SoA layout,
-   and index entries / pending sets to the same ascending id lists as
-   before the bitset layout, so snapshots stay layout-independent. The
+   structure (world geometry, params, sensor cache, shelf-tag index,
+   the domain pool) is rebuilt by [restore] from the same creation
+   inputs; the sensing-region index is rebuilt by re-inserting its
+   recorded entries in the recorded order — hits are consumed as sets,
+   so neither that order nor the grid layout is observable. The
+   particle slabs are serialized to the same logical (loc, reader
+   pointer, log weight) tuples as before the SoA layout, and index
+   entries / pending sets to the same ascending id lists as before the
+   bitset layout, so snapshots stay layout-independent. The
    eviction queue and the [in_scope] flags are not serialized: both are
    derived from [last_read] on restore (each object re-enqueues its
    deadline and is marked in scope; already-stale deadlines fire on the
@@ -1254,9 +1254,6 @@ type snapshot = {
   fs_degraded_total : int;
 }
 
-let everything_box =
-  Box2.make ~min_x:(-1e12) ~min_y:(-1e12) ~max_x:1e12 ~max_y:1e12
-
 let snapshot t =
   let snap_belief = function
     | Active store ->
@@ -1287,7 +1284,7 @@ let snapshot t =
     Option.map
       (fun idx ->
         let entries = ref [] in
-        Rtree.iter_overlapping idx.rtree everything_box (fun box ids ->
+        Dyn_index.iter idx.regions (fun _ box ids ->
             entries := (box, Array.to_list ids) :: !entries);
         {
           si_entries = List.rev !entries;
@@ -1359,20 +1356,21 @@ let restore ~world ~params ~config s =
   let index =
     Option.map
       (fun (si : index_snapshot) ->
-        let rtree = Rtree.create () in
+        let regions = Dyn_index.create ~dummy:[||] () in
         List.iter
-          (fun (box, ids) -> Rtree.insert rtree box (Array.of_list ids))
+          (fun (box, ids) -> ignore (Dyn_index.insert regions box (Array.of_list ids)))
           si.si_entries;
         let pending = Bitset.create () in
         List.iter (fun id -> Bitset.add pending id) si.si_pending_objs;
         {
-          rtree;
+          regions;
           pending;
           pending_box = si.si_pending_box;
           last_insert_loc = si.si_last_insert_loc;
         })
       s.fs_index
   in
+  let shelf_tags, shelf_index = make_shelf_index world in
   let compress_queue = Queue.create () in
   List.iter (fun item -> Queue.push item compress_queue) s.fs_compress_queue;
   (* Re-derive the eviction queue: one deadline per object from its
@@ -1401,14 +1399,15 @@ let restore ~world ~params ~config s =
       Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
         ~max_range:config.Config.max_sensing_range
         params.Params.sensor;
-    shelf_rtree = make_shelf_rtree world;
+    shelf_tags;
+    shelf_index;
     index;
     compress;
     compress_queue;
     evict_queue;
     shelf_read = Hashtbl.create 8;
-    idx_hits = Rtree.Hits.create ~dummy:[||];
-    shelf_hits = Rtree.Hits.create ~dummy:(0, Vec3.zero);
+    idx_hits = Dyn_index.Hits.create ~dummy:[||];
+    shelf_hits = Dyn_index.Hits.create ~dummy:(-1);
     scope_ids = [||];
     scope_len = 0;
     work = [||];

@@ -10,8 +10,9 @@
     representing an exponentially larger joint particle set in linear
     space.
 
-    With [Factorized_indexed] or [Factorized_compressed] variants, an
-    R-tree over past sensing-region bounding boxes limits each epoch's
+    With [Factorized_indexed] or [Factorized_compressed] variants, a
+    spatial index ({!Rfid_geom.Dyn_index}) over past sensing-region
+    bounding boxes limits each epoch's
     work to the objects of Cases 1 and 2 (read now, or previously read
     near the current reader position); Case 4 objects' near-zero read
     probability is rounded to zero, Case 3 objects are invisible by

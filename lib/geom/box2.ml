@@ -40,7 +40,6 @@ let union a b =
   }
 
 let area t = (t.max_x -. t.min_x) *. (t.max_y -. t.min_y)
-let enlargement a b = area (union a b) -. area a
 
 let inflate t margin =
   make ~min_x:(t.min_x -. margin) ~min_y:(t.min_y -. margin) ~max_x:(t.max_x +. margin)

@@ -29,10 +29,6 @@ val intersects : t -> t -> bool
 val union : t -> t -> t
 val area : t -> float
 
-val enlargement : t -> t -> float
-(** [enlargement a b] is [area (union a b) - area a] — the R-tree
-    insertion heuristic. *)
-
 val inflate : t -> float -> t
 (** Grow every side outward by a margin. @raise Invalid_argument if the
     margin is negative enough to invert the box. *)

@@ -5,6 +5,33 @@
 
 let max_span_cells = 64
 
+module Hits = struct
+  type 'a t = { mutable buf : 'a array; mutable len : int; dummy : 'a }
+
+  let create ~dummy = { buf = [||]; len = 0; dummy }
+  let length h = h.len
+
+  let get h i =
+    if i < 0 || i >= h.len then invalid_arg "Dyn_index.Hits.get: index out of range";
+    h.buf.(i)
+
+  let clear h =
+    (* Drop value references so a cleared buffer does not pin old hits
+       for the GC; the array itself is kept for reuse. *)
+    Array.fill h.buf 0 h.len h.dummy;
+    h.len <- 0
+
+  let push h v =
+    let cap = Array.length h.buf in
+    if h.len = cap then begin
+      let bigger = Array.make (Int.max 4 (2 * cap)) h.dummy in
+      Array.blit h.buf 0 bigger 0 cap;
+      h.buf <- bigger
+    end;
+    h.buf.(h.len) <- v;
+    h.len <- h.len + 1
+end
+
 (* Growable handle list: the per-cell bucket and the free/oversize
    stacks. Swap-pop removal keeps deletion O(bucket length). *)
 type bucket = { mutable ids : int array; mutable n : int }
@@ -79,11 +106,19 @@ let create ~dummy () =
 let size t = t.count
 let cell_size t = t.cell
 
-(* Cells are addressed by floor(coord / cell); the two signed 31-bit
-   halves pack into one immediate int key, so bucket lookups allocate
-   nothing. *)
+(* Cells are addressed by floor(coord / cell), clamped to
+   [-max_cell, max_cell] so that far finite coordinates (where
+   [int_of_float] would overflow) still map monotonically: a box and a
+   probe that intersect always share a covered cell, the clamped edge
+   cells just hold more candidates. The two signed 31-bit halves pack
+   into one immediate int key, so bucket lookups allocate nothing. *)
+let max_cell = (1 lsl 30) - 1
+let max_cell_f = float_of_int max_cell
 let cell_key cx cy = ((cx land 0x7FFFFFFF) lsl 31) lor (cy land 0x7FFFFFFF)
-let cell_of t v = int_of_float (Float.floor (v /. t.cell))
+
+let cell_of t v =
+  let c = Float.floor (v /. t.cell) in
+  if c >= max_cell_f then max_cell else if c <= -.max_cell_f then -max_cell else int_of_float c
 
 let extent (b : Box2.t) = Float.max (b.Box2.max_x -. b.Box2.min_x) (b.Box2.max_y -. b.Box2.min_y)
 
@@ -102,10 +137,7 @@ let link t id =
   let cx0 = cell_of t b.Box2.min_x and cx1 = cell_of t b.Box2.max_x in
   let cy0 = cell_of t b.Box2.min_y and cy1 = cell_of t b.Box2.max_y in
   let spanx = cx1 - cx0 + 1 and spany = cy1 - cy0 + 1 in
-  if
-    spanx <= 0 || spany <= 0
-    || spanx > max_span_cells || spany > max_span_cells
-    || spanx * spany > max_span_cells
+  if spanx > max_span_cells || spany > max_span_cells || spanx * spany > max_span_cells
   then begin
     t.ox0.(id) <- 1;
     t.ox1.(id) <- 0;
@@ -220,23 +252,22 @@ let get t h =
 let push_hit t hits id probe =
   if t.seen.(id) <> t.query_gen then begin
     t.seen.(id) <- t.query_gen;
-    if Box2.intersects t.boxes.(id) probe then Rtree.Hits.push hits t.values.(id)
+    if Box2.intersects t.boxes.(id) probe then Hits.push hits t.values.(id)
   end
 
 let query_into t probe hits =
-  Rtree.Hits.clear hits;
+  Hits.clear hits;
   if t.count > 0 then begin
     t.query_gen <- t.query_gen + 1;
     let cx0 = cell_of t probe.Box2.min_x and cx1 = cell_of t probe.Box2.max_x in
     let cy0 = cell_of t probe.Box2.min_y and cy1 = cell_of t probe.Box2.max_y in
     let spanx = float_of_int (cx1 - cx0 + 1) and spany = float_of_int (cy1 - cy0 + 1) in
     (* A probe covering far more cells than there are entries would
-       walk empty buckets; scanning the entries directly is both
-       cheaper and immune to cell-count overflow. *)
+       walk empty buckets; scanning the entries directly is cheaper. *)
     if spanx *. spany > float_of_int ((4 * t.count) + 64) then begin
       for id = 0 to t.hi - 1 do
         if t.alive.(id) && Box2.intersects t.boxes.(id) probe then
-          Rtree.Hits.push hits t.values.(id)
+          Hits.push hits t.values.(id)
       done
     end
     else begin

@@ -1,27 +1,52 @@
 (** A dynamic spatial index over XY bounding boxes with stable entry
-    handles.
+    handles — the repo's one spatial index.
 
-    {!Rtree} fits the engine's sensing-region index, where entries are
-    only ever inserted; the serving layer's query index is different —
-    each tracked object owns exactly one box that {e moves} whenever
-    the posterior changes, so the index must support delete and
-    re-insert in place of the full rebuild an insert-only structure
-    forces. This is a uniform grid over packed cell keys: an entry's
-    box is registered in every grid cell it overlaps, removal pops it
-    back out of those cells, and a probe visits only the cells it
-    covers. The cell size self-tunes to twice the mean box extent
-    (rehashing all entries when the population drifts more than 4x
-    away), so occupancy stays O(1) per cell without the caller knowing
-    the world scale.
+    §IV-C of the paper prunes each epoch's work with "a standard
+    spatial index (a simplified R*-tree)"; this uniform grid plays that
+    role for the factored filter's sensing-region and shelf-tag
+    indexes, which only insert and probe, and for the serving layer's
+    query index, where each tracked object owns one box that {e moves}
+    whenever its posterior changes, so entries must also be deleted
+    and updated in place. An entry's box is registered in every grid
+    cell it overlaps, removal pops it back out of those cells, and a
+    probe visits only the cells it covers. The cell size self-tunes to
+    twice the mean box extent (rehashing all entries when the
+    population drifts more than 4x away), so occupancy stays O(1) per
+    cell without the caller knowing the world scale. Any finite
+    coordinate is accepted: cells far out are clamped to the grid's
+    edge, which keeps every answer exact.
 
     Handles are small ints, reused after {!remove}; each [insert]
     returns the handle to later [remove]/[update] that entry. Queries
-    fill the same reusable {!Rtree.Hits} buffers the R-tree uses, and
-    a steady-state {!query_into} allocates nothing. Entries whose box
-    spans more than {!max_span_cells} cells are kept on an oversize
-    list probed by every query instead of bloating thousands of
-    buckets. Hit order is unspecified (grid visit order); callers
-    needing determinism sort, exactly as they must with {!Rtree}. *)
+    fill reusable {!Hits} buffers, and a steady-state {!query_into}
+    allocates nothing. Entries whose box spans more than
+    {!max_span_cells} cells are kept on an oversize list probed by
+    every query instead of bloating thousands of buckets. Hit order is
+    unspecified (grid visit order); callers consume hits as sets or
+    sort them. *)
+
+(** Reusable hit buffers for {!query_into}: a growable array that keeps
+    its storage across queries, so per-epoch probes build no lists. *)
+module Hits : sig
+  type 'a t
+
+  val create : dummy:'a -> 'a t
+  (** [dummy] fills unused capacity (and cleared slots, so stale hits
+      are not pinned for the GC). *)
+
+  val length : 'a t -> int
+  (** Hits appended since the last {!clear}. *)
+
+  val get : 'a t -> int -> 'a
+  (** @raise Invalid_argument outside [0, length). *)
+
+  val clear : 'a t -> unit
+  (** Empty the buffer, overwriting cleared slots with [dummy];
+      capacity is retained. *)
+
+  val push : 'a t -> 'a -> unit
+  (** Append a hit, growing the backing array as needed. *)
+end
 
 type 'a t
 
@@ -49,7 +74,7 @@ val get : 'a t -> int -> Box2.t * 'a
 val size : 'a t -> int
 (** Number of live entries. *)
 
-val query_into : 'a t -> Box2.t -> 'a Rtree.Hits.t -> unit
+val query_into : 'a t -> Box2.t -> 'a Hits.t -> unit
 (** [query_into t probe hits] clears [hits] and appends every live
     value whose box intersects [probe], each exactly once, in
     unspecified order. Allocation-free once [hits] has grown to the

@@ -5,6 +5,8 @@ type t = { shelves : shelf array; areas : float array; total_area : float; bbox 
 
 let create shelf_list =
   if shelf_list = [] then invalid_arg "World.create: no shelves";
+  if List.exists (fun s -> s.shelf_id < 0) shelf_list then
+    invalid_arg "World.create: negative shelf id";
   let ids = List.map (fun s -> s.shelf_id) shelf_list in
   let sorted = List.sort_uniq Int.compare ids in
   if List.length sorted <> List.length ids then

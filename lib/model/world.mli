@@ -19,7 +19,8 @@ type shelf = {
 type t
 
 val create : shelf list -> t
-(** @raise Invalid_argument on duplicate shelf ids or an empty list. *)
+(** @raise Invalid_argument on duplicate or negative shelf ids, or an
+    empty list. *)
 
 val shelves : t -> shelf array
 val num_shelves : t -> int

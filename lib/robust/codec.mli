@@ -10,7 +10,7 @@
     Layout: a 4-byte magic (["RCOD"]), a version byte, a snapshot-kind
     byte, then a fixed sequence of {e sections} — [name, body length,
     body, Adler-32 of the body] — covering the complete snapshot: RNG
-    states, particle slabs, R-tree entries, compression queue, pending
+    states, particle slabs, index entries, compression queue, pending
     reports, robustness counters. Per-section framing means a decode
     failure names the section and byte offset where the stream went
     bad, and a corrupted region is caught by its own checksum before

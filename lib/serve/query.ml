@@ -1,6 +1,5 @@
 module Vec3 = Rfid_geom.Vec3
 module Box2 = Rfid_geom.Box2
-module Rtree = Rfid_geom.Rtree
 module Dyn_index = Rfid_geom.Dyn_index
 module Engine = Rfid_core.Engine
 module Event = Rfid_core.Event
@@ -63,7 +62,7 @@ type near_answer = {
 
 type t = {
   index : fit Dyn_index.t;
-  hits : fit Rtree.Hits.t;
+  hits : fit Dyn_index.Hits.t;
   fits : (int, fit) Hashtbl.t;
   mutable full_invalid : bool;
   mutable stamp : int;  (* monotone; bumped per refit *)
@@ -79,7 +78,7 @@ let create ?(events_keep = 4096) () =
   if events_keep < 1 then invalid_arg "Query.create: events_keep must be >= 1";
   {
     index = Dyn_index.create ~dummy:dummy_fit ();
-    hits = Rtree.Hits.create ~dummy:dummy_fit;
+    hits = Dyn_index.Hits.create ~dummy:dummy_fit;
     fits = Hashtbl.create 256;
     full_invalid = true;
     stamp = 0;
@@ -190,8 +189,8 @@ let range t ~engine ~min_x ~min_y ~max_x ~max_y ~min_mass =
   let probe = Box2.make ~min_x ~min_y ~max_x ~max_y in
   Dyn_index.query_into t.index probe t.hits;
   let out = ref [] in
-  for i = 0 to Rtree.Hits.length t.hits - 1 do
-    let f = Rtree.Hits.get t.hits i in
+  for i = 0 to Dyn_index.Hits.length t.hits - 1 do
+    let f = Dyn_index.Hits.get t.hits i in
     let mx = axis_mass ~mu:f.f_mu_x ~sd:f.f_sd_x ~lo:min_x ~hi:max_x in
     let my = axis_mass ~mu:f.f_mu_y ~sd:f.f_sd_y ~lo:min_y ~hi:max_y in
     let mass = mx *. my in
@@ -227,8 +226,8 @@ let near t ~engine ~k ~x ~y =
     let dist (f : fit) = Float.hypot (f.f_mu_x -. x) (f.f_mu_y -. y) in
     let collect () =
       let cands = ref [] in
-      for i = 0 to Rtree.Hits.length t.hits - 1 do
-        let f = Rtree.Hits.get t.hits i in
+      for i = 0 to Dyn_index.Hits.length t.hits - 1 do
+        let f = Dyn_index.Hits.get t.hits i in
         cands := (dist f, f) :: !cands
       done;
       List.sort
@@ -239,19 +238,28 @@ let near t ~engine ~k ~x ~y =
     (* Expanding square probe: any mean within Euclidean distance r of
        the center lies inside the r-square, so its box intersects the
        probe and it is among the candidates — once k candidates sit at
-       distance <= r, nothing outside can beat them. *)
+       distance <= r, nothing outside can beat them. A center so far
+       from every object that the square stops growing usefully ranks
+       all live fits instead. *)
     let rec probe r =
-      Dyn_index.query_into t.index
-        (Box2.make ~min_x:(x -. r) ~min_y:(y -. r) ~max_x:(x +. r) ~max_y:(y +. r))
-        t.hits;
-      let m = Rtree.Hits.length t.hits in
-      if m >= n || r > 1e12 then collect ()
-      else if m >= k then begin
-        let cands = collect () in
-        let kth = List.nth cands (k - 1) in
-        if fst kth <= r then cands else probe (2. *. r)
+      if r > 1e12 then begin
+        Dyn_index.Hits.clear t.hits;
+        Dyn_index.iter t.index (fun _ _ f -> Dyn_index.Hits.push t.hits f);
+        collect ()
       end
-      else probe (2. *. r)
+      else begin
+        Dyn_index.query_into t.index
+          (Box2.make ~min_x:(x -. r) ~min_y:(y -. r) ~max_x:(x +. r) ~max_y:(y +. r))
+          t.hits;
+        let m = Dyn_index.Hits.length t.hits in
+        if m >= n then collect ()
+        else if m >= k then begin
+          let cands = collect () in
+          let kth = List.nth cands (k - 1) in
+          if fst kth <= r then cands else probe (2. *. r)
+        end
+        else probe (2. *. r)
+      end
     in
     let cands = probe 1.0 in
     List.filteri (fun i _ -> i < k) cands

@@ -3,24 +3,25 @@
    cell-retune checks, plus random operation traces proving the index
    is trace-equivalent to a naive model — every query agrees with a
    linear scan over the live entries, across insert / remove / update /
-   clear and the self-tuning rehashes they trigger. *)
+   clear, the self-tuning rehashes they trigger, and boxes and probes
+   at far finite coordinates. *)
 
 module Dyn_index = Rfid_geom.Dyn_index
 module Box2 = Rfid_geom.Box2
-module Rtree = Rfid_geom.Rtree
+module Hits = Dyn_index.Hits
 module Rng = Rfid_prob.Rng
 
 let box x0 y0 x1 y1 = Box2.make ~min_x:x0 ~min_y:y0 ~max_x:x1 ~max_y:y1
 
 let sorted_hits hits =
   let out = ref [] in
-  for i = 0 to Rtree.Hits.length hits - 1 do
-    out := Rtree.Hits.get hits i :: !out
+  for i = 0 to Hits.length hits - 1 do
+    out := Hits.get hits i :: !out
   done;
   List.sort Int.compare !out
 
 let query idx probe =
-  let hits = Rtree.Hits.create ~dummy:(-1) in
+  let hits = Hits.create ~dummy:(-1) in
   Dyn_index.query_into idx probe hits;
   sorted_hits hits
 
@@ -70,6 +71,22 @@ let test_handle_lifecycle () =
       ignore (Dyn_index.get idx h1));
   Alcotest.(check (list int)) "query after clear" []
     (query idx (box (-1e9) (-1e9) 1e9 1e9))
+
+(* The reusable hit buffer: bounds-checked reads, and every probe
+   starts from an empty buffer. *)
+let test_hits_buffer () =
+  let idx = Dyn_index.create ~dummy:(-1) () in
+  let hits = Hits.create ~dummy:(-1) in
+  Dyn_index.query_into idx (box 0. 0. 10. 10.) hits;
+  Alcotest.(check int) "empty index" 0 (Hits.length hits);
+  ignore (Dyn_index.insert idx (box 0. 0. 1. 1.) 1);
+  ignore (Dyn_index.insert idx (box 5. 5. 6. 6.) 2);
+  Dyn_index.query_into idx (box 0.5 0.5 0.7 0.7) hits;
+  Alcotest.(check int) "one hit" 1 (Hits.length hits);
+  Alcotest.(check int) "hit value" 1 (Hits.get hits 0);
+  Util.check_raises_invalid "get out of range" (fun () -> Hits.get hits 1);
+  Dyn_index.query_into idx (box 2. 2. 3. 3.) hits;
+  Alcotest.(check int) "miss clears previous hits" 0 (Hits.length hits)
 
 (* An entry spanning far more cells than [max_span_cells] lives on the
    oversize list, yet behaves exactly like any other entry. *)
@@ -129,18 +146,29 @@ let prop_matches_model =
     QCheck.small_int (fun seed ->
       let rng = Rng.create ~seed in
       let idx = Dyn_index.create ~dummy:(-1) () in
-      let hits = Rtree.Hits.create ~dummy:(-1) in
+      let hits = Hits.create ~dummy:(-1) in
       let model : (int, Box2.t * int) Hashtbl.t = Hashtbl.create 64 in
       let next = ref 0 in
       let ok = ref true in
       let coord () = (float_of_int (Rng.int rng 2001) /. 10.) -. 100. in
+      (* Coordinates whose cell number does not fit an int. *)
+      let far () = if Rng.int rng 2 = 0 then 1e19 else 1e300 in
       let random_box () =
         let x0 = coord () and y0 = coord () in
-        match Rng.int rng 10 with
+        match Rng.int rng 12 with
         | 0 -> box x0 y0 x0 y0 (* degenerate point box *)
         | 1 ->
             (* wide enough to land on the oversize list *)
             box (x0 -. 500.) (y0 -. 500.) (x0 +. 500.) (y0 +. 500.)
+        | 2 ->
+            let e = far () in
+            box (-.e) (-.e) e e
+        | 3 -> (
+            let e = far () in
+            match Rng.int rng 3 with
+            | 0 -> box e y0 e y0 (* a point far out *)
+            | 1 -> box x0 y0 e e (* reaching out from the normal range *)
+            | _ -> box (-.e) (-.e) (-.e) y0)
         | _ ->
             let w = float_of_int (Rng.int rng 80) /. 10. in
             let h = float_of_int (Rng.int rng 80) /. 10. in
@@ -194,6 +222,8 @@ let prop_matches_model =
         if Dyn_index.size idx <> Hashtbl.length model then ok := false
       done;
       check_query (box (-1e7) (-1e7) 1e7 1e7);
+      check_query (box (-1e19) (-1e19) 1e19 1e19);
+      check_query (box (-1e300) (-1e300) 1e300 1e300);
       let visited = ref [] in
       Dyn_index.iter idx (fun h b v -> visited := (h, b, v) :: !visited);
       let visited = List.rev !visited in
@@ -212,6 +242,7 @@ let suite =
   ( "dyn_index",
     [
       Alcotest.test_case "handle lifecycle" `Quick test_handle_lifecycle;
+      Alcotest.test_case "hits buffer" `Quick test_hits_buffer;
       Alcotest.test_case "oversize entries" `Quick test_oversize;
       Alcotest.test_case "cell self-tuning" `Quick test_cell_retune;
       prop_matches_model;

@@ -262,6 +262,72 @@ let test_core_drain_order () =
   | _ -> Alcotest.fail "DRAIN must fire on_checkpoint, on_flush_mark, then the flush events"
 
 (* ------------------------------------------------------------------ *)
+(* Far-off requests: PROTOCOL.md accepts any finite bound or center *)
+
+let far_boot = lazy (Bootstrap.make ~objects:50 ~seed:3 ~particles:30 ())
+
+(* One warehouse pass, which reads every object of [far_boot]. *)
+let far_obs =
+  lazy
+    (let boot = Lazy.force far_boot in
+     let wh = Rfid_sim.Warehouse.layout ~num_objects:boot.Bootstrap.num_objects () in
+     Rfid_model.Trace.observations
+       (Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
+          ~object_locs:wh.Rfid_sim.Warehouse.object_locs
+          ~start:(Rfid_sim.Warehouse.reader_start wh)
+          ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds:1)
+          ~config:(Rfid_sim.Trace_gen.default_config ())
+          (Rfid_prob.Rng.create ~seed:boot.Bootstrap.seed)))
+
+let reply_count reply = Scanf.sscanf reply "OK %d" Fun.id
+
+let test_range_far_bounds () =
+  let boot = Lazy.force far_boot in
+  let core = make_core ~admit_cap:100_000 boot in
+  List.iter
+    (fun o -> ignore (req core ("PUT " ^ Rfid_model.Trace_io.observation_to_line o)))
+    (Lazy.force far_obs);
+  ignore (req core "SYNC");
+  let near_box = reply_count (req core "RANGE -100 -100 100 100") in
+  Alcotest.(check int) "every object in the +-100 box" boot.Bootstrap.num_objects near_box;
+  List.iter
+    (fun e ->
+      Alcotest.(check int)
+        (Printf.sprintf "RANGE +-%s finds the same objects" e)
+        near_box
+        (reply_count (req core (Printf.sprintf "RANGE -%s -%s %s %s" e e e e))))
+    [ "1e19"; "1e300" ]
+
+(* NEAR against brute force over the engine's estimates: the k means
+   closest to the center, ties by id. *)
+let test_near_far_center () =
+  let boot = Lazy.force far_boot in
+  let engine = feed_engine boot (Lazy.force far_obs) in
+  let q = Query.create () in
+  let brute ~k ~x ~y =
+    let all = ref [] in
+    Rfid_core.Engine.iter_estimates engine (fun obj mean _ ->
+        all := (Float.hypot (mean.Rfid_geom.Vec3.x -. x) (mean.Rfid_geom.Vec3.y -. y), obj) :: !all);
+    List.sort compare !all |> List.filteri (fun i _ -> i < k)
+  in
+  List.iter
+    (fun (k, x, y) ->
+      let got =
+        List.map (fun a -> (a.Query.n_dist, a.Query.n_obj)) (Query.near q ~engine ~k ~x ~y)
+      in
+      Alcotest.(check (list (pair (float 0.) int)))
+        (Printf.sprintf "NEAR %d %g %g" k x y)
+        (brute ~k ~x ~y) got)
+    [
+      (3, 2., 5.);
+      (3, 1e11, 0.);
+      (3, 1e13, 0.);
+      (5, -1e19, 7.);
+      (2, 0., 1e300);
+      (60, 1e13, 1e13);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* OpenMetrics + UDP push *)
 
 let test_openmetrics () =
@@ -809,6 +875,8 @@ let suite =
       Alcotest.test_case "query: event ring" `Quick test_event_ring;
       Alcotest.test_case "core: wire = direct replay" `Quick test_core_consistency;
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
+      Alcotest.test_case "core: RANGE with far finite bounds" `Quick test_range_far_bounds;
+      Alcotest.test_case "query: NEAR far from every object" `Quick test_near_far_center;
       Alcotest.test_case "core: DRAIN checkpoints, marks, flushes" `Quick
         test_core_drain_order;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;

@@ -10,7 +10,9 @@ let test_create_validation () =
       tag = None;
     }
   in
-  Util.check_raises_invalid "duplicate ids" (fun () -> World.create [ s; s ])
+  Util.check_raises_invalid "duplicate ids" (fun () -> World.create [ s; s ]);
+  Util.check_raises_invalid "negative id" (fun () ->
+      World.create [ s; { s with World.shelf_id = -1 } ])
 
 let test_shelf_tags () =
   let w = Util.two_shelf_world () in
