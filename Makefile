@@ -87,8 +87,7 @@ bench:
 # the perf trajectory is diffable across PRs. The workload string
 # records the adaptive-effort knobs (resample_ess, min_particles); the
 # f+index+adaptive points and the adaptive_check block track the
-# speed/accuracy trade-off and domain bit-identity of the adaptive
-# configuration.
+# speed/accuracy trade-off of the adaptive configuration.
 bench-json:
 	$(DUNE) exec bench/main.exe -- --json BENCH_filter.json
 

@@ -2,15 +2,12 @@
    perf trajectory is comparable across PRs without scraping tables.
 
    Emits one point per (variant, object count) on the standard
-   warehouse workload, plus domain-scaling points for the
-   Factorized_indexed variant at the largest object count. Every run is
-   seeded; accuracy is recorded next to throughput so a speedup that
+   warehouse workload. Every run is seeded; accuracy is recorded next to throughput so a speedup that
    trades away error is visible in the same file. *)
 
 type point = {
   pt_variant : string;
   pt_objects : int;
-  pt_domains : int;
   pt_epochs : int;
   pt_readings : int;
   pt_elapsed_s : float;
@@ -20,7 +17,6 @@ type point = {
   pt_lat_p50_us : float;
   pt_lat_p95_us : float;
   pt_lat_p99_us : float;
-  pt_chunk : int;  (* pool's autotuned default-chunk floor *)
   pt_sat_hits : int;  (* kernel evaluations skipped by saturation cull *)
   pt_sat_rate : float;  (* hits / (hits + evaluations run) *)
   pt_mean_budget : float;  (* mean per-object particle budget (0 = not tracked) *)
@@ -54,11 +50,10 @@ let c_joint_rs = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "filter.joint_
 let h_budget = Rfid_obs.Metrics.histogram Rfid_obs.Metrics.global "health.object_budget"
 
 let run_point ?min_object_particles ?resample_ess_ratio ~variant ~label ~objects
-    ~num_domains ~params ~trace () =
-  Printf.printf "  ... %-16s n=%-5d domains=%d%!" label objects num_domains;
+    ~params ~trace () =
+  Printf.printf "  ... %-16s n=%-5d%!" label objects;
   let config =
-    Scenarios.engine_config ~variant ?min_object_particles ?resample_ess_ratio
-      ~num_domains ()
+    Scenarios.engine_config ~variant ?min_object_particles ?resample_ess_ratio ()
   in
   let sat0 = Rfid_obs.Metrics.counter_value c_sat in
   let ev0 = Rfid_obs.Metrics.counter_value c_evals in
@@ -90,7 +85,6 @@ let run_point ?min_object_particles ?resample_ess_ratio ~variant ~label ~objects
   {
     pt_variant = label;
     pt_objects = objects;
-    pt_domains = num_domains;
     pt_epochs = epochs;
     pt_readings = r.Rfid_eval.Runner.total_readings;
     pt_elapsed_s = r.Rfid_eval.Runner.elapsed_s;
@@ -100,7 +94,6 @@ let run_point ?min_object_particles ?resample_ess_ratio ~variant ~label ~objects
     pt_lat_p50_us = r.Rfid_eval.Runner.lat_p50_us;
     pt_lat_p95_us = r.Rfid_eval.Runner.lat_p95_us;
     pt_lat_p99_us = r.Rfid_eval.Runner.lat_p99_us;
-    pt_chunk = Rfid_par.Pool.min_chunk (Rfid_par.Pool.get ~num_domains);
     pt_sat_hits = sat;
     pt_sat_rate = (if sat + ev > 0 then float_of_int sat /. float_of_int (sat + ev) else 0.);
     pt_mean_budget = (if bcount > 0 then bsum /. float_of_int bcount else 0.);
@@ -133,8 +126,7 @@ let run_robust_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
     Rfid_sim.Faults.apply faults ~seed:7 (Rfid_model.Trace.observations trace)
   in
   let config =
-    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed
-      ~num_domains:1 ()
+    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed ()
   in
   let engine =
     Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
@@ -190,8 +182,7 @@ type durability_point = {
 let run_durability_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
   Printf.printf "  ... %-16s n=%-5d codec+wal%!" "durability" objects;
   let config =
-    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed
-      ~num_domains:1 ()
+    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed ()
   in
   let engine =
     Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
@@ -292,27 +283,21 @@ let stages_json () =
 let emit ?(extra = []) oc points robust durability =
   let host_cores = Domain.recommended_domain_count () in
   let point_json p =
-    (* Bench honesty: a domain-scaling point measured on a single-core
-       host exercises only scheduling overhead, not parallel speedup —
-       tag it so downstream comparisons can skip it. *)
-    let scaling_valid = not (p.pt_domains > 1 && host_cores = 1) in
     Printf.sprintf
-      "    {\"variant\": %S, \"objects\": %d, \"num_domains\": %d, \
-       \"scaling_valid\": %b, \"epochs\": %d, \
+      "    {\"variant\": %S, \"objects\": %d, \"epochs\": %d, \
        \"readings\": %d, \"elapsed_s\": %.6f, \"ns_per_epoch\": %.1f, \
        \"epochs_per_sec\": %.2f, \"err_xy_ft\": %.4f, \
        \"minor_words_per_epoch\": %.1f, \"major_words_per_epoch\": %.1f, \
        \"lat_p50_us\": %.1f, \"lat_p95_us\": %.1f, \"lat_p99_us\": %.1f, \
-       \"chunk_size\": %d, \"sat_cull_hits\": %d, \"sat_cull_rate\": %.4f, \
+       \"sat_cull_hits\": %d, \"sat_cull_rate\": %.4f, \
        \"mean_budget\": %.1f, \"resample_skip_rate\": %.4f}"
-      p.pt_variant p.pt_objects p.pt_domains scaling_valid p.pt_epochs p.pt_readings
-      p.pt_elapsed_s (ns_per_epoch p) (epochs_per_sec p) p.pt_err_xy p.pt_minor_words
-      p.pt_major_words p.pt_lat_p50_us p.pt_lat_p95_us p.pt_lat_p99_us p.pt_chunk
-      p.pt_sat_hits p.pt_sat_rate p.pt_mean_budget p.pt_skip_rate
+      p.pt_variant p.pt_objects p.pt_epochs p.pt_readings p.pt_elapsed_s
+      (ns_per_epoch p) (epochs_per_sec p) p.pt_err_xy p.pt_minor_words p.pt_major_words
+      p.pt_lat_p50_us p.pt_lat_p95_us p.pt_lat_p99_us p.pt_sat_hits p.pt_sat_rate p.pt_mean_budget p.pt_skip_rate
   in
   Printf.fprintf oc
     "{\n\
-    \  \"schema\": \"bench_filter/v8\",\n\
+    \  \"schema\": \"bench_filter/v9\",\n\
     \  \"workload\": \"warehouse straight pass, J=100, K=200, resample_ess=1.0, \
      min_particles=200, seed 7; f+index+adaptive points: resample_ess=0.25, \
      min_particles=32\",\n\
@@ -344,61 +329,30 @@ let adaptive_min_particles = 32
 let adaptive_resample_ess = 0.25
 let adaptive_label = "f+index+adaptive"
 
-let adaptive_point ~objects ~num_domains ~params ~trace =
+let adaptive_point ~objects ~params ~trace =
   run_point ~variant:Rfid_core.Config.Factorized_indexed ~label:adaptive_label
     ~min_object_particles:adaptive_min_particles
-    ~resample_ess_ratio:adaptive_resample_ess ~objects ~num_domains ~params ~trace ()
+    ~resample_ess_ratio:adaptive_resample_ess ~objects ~params ~trace ()
 
-(* Schedule-independence of the adaptive machinery, checked end to end:
-   the full event stream of an adaptive run must be identical for every
-   domain count (budgets and skips are driven by per-(object, epoch)
-   keyed randomness, never by chunking). *)
-let adaptive_bit_identity ~params ~(trace : Rfid_model.Trace.t) =
-  let events num_domains =
-    let config =
-      Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed
-        ~min_object_particles:adaptive_min_particles
-        ~resample_ess_ratio:adaptive_resample_ess ~num_domains ()
-    in
-    let engine =
-      Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
-        ~init_reader:trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
-        ~num_objects:trace.Rfid_model.Trace.num_objects ~seed:7 ()
-    in
-    Rfid_core.Engine.run engine (Rfid_model.Trace.observations trace)
-    @ Rfid_core.Engine.flush engine
-  in
-  let reference = events 1 in
-  List.for_all (fun d -> events d = reference) [ 2; 4 ]
-
-let adaptive_check_json ~scaling_n ~points ~params ~bit_identity_trace =
+let adaptive_check_json ~scaling_n ~points =
   let find label =
-    List.find_opt
-      (fun p -> p.pt_variant = label && p.pt_objects = scaling_n && p.pt_domains = 1)
-      points
+    List.find_opt (fun p -> p.pt_variant = label && p.pt_objects = scaling_n) points
   in
   match (find "factorized+index", find adaptive_label) with
   | Some fixed, Some adaptive ->
-      Printf.printf "  ... %-16s n=%-5d domains 1/2/4%!" "adaptive ident."
-        bit_identity_trace.Rfid_model.Trace.num_objects;
-      let identical = adaptive_bit_identity ~params ~trace:bit_identity_trace in
-      Printf.printf "  %s\n%!" (if identical then "bit-identical" else "DIVERGED");
       let nf = ns_per_epoch fixed and na = ns_per_epoch adaptive in
       [
         Printf.sprintf
           "  \"adaptive_check\": {\"knobs\": \"resample_ess=%.2f, min_particles=%d\", \
-           \"speedup_workload\": \"factorized+index fixed vs adaptive, %d objects, \
-           domains=1\", \"ns_per_epoch_fixed\": %.1f, \"ns_per_epoch_adaptive\": \
-           %.1f, \"speedup\": %.3f, \"err_xy_ft_fixed\": %.4f, \
-           \"err_xy_ft_adaptive\": %.4f, \"err_ratio\": %.4f, \"mean_budget\": %.1f, \
-           \"resample_skip_rate\": %.4f, \"bit_identity_workload\": \"%d objects, \
-           domains 1 vs 2 vs 4, full event stream\", \"domain_bit_identical\": %b}"
+           \"speedup_workload\": \"factorized+index fixed vs adaptive, %d objects\", \
+           \"ns_per_epoch_fixed\": %.1f, \"ns_per_epoch_adaptive\": %.1f, \
+           \"speedup\": %.3f, \"err_xy_ft_fixed\": %.4f, \"err_xy_ft_adaptive\": %.4f, \
+           \"err_ratio\": %.4f, \"mean_budget\": %.1f, \"resample_skip_rate\": %.4f}"
           adaptive_resample_ess adaptive_min_particles scaling_n nf na
           (if na > 0. then nf /. na else 0.)
           fixed.pt_err_xy adaptive.pt_err_xy
           (if fixed.pt_err_xy > 0. then adaptive.pt_err_xy /. fixed.pt_err_xy else 0.)
-          adaptive.pt_mean_budget adaptive.pt_skip_rate
-          bit_identity_trace.Rfid_model.Trace.num_objects identical;
+          adaptive.pt_mean_budget adaptive.pt_skip_rate;
       ]
   | _ -> []
 
@@ -592,7 +546,6 @@ let run ~path ~large =
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
   let sizes = if large then [ 500; 2000; 5000; 10000 ] else [ 500; 2000; 5000 ] in
   let scaling_n = List.fold_left Int.max 0 sizes in
-  let domain_counts = [ 1; 2; 4 ] in
   let params = Scenarios.cone_params () in
   let points = ref [] in
   let add p = points := p :: !points in
@@ -603,24 +556,14 @@ let run ~path ~large =
       if objects <= 500 then
         add
           (run_point ~variant:Rfid_core.Config.Factorized ~label:"factorized" ~objects
-             ~num_domains:1 ~params ~trace ());
+             ~params ~trace ());
       add
         (run_point ~variant:Rfid_core.Config.Factorized_indexed ~label:"factorized+index"
-           ~objects ~num_domains:1 ~params ~trace ());
+           ~objects ~params ~trace ());
       add
         (run_point ~variant:Rfid_core.Config.Factorized_compressed
-           ~label:"f+index+compress" ~objects ~num_domains:1 ~params ~trace ());
-      add (adaptive_point ~objects ~num_domains:1 ~params ~trace);
-      (* Domain scaling at the largest size, where per-epoch scope is
-         widest and the parallel section dominates. *)
-      if objects = scaling_n then
-        List.iter
-          (fun num_domains ->
-            if num_domains > 1 then
-              add
-                (run_point ~variant:Rfid_core.Config.Factorized_indexed
-                   ~label:"factorized+index" ~objects ~num_domains ~params ~trace ()))
-          domain_counts)
+           ~label:"f+index+compress" ~objects ~params ~trace ());
+      add (adaptive_point ~objects ~params ~trace))
     sizes;
   let small_objects = List.fold_left Int.min max_int sizes in
   let small_built = Scenarios.warehouse_trace ~num_objects:small_objects ~seed:111 () in
@@ -631,8 +574,7 @@ let run ~path ~large =
   in
   let points = List.rev !points in
   let extra =
-    adaptive_check_json ~scaling_n ~points ~params
-      ~bit_identity_trace:small_built.Scenarios.trace
+    adaptive_check_json ~scaling_n ~points
     @ [
         serving_json
           [
@@ -684,8 +626,7 @@ let measure_gate ?min_object_particles ?resample_ess_ratio variant =
   let params = Scenarios.cone_params () in
   let built = Lazy.force gate_trace in
   let config =
-    Scenarios.engine_config ~variant ?min_object_particles ?resample_ess_ratio
-      ~num_domains:1 ()
+    Scenarios.engine_config ~variant ?min_object_particles ?resample_ess_ratio ()
   in
   Rfid_eval.Runner.run_engine ~params ~config ~seed:7 built.Scenarios.trace
 
@@ -696,8 +637,7 @@ let measure_gate_adaptive () =
 let measure_scaling () =
   let params = Scenarios.cone_params () in
   let config =
-    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed
-      ~num_domains:1 ()
+    Scenarios.engine_config ~variant:Rfid_core.Config.Factorized_indexed ()
   in
   let words n =
     let built = Scenarios.warehouse_trace ~num_objects:n ~seed:111 () in
@@ -1007,34 +947,16 @@ let smoke () =
   let objects = 100 in
   let built = Scenarios.warehouse_trace ~num_objects:objects ~seed:111 () in
   let trace = built.Scenarios.trace in
-  let host_cores = Domain.recommended_domain_count () in
   let points =
     [
-      run_point ~variant:Rfid_core.Config.Factorized ~label:"factorized" ~objects
-        ~num_domains:1 ~params ~trace ();
+      run_point ~variant:Rfid_core.Config.Factorized ~label:"factorized" ~objects ~params
+        ~trace ();
       run_point ~variant:Rfid_core.Config.Factorized_indexed ~label:"factorized+index"
-        ~objects ~num_domains:1 ~params ~trace ();
+        ~objects ~params ~trace ();
       run_point ~variant:Rfid_core.Config.Factorized_compressed
-        ~label:"f+index+compress" ~objects ~num_domains:1 ~params ~trace ();
-      adaptive_point ~objects ~num_domains:1 ~params ~trace;
+        ~label:"f+index+compress" ~objects ~params ~trace ();
+      adaptive_point ~objects ~params ~trace;
     ]
-  in
-  (* A domains>1 point on a single-core host measures nothing but
-     scheduling overhead; skip it rather than emit a misleading number
-     (the full bench tags such points "scaling_valid": false instead,
-     because its committed output must keep a stable point set). *)
-  let points =
-    if host_cores > 1 then
-      points
-      @ [
-          run_point ~variant:Rfid_core.Config.Factorized_indexed
-            ~label:"factorized+index" ~objects ~num_domains:2 ~params ~trace ();
-        ]
-    else begin
-      Printf.printf
-        "  ... skipping domains=2 point: host has 1 core, scaling not measurable\n%!";
-      points
-    end
   in
   let robust = run_robust_point ~objects ~params ~trace in
   let durability = run_durability_point ~objects ~params ~trace in
@@ -1063,16 +985,5 @@ let smoke () =
   require_number "fit_cache_hit_rate";
   require_number "index_updates";
   require_number "full_rebuilds";
-  (* scaling_valid is a boolean, so the numeric extractor can't read
-     it; presence of the key is what the v6 schema promises. *)
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
-  if not (contains emitted "\"scaling_valid\"") then begin
-    Printf.eprintf "bench --smoke: emitted JSON missing scaling_valid\n";
-    exit 1
-  end;
   Sys.remove path;
   Printf.printf "bench --smoke: OK (%d points)\n%!" (List.length points)

@@ -64,10 +64,9 @@ let cone_params ?(rr = 1.0) () =
   Params.create ~sensor ()
 
 let engine_config ?(variant = Rfid_core.Config.Factorized_indexed) ?(j = 100)
-    ?(k = 200) ?min_object_particles ?resample_ess_ratio ?(num_domains = 1)
-    ?heading_model () =
+    ?(k = 200) ?min_object_particles ?resample_ess_ratio ?heading_model () =
   Rfid_core.Config.create ~variant ~num_reader_particles:j ~num_object_particles:k
-    ?min_object_particles ?resample_ess_ratio ~num_domains ?heading_model ()
+    ?min_object_particles ?resample_ess_ratio ?heading_model ()
 
 (* "Motion model Off" (Fig. 5(g)): the reported location is taken as the
    true reader location — one reader particle nailed to the report. *)

@@ -25,22 +25,9 @@ module Session = Rfid_robust.Session
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
-let objects_arg =
-  Arg.(value & opt int 16 & info [ "objects"; "n" ] ~docv:"N" ~doc:"Number of tagged objects.")
-
-let rounds_arg =
-  Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"N" ~doc:"Scan rounds over the warehouse.")
-
-let read_rate_arg =
-  Arg.(
-    value
-    & opt float 1.0
-    & info [ "read-rate" ] ~docv:"R"
-        ~doc:"Read rate in the sensor's major detection range (0..1].")
-
-(* Integer flags with a lower bound are rejected by cmdliner itself,
-   so a bad value is a usage error (exit 124), never an exception from
-   deep inside the engine. *)
+(* Flags with a bounded range are checked by cmdliner itself, so a bad
+   value is a usage error (exit 124), never an exception from deep
+   inside the simulator or the engine. *)
 let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
@@ -49,6 +36,33 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let objects_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 16
+    & info [ "objects"; "n" ] ~docv:"N" ~doc:"Number of tagged objects.")
+
+let rounds_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 1
+    & info [ "rounds" ] ~docv:"N" ~doc:"Scan rounds over the warehouse.")
+
+let read_rate_arg =
+  let rate =
+    let parse s =
+      match float_of_string_opt s with
+      | Some r when r > 0. && r <= 1. -> Ok r
+      | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number in (0, 1]" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
+  Arg.(
+    value
+    & opt rate 1.0
+    & info [ "read-rate" ] ~docv:"R"
+        ~doc:"Read rate in the sensor's major detection range (0..1].")
+
 let particles_arg =
   Arg.(
     value
@@ -56,8 +70,8 @@ let particles_arg =
     & info [ "particles"; "k" ] ~docv:"K" ~doc:"Particles per object.")
 
 let min_particles_arg =
-  (* Same 0-means-auto convention as --domains: 0 resolves to the
-     --particles value, which disables adaptation entirely. *)
+  (* 0 resolves to the --particles value, which disables adaptation
+     entirely. *)
   Arg.(
     value
     & opt int 0
@@ -67,8 +81,7 @@ let min_particles_arg =
            $(b,--particles), disabling adaptation). When strictly below \
            $(b,--particles), each object's budget walks a doubling ladder \
            between the two driven by its posterior spread: tight posteriors \
-           drop to the floor, uncertain ones keep the full budget. Output \
-           stays bit-identical across $(b,--domains) values.")
+           drop to the floor, uncertain ones keep the full budget.")
 
 let resample_ess_arg =
   Arg.(
@@ -83,33 +96,28 @@ let resample_ess_arg =
            refresh for throughput.")
 
 let domains_arg =
-  (* An int conv with auto-detection: 0 asks the runtime how many
-     cores this host recommends; negatives are rejected with a clear
-     message instead of surfacing as a downstream invalid_arg
-     backtrace from Pool.create. *)
-  let domains_conv =
+  (* Inference runs on one domain (DESIGN.md section 7). The flag
+     stays so existing command lines keep working; any value but 1 is a
+     usage error. *)
+  let one =
     let parse s =
       match int_of_string_opt s with
-      | None -> Error (`Msg (Printf.sprintf "invalid domain count %S, expected an integer" s))
-      | Some 0 -> Ok (Domain.recommended_domain_count ())
-      | Some n when n < 0 ->
+      | Some 1 -> Ok ()
+      | _ ->
           Error
             (`Msg
                (Printf.sprintf
-                  "invalid domain count %d: must be positive, or 0 for auto-detection"
-                  n))
-      | Some n -> Ok n
+                  "invalid domain count %S: inference runs on one domain, so only 1 is \
+                   accepted"
+                  s))
     in
-    Arg.conv (parse, Format.pp_print_int)
+    Arg.conv (parse, fun ppf () -> Format.pp_print_int ppf 1)
   in
   Arg.(
     value
-    & opt domains_conv 1
-    & info [ "domains"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the per-object update loop (1 = sequential, 0 = \
-           auto-detect from the host's core count). Output is bit-identical \
-           for every value.")
+    & opt one ()
+    & info [ "domains" ] ~docv:"N"
+        ~doc:"Domains for inference. Inference runs on one domain, so only 1 is accepted.")
 
 let variant_arg =
   let variants =
@@ -134,11 +142,11 @@ let variant_arg =
 type engine_flags = { objects : int; seed : int; config : Rfid_core.Config.t }
 
 let engine_term =
-  let make objects seed variant particles min_particles resample_ess domains =
+  let make objects seed variant particles min_particles resample_ess () =
     match
       Rfid_core.Config.create ~variant ~num_object_particles:particles
         ?min_object_particles:(if min_particles = 0 then None else Some min_particles)
-        ~resample_ess_ratio:resample_ess ~num_domains:domains ()
+        ~resample_ess_ratio:resample_ess ()
     with
     | config -> `Ok { objects; seed; config }
     | exception Invalid_argument msg -> `Error (true, msg)
@@ -193,7 +201,8 @@ let durability_term =
   in
   let wal_fsync_every =
     Arg.(
-      value & opt int 8
+      value
+      & opt (int_at_least 1) 8
       & info [ "wal-fsync-every" ] ~docv:"K"
           ~doc:"Force the write-ahead log to disk every K records (min 1).")
   in

@@ -29,7 +29,6 @@ type t = {
   max_sensing_range : float;
   resample_scheme : resample_scheme;
   proposal_noise_override : Rfid_geom.Vec3.t option;
-  num_domains : int;
   shelf_miss_weight : float;
   drop_out_of_order : bool;
   degraded_widen_after : int;
@@ -45,7 +44,7 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     ?(reinit_near = 1.0) ?(reinit_far = 6.0) ?(out_of_scope_after = 15)
     ?(report_delay = 60) ?(compress_after = 20) ?(decompress_particles = 10)
     ?(compress_max_nll = None) ?(index_min_displacement = 0.5)
-    ?(detection_threshold = 0.02) ?(case4_margin = 1.0) ?(max_sensing_range = 12.) ?(shelf_miss_weight = 0.25) ?(resample_scheme = Systematic) ?(proposal_noise_override = None) ?(num_domains = 1)
+    ?(detection_threshold = 0.02) ?(case4_margin = 1.0) ?(max_sensing_range = 12.) ?(shelf_miss_weight = 0.25) ?(resample_scheme = Systematic) ?(proposal_noise_override = None)
     ?(drop_out_of_order = false) ?(degraded_widen_after = 10)
     ?(degraded_noise_scale = 3.0) ?(degraded_widen_sigma = 0.25) () =
   if num_reader_particles <= 0 || num_object_particles <= 0 then
@@ -81,7 +80,6 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     invalid_arg "Config.create: shelf_miss_weight must be in [0, 1]";
   if not (detection_threshold > 0. && detection_threshold < 1.) then
     invalid_arg "Config.create: detection_threshold must be in (0, 1)";
-  if num_domains < 1 then invalid_arg "Config.create: num_domains must be >= 1";
   if degraded_widen_after <= 0 then
     invalid_arg "Config.create: degraded_widen_after must be positive";
   if degraded_noise_scale < 1. then
@@ -112,7 +110,6 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     shelf_miss_weight;
     resample_scheme;
     proposal_noise_override;
-    num_domains;
     drop_out_of_order;
     degraded_widen_after;
     degraded_noise_scale;

@@ -52,7 +52,8 @@ type t = {
           rung down; stepping back up requires 1.5x the rung threshold
           (hysteresis). Shrinking resamples directly to the smaller
           count; growth resamples then replicates with keyed-RNG
-          jitter, so budgets stay domain-count independent. *)
+          jitter, so budgets do not depend on the order objects are
+          visited in. *)
   resample_ratio : float;  (** resample when ESS < ratio * n (0.5) *)
   resample_ess_ratio : float;
       (** additional ESS cap on every resample (object, reader and the
@@ -111,12 +112,6 @@ type t = {
           derived from the model parameters — used by calibration, whose
           E-step deliberately inflates the {e weighting} sigma without
           wanting a wilder proposal (default [None]) *)
-  num_domains : int;
-      (** domains applied to the per-object update loop of the factored
-          filter (default 1 = sequential). Inference output is
-          bit-identical for every value: per-object randomness comes
-          from substreams keyed by (object id, epoch), not from
-          scheduling order. *)
   shelf_miss_weight : float;
       (** tempering factor in [0, 1] on the log-likelihood of shelf-tag
           {e misses} in reader weighting. Reads are the reliable reader
@@ -176,7 +171,6 @@ val create :
   ?shelf_miss_weight:float ->
   ?resample_scheme:resample_scheme ->
   ?proposal_noise_override:Rfid_geom.Vec3.t option ->
-  ?num_domains:int ->
   ?drop_out_of_order:bool ->
   ?degraded_widen_after:int ->
   ?degraded_noise_scale:float ->

@@ -195,6 +195,6 @@ val restore :
 (** Rebuild an engine from a snapshot plus the same static inputs it
     was created with. Feeding the restored engine the remaining
     observations yields exactly the events the uninterrupted run would
-    have produced, for every variant and any [config.num_domains].
+    have produced, for every variant.
     @raise Invalid_argument if [config.variant] disagrees with the
     snapshot. *)

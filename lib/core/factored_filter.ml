@@ -2,14 +2,12 @@ open Rfid_geom
 open Rfid_model
 module Bitset = Rfid_prob.Bitset
 module Ps = Rfid_prob.Particle_store
-module Scratch = Rfid_par.Scratch
+module Scratch = Rfid_prob.Scratch
 module Obs = Rfid_obs.Metrics
 
 (* Observability handles. Stage spans cover the phases of [step] in
    order; health gauges/histograms expose the quantities DESIGN.md
-   section 10 names. Sharded recording ([incr_shard]/[observe_shard])
-   is used from the parallel body, keyed by the scratch arena's domain
-   id, so domains never contend on a cell. *)
+   section 10 names. *)
 let sp_pose_memo = Obs.span Obs.global "stage.pose_memo"
 let sp_weighting = Obs.span Obs.global "stage.weighting"
 let sp_resampling = Obs.span Obs.global "stage.resampling"
@@ -67,16 +65,6 @@ type obj_index = {
   mutable last_insert_loc : Vec3.t option;
 }
 
-(* Evidence-driven initialization planned on the coordinator and
-   executed inside the parallel per-object pass. *)
-type init_action =
-  | No_init
-  | Init_fresh of int  (* creation or far re-detection: n fresh particles *)
-  | Init_decompress of Rfid_prob.Gaussian.t
-  | Init_half  (* near re-detection: keep half, redraw half *)
-
-type work_item = { w_obj : obj_state; w_action : init_action; w_read : bool }
-
 type t = {
   world : World.t;
   params : Params.t;
@@ -84,8 +72,9 @@ type t = {
   rng : Rfid_prob.Rng.t;
   substream : Rfid_prob.Rng.t;
       (* frozen base for per-(object, epoch) keyed substreams; never
-         advanced after [create], so derivations commute across domains *)
-  pool : Rfid_par.Pool.t;
+         advanced after [create], so an object's draws do not depend on
+         which other objects were updated before it *)
+  scratch : Scratch.t;
   adaptive : bool;
       (* min_object_particles < num_object_particles: per-object
          budgets walk [budget_rungs]; off by default, leaving the hot
@@ -95,7 +84,7 @@ type t = {
          rung when adaptation is off *)
   pre : Sensor_model.pre;
       (* per-epoch memo of reader-particle poses, refreshed once per
-         [step] before the parallel pass *)
+         [step] before the per-object pass *)
   mutable readers : reader_particle array;
   mutable reader_gen : int;
   objects : (int, obj_state) Hashtbl.t;
@@ -114,15 +103,11 @@ type t = {
   shelf_hits : int Dyn_index.Hits.t;  (* shelf-tag probe results, reused *)
   mutable scope_ids : int array;  (* ascending scope, dense; first [scope_len] valid *)
   mutable scope_len : int;
-  mutable work : work_item array;  (* first [work_len] valid this epoch *)
-  mutable work_len : int;
-  work_dummy : work_item;  (* fills unused [work] capacity *)
   mutable tmp_ids : int array;  (* missing shelf tags / index-flush members *)
   (* Change feed for the query layer (DESIGN.md section 13): ids whose
      posterior may have changed since the consumer's last
      [clear_changes], plus the everything-changed escape hatch for
-     degraded-mode widening and restore. Written from the coordinator
-     only. *)
+     degraded-mode widening and restore. *)
   dirty : Bitset.t;
   mutable dirty_all : bool;
   (* Known ids as a sorted dense array: discovery inserts in place, so
@@ -137,13 +122,11 @@ type t = {
   mutable degraded_total : int;
 }
 
-(* Scratch-arena slot conventions (see [Rfid_par.Scratch]): float slot 0
-   holds per-object normalized weights inside the parallel body; float
-   slot 3 holds reader weights and is touched only by the coordinator,
-   so it never aliases slot 0 even when the reader and object particle
-   counts coincide. Int slot 0 holds resample indices. Bitset slots
-   live on the coordinator's arena only (the parallel body never takes
-   one), so they are race-free by construction. *)
+(* Scratch-arena slot conventions (see [Rfid_prob.Scratch]): float
+   slot 0 holds per-object normalized weights; float slot 3 holds the
+   reader weights that stay live through the per-object pass, so it
+   never aliases slot 0 even when the reader and object particle counts
+   coincide. Int slot 0 holds resample indices. *)
 let slot_obj_weights = 0
 let slot_reader_scratch = 1  (* weight_readers accumulator; resample sum/combined *)
 let slot_reader_adj = 2
@@ -189,7 +172,8 @@ let budget_ladder config =
    so a posterior hovering at a boundary cannot flap. A store below the
    ladder floor (e.g. a just-decompressed belief) is pulled up to the
    floor. The rule reads only this object's particles and config
-   constants, so it is independent of domain count and schedule. *)
+   constants, so it does not depend on the order objects are visited
+   in. *)
 let next_budget t ~k ~spread =
   let rungs = t.budget_rungs in
   let last = Array.length rungs - 1 in
@@ -206,21 +190,6 @@ let next_budget t ~k ~spread =
     if c < last && spread >= 1.5 *. thr (c + 1) then rungs.(c + 1)
     else if c > 0 && spread < thr c then rungs.(c - 1)
     else rungs.(c)
-
-let dummy_work_item () =
-  {
-    w_obj =
-      {
-        obj_id = -1;
-        belief = Active (Ps.create ~n:0);
-        reader_gen = 0;
-        last_read = 0;
-        last_read_reader = Vec3.zero;
-        in_scope = false;
-      };
-    w_action = No_init;
-    w_read = false;
-  }
 
 let create ~world ~params ~config ~init_reader ~rng =
   let use_index, compress =
@@ -250,7 +219,7 @@ let create ~world ~params ~config ~init_reader ~rng =
     config;
     rng;
     substream;
-    pool = Rfid_par.Pool.get ~num_domains:config.Config.num_domains;
+    scratch = Scratch.create ();
     adaptive =
       config.Config.min_object_particles < config.Config.num_object_particles;
     budget_rungs = budget_ladder config;
@@ -282,9 +251,6 @@ let create ~world ~params ~config ~init_reader ~rng =
     shelf_hits = Dyn_index.Hits.create ~dummy:(-1);
     scope_ids = [||];
     scope_len = 0;
-    work = [||];
-    work_len = 0;
-    work_dummy = dummy_work_item ();
     tmp_ids = [||];
     dirty = Bitset.create ();
     dirty_all = false;
@@ -307,10 +273,6 @@ let ensure_scope t n =
 let ensure_tmp t n =
   if Array.length t.tmp_ids < n then
     t.tmp_ids <- Array.make (Int.max n (2 * Array.length t.tmp_ids)) 0
-
-let ensure_work t n =
-  if Array.length t.work < n then
-    t.work <- Array.make (Int.max n (2 * Array.length t.work)) t.work_dummy
 
 (* Insertion into the sorted known-id array. Ids arrive once each (at
    discovery) and mostly in increasing order, so the shift is almost
@@ -342,11 +304,11 @@ let reader_weights t =
 
 (* Draw a reader-particle index proportionally to current weights.
    Takes the drawing generator explicitly: per-object phases pass the
-   object's keyed substream, coordinator phases pass [t.rng]. *)
+   object's keyed substream, filter-wide phases pass [t.rng]. *)
 let sample_reader_idx rng rw = Rfid_prob.Rng.categorical rng rw
 
 (* Refresh the sensor memo from the current reader poses — once per
-   epoch, after the reader proposal, before the parallel pass. Writes
+   epoch, after the reader proposal, before the per-object pass. Writes
    go through the compare-then-write entry point: when consecutive
    epochs share every pose (duplicate, degraded-mode or
    stationary-reader streams), no slot is rewritten, the memo's
@@ -409,8 +371,7 @@ let sort_prefix a n =
 let weight_readers t reported =
   let sensing = t.params.Params.sensing in
   let j = num_readers t in
-  let scratch0 = Rfid_par.Pool.get_scratch t.pool 0 in
-  let acc = Scratch.float_buf scratch0 ~slot:slot_reader_scratch j in
+  let acc = Scratch.float_buf t.scratch ~slot:slot_reader_scratch j in
   let rx, ry, rz, _ = Sensor_model.pre_poses t.pre in
   Location_sensing.log_pdf_poses_into sensing ~reported ~rx ~ry ~rz ~n:j acc;
   let box = sensing_box t reported in
@@ -422,8 +383,7 @@ let weight_readers t reported =
     t.tmp_ids.(h) <- Dyn_index.Hits.get t.shelf_hits h
   done;
   sort_prefix t.tmp_ids nh;
-  (* Shelf-tag saturation-cull accounting stays on the coordinator
-     (this whole function runs there), recorded once at the end. *)
+  (* Shelf-tag saturation-cull accounting is recorded once at the end. *)
   let tag_calls = ref 0 in
   let tag_culled = ref 0 in
   for h = 0 to nh - 1 do
@@ -438,7 +398,7 @@ let weight_readers t reported =
   (* A read shelf tag outside the probe box (possible with heavy
      location noise) still contributes evidence; find it by id. *)
   if Hashtbl.length t.shelf_read > 0 then begin
-    let near = Scratch.bits scratch0 ~slot:bslot_near in
+    let near = Scratch.bits t.scratch ~slot:bslot_near in
     Bitset.clear near;
     for h = 0 to nh - 1 do
       Bitset.add near (fst t.shelf_tags.(Dyn_index.Hits.get t.shelf_hits h))
@@ -534,7 +494,7 @@ let refresh_pointers t rng rw (obj : obj_state) =
     obj.reader_gen <- t.reader_gen
   end
 
-let propose_and_weight_object t scratch rng (obj : obj_state) ~read =
+let propose_and_weight_object t rng (obj : obj_state) ~read =
   match obj.belief with
   | Compressed _ -> ()
   | Active store ->
@@ -559,22 +519,18 @@ let propose_and_weight_object t scratch rng (obj : obj_state) ~read =
          done
        end);
       (* Sensor terms for the whole store in one batched call (each
-         particle against its own reader pointer's memoized pose).
-         Saturation-cull accounting is recorded into this domain's
-         metric shard — merged counter totals are schedule-independent
-         because the per-item cull counts are. *)
-      let shard = Scratch.shard scratch in
+         particle against its own reader pointer's memoized pose). *)
       let culled = Sensor_model.pre_accumulate_store t.pre store ~read in
-      if culled > 0 then Obs.incr_shard c_saturated ~shard culled;
-      Obs.incr_shard c_sensor_evals ~shard (k - culled);
+      if culled > 0 then Obs.incr c_saturated culled;
+      Obs.incr c_sensor_evals (k - culled);
       let m = Ps.max_log_w store in
       if Float.is_finite m then Ps.shift_log_w store m;
       (* Per-object resampling, pointer-preserving (§IV-B). *)
-      let w = Scratch.float_buf scratch ~slot:slot_obj_weights k in
+      let w = Scratch.float_buf t.scratch ~slot:slot_obj_weights k in
       Ps.weights_into store w;
       let ess = Rfid_prob.Stats.effective_sample_size w in
-      Obs.observe_shard h_object_ess ~shard ess;
-      Obs.observe_shard h_object_budget ~shard (float_of_int k);
+      Obs.observe h_object_ess ess;
+      Obs.observe h_object_budget (float_of_int k);
       let kf = float_of_int k in
       if ess < t.config.Config.resample_ratio *. kf then begin
         if ess >= t.config.Config.resample_ess_ratio *. kf then
@@ -582,13 +538,13 @@ let propose_and_weight_object t scratch rng (obj : obj_state) ~read =
              weights carry over unresampled and the gather+swap (and
              any budget move) is skipped. Vacuous at the default cap of
              1.0, since ESS never exceeds k. *)
-          Obs.incr_shard c_resamples_skipped ~shard 1
+          Obs.incr c_resamples_skipped 1
         else begin
-          Obs.incr_shard c_obj_resamples ~shard 1;
+          Obs.incr c_obj_resamples 1;
           let scheme = t.config.Config.resample_scheme in
-          let slab = Scratch.slab scratch in
+          let slab = Scratch.slab t.scratch in
           if not t.adaptive then begin
-            let idx = Scratch.int_buf scratch ~slot:slot_resample_idx k in
+            let idx = Scratch.int_buf t.scratch ~slot:slot_resample_idx k in
             Common.resample_into scheme rng w ~n:k ~out:idx;
             Ps.gather ~src:store ~dst:slab idx ~n:k;
             Ps.swap store slab
@@ -619,13 +575,13 @@ let propose_and_weight_object t scratch rng (obj : obj_state) ~read =
               (* Shrink (or hold): draw the target count directly over
                  the k weights — a full-CDF stride, unlike truncating a
                  k-sized systematic draw, whose prefix is biased. *)
-              let idx = Scratch.int_buf scratch ~slot:slot_resample_idx m in
+              let idx = Scratch.int_buf t.scratch ~slot:slot_resample_idx m in
               Common.resample_into scheme rng w ~n:m ~out:idx;
               Ps.gather ~src:store ~dst:slab idx ~n:m;
               Ps.swap store slab
             end
             else begin
-              let idx = Scratch.int_buf scratch ~slot:slot_resample_idx k in
+              let idx = Scratch.int_buf t.scratch ~slot:slot_resample_idx k in
               Common.resample_into scheme rng w ~n:k ~out:idx;
               Ps.gather ~src:store ~dst:slab idx ~n:k;
               Ps.swap store slab;
@@ -646,8 +602,7 @@ let propose_and_weight_object t scratch rng (obj : obj_state) ~read =
    the same visit order the former [Int_set.iter] produced. *)
 let maybe_resample_readers t =
   let j = num_readers t in
-  let scratch0 = Rfid_par.Pool.get_scratch t.pool 0 in
-  let rw = Scratch.float_buf scratch0 ~slot:slot_reader_weights j in
+  let rw = Scratch.float_buf t.scratch ~slot:slot_reader_weights j in
   reader_weights_into t rw;
   let ess = Rfid_prob.Stats.effective_sample_size rw in
   Obs.set g_reader_ess ess;
@@ -659,21 +614,21 @@ let maybe_resample_readers t =
     Obs.incr c_resamples_skipped 1
   else begin
     Obs.incr c_reader_resamples 1;
-    (* Everything transient here lives in the coordinator's scratch
-       arena: per-reader mean object weights are recomputed from
+    (* Everything transient here lives in the scratch arena:
+       per-reader mean object weights are recomputed from
        sum/count (bit-identical to materializing them) and the combined
        log weights are normalized in place. *)
-    let adj = Scratch.float_buf scratch0 ~slot:slot_reader_adj j in
+    let adj = Scratch.float_buf t.scratch ~slot:slot_reader_adj j in
     Array.fill adj 0 j 0.;
     let consider (obj : obj_state) =
       match obj.belief with
       | Compressed _ -> ()
       | Active store when obj.reader_gen = t.reader_gen ->
           let k = Ps.length store in
-          let w = Scratch.float_buf scratch0 ~slot:slot_obj_weights k in
+          let w = Scratch.float_buf t.scratch ~slot:slot_obj_weights k in
           Ps.weights_into store w;
-          let sum = Scratch.float_buf scratch0 ~slot:slot_reader_scratch j in
-          let cnt = Scratch.int_buf scratch0 ~slot:slot_reader_cnt j in
+          let sum = Scratch.float_buf t.scratch ~slot:slot_reader_scratch j in
+          let cnt = Scratch.int_buf t.scratch ~slot:slot_reader_cnt j in
           Array.fill sum 0 j 0.;
           Array.fill cnt 0 j 0;
           for i = 0 to k - 1 do
@@ -704,12 +659,12 @@ let maybe_resample_readers t =
       | Some o -> consider o
       | None -> ()
     done;
-    let combined = Scratch.float_buf scratch0 ~slot:slot_reader_scratch j in
+    let combined = Scratch.float_buf t.scratch ~slot:slot_reader_scratch j in
     for i = 0 to j - 1 do
       combined.(i) <- log (Float.max 1e-300 rw.(i)) +. adj.(i)
     done;
     Rfid_prob.Stats.normalize_log_weights_in_place combined;
-    let idx = Scratch.int_buf scratch0 ~slot:slot_resample_idx j in
+    let idx = Scratch.int_buf t.scratch ~slot:slot_resample_idx j in
     Common.resample_into t.config.Config.resample_scheme t.rng combined ~n:j ~out:idx;
     let old = t.readers in
     t.readers <-
@@ -858,6 +813,36 @@ let drain_evictions t e =
   in
   go ()
 
+let init_fresh t rng rw (obj : obj_state) store n =
+  Ps.resize store n;
+  Common.fill_fresh_particles t.cache ~overestimate:t.config.Config.init_overestimate
+    ~world:t.world ~pre:t.pre ~rw ~rng ~store ~step:1;
+  obj.reader_gen <- t.reader_gen
+
+(* Evidence-driven initialization of an object read this epoch
+   (§IV-A): a new or far re-detected object gets fresh particles, a
+   compressed belief is decompressed, and a near re-detection keeps
+   half its particles and moves half to the new location. *)
+let init_on_read t rng rw (obj : obj_state) ~reported =
+  match obj.belief with
+  | Active store when Ps.length store = 0 ->
+      init_fresh t rng rw obj store t.config.Config.num_object_particles
+  | Compressed g ->
+      Obs.incr c_decompressions 1;
+      let store = Ps.create ~n:0 in
+      decompress_into t rng rw store g;
+      obj.belief <- Active store;
+      obj.reader_gen <- t.reader_gen
+  | Active store ->
+      let d = Vec3.dist reported obj.last_read_reader in
+      if d >= t.config.Config.reinit_far then init_fresh t rng rw obj store (Ps.length store)
+      else if d >= t.config.Config.reinit_near then begin
+        refresh_pointers t rng rw obj;
+        Common.fill_fresh_particles t.cache
+          ~overestimate:t.config.Config.init_overestimate ~world:t.world ~pre:t.pre ~rw
+          ~rng ~store ~step:2
+      end
+
 let step t (obs : Types.observation) =
   if obs.Types.o_epoch <= t.epoch then
     invalid_arg "Factored_filter.step: observations out of epoch order";
@@ -865,8 +850,7 @@ let step t (obs : Types.observation) =
   let reported = obs.Types.o_reported_loc in
   t.newly_seen <- [];
   Hashtbl.clear t.shelf_read;
-  let scratch0 = Rfid_par.Pool.get_scratch t.pool 0 in
-  let case1 = Scratch.bits scratch0 ~slot:bslot_case1 in
+  let case1 = Scratch.bits t.scratch ~slot:bslot_case1 in
   Bitset.clear case1;
   List.iter
     (fun tag ->
@@ -876,33 +860,29 @@ let step t (obs : Types.observation) =
     obs.Types.o_read_tags;
   (* 1–2. Reader proposal and weighting (Eq. 5 reader factor). The
      pose memo is refreshed between the two: [weight_readers] and the
-     parallel pass both evaluate sensor terms through it. *)
+     per-object pass both evaluate sensor terms through it. *)
   let t_pose = Obs.start sp_pose_memo in
   propose_readers t e reported;
   refresh_memo t;
   Obs.stop sp_pose_memo t_pose;
   let t_weight = Obs.start sp_weighting in
   weight_readers t reported;
-  let rw = Scratch.float_buf scratch0 ~slot:slot_reader_weights (num_readers t) in
+  let rw = Scratch.float_buf t.scratch ~slot:slot_reader_weights (num_readers t) in
   reader_weights_into t rw;
   (* 3. Scope: Case 1 ∪ Case 2, as a scratch bitset, then densified
      into the ascending [scope_ids] stack every later phase walks. *)
-  let scope = Scratch.bits scratch0 ~slot:bslot_scope in
+  let scope = Scratch.bits t.scratch ~slot:bslot_scope in
   Bitset.clear scope;
   Bitset.union_into ~into:scope case1;
   add_case2_objects t reported scope;
   t.processed_last <- Bitset.cardinal scope;
   ensure_scope t t.processed_last;
   t.scope_len <- Bitset.fill_into scope t.scope_ids;
-  (* Every object the parallel pass may touch is exactly the scope;
+  (* Every object the per-object pass may touch is exactly the scope;
      feed it to the change set by word-wise OR — O(scope words). *)
   Bitset.union_into ~into:t.dirty scope;
-  (* 4. Coordinator pre-pass: the [objects] Hashtbl is not thread-safe,
-     so discovery (insertion) and scope bookkeeping happen here, before
-     any domain fans out. Newly read objects get a placeholder state;
-     the evidence-driven initialization itself (creation,
-     decompression, re-initialization) is planned as a per-object
-     action and executed inside the parallel pass. The eviction queue
+  (* 4. Discovery: newly read objects get a placeholder state, which
+     the per-object pass initializes from evidence. The eviction queue
      is drained first, so "seen again after falling out of scope" is
      judged against deadlines that have actually fired. *)
   drain_evictions t e;
@@ -921,95 +901,31 @@ let step t (obs : Types.observation) =
           note_known t id;
           t.newly_seen <- id :: t.newly_seen
       | Some obj -> if not obj.in_scope then t.newly_seen <- id :: t.newly_seen);
-  ensure_work t t.scope_len;
-  let wn = ref 0 in
+  (* 5. Per-object update (§IV-B's conditional independence given the
+     reader particles), in ascending id order: initialization on a
+     read, pointer refresh, proposal, weighting and per-object
+     resampling. Each object draws from its own substream keyed by
+     (object id, epoch), re-derived into the arena's generator so no
+     generator is allocated; an object's draws therefore do not depend
+     on which objects were updated before it. The update reads and
+     writes only this object's state (plus the scratch arena), and the
+     reader array, the memo and [rw] stay read-only until the pass
+     completes. *)
+  let rng = Scratch.rng t.scratch in
+  let hits = ref 0 in
   for k = 0 to t.scope_len - 1 do
     let id = t.scope_ids.(k) in
     match Hashtbl.find_opt t.objects id with
     | None -> ()
-    | Some obj ->
+    | Some obj -> (
         let read = Bitset.mem case1 id in
-        let action =
-          if not read then No_init
-          else
-            match obj.belief with
-            | Active store when Ps.length store = 0 ->
-                Init_fresh t.config.Config.num_object_particles
-            | Compressed g -> Init_decompress g
-            | Active store ->
-                let d = Vec3.dist reported obj.last_read_reader in
-                if d >= t.config.Config.reinit_far then Init_fresh (Ps.length store)
-                else if d >= t.config.Config.reinit_near then Init_half
-                else No_init
-        in
-        t.work.(!wn) <- { w_obj = obj; w_action = action; w_read = read };
-        incr wn
-  done;
-  t.work_len <- !wn;
-  (* 5. Parallel per-object update (§IV-B's conditional independence
-     given the reader particles): initialization action, pointer
-     refresh, proposal, weighting and per-object resampling all run in
-     the pool over the snapshot above. Each object draws from its own
-     substream keyed by (object id, epoch) — re-derived into the
-     domain's scratch generator, so no generator is allocated — and
-     every write lands in that object's own store or the domain's own
-     scratch arena, so the result is bit-identical for any domain count
-     or chunk schedule. The reader array, the memo and [rw] are read
-     shared but never written until the pass completes. *)
-  let process_item scratch it =
-    let obj = it.w_obj in
-    let rng = Scratch.rng scratch in
-    Rfid_prob.Rng.for_key_into t.substream
-      ~key:(Rfid_prob.Rng.key_pair obj.obj_id e)
-      rng;
-    (match it.w_action with
-    | No_init -> ()
-    | Init_fresh n ->
-        let store =
-          match obj.belief with
-          | Active store -> store
-          | Compressed _ ->
-              let s = Ps.create ~n:0 in
-              obj.belief <- Active s;
-              s
-        in
-        Ps.resize store n;
-        Common.fill_fresh_particles t.cache
-          ~overestimate:t.config.Config.init_overestimate ~world:t.world ~pre:t.pre ~rw
-          ~rng ~store ~step:1;
-        obj.reader_gen <- t.reader_gen
-    | Init_decompress g ->
-        Obs.incr_shard c_decompressions ~shard:(Scratch.shard scratch) 1;
-        let store = Ps.create ~n:0 in
-        decompress_into t rng rw store g;
-        obj.belief <- Active store;
-        obj.reader_gen <- t.reader_gen
-    | Init_half -> (
-        (* Keep half, move half to the new location (§IV-A). *)
+        Rfid_prob.Rng.for_key_into t.substream ~key:(Rfid_prob.Rng.key_pair id e) rng;
+        if read then init_on_read t rng rw obj ~reported;
+        refresh_pointers t rng rw obj;
+        propose_and_weight_object t rng obj ~read;
         match obj.belief with
-        | Compressed _ -> ()
-        | Active store ->
-            refresh_pointers t rng rw obj;
-            Common.fill_fresh_particles t.cache
-              ~overestimate:t.config.Config.init_overestimate ~world:t.world ~pre:t.pre
-              ~rw ~rng ~store ~step:2));
-    refresh_pointers t rng rw obj;
-    propose_and_weight_object t scratch rng obj ~read:it.w_read
-  in
-  let work = t.work in
-  Rfid_par.Pool.parallel_for_chunked_did t.pool ~n:t.work_len
-    (fun did lo hi ->
-      let scratch = Rfid_par.Pool.get_scratch t.pool did in
-      for i = lo to hi - 1 do
-        process_item scratch work.(i)
-      done);
-  (* Memo accounting happens on the coordinator after the pass (never
-     inside bodies), so the counters are deterministic. *)
-  let hits = ref 0 in
-  for i = 0 to t.work_len - 1 do
-    match t.work.(i).w_obj.belief with
-    | Active store -> hits := !hits + Ps.length store
-    | Compressed _ -> ()
+        | Active store -> hits := !hits + Ps.length store
+        | Compressed _ -> ())
   done;
   Sensor_model.pre_note_hits t.pre !hits;
   Obs.stop sp_weighting t_weight;
@@ -1049,7 +965,7 @@ let step t (obs : Types.observation) =
    [degraded_widen_after] — diffuse object beliefs so the posterior
    admits that objects may have moved unseen. Per-object randomness is
    keyed by (object id, epoch) exactly as in [step], so the result is
-   independent of hash-table iteration order and domain count. *)
+   independent of hash-table iteration order. *)
 let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   if e <= t.epoch then
     invalid_arg "Factored_filter.dead_reckon: observations out of epoch order";
@@ -1079,8 +995,7 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   if shelf_tags <> [] then begin
     refresh_memo t;
     let j = num_readers t in
-    let scratch0 = Rfid_par.Pool.get_scratch t.pool 0 in
-    let acc = Scratch.float_buf scratch0 ~slot:slot_reader_scratch j in
+    let acc = Scratch.float_buf t.scratch ~slot:slot_reader_scratch j in
     Array.fill acc 0 j 0.;
     let calls = ref 0 in
     List.iter
@@ -1113,9 +1028,9 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
     let wsigma = Vec3.make w w 0. in
     (* Widening visits every tracked object by evidence semantics (the
        whole posterior decays); the per-object generator is re-keyed
-       into the coordinator arena's scratch RNG instead of allocating
-       one per object — identical derived state, identical draws. *)
-    let krng = Scratch.rng (Rfid_par.Pool.get_scratch t.pool 0) in
+       into the arena's scratch RNG instead of allocating one per
+       object — identical derived state, identical draws. *)
+    let krng = Scratch.rng t.scratch in
     Hashtbl.iter
       (fun id obj ->
         Rfid_prob.Rng.for_key_into t.substream ~key:(Rfid_prob.Rng.key_pair id e) krng;
@@ -1206,7 +1121,7 @@ let iter_reader_particles t f =
 (* ------------------------------------------------------------------ *)
 (* Checkpointing: the complete dynamic state as plain data. Static
    structure (world geometry, params, sensor cache, shelf-tag index,
-   the domain pool) is rebuilt by [restore] from the same creation
+   the scratch arena) is rebuilt by [restore] from the same creation
    inputs; the sensing-region index is rebuilt by re-inserting its
    recorded entries in the recorded order — hits are consumed as sets,
    so neither that order nor the grid layout is observable. The
@@ -1387,7 +1302,7 @@ let restore ~world ~params ~config s =
     config;
     rng = Rfid_prob.Rng.of_state s.fs_rng;
     substream = Rfid_prob.Rng.of_state s.fs_substream;
-    pool = Rfid_par.Pool.get ~num_domains:config.Config.num_domains;
+    scratch = Scratch.create ();
     adaptive =
       config.Config.min_object_particles < config.Config.num_object_particles;
     budget_rungs = budget_ladder config;
@@ -1410,9 +1325,6 @@ let restore ~world ~params ~config s =
     shelf_hits = Dyn_index.Hits.create ~dummy:(-1);
     scope_ids = [||];
     scope_len = 0;
-    work = [||];
-    work_len = 0;
-    work_dummy = dummy_work_item ();
     tmp_ids = [||];
     dirty = Bitset.create ();
     (* A restored consumer has no valid cache to patch; everything is

@@ -176,7 +176,7 @@ val restore :
   t
 (** Rebuild a filter from a snapshot plus the same static inputs it was
     created with. The restored filter's future output is bit-identical
-    to the original's, for any [config.num_domains].
+    to the original's.
     @raise Invalid_argument if [config.variant] disagrees with the
     snapshot (e.g. an indexed snapshot restored as plain
     [Factorized]). *)
@@ -197,8 +197,7 @@ val num_index_boxes : t -> int
 
 val sensor_memo_hits : t -> int
 (** Total sensor-likelihood evaluations served through the per-epoch
-    reader-pose memo ({!Rfid_model.Sensor_model.precompute}), counted
-    deterministically on the coordinator after each parallel pass. *)
+    reader-pose memo ({!Rfid_model.Sensor_model.precompute}). *)
 
 val sensor_memo_size : t -> int
 (** Pose slots currently held by the sensor memo (= the reader particle

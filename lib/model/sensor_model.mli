@@ -191,9 +191,7 @@ val pre_poses : pre -> floatarray * floatarray * floatarray * floatarray
     the returned arrays. *)
 
 val pre_note_hits : pre -> int -> unit
-(** Add to the served-evaluation counter. The filters count hits on the
-    coordinator after each parallel pass (never inside loop bodies), so
-    the counter is deterministic. *)
+(** Add to the served-evaluation counter. *)
 
 val pre_hits : pre -> int
 (** Total evaluations served via this memo, as counted by

@@ -1,10 +1,7 @@
-(* Sharded metrics cells. Hot operations index preallocated arrays:
-   [incr]/[observe] touch one int cell (plus sum/min/max floats for
-   histograms) and never allocate; registration and read-out take the
-   registry mutex and may allocate freely. Rows are indexed by shard
-   (the recording domain's id), so parallel bodies never contend on a
-   cell; merged values are sums, hence independent of how work was
-   scheduled across domains. *)
+(* Metrics cells. Hot operations touch preallocated cells: [incr] one
+   mutable int, [observe] one bucket count plus the sum/min/max floats,
+   and neither allocates; registration and read-out take the registry
+   mutex and may allocate freely. *)
 
 (* ------------------------------------------------------------------ *)
 (* Bucket geometry: 4 buckets per octave starting at 1e-9.            *)
@@ -34,33 +31,23 @@ let bucket_rep i = bucket_lo *. Float.exp2 ((float_of_int i -. 0.5) /. buckets_p
 (* ------------------------------------------------------------------ *)
 (* Metric cells                                                        *)
 
-type counter = { c_cells : int array }
+type counter = { mutable c_value : int }
 
 type gauge = { mutable g_value : float }
 
-type histogram = {
-  h_buckets : int array array;  (* shard -> bucket -> count *)
-  h_sums : float array;  (* per shard *)
-  h_mins : float array;
-  h_maxs : float array;
-}
+(* Sum, min and max live in an all-float record, which OCaml stores
+   unboxed, so [observe] updates them without allocating. *)
+type stats = { mutable sum : float; mutable min : float; mutable max : float }
+type histogram = { h_buckets : int array; h_stats : stats }
 
 type span = { sp_name : string; sp_hist : histogram }
 
 type metric = M_counter of counter | M_gauge of gauge | M_hist of histogram
 
-type t = {
-  n_shards : int;
-  table : (string, metric) Hashtbl.t;
-  mu : Mutex.t;
-}
+type t = { table : (string, metric) Hashtbl.t; mu : Mutex.t }
 
-let create ?(shards = 32) () =
-  if shards < 1 then invalid_arg "Metrics.create: shards must be >= 1";
-  { n_shards = shards; table = Hashtbl.create 32; mu = Mutex.create () }
-
+let create () = { table = Hashtbl.create 32; mu = Mutex.create () }
 let global = create ()
-let shards t = t.n_shards
 
 let register t name make describe =
   Mutex.lock t.mu;
@@ -82,7 +69,7 @@ let register t name make describe =
 
 let counter t name =
   register t name
-    (fun () -> M_counter { c_cells = Array.make t.n_shards 0 })
+    (fun () -> M_counter { c_value = 0 })
     (function M_counter c -> Some c | _ -> None)
 
 let gauge t name =
@@ -95,10 +82,8 @@ let histogram t name =
     (fun () ->
       M_hist
         {
-          h_buckets = Array.init t.n_shards (fun _ -> Array.make num_buckets 0);
-          h_sums = Array.make t.n_shards 0.;
-          h_mins = Array.make t.n_shards infinity;
-          h_maxs = Array.make t.n_shards neg_infinity;
+          h_buckets = Array.make num_buckets 0;
+          h_stats = { sum = 0.; min = infinity; max = neg_infinity };
         })
     (function M_hist h -> Some h | _ -> None)
 
@@ -110,54 +95,38 @@ let reset t =
       Hashtbl.iter
         (fun _ m ->
           match m with
-          | M_counter c -> Array.fill c.c_cells 0 (Array.length c.c_cells) 0
+          | M_counter c -> c.c_value <- 0
           | M_gauge g -> g.g_value <- Float.nan
           | M_hist h ->
-              Array.iter (fun row -> Array.fill row 0 num_buckets 0) h.h_buckets;
-              Array.fill h.h_sums 0 (Array.length h.h_sums) 0.;
-              Array.fill h.h_mins 0 (Array.length h.h_mins) infinity;
-              Array.fill h.h_maxs 0 (Array.length h.h_maxs) neg_infinity)
+              Array.fill h.h_buckets 0 num_buckets 0;
+              h.h_stats.sum <- 0.;
+              h.h_stats.min <- infinity;
+              h.h_stats.max <- neg_infinity)
         t.table)
 
 (* ------------------------------------------------------------------ *)
 (* Recording (hot)                                                     *)
 
-let incr c n = c.c_cells.(0) <- c.c_cells.(0) + n
-
-let incr_shard c ~shard n =
-  let k = Array.length c.c_cells in
-  let s = if shard >= 0 && shard < k then shard else ((shard mod k) + k) mod k in
-  c.c_cells.(s) <- c.c_cells.(s) + n
-
-let counter_value c = Array.fold_left ( + ) 0 c.c_cells
-
+let incr c n = c.c_value <- c.c_value + n
+let counter_value c = c.c_value
 let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 
-let observe_row h s v =
+let observe h v =
   let b = bucket_of_value v in
-  let row = h.h_buckets.(s) in
-  row.(b) <- row.(b) + 1;
-  h.h_sums.(s) <- h.h_sums.(s) +. v;
-  if v < h.h_mins.(s) then h.h_mins.(s) <- v;
-  if v > h.h_maxs.(s) then h.h_maxs.(s) <- v
-
-let observe h v = observe_row h 0 v
-
-let observe_shard h ~shard v =
-  let k = Array.length h.h_sums in
-  let s = if shard >= 0 && shard < k then shard else ((shard mod k) + k) mod k in
-  observe_row h s v
+  h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+  let st = h.h_stats in
+  st.sum <- st.sum +. v;
+  if v < st.min then st.min <- v;
+  if v > st.max then st.max <- v
 
 (* ------------------------------------------------------------------ *)
-(* Read-out (cold; merges across shards)                               *)
+(* Read-out (cold)                                                     *)
 
-let histogram_count h =
-  Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 h.h_buckets
-
-let histogram_sum h = Array.fold_left ( +. ) 0. h.h_sums
-let histogram_min h = Array.fold_left Float.min infinity h.h_mins
-let histogram_max h = Array.fold_left Float.max neg_infinity h.h_maxs
+let histogram_count h = Array.fold_left ( + ) 0 h.h_buckets
+let histogram_sum h = h.h_stats.sum
+let histogram_min h = h.h_stats.min
+let histogram_max h = h.h_stats.max
 
 let quantile h q =
   let total = histogram_count h in
@@ -166,12 +135,12 @@ let quantile h q =
     let q = Float.max 0. (Float.min 1. q) in
     let rank = Int.max 1 (int_of_float (Float.ceil (q *. float_of_int total))) in
     let lo = histogram_min h and hi = histogram_max h in
-    (* Nearest rank over the merged buckets. *)
+    (* Nearest rank over the buckets. *)
     let cum = ref 0 in
     let b = ref 0 in
     let found = ref (-1) in
     while !found < 0 && !b < num_buckets do
-      Array.iter (fun row -> cum := !cum + row.(!b)) h.h_buckets;
+      cum := !cum + h.h_buckets.(!b);
       if !cum >= rank then found := !b;
       b := !b + 1
     done;
@@ -180,10 +149,14 @@ let quantile h q =
   end
 
 let span t name = { sp_name = name; sp_hist = histogram t name }
-let start _sp = Unix.gettimeofday ()
+
+(* CLOCK_MONOTONIC in seconds: a span never goes negative when the wall
+   clock steps. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let start _sp = now ()
 
 let stop sp t0 =
-  let dur = Unix.gettimeofday () -. t0 in
+  let dur = now () -. t0 in
   observe sp.sp_hist dur;
   if Trace.enabled () then
     Trace.emit ~name:sp.sp_name ~ts_us:(t0 *. 1e6) ~dur_us:(dur *. 1e6)
@@ -268,5 +241,3 @@ let dump_json ?(extra = []) t =
   add_section "histograms" (fun h -> add_hist_json buf h) (histograms_list t);
   Buffer.add_char buf '}';
   Buffer.contents buf
-
-let write_json ?extra t oc = output_string oc (dump_json ?extra t)

@@ -1,9 +1,9 @@
-(** Zero-dependency metrics registry for the inference stack.
+(** Metrics registry for the inference stack.
 
     A registry holds named {e counters} (monotone ints), {e gauges}
     (last-write-wins floats) and {e histograms} (fixed log-scaled
-    buckets), plus {e spans} — histograms fed by wall-clock timing of a
-    code region. The design targets the hot-path budget of the
+    buckets), plus {e spans} — histograms fed by monotonic-clock timing
+    of a code region. The design targets the hot-path budget of the
     zero-allocation particle loops (DESIGN.md section 9):
 
     - {b Registration is cold, recording is hot.} [counter]/[gauge]/
@@ -11,15 +11,10 @@
       they are called once, at module initialization or setup. The
       recording calls ([incr], [set], [observe], [start]/[stop]) touch
       preallocated cells only — no locks, no allocation beyond the
-      boxed float a wall-clock read produces.
-    - {b Per-domain shards merged on read.} Every counter and histogram
-      owns one cell row per shard. A parallel filter body records with
-      [*_shard ~shard:did] using its domain id (see
-      [Rfid_par.Scratch.shard]), so concurrent domains never write the
-      same cell; readers sum across shards. Because the merge is
-      integer addition, merged values are independent of the domain
-      count and chunk schedule — metric output is as deterministic as
-      the event stream.
+      boxed float a clock read produces.
+    - {b One cell per counter, one row per histogram.} Inference runs
+      on one domain, so recording is plain stores. The mutex guards
+      only the name table.
     - {b Histograms use fixed log-scaled buckets} ({!num_buckets}
       buckets, 4 per octave, spanning [1e-9 .. ~5e9] in the recorded
       unit), so quantile estimates carry at most ~9% relative error and
@@ -34,20 +29,12 @@ type t
 (** A registry: an isolated namespace of metrics. Most code uses
     {!global}; tests create private registries. *)
 
-val create : ?shards:int -> unit -> t
-(** Fresh registry with [shards] cell rows per sharded metric
-    (default 32). Recording with a shard id [>= shards] wraps modulo
-    [shards] — still safe, but two domains may then share a row, losing
-    lock-freeness, so size [shards] at or above the largest
-    [Config.num_domains] in play.
-    @raise Invalid_argument if [shards < 1]. *)
+val create : unit -> t
+(** Fresh, empty registry. *)
 
 val global : t
 (** The process-wide registry every built-in instrumentation site
     records into. *)
-
-val shards : t -> int
-(** Shard rows per metric in this registry. *)
 
 val reset : t -> unit
 (** Zero every value (counters, gauges, histogram buckets) while
@@ -65,15 +52,10 @@ val counter : t -> string -> counter
     @raise Invalid_argument if [name] is already a gauge/histogram. *)
 
 val incr : counter -> int -> unit
-(** Add to the counter's shard-0 cell — for single-domain
-    (coordinator) call sites. *)
-
-val incr_shard : counter -> shard:int -> int -> unit
-(** Add to the cell of [shard] (wrapped modulo the registry's shard
-    count) — for parallel bodies, passing the domain's id. *)
+(** Add to the counter. *)
 
 val counter_value : counter -> int
-(** Current value, merged (summed) across shards. *)
+(** Current value. *)
 
 (** {1 Gauges} *)
 
@@ -83,8 +65,7 @@ val gauge : t -> string -> gauge
 (** Find-or-register the gauge [name] (same contract as {!counter}). *)
 
 val set : gauge -> float -> unit
-(** Last-write-wins store. Gauges are unsharded: set them from the
-    coordinator only. *)
+(** Last-write-wins store. *)
 
 val gauge_value : gauge -> float
 
@@ -97,18 +78,15 @@ val histogram : t -> string -> histogram
     {!counter}). *)
 
 val observe : histogram -> float -> unit
-(** Record one value into shard 0. Non-finite values and values below
-    the smallest bucket bound land in bucket 0; sum/min/max are
-    tracked exactly alongside the buckets. *)
-
-val observe_shard : histogram -> shard:int -> float -> unit
-(** As {!observe} into the cell row of [shard]. *)
+(** Record one value. Non-finite values and values below the smallest
+    bucket bound land in bucket 0; sum/min/max are tracked exactly
+    alongside the buckets. *)
 
 val histogram_count : histogram -> int
-(** Observations recorded, merged across shards. *)
+(** Observations recorded. *)
 
 val histogram_sum : histogram -> float
-(** Exact sum of observed values, merged across shards. *)
+(** Exact sum of observed values. *)
 
 val histogram_min : histogram -> float
 (** Smallest observed value ([infinity] when empty). *)
@@ -117,10 +95,10 @@ val histogram_max : histogram -> float
 (** Largest observed value ([neg_infinity] when empty). *)
 
 val quantile : histogram -> float -> float
-(** [quantile h q] (0 <= q <= 1) by nearest rank over the merged
-    buckets, answering with the geometric midpoint of the selected
-    bucket clamped into [[min, max]] — at most ~9% relative error from
-    the bucket resolution. [nan] when empty. *)
+(** [quantile h q] (0 <= q <= 1) by nearest rank over the buckets,
+    answering with the geometric midpoint of the selected bucket
+    clamped into [[min, max]] — at most ~9% relative error from the
+    bucket resolution. [nan] when empty. *)
 
 (** {2 Bucket geometry} (exposed for tests and external decoders) *)
 
@@ -146,7 +124,8 @@ val span : t -> string -> span
     same name ({!histogram} on that name returns it). *)
 
 val start : span -> float
-(** Wall-clock timestamp opening the region; pass it to {!stop}. *)
+(** Monotonic-clock timestamp (CLOCK_MONOTONIC, in seconds) opening the
+    region; pass it to {!stop}. *)
 
 val stop : span -> float -> unit
 (** [stop sp t0] records [now - t0] seconds into the span's histogram
@@ -161,7 +140,7 @@ val with_ : span -> (unit -> 'a) -> 'a
 (** {1 Read-out} *)
 
 val counters_list : t -> (string * int) list
-(** All counters with merged values, sorted by name. *)
+(** All counters with their values, sorted by name. *)
 
 val gauges_list : t -> (string * float) list
 (** All gauges, sorted by name. *)
@@ -178,6 +157,3 @@ val dump_json : ?extra:(string * string) list -> t -> string
     (e.g. [("epoch", "42")]). Metric names are sorted; non-finite
     floats print as [null]; an empty histogram prints only its
     [count]. *)
-
-val write_json : ?extra:(string * string) list -> t -> out_channel -> unit
-(** {!dump_json} straight to a channel. *)

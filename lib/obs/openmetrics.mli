@@ -1,6 +1,6 @@
 (** OpenMetrics text rendering of a {!Metrics} registry.
 
-    One {!render} call turns the registry's current merged read-out
+    One {!render} call turns the registry's current read-out
     into the OpenMetrics text exposition format — the wire syntax
     statsd-style sinks and Prometheus-compatible scrapers both accept —
     so the serving layer can push live telemetry without taking on a

@@ -1,8 +1,8 @@
 (* Buffered chrome-trace sink. Events are pre-rendered to JSON on emit
    (tracing is opt-in, so this allocation never taxes an untraced run)
-   and flushed in one write. A mutex guards the buffer: spans normally
-   stop on the coordinator domain only, but the contract must hold even
-   if a caller times work inside a parallel body. *)
+   and flushed in one write. A mutex guards the buffer, so spans
+   stopped on different domains (a server run in a spawned domain
+   beside its client, as the tests do) cannot interleave writes. *)
 
 type sink = {
   mutable path : string option;

@@ -10,22 +10,19 @@
 
     With [OBS_TRACE] unset the sink is disabled and {!emit} is a
     no-op — the only cost on the metrics hot path is one branch. The
-    buffer is capped at {!max_events} events so a long run cannot grow
+    buffer is capped at 1,000,000 events so a long run cannot grow
     without bound; events past the cap are counted but not recorded. *)
 
 val enabled : unit -> bool
 (** Whether a trace sink is active (an [OBS_TRACE] path was present at
     startup, or {!set_path} installed one). *)
 
-val max_events : int
-(** Hard cap on buffered events (1,000,000). *)
-
 val emit : name:string -> ts_us:float -> dur_us:float -> unit
 (** Record one complete span: [name], start timestamp and duration in
     microseconds. No-op when disabled; thread-safe. *)
 
 val events : unit -> int
-(** Events recorded so far (capped at {!max_events}). *)
+(** Events recorded so far (capped at 1,000,000). *)
 
 val write_now : unit -> unit
 (** Write the buffered events to the configured path as a Chrome

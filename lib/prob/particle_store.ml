@@ -66,7 +66,7 @@ let resize_down t n =
    gaussian]. Three deviates are drawn per new particle in x, y, z
    order from [rng] alone, so results depend only on the generator
    state — the filters pass their per-(object, epoch) keyed substream,
-   making growth placement- and domain-count-independent. *)
+   making growth independent of where the object sits in the pass. *)
 let resize_up t ~n ~rng ~sigma_x ~sigma_y ~sigma_z =
   let k = t.n in
   if k = 0 then invalid_arg "Particle_store.resize_up: empty store";
@@ -159,7 +159,6 @@ let set_reader t i r =
 let unsafe_x t i = FA.unsafe_get t.xs i
 let unsafe_y t i = FA.unsafe_get t.ys i
 let unsafe_z t i = FA.unsafe_get t.zs i
-let unsafe_reader t i = Array.unsafe_get t.reader_idx i
 
 let max_log_w t =
   let m = ref neg_infinity in

@@ -55,7 +55,7 @@ val resize_up :
     Exactly three deviates are drawn per new particle (x, y, z order)
     from [rng], so the result is a pure function of the generator state
     — the filters pass per-(object, epoch) keyed substreams, keeping
-    growth independent of placement and domain count.
+    growth independent of where the object sits in the pass.
     @raise Invalid_argument on an empty store or [n < length]. *)
 
 val swap : t -> t -> unit
@@ -107,9 +107,6 @@ val unsafe_y : t -> int -> float
 
 val unsafe_z : t -> int -> float
 (** As {!unsafe_x} for the Z column. *)
-
-val unsafe_reader : t -> int -> int
-(** As {!unsafe_x} for the reader-pointer column. *)
 
 (** {1 Weight operations (in place)} *)
 

@@ -32,7 +32,6 @@ let of_state s =
   t
 
 let state t = Int64.bits_of_float (Float.Array.unsafe_get t 0)
-let set_state t s = Float.Array.unsafe_set t 0 (Int64.float_of_bits s)
 
 let create ~seed = of_state (mix64 (Int64.of_int seed))
 let copy t = of_state (state t)
@@ -47,7 +46,7 @@ let split t = of_state (mix64 (bits64 t))
 (* Keyed substream derivation: a pure function of the base state and the
    key — the base generator is NOT advanced, so the substream for a
    given key is the same no matter how many other substreams were
-   derived before it, in what order, or on which domain. Two mixing
+   derived before it, or in what order. Two mixing
    rounds separate keys that differ in few bits (consecutive object ids
    and epochs are exactly that case). *)
 let for_key t ~key =

@@ -20,16 +20,13 @@ val copy : t -> t
     produce the same subsequent stream but advance independently. *)
 
 val state : t -> int64
-(** The raw 64-bit generator state. Together with {!of_state} /
-    {!set_state} this makes a generator checkpointable: restoring the
-    state restores the exact remaining stream. *)
+(** The raw 64-bit generator state. Together with {!of_state} this
+    makes a generator checkpointable: restoring the state restores the
+    exact remaining stream. *)
 
 val of_state : int64 -> t
 (** A generator whose next outputs continue the stream of the generator
     whose {!state} was captured. *)
-
-val set_state : t -> int64 -> unit
-(** Overwrite the generator state in place (checkpoint restore). *)
 
 val split : t -> t
 (** [split t] advances [t] and derives a new generator whose stream is
@@ -40,10 +37,11 @@ val for_key : t -> key:int64 -> t
 (** [for_key t ~key] derives the [key]-th substream of [t] {e without
     advancing [t]}: a pure function of [t]'s current state and [key].
     Derivations therefore commute — any number of substreams can be
-    drawn in any order (or concurrently from different domains) and each
-    key always yields the same generator. This is the determinism
-    backbone of parallel inference: per-object randomness is keyed by
-    [key_pair obj_id epoch] so results do not depend on scheduling. *)
+    drawn in any order and each key always yields the same generator.
+    The factored filter keys per-object randomness by
+    [key_pair obj_id epoch], so an object's draws do not depend on which
+    objects were updated before it, and a restored checkpoint
+    continues every object's stream exactly. *)
 
 val for_key_into : t -> key:int64 -> t -> unit
 (** [for_key_into t ~key dst] is {!for_key} writing the derived state

@@ -1,6 +1,3 @@
-module Particle_store = Rfid_prob.Particle_store
-module Rng = Rfid_prob.Rng
-
 (* Each slot caches one buffer per distinct length ever requested. The
    filters only ever ask for a handful of lengths per slot (reader and
    object particle counts), so the per-slot assoc lists stay tiny and a
@@ -13,14 +10,13 @@ let num_bits_slots = 4
 type t = {
   float_slots : (int * float array) list array;
   int_slots : (int * int array) list array;
-  bits_slots : Rfid_prob.Bitset.t option array;
+  bits_slots : Bitset.t option array;
   slab : Particle_store.t;
   rng : Rng.t;
   mutable allocations : int;
-  mutable shard : int;
 }
 
-let create ?(shard = 0) () =
+let create () =
   {
     float_slots = Array.make num_float_slots [];
     int_slots = Array.make num_int_slots [];
@@ -28,7 +24,6 @@ let create ?(shard = 0) () =
     slab = Particle_store.create ~n:0;
     rng = Rng.create ~seed:0;
     allocations = 0;
-    shard;
   }
 
 let float_buf t ~slot n =
@@ -62,7 +57,7 @@ let bits t ~slot =
   match t.bits_slots.(slot) with
   | Some b -> b
   | None ->
-      let b = Rfid_prob.Bitset.create () in
+      let b = Bitset.create () in
       t.bits_slots.(slot) <- Some b;
       t.allocations <- t.allocations + 1;
       b
@@ -70,5 +65,3 @@ let bits t ~slot =
 let slab t = t.slab
 let rng t = t.rng
 let allocations t = t.allocations
-let shard t = t.shard
-let set_shard t s = t.shard <- s

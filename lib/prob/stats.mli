@@ -27,9 +27,6 @@ val normalize : float array -> float array
 (** Normalize non-negative linear weights to sum to 1; uniform on total
     collapse. *)
 
-val normalize_in_place : float array -> unit
-(** {!normalize} overwriting the input array. *)
-
 val effective_sample_size : float array -> float
 (** Kish effective sample size [1 / sum w_i^2] of normalized weights.
     An ESS near the particle count means healthy diversity; near 1 means

@@ -39,7 +39,7 @@ val make :
   t
 (** {!of_config} over {!Rfid_core.Config.create}'s defaults, which
     match the CLI's: [variant = Factorized_indexed], [particles = 200],
-    no adaptation, [resample_ess = 1.0], [domains = 1]. *)
+    no adaptation, [resample_ess = 1.0]. *)
 
 val fresh_engine : t -> Rfid_core.Engine.t
 

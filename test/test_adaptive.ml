@@ -28,15 +28,15 @@ let scenario =
      (wh, trace))
 
 let config ?(variant = Rfid_core.Config.Factorized_indexed) ?min_object_particles
-    ?resample_ess_ratio ?(num_domains = 1) () =
+    ?resample_ess_ratio () =
   Rfid_core.Config.create ~variant ~num_reader_particles:25
     ~num_object_particles:full_budget ?min_object_particles ?resample_ess_ratio
-    ~num_domains ~report_delay:5 ()
+    ~report_delay:5 ()
 
-let adaptive_config ?num_domains () =
+let adaptive_config () =
   (* 0.25 < the 0.5 trigger so the ESS cap actually vetoes — both
      adaptive mechanisms are live in these runs. *)
-  config ~min_object_particles:min_budget ~resample_ess_ratio:0.25 ?num_domains ()
+  config ~min_object_particles:min_budget ~resample_ess_ratio:0.25 ()
 
 let make_engine config =
   let wh, trace = Lazy.force scenario in
@@ -90,19 +90,6 @@ let test_cap_below_trigger_skips () =
   Alcotest.(check bool)
     (Printf.sprintf "ESS cap 0.05 vetoed some resamples (got %d)" delta)
     true (delta > 0)
-
-(* Budgets and skips are driven by per-(object, epoch) keyed
-   randomness, never by chunk scheduling: an adaptive run's full event
-   stream is identical for every domain count. *)
-let test_adaptive_domain_bit_identity () =
-  let reference = run_events (adaptive_config ~num_domains:1 ()) in
-  List.iter
-    (fun num_domains ->
-      let events = run_events (adaptive_config ~num_domains ()) in
-      check_streams_equal
-        (Printf.sprintf "adaptive domains=%d vs 1" num_domains)
-        reference events)
-    [ 2; 4 ]
 
 let active_budgets snapshot =
   match (snapshot : E.snapshot).E.es_filter with
@@ -183,8 +170,6 @@ let suite =
         test_vacuous_cap_bit_identical;
       Alcotest.test_case "ESS cap below trigger vetoes" `Quick
         test_cap_below_trigger_skips;
-      Alcotest.test_case "adaptive domains 1/2/4 bit-identical" `Quick
-        test_adaptive_domain_bit_identity;
       Alcotest.test_case "mixed budgets stay on the ladder" `Quick
         test_mixed_budgets_on_ladder;
       Alcotest.test_case "adaptive restore continues bit-identically" `Quick

@@ -1,6 +1,6 @@
 (* Checkpoint/resume: a restored engine must reproduce the
-   uninterrupted event stream bit-identically, for every filter variant
-   and domain count, including runs with degraded (dead-reckoned)
+   uninterrupted event stream bit-identically, for every filter variant,
+   including runs with degraded (dead-reckoned)
    epochs on both sides of the cut. *)
 open Rfid_model
 
@@ -17,14 +17,13 @@ let scenario =
      in
      (wh, trace))
 
-let config_for variant num_domains =
-  Rfid_core.Config.create ~variant ~num_reader_particles:30 ~num_object_particles:40
-    ~num_domains ()
+let config_for variant =
+  Rfid_core.Config.create ~variant ~num_reader_particles:30 ~num_object_particles:40 ()
 
-let make_engine ~variant ~num_domains =
+let make_engine ~variant =
   let wh, trace = Lazy.force scenario in
   Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-    ~config:(config_for variant num_domains)
+    ~config:(config_for variant)
     ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:5 ~seed:23 ()
 
 (* Degrade a few epochs straddling the cut, so dead-reckoning state is
@@ -44,7 +43,7 @@ let events_equal what (a : Rfid_core.Event.t list) (b : Rfid_core.Event.t list) 
           Rfid_core.Event.pp y)
     a
 
-let resume_bit_identical ~variant ~num_domains () =
+let resume_bit_identical variant =
   let wh, trace = Lazy.force scenario in
   let stream = Trace.observations trace in
   let n = List.length stream in
@@ -57,12 +56,12 @@ let resume_bit_identical ~variant ~num_domains () =
     stepped @ Rfid_core.Engine.flush engine
   in
   (* Uninterrupted reference run. *)
-  let reference = run_all (make_engine ~variant ~num_domains) stream in
+  let reference = run_all (make_engine ~variant) stream in
   (* Interrupted run: first half, checkpoint to disk, restore, rest. *)
   let first, second =
     List.partition (fun (o : Types.observation) -> o.Types.o_epoch < cut) stream
   in
-  let e1 = make_engine ~variant ~num_domains in
+  let e1 = make_engine ~variant in
   let head = List.concat_map (step_one ~degraded e1) first in
   let path = Filename.temp_file "rfid_ckpt" ".bin" in
   Fun.protect
@@ -78,7 +77,7 @@ let resume_bit_identical ~variant ~num_domains () =
       let e2 =
         Rfid_core.Engine.restore ~world:wh.Rfid_sim.Warehouse.world
           ~params:Params.default
-          ~config:(config_for variant num_domains)
+          ~config:(config_for variant)
           (Rfid_robust.Checkpoint.load_exn ~path)
       in
       let tail_restored = run_all e2 second in
@@ -86,11 +85,7 @@ let resume_bit_identical ~variant ~num_domains () =
       events_equal "restored continuation vs reference" reference (head @ tail_restored))
 
 let test_resume_matrix () =
-  List.iter
-    (fun variant ->
-      List.iter
-        (fun num_domains -> resume_bit_identical ~variant ~num_domains ())
-        [ 1; 2 ])
+  List.iter resume_bit_identical
     [
       Rfid_core.Config.Unfactorized;
       Rfid_core.Config.Factorized;
@@ -99,17 +94,17 @@ let test_resume_matrix () =
     ]
 
 let test_variant_mismatch_rejected () =
-  let e = make_engine ~variant:Rfid_core.Config.Factorized_indexed ~num_domains:1 in
+  let e = make_engine ~variant:Rfid_core.Config.Factorized_indexed in
   let wh, _ = Lazy.force scenario in
   Util.check_raises_invalid "variant mismatch" (fun () ->
       ignore
         (Rfid_core.Engine.restore ~world:wh.Rfid_sim.Warehouse.world
            ~params:Params.default
-           ~config:(config_for Rfid_core.Config.Unfactorized 1)
+           ~config:(config_for Rfid_core.Config.Unfactorized)
            (Rfid_core.Engine.snapshot e)))
 
 let test_corrupt_checkpoint_rejected () =
-  let e = make_engine ~variant:Rfid_core.Config.Factorized_indexed ~num_domains:1 in
+  let e = make_engine ~variant:Rfid_core.Config.Factorized_indexed in
   let path = Filename.temp_file "rfid_ckpt" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -242,7 +237,7 @@ let test_index_entry_order_invariant () =
   let first, second =
     List.partition (fun (o : Types.observation) -> o.Types.o_epoch < cut) stream
   in
-  let e = make_engine ~variant ~num_domains:1 in
+  let e = make_engine ~variant in
   List.iter (fun o -> ignore (Rfid_core.Engine.step e o)) first;
   let snap = Rfid_core.Engine.snapshot e in
   let map_entries f (s : Rfid_core.Engine.snapshot) =
@@ -270,7 +265,7 @@ let test_index_entry_order_invariant () =
   let continue snap =
     let engine =
       Rfid_core.Engine.restore ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-        ~config:(config_for variant 1) snap
+        ~config:(config_for variant) snap
     in
     let evs = List.concat_map (Rfid_core.Engine.step engine) second in
     let evs = evs @ Rfid_core.Engine.flush engine in
@@ -286,7 +281,7 @@ let test_index_entry_order_invariant () =
 let suite =
   ( "checkpoint",
     [
-      Alcotest.test_case "resume matrix (variants x domains)" `Slow test_resume_matrix;
+      Alcotest.test_case "resume matrix (every variant)" `Slow test_resume_matrix;
       Alcotest.test_case "variant mismatch rejected" `Quick test_variant_mismatch_rejected;
       Alcotest.test_case "corrupt checkpoint rejected" `Quick
         test_corrupt_checkpoint_rejected;

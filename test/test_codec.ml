@@ -22,15 +22,14 @@ let scenario =
      in
      (wh, trace))
 
-let config_for variant num_domains =
-  Rfid_core.Config.create ~variant ~num_reader_particles:20 ~num_object_particles:30
-    ~num_domains ()
+let config_for variant =
+  Rfid_core.Config.create ~variant ~num_reader_particles:20 ~num_object_particles:30 ()
 
-let engine_at_midstream ~variant ~num_domains =
+let engine_at_midstream ~variant =
   let wh, trace = Lazy.force scenario in
   let engine =
     E.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-      ~config:(config_for variant num_domains)
+      ~config:(config_for variant)
       ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:4 ~seed:23 ()
   in
   let stream = Trace.observations trace in
@@ -66,39 +65,32 @@ let check_roundtrip what snapshot =
 let test_roundtrip_matrix () =
   List.iter
     (fun variant ->
-      List.iter
-        (fun num_domains ->
-          let what =
-            Printf.sprintf "%s/domains=%d"
-              (match variant with
-              | Rfid_core.Config.Unfactorized -> "unfactorized"
-              | Rfid_core.Config.Factorized -> "factorized"
-              | Rfid_core.Config.Factorized_indexed -> "indexed"
-              | Rfid_core.Config.Factorized_compressed -> "compressed")
-              num_domains
-          in
-          let wh, engine, rest = engine_at_midstream ~variant ~num_domains in
-          let snapshot = E.snapshot engine in
-          check_roundtrip what snapshot;
-          (* The decoded snapshot must also be semantically whole: a
-             restored engine continues bit-identically. *)
-          let decoded = decode_ok what (Codec.encode snapshot) in
-          let restored =
-            E.restore ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-              ~config:(config_for variant num_domains) decoded
-          in
-          let continue engine =
-            List.concat_map (E.step engine) rest @ E.flush engine
-          in
-          let a = continue engine and b = continue restored in
-          Alcotest.(check int) (what ^ ": event count") (List.length a) (List.length b);
-          List.iter2
-            (fun (x : Rfid_core.Event.t) y ->
-              if x <> y then
-                Alcotest.failf "%s: decoded-restore diverged:@ %a@ vs@ %a" what
-                  Rfid_core.Event.pp x Rfid_core.Event.pp y)
-            a b)
-        [ 1; 2 ])
+      let what =
+        match variant with
+        | Rfid_core.Config.Unfactorized -> "unfactorized"
+        | Rfid_core.Config.Factorized -> "factorized"
+        | Rfid_core.Config.Factorized_indexed -> "indexed"
+        | Rfid_core.Config.Factorized_compressed -> "compressed"
+      in
+      let wh, engine, rest = engine_at_midstream ~variant in
+      let snapshot = E.snapshot engine in
+      check_roundtrip what snapshot;
+      (* The decoded snapshot must also be semantically whole: a
+         restored engine continues bit-identically. *)
+      let decoded = decode_ok what (Codec.encode snapshot) in
+      let restored =
+        E.restore ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
+          ~config:(config_for variant) decoded
+      in
+      let continue engine = List.concat_map (E.step engine) rest @ E.flush engine in
+      let a = continue engine and b = continue restored in
+      Alcotest.(check int) (what ^ ": event count") (List.length a) (List.length b);
+      List.iter2
+        (fun (x : Rfid_core.Event.t) y ->
+          if x <> y then
+            Alcotest.failf "%s: decoded-restore diverged:@ %a@ vs@ %a" what
+              Rfid_core.Event.pp x Rfid_core.Event.pp y)
+        a b)
     [
       Rfid_core.Config.Unfactorized;
       Rfid_core.Config.Factorized;
@@ -290,9 +282,7 @@ let write_v1_file ~path snapshot =
       output_string oc payload)
 
 let test_v1_rejected () =
-  let _, engine, _ =
-    engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed ~num_domains:1
-  in
+  let _, engine, _ = engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed in
   let snapshot = E.snapshot engine in
   let path = Filename.temp_file "rfid_v1_ckpt" ".bin" in
   Fun.protect
@@ -321,10 +311,7 @@ let test_v1_rejected () =
 
 let tiny_snapshot =
   lazy
-    (let _, engine, _ =
-       engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed
-         ~num_domains:1
-     in
+    (let _, engine, _ = engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed in
      E.snapshot engine)
 
 let test_every_flip_rejected () =

@@ -47,14 +47,14 @@ let degraded_epochs_of trace =
   List.filteri (fun i _ -> (i >= 6 && i < 9) || (i >= n / 2 && i < (n / 2) + 3)) obs
   |> List.map (fun (o : Types.observation) -> o.Types.o_epoch)
 
-let run ~adaptive ~variant ~num_domains =
+let run ~adaptive ~variant =
   let wh, trace = Lazy.force scenario in
   let config =
     Rfid_core.Config.create ~variant ~num_reader_particles:40
       ~num_object_particles:60
       ?min_object_particles:(if adaptive then Some 15 else None)
       ?resample_ess_ratio:(if adaptive then Some 0.25 else None)
-      ~compress_after:10 ~degraded_widen_after:2 ~report_delay:5 ~num_domains ()
+      ~compress_after:10 ~degraded_widen_after:2 ~report_delay:5 ()
   in
   let engine =
     Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world
@@ -116,27 +116,19 @@ let check_dump what expected got =
   end
 
 let test_variant (adaptive, variant, name) () =
-  let dump1 = dump_events (run ~adaptive ~variant ~num_domains:1) in
-  Alcotest.(check bool) (name ^ ": events exist") true (String.length dump1 > 0);
+  let dump = dump_events (run ~adaptive ~variant) in
+  Alcotest.(check bool) (name ^ ": events exist") true (String.length dump > 0);
   (match Sys.getenv_opt "RFID_GOLDEN_PROMOTE" with
   | Some dir ->
       let oc = open_out_bin (Filename.concat dir (name ^ ".txt")) in
-      output_string oc dump1;
+      output_string oc dump;
       close_out oc;
       Printf.printf "promoted %s/%s.txt\n%!" dir name
   | None ->
       check_dump
-        (name ^ ": single-domain run vs pre-refactor golden")
+        (name ^ ": run vs pre-refactor golden")
         (read_file (Filename.concat "golden" (name ^ ".txt")))
-        dump1);
-  List.iter
-    (fun num_domains ->
-      check_dump
-        (Printf.sprintf "%s: %d domains vs 1 domain" name num_domains)
-        dump1
-        (dump_events (run ~adaptive ~variant ~num_domains)))
-    [ 2; 4 ];
-  Rfid_par.Pool.shutdown_cached ()
+        dump)
 
 let suite =
   ( "golden",

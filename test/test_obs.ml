@@ -1,7 +1,8 @@
-(* Observability layer: histogram bucket geometry, shard merging,
-   quantiles, span timing/nesting, JSON dumps, the chrome-trace sink,
-   and an end-to-end check that engine snapshots carry monotone
-   counters — the same mechanism `rfid_clean infer --metrics` exposes. *)
+(* Observability layer: histogram bucket geometry, counter/gauge/
+   histogram read-out, quantiles, span timing/nesting and clock, JSON
+   dumps, the chrome-trace sink, and an end-to-end check that engine
+   snapshots carry monotone counters — the same mechanism
+   `rfid_clean infer --metrics` exposes. *)
 module M = Rfid_obs.Metrics
 module Trace_sink = Rfid_obs.Trace
 
@@ -164,39 +165,25 @@ let test_buckets () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Counters, gauges, histogram merge across shards *)
+(* Counters, gauges, histogram read-out *)
 
-let test_shard_merge () =
-  let r = M.create ~shards:4 () in
+let test_values () =
+  let r = M.create () in
   let c = M.counter r "c" in
   M.incr c 2;
-  M.incr_shard c ~shard:1 3;
-  M.incr_shard c ~shard:3 5;
-  (* Shard ids wrap modulo the shard count, so 5 lands on shard 1. *)
-  M.incr_shard c ~shard:5 7;
-  Alcotest.(check int) "counter merged" 17 (M.counter_value c);
+  M.incr c 15;
+  Alcotest.(check int) "counter sums increments" 17 (M.counter_value c);
   let g = M.gauge r "g" in
   M.set g 1.5;
   M.set g 2.5;
   Alcotest.(check (float 0.)) "gauge last write wins" 2.5 (M.gauge_value g);
   let h = M.histogram r "h" in
   let values = [ 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ] in
-  List.iteri (fun i v -> M.observe_shard h ~shard:(i mod 4) v) values;
-  Alcotest.(check int) "hist merged count" (List.length values) (M.histogram_count h);
-  Alcotest.(check (float 1e-9)) "hist merged sum" 127.5 (M.histogram_sum h);
+  List.iter (M.observe h) values;
+  Alcotest.(check int) "hist count" (List.length values) (M.histogram_count h);
+  Alcotest.(check (float 1e-9)) "hist sum" 127.5 (M.histogram_sum h);
   Alcotest.(check (float 0.)) "hist min" 0.5 (M.histogram_min h);
-  Alcotest.(check (float 0.)) "hist max" 64.0 (M.histogram_max h);
-  (* The merged view is independent of which shard recorded what: a
-     second registry with every value on shard 0 answers identically. *)
-  let r' = M.create ~shards:4 () in
-  let h' = M.histogram r' "h" in
-  List.iter (fun v -> M.observe h' v) values;
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "q=%g shard-independent" q)
-        (M.quantile h' q) (M.quantile h q))
-    [ 0.0; 0.25; 0.5; 0.9; 1.0 ]
+  Alcotest.(check (float 0.)) "hist max" 64.0 (M.histogram_max h)
 
 let test_quantiles () =
   let r = M.create () in
@@ -232,11 +219,14 @@ let test_spans () =
   let r = M.create () in
   let outer = M.span r "span.outer" in
   let inner = M.span r "span.inner" in
-  let spin_until t_end = while Unix.gettimeofday () < t_end do () done in
+  let spin s =
+    let t_end = Unix.gettimeofday () +. s in
+    while Unix.gettimeofday () < t_end do () done
+  in
   for _ = 1 to 3 do
     let t0 = M.start outer in
     let t1 = M.start inner in
-    spin_until (t1 +. 0.002);
+    spin 0.002;
     M.stop inner t1;
     M.stop outer t0
   done;
@@ -251,6 +241,18 @@ let test_spans () =
   (* with_ records on exception too. *)
   (try M.with_ outer (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "with_ recorded despite raise" 4 (M.histogram_count ho)
+
+(* Spans read CLOCK_MONOTONIC, so a sleep is timed by the clock the
+   sleep itself is measured against. *)
+let test_span_monotonic () =
+  let r = M.create () in
+  let sp = M.span r "span.sleep" in
+  let t0 = M.start sp in
+  Unix.sleepf 0.002;
+  M.stop sp t0;
+  let v = M.histogram_sum (M.histogram r "span.sleep") in
+  if not (v >= 0.002 -. 1e-9 && v < 1.0) then
+    Alcotest.failf "a 2 ms sleep recorded %g s" v
 
 let test_registration_conflicts () =
   let r = M.create () in
@@ -267,12 +269,12 @@ let test_registration_conflicts () =
 (* JSON dump *)
 
 let test_dump_json () =
-  let r = M.create ~shards:2 () in
+  let r = M.create () in
   M.incr (M.counter r "engine.epochs") 42;
   M.set (M.gauge r "health.reader_ess") 12.5;
   let h = M.histogram r "stage.step" in
   M.observe h 0.001;
-  M.observe_shard h ~shard:1 0.002;
+  M.observe h 0.002;
   (* An empty histogram prints only its count; named to sort after
      "stage.step" so the assoc lookups below hit the populated one. *)
   let empty = M.histogram r "stage.unused" in
@@ -373,9 +375,10 @@ let suite =
   ( "obs",
     [
       Alcotest.test_case "bucket geometry" `Quick test_buckets;
-      Alcotest.test_case "shard merge" `Quick test_shard_merge;
+      Alcotest.test_case "counter, gauge and histogram" `Quick test_values;
       Alcotest.test_case "quantiles" `Quick test_quantiles;
       Alcotest.test_case "span nesting" `Quick test_spans;
+      Alcotest.test_case "span on monotonic clock" `Quick test_span_monotonic;
       Alcotest.test_case "registration conflicts" `Quick test_registration_conflicts;
       Alcotest.test_case "dump_json validity" `Quick test_dump_json;
       Alcotest.test_case "trace sink" `Quick test_trace_sink;

@@ -135,6 +135,57 @@ let prop_int_nonnegative =
       let k = Rfid_prob.Rng.int r n in
       k >= 0 && k < n)
 
+(* Split and keyed substreams, the sources of the factored filter's
+   per-(object, epoch) randomness. *)
+let draw n rng = Array.init n (fun _ -> Rng.float rng)
+
+let test_split_reproducible () =
+  let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
+  let sa = Rng.split a and sb = Rng.split b in
+  Alcotest.(check (array (float 0.))) "split of equal states equal"
+    (draw 64 sa) (draw 64 sb);
+  (* After the split the parents remain synchronized too. *)
+  Alcotest.(check (array (float 0.))) "parents still in lockstep" (draw 16 a) (draw 16 b)
+
+let test_for_key_pure () =
+  let base = Rng.create ~seed:42 in
+  let before = Rng.bits64 (Rng.copy base) in
+  let s1 = draw 32 (Rng.for_key base ~key:5L) in
+  (* Deriving hundreds of other substreams, in any order, must not
+     disturb either the base or the key-5 substream. *)
+  for k = 0 to 500 do
+    ignore (Rng.float (Rng.for_key base ~key:(Int64.of_int k)))
+  done;
+  let s1' = draw 32 (Rng.for_key base ~key:5L) in
+  Alcotest.(check (array (float 0.))) "same key, same stream" s1 s1';
+  Alcotest.(check int64) "base not advanced" before (Rng.bits64 (Rng.copy base))
+
+let test_for_key_distinct_and_uniform () =
+  let base = Rng.create ~seed:3 in
+  (* Substreams for adjacent (object, epoch) keys must decorrelate:
+     pool their first draws and check uniformity, and check no two
+     adjacent keys yield the same leading draw. *)
+  let n = 2000 in
+  let firsts =
+    Array.init n (fun i -> Rng.float (Rng.for_key base ~key:(Rng.key_pair (i / 50) (i mod 50))))
+  in
+  Util.check_close ~eps:0.02 "substream leading draws uniform" 0.5 (Stats.mean firsts);
+  let distinct = Hashtbl.create n in
+  Array.iter (fun x -> Hashtbl.replace distinct x ()) firsts;
+  Alcotest.(check int) "no colliding substreams" n (Hashtbl.length distinct)
+
+let test_key_pair_injective_locally () =
+  let seen = Hashtbl.create 64 in
+  for a = 0 to 63 do
+    for b = 0 to 63 do
+      let k = Rng.key_pair a b in
+      (match Hashtbl.find_opt seen k with
+      | Some (a', b') -> Alcotest.failf "key collision (%d,%d) vs (%d,%d)" a b a' b'
+      | None -> ());
+      Hashtbl.replace seen k (a, b)
+    done
+  done
+
 let suite =
   ( "rng",
     [
@@ -153,5 +204,11 @@ let suite =
       Alcotest.test_case "categorical" `Quick test_categorical;
       Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
       Alcotest.test_case "uniform bounds" `Quick test_uniform;
+      Alcotest.test_case "split reproducible" `Quick test_split_reproducible;
+      Alcotest.test_case "for_key pure and reproducible" `Quick test_for_key_pure;
+      Alcotest.test_case "for_key substreams distinct" `Quick
+        test_for_key_distinct_and_uniform;
+      Alcotest.test_case "key_pair locally injective" `Quick
+        test_key_pair_injective_locally;
       prop_int_nonnegative;
     ] )
