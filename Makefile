@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test doc bench bench-json bench-smoke perf-gate perf-gate-strict perf-baseline fuzz crash-test serve-smoke serve-soak fmt clean
+.PHONY: all build test doc dead-exports bench bench-json bench-smoke perf-gate perf-gate-strict perf-baseline fuzz crash-test serve-smoke serve-soak fmt clean
 
 all: build
 
@@ -20,6 +20,7 @@ test:
 	$(MAKE) serve-smoke
 	$(MAKE) serve-soak
 	$(MAKE) doc
+	$(MAKE) dead-exports
 	$(MAKE) bench-smoke
 	-$(MAKE) perf-gate
 
@@ -40,6 +41,14 @@ doc:
 	  echo "make doc: odoc not installed; checking signatures with dune build @check"; \
 	  $(DUNE) build @check; \
 	fi
+
+# Fails when a value a lib/*/*.mli exports has no user outside its own
+# module. Users are the modules under lib bin bench perfbench smoke
+# crash fuzz test examples, found in the typed trees of the build; the
+# commented allow-list lives in tools/dead_exports.ml. Fatal inside
+# `make test`.
+dead-exports:
+	$(DUNE) build @check && $(DUNE) exec tools/dead_exports.exe -- _build/default
 
 # Randomized corrupted-input fuzz (seeds are logged; reproduce any
 # failure with `dune exec fuzz/fuzz_main.exe -- ITERS BASE_SEED`).

@@ -138,13 +138,13 @@ let run_robust_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
       ~bounds:(Rfid_model.World.bounding_box trace.Rfid_model.Trace.world)
       ~max_object_id:trace.Rfid_model.Trace.num_objects ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Rfid_obs.Metrics.now () in
   let events =
     match Rfid_robust.Ingest.run_engine guard engine observations with
     | Ok events -> events
     | Error (_, msg) -> failwith msg
   in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Rfid_obs.Metrics.now () -. t0 in
   let stats = Rfid_core.Engine.stats engine in
   Printf.printf "  %7.1f epochs/s\n%!"
     (if elapsed_s > 0. then float_of_int (List.length observations) /. elapsed_s else 0.);
@@ -195,9 +195,9 @@ let run_durability_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
   List.iter (fun o -> ignore (Rfid_core.Engine.step engine o)) prefix;
   let snap = Rfid_core.Engine.snapshot engine in
   let time_us reps f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Rfid_obs.Metrics.now () in
     for _ = 1 to reps do f () done;
-    1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int reps
+    1e6 *. (Rfid_obs.Metrics.now () -. t0) /. float_of_int reps
   in
   let data = Rfid_robust.Codec.encode snap in
   let encode_us = time_us 10 (fun () -> ignore (Rfid_robust.Codec.encode snap)) in
@@ -254,12 +254,9 @@ let robust_json rp =
   Printf.sprintf
     "  \"robustness\": {\"workload\": \"drop=10%% nan=5%% outage=[100,150), seed 7\", \
      \"objects\": %d, \"epochs\": %d, \"elapsed_s\": %.6f, \"events\": %d, \
-     \"degraded_events\": %d, \"degraded_epochs\": %d, \"duplicates_skipped\": %d, \
-     \"out_of_order_dropped\": %d, \"ingest_counters\": {%s}}"
+     \"degraded_events\": %d, \"degraded_epochs\": %d, \"ingest_counters\": {%s}}"
     rp.rp_objects rp.rp_epochs rp.rp_elapsed_s rp.rp_events rp.rp_degraded_events
-    rp.rp_engine.Rfid_core.Engine.degraded_epochs
-    rp.rp_engine.Rfid_core.Engine.duplicate_epochs_skipped
-    rp.rp_engine.Rfid_core.Engine.out_of_order_dropped counters
+    rp.rp_engine.Rfid_core.Engine.degraded_epochs counters
 
 (* Per-stage timing block, from the observability registry: one entry
    per "stage.*" span recorded during this bench process, quantiles in
@@ -457,18 +454,18 @@ let run_serving_point ~objects ~rounds () =
   let reb0 = Rfid_obs.Metrics.counter_value c_rebuilds in
   List.iter
     (fun line ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Rfid_obs.Metrics.now () in
       ignore (Rfid_serve.Core.handle_line core line);
       ignore (Rfid_serve.Core.tick core ~max_steps:256);
-      let t1 = Unix.gettimeofday () in
+      let t1 = Rfid_obs.Metrics.now () in
       ingest_s := !ingest_s +. (t1 -. t0);
       ignore (Rfid_serve.Core.handle_line core (range_query !epoch_i));
-      let t2 = Unix.gettimeofday () in
+      let t2 = Rfid_obs.Metrics.now () in
       range_lat := (t2 -. t1) :: !range_lat;
       ignore
         (Rfid_serve.Core.handle_line core
            (Printf.sprintf "AT %d" (!epoch_i mod objects)));
-      at_lat := (Unix.gettimeofday () -. t2) :: !at_lat;
+      at_lat := (Rfid_obs.Metrics.now () -. t2) :: !at_lat;
       incr epoch_i)
     put_lines;
   ignore (Rfid_serve.Core.handle_line core "SYNC");

@@ -28,13 +28,31 @@ let seed_arg =
 (* Flags with a bounded range are checked by cmdliner itself, so a bad
    value is a usage error (exit 124), never an exception from deep
    inside the simulator or the engine. *)
-let int_at_least lo =
+let int_in_range lo hi =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ when hi = max_int ->
+        Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value %S, expected an integer in [%d, %d]" s lo hi))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let int_at_least lo = int_in_range lo max_int
+
+(* A float accepted when [ok] holds; [range] names the interval in the
+   error message. *)
+let float_in ~range ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when ok r -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number in %s" s range))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let probability = float_in ~range:"[0, 1]" (fun p -> p >= 0. && p <= 1.)
 
 let objects_arg =
   Arg.(
@@ -49,17 +67,9 @@ let rounds_arg =
     & info [ "rounds" ] ~docv:"N" ~doc:"Scan rounds over the warehouse.")
 
 let read_rate_arg =
-  let rate =
-    let parse s =
-      match float_of_string_opt s with
-      | Some r when r > 0. && r <= 1. -> Ok r
-      | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number in (0, 1]" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   Arg.(
     value
-    & opt rate 1.0
+    & opt (float_in ~range:"(0, 1]" (fun r -> r > 0. && r <= 1.)) 1.0
     & info [ "read-rate" ] ~docv:"R"
         ~doc:"Read rate in the sensor's major detection range (0..1].")
 
@@ -320,34 +330,36 @@ let faults_of_flags ff =
 let fault_flags_term =
   let drop =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "fault-drop" ] ~docv:"P" ~doc:"Drop each observation with probability P.")
   in
   let nan =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "fault-nan" ] ~docv:"P"
           ~doc:"Replace each location fix with NaN with probability P.")
   in
   let dup =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "fault-dup" ] ~docv:"P" ~doc:"Duplicate each observation with probability P.")
   in
   let spurious =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "fault-spurious" ] ~docv:"P"
           ~doc:"Prepend a spurious out-of-universe tag with probability P.")
   in
   let outage_start =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "fault-outage-start" ] ~docv:"E" ~doc:"First epoch of a positioning outage.")
   in
   let outage_len =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "fault-outage-len" ] ~docv:"N"
           ~doc:"Outage length in epochs (0 disables the outage).")
   in
@@ -457,10 +469,6 @@ let infer { objects; seed; config } rounds read_rate ff on_ooo
   let wh, sensor, trace = build_scenario ~objects ~rounds ~read_rate ~seed in
   let world = wh.Rfid_sim.Warehouse.world in
   let params = fitted_params sensor in
-  let config =
-    { config with
-      Rfid_core.Config.drop_out_of_order = on_ooo = Rfid_robust.Ingest.Drop }
-  in
   let faults = faults_of_flags ff in
   let observations = Trace.observations trace in
   let observations =
@@ -559,7 +567,7 @@ let infer_cmd =
   let stop_after =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0)) None
       & info [ "stop-after" ] ~docv:"E"
           ~doc:"Stop (and checkpoint) once the engine reaches epoch E.")
   in
@@ -574,7 +582,8 @@ let infer_cmd =
   in
   let metrics_every =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "metrics-every" ] ~docv:"K"
           ~doc:
             "With $(b,--metrics), also snapshot every K admitted epochs \
@@ -621,11 +630,15 @@ let calibrate_cmd =
   let doc = "EM self-calibration on a simulated 20-tag training trace." in
   let shelf_tags =
     Arg.(
-      value & opt int 4
+      value
+      & opt (int_in_range 0 20) 4
       & info [ "shelf-tags" ] ~docv:"N" ~doc:"Tags with known locations (0-20).")
   in
   let em_iters =
-    Arg.(value & opt int 4 & info [ "em-iters" ] ~docv:"N" ~doc:"EM iterations.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 4
+      & info [ "em-iters" ] ~docv:"N" ~doc:"EM iterations.")
   in
   Cmd.v (Cmd.info "calibrate" ~doc) Term.(const calibrate $ shelf_tags $ em_iters $ seed_arg)
 
@@ -664,32 +677,29 @@ let replay file { objects; seed; config } lenient =
     Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world ~params ~config
       ~init_reader ~num_objects:objects ~seed ()
   in
-  let events =
-    if lenient then begin
-      (* A lenient replay should survive whatever the file contains:
-         guard the stream and drop (rather than halt on) bad epochs. *)
-      let guard =
-        Rfid_robust.Ingest.create
-          ~policies:
-            { Rfid_robust.Ingest.default_policies with
-              Rfid_robust.Ingest.on_out_of_order_epoch = Rfid_robust.Ingest.Drop }
-          ~max_object_id:objects ()
-      in
-      let events =
-        match Rfid_robust.Ingest.run_engine guard engine observations with
-        | Ok events -> events
-        | Error (_, msg) -> failwith msg
-      in
-      Format.eprintf "# ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
-      events
-    end
-    else Rfid_core.Engine.run engine observations
+  (* The guard alone decides what a duplicate or reordered epoch means;
+     a lenient replay should survive whatever the file contains, so it
+     drops out-of-order epochs instead of halting on them. *)
+  let guard =
+    Rfid_robust.Ingest.create
+      ~policies:
+        { Rfid_robust.Ingest.default_policies with
+          Rfid_robust.Ingest.on_out_of_order_epoch =
+            (if lenient then Rfid_robust.Ingest.Drop else Rfid_robust.Ingest.Halt) }
+      ~max_object_id:objects ()
   in
-  Trace_io.write_events stdout
-    (List.map
-       (fun (ev : Rfid_core.Event.t) ->
-         (ev.Rfid_core.Event.ev_epoch, ev.Rfid_core.Event.ev_obj, ev.Rfid_core.Event.ev_loc))
-       events)
+  let result = Rfid_robust.Ingest.run_engine guard engine observations in
+  Format.eprintf "# ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
+  match result with
+  | Error (_, msg) ->
+      prerr_endline ("rfid_clean: " ^ msg);
+      exit 1
+  | Ok events ->
+      Trace_io.write_events stdout
+        (List.map
+           (fun (ev : Rfid_core.Event.t) ->
+             (ev.Rfid_core.Event.ev_epoch, ev.Rfid_core.Event.ev_obj, ev.Rfid_core.Event.ev_loc))
+           events)
 
 let replay_cmd =
   let doc =
@@ -708,13 +718,11 @@ let replay_cmd =
       & info [ "lenient" ]
           ~doc:
             "Skip malformed lines (reported to stderr with line numbers) and \
-             guard the stream against epoch/tag/fix faults instead of aborting \
-             on the first bad record.")
+             drop out-of-order epochs instead of halting on the first one.")
   in
   Cmd.v
     (Cmd.info "replay" ~doc)
-    Term.(
-      const replay $ file $ engine_term $ lenient)
+    Term.(const replay $ file $ engine_term $ lenient)
 
 (* ------------------------------------------------------------------ *)
 (* lab                                                                 *)
@@ -767,7 +775,8 @@ let lab_cmd =
   let doc = "Run the lab-deployment comparison (Fig. 6(b) of the paper)." in
   let timeout =
     Arg.(
-      value & opt int 500
+      value
+      & opt (enum [ ("250", 250); ("500", 500); ("750", 750) ]) 500
       & info [ "timeout" ] ~docv:"MS" ~doc:"Reader timeout: 250, 500 or 750 ms.")
   in
   let large =
@@ -870,7 +879,8 @@ let serve_cmd =
   in
   let port =
     Arg.(
-      value & opt int 4040
+      value
+      & opt (int_in_range 0 65535) 4040
       & info [ "port" ] ~docv:"PORT"
           ~doc:
             "TCP port (0 = pick an ephemeral port; the chosen port is \
@@ -887,7 +897,8 @@ let serve_cmd =
   in
   let max_steps_per_tick =
     Arg.(
-      value & opt int 256
+      value
+      & opt (int_at_least 1) 256
       & info [ "max-steps-per-tick" ] ~docv:"N"
           ~doc:
             "Queued observations stepped through the engine per server loop \
@@ -895,7 +906,8 @@ let serve_cmd =
   in
   let events_keep =
     Arg.(
-      value & opt int 4096
+      value
+      & opt (int_at_least 1) 4096
       & info [ "events-keep" ] ~docv:"N"
           ~doc:
             "Bound on the in-memory EVENTS ring; older events are evicted \

@@ -96,8 +96,8 @@ let create ~world ~params ~config ~init_reader ~num_objects ~rng =
     shelf_read = Hashtbl.create 8;
     pre = Sensor_model.precompute params.Params.sensor ~n:j;
     cache =
-      Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
-        ~max_range:config.Config.max_sensing_range
+      Common.Sensor_cache.create ~threshold:Config.detection_threshold
+        ~max_range:Config.max_sensing_range
         params.Params.sensor;
     shelf_tags = Array.of_list (World.shelf_tags world);
     last_reported = None;
@@ -129,7 +129,7 @@ let reinit_object t p i =
   let r = t.readers.(p) in
   let loc =
     Common.sample_initial_location t.cache
-      ~overestimate:t.config.Config.init_overestimate ~world:t.world
+      ~overestimate:Config.init_overestimate ~world:t.world
       ~reader_loc:r.Reader_state.loc ~heading:r.Reader_state.heading t.rng
   in
   Ps.set_loc t.store (slot t p i) ~x:loc.Vec3.x ~y:loc.Vec3.y ~z:loc.Vec3.z
@@ -234,7 +234,7 @@ let step t (obs : Types.observation) =
       culled :=
         !culled
         + Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x ~ty:tag_loc.Vec3.y
-            ~tz:tag_loc.Vec3.z ~read ~miss_weight:t.config.Config.shelf_miss_weight acc)
+            ~tz:tag_loc.Vec3.z ~read ~miss_weight:Config.shelf_miss_weight acc)
     t.shelf_tags;
   for i = 0 to t.num_objects - 1 do
     (* Objects never read are still latent but carry no evidence
@@ -248,7 +248,6 @@ let step t (obs : Types.observation) =
   for p = 0 to j - 1 do
     t.log_ws.(p) <- t.log_ws.(p) +. acc.(p)
   done;
-  Sensor_model.pre_note_hits t.pre (j * (Array.length t.shelf_tags + t.num_objects));
   if !culled > 0 then Obs.incr c_saturated !culled;
   Obs.incr c_sensor_evals ((j * (Array.length t.shelf_tags + t.num_objects)) - !culled);
   Obs.stop sp_weighting t_weight;
@@ -324,17 +323,14 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
     invalid_arg "Basic_filter.dead_reckon: observations out of epoch order";
   t.newly_seen <- [];
   let motion = t.params.Params.motion in
-  let scale = t.config.Config.degraded_noise_scale in
+  let scale = Config.degraded_noise_scale in
   let s = motion.Motion_model.sigma in
   let sigma = Vec3.make (s.Vec3.x *. scale) (s.Vec3.y *. scale) (s.Vec3.z *. scale) in
   t.consecutive_degraded <- t.consecutive_degraded + 1;
   t.degraded_total <- t.degraded_total + 1;
-  let widen =
-    t.consecutive_degraded >= t.config.Config.degraded_widen_after
-    && t.config.Config.degraded_widen_sigma > 0.
-  in
+  let widen = t.consecutive_degraded >= t.config.Config.degraded_widen_after in
   let wsigma =
-    let w = t.config.Config.degraded_widen_sigma in
+    let w = Config.degraded_widen_sigma in
     Vec3.make w w 0.
   in
   for p = 0 to num_particles t - 1 do
@@ -379,13 +375,12 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
             ignore
               (Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x
                  ~ty:tag_loc.Vec3.y ~tz:tag_loc.Vec3.z ~read:true
-                 ~miss_weight:t.config.Config.shelf_miss_weight acc)
+                 ~miss_weight:Config.shelf_miss_weight acc)
         | exception Not_found -> ())
       shelf_tags;
     for p = 0 to j - 1 do
       t.log_ws.(p) <- t.log_ws.(p) +. acc.(p)
     done;
-    Sensor_model.pre_note_hits t.pre !calls;
     Obs.incr c_sensor_evals !calls;
     (* Keep weights centred, as the evidence path does. *)
     let z = Rfid_prob.Stats.log_sum_exp t.log_ws in
@@ -398,7 +393,6 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   t.epoch <- e
 
 let degraded_epochs t = t.degraded_total
-let consecutive_degraded t = t.consecutive_degraded
 
 (* Checkpointable state: everything [step]/[dead_reckon] read or write,
    as plain data. Static structure (world, params, config, sensor
@@ -474,8 +468,8 @@ let restore ~world ~params ~config s =
     shelf_read = Hashtbl.create 8;
     pre = Sensor_model.precompute params.Params.sensor ~n:j;
     cache =
-      Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
-        ~max_range:config.Config.max_sensing_range
+      Common.Sensor_cache.create ~threshold:Config.detection_threshold
+        ~max_range:Config.max_sensing_range
         params.Params.sensor;
     shelf_tags = Array.of_list (World.shelf_tags world);
     last_reported = s.s_last_reported;
@@ -512,9 +506,6 @@ let reader_estimate t =
     (fun p r -> acc := Vec3.add !acc (Vec3.scale w.(p) r.Reader_state.loc))
     t.readers;
   !acc
-
-let sensor_memo_hits t = Sensor_model.pre_hits t.pre
-let sensor_memo_size t = Sensor_model.pre_size t.pre
 
 let newly_seen t = t.newly_seen
 

@@ -79,30 +79,19 @@ val dead_reckon :
 (** Advance one epoch {e without} a usable location fix (missing or
     rejected by the ingest guard): reader hypotheses move by the
     motion model with proposal noise inflated by
-    [config.degraded_noise_scale]. [shelf_tags] (default [[]], expected
+    {!Config.degraded_noise_scale}. [shelf_tags] (default [[]], expected
     deduplicated and ascending) lists shelf tags read during the
     outage; their exactly-known positions re-weight the joint
     hypotheses, localizing the dead-reckoned reader. With none,
     weights are unchanged. After
     [config.degraded_widen_after] consecutive dead-reckoned epochs,
     object hypotheses are additionally jittered by
-    [config.degraded_widen_sigma] per epoch (clamped to shelves), so
+    {!Config.degraded_widen_sigma} per epoch (clamped to shelves), so
     posterior spread honestly reflects the outage.
     @raise Invalid_argument if [epoch] is not beyond the current one. *)
 
 val degraded_epochs : t -> int
 (** Total dead-reckoned epochs so far. *)
-
-val consecutive_degraded : t -> int
-(** Length of the current dead-reckoning run; 0 after any normal
-    {!step}. *)
-
-val sensor_memo_hits : t -> int
-(** Total sensor-likelihood evaluations served through the per-epoch
-    reader-pose memo ({!Rfid_model.Sensor_model.precompute}). *)
-
-val sensor_memo_size : t -> int
-(** Pose slots held by the sensor memo (= the joint particle count). *)
 
 (** {1 Checkpointing} *)
 

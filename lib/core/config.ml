@@ -15,7 +15,6 @@ type t = {
   resample_ess_ratio : float;
   proposal : proposal;
   heading_model : heading_model;
-  init_overestimate : float;
   reinit_near : float;
   reinit_far : float;
   out_of_scope_after : int;
@@ -23,30 +22,27 @@ type t = {
   compress_after : int;
   decompress_particles : int;
   compress_max_nll : float option;
-  index_min_displacement : float;
-  detection_threshold : float;
-  case4_margin : float;
-  max_sensing_range : float;
   resample_scheme : resample_scheme;
   proposal_noise_override : Rfid_geom.Vec3.t option;
-  shelf_miss_weight : float;
-  drop_out_of_order : bool;
   degraded_widen_after : int;
-  degraded_noise_scale : float;
-  degraded_widen_sigma : float;
 }
+
+let init_overestimate = 1.25
+let detection_threshold = 0.02
+let max_sensing_range = 12.
+let shelf_miss_weight = 0.25
+let degraded_noise_scale = 3.0
+let degraded_widen_sigma = 0.25
 
 let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     ?(num_object_particles = 200) ?min_object_particles ?(resample_ratio = 0.5)
     ?(resample_ess_ratio = 1.0)
     ?(proposal = From_reported_displacement)
-    ?(heading_model = Known_heading (fun _ -> 0.)) ?(init_overestimate = 1.25)
+    ?(heading_model = Known_heading (fun _ -> 0.))
     ?(reinit_near = 1.0) ?(reinit_far = 6.0) ?(out_of_scope_after = 15)
     ?(report_delay = 60) ?(compress_after = 20) ?(decompress_particles = 10)
-    ?(compress_max_nll = None) ?(index_min_displacement = 0.5)
-    ?(detection_threshold = 0.02) ?(case4_margin = 1.0) ?(max_sensing_range = 12.) ?(shelf_miss_weight = 0.25) ?(resample_scheme = Systematic) ?(proposal_noise_override = None)
-    ?(drop_out_of_order = false) ?(degraded_widen_after = 10)
-    ?(degraded_noise_scale = 3.0) ?(degraded_widen_sigma = 0.25) () =
+    ?(compress_max_nll = None) ?(resample_scheme = Systematic)
+    ?(proposal_noise_override = None) ?(degraded_widen_after = 10) () =
   if num_reader_particles <= 0 || num_object_particles <= 0 then
     invalid_arg "Config.create: particle counts must be positive";
   if not (resample_ratio > 0. && resample_ratio <= 1.) then
@@ -64,28 +60,14 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
       "Config.create: adaptive budgets (min_object_particles < \
        num_object_particles) need reinit_near > 0 to anchor the spread \
        thresholds";
-  if init_overestimate <= 0. then
-    invalid_arg "Config.create: init_overestimate must be positive";
   if reinit_near < 0. || reinit_far < reinit_near then
     invalid_arg "Config.create: need 0 <= reinit_near <= reinit_far";
   if out_of_scope_after <= 0 || report_delay < 0 || compress_after <= 0 then
     invalid_arg "Config.create: scope/report/compress horizons must be positive";
   if decompress_particles <= 0 then
     invalid_arg "Config.create: decompress_particles must be positive";
-  if index_min_displacement < 0. || case4_margin < 0. then
-    invalid_arg "Config.create: negative index parameters";
-  if max_sensing_range <= 0. then
-    invalid_arg "Config.create: max_sensing_range must be positive";
-  if not (shelf_miss_weight >= 0. && shelf_miss_weight <= 1.) then
-    invalid_arg "Config.create: shelf_miss_weight must be in [0, 1]";
-  if not (detection_threshold > 0. && detection_threshold < 1.) then
-    invalid_arg "Config.create: detection_threshold must be in (0, 1)";
   if degraded_widen_after <= 0 then
     invalid_arg "Config.create: degraded_widen_after must be positive";
-  if degraded_noise_scale < 1. then
-    invalid_arg "Config.create: degraded_noise_scale must be >= 1";
-  if degraded_widen_sigma < 0. then
-    invalid_arg "Config.create: degraded_widen_sigma must be non-negative";
   {
     variant;
     num_reader_particles;
@@ -95,7 +77,6 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     resample_ess_ratio;
     proposal;
     heading_model;
-    init_overestimate;
     reinit_near;
     reinit_far;
     out_of_scope_after;
@@ -103,17 +84,8 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     compress_after;
     decompress_particles;
     compress_max_nll;
-    index_min_displacement;
-    detection_threshold;
-    case4_margin;
-    max_sensing_range;
-    shelf_miss_weight;
     resample_scheme;
     proposal_noise_override;
-    drop_out_of_order;
     degraded_widen_after;
-    degraded_noise_scale;
-    degraded_widen_sigma;
   }
 
-let default = create ()

@@ -66,8 +66,6 @@ type t = {
           are counted in the [filter.resamples_skipped] metric. *)
   proposal : proposal;
   heading_model : heading_model;
-  init_overestimate : float;
-      (** widening factor of the sensor-model-based initialization cone *)
   reinit_near : float;
       (** reader-displacement (ft) below which a re-detection reuses the
           existing particles unchanged *)
@@ -91,19 +89,6 @@ type t = {
       (** optional quality gate: skip compression when the Gaussian's
           average negative log-likelihood over the particles exceeds
           this bound (the KL-threshold policy of §IV-D) *)
-  index_min_displacement : float;
-      (** consolidate index insertions until the reader has moved this
-          far (ft), to keep the sensing-region index compact *)
-  detection_threshold : float;
-      (** read-probability level treated as the sensing-region edge *)
-  case4_margin : float;
-      (** inflation (ft) of the Case-2 probe box, absorbing reader
-          particle spread *)
-  max_sensing_range : float;
-      (** hard cap (ft) on the detection range derived from the sensor
-          model — guards cones and index boxes against calibrated models
-          whose distance decay is unidentifiable from the training
-          geometry *)
   resample_scheme : resample_scheme;
       (** resampling scheme for both reader and object particles
           (default [Systematic]; the others exist for ablation) *)
@@ -112,40 +97,12 @@ type t = {
           derived from the model parameters — used by calibration, whose
           E-step deliberately inflates the {e weighting} sigma without
           wanting a wilder proposal (default [None]) *)
-  shelf_miss_weight : float;
-      (** tempering factor in [0, 1] on the log-likelihood of shelf-tag
-          {e misses} in reader weighting. Reads are the reliable reader
-          evidence (Fig. 2(c)); misses mostly carry information through
-          the sensor model's soft boundary, exactly where a fitted
-          logistic deviates most from the true region, so full-strength
-          miss evidence lets model mismatch drag the reader posterior.
-          1 = the literal Eq. 5; default 0.25. *)
-  drop_out_of_order : bool;
-      (** when [true], {!Engine.step} silently drops (and counts) an
-          observation whose epoch is strictly below the current one
-          instead of raising — the [Drop] half of the ingest policy for
-          reordered streams. Equal-epoch duplicates are always skipped
-          and counted, never raised. Default [false] ([Halt]). *)
   degraded_widen_after : int;
       (** consecutive degraded (dead-reckoned) epochs after which object
           posteriors start widening each further degraded epoch,
           acknowledging that a long positioning outage erodes what the
           filter knows about object locations (default 10) *)
-  degraded_noise_scale : float;
-      (** multiplier (>= 1) on the reader proposal noise during
-          dead-reckoned epochs: with no location fix to anchor the
-          proposal, the reader belief must spread faster than the
-          motion model's nominal sigma (default 3.0) *)
-  degraded_widen_sigma : float;
-      (** per-axis std-dev (ft) of the jitter applied to object
-          particles on each widening epoch; compressed beliefs inflate
-          their covariance by the equivalent amount (default 0.25) *)
 }
-
-val default : t
-(** [Factorized_indexed], J = 100, K = 200, systematic resampling at
-    ESS ratio 0.5, displacement proposal, known heading 0, report delay
-    60 epochs. *)
 
 val create :
   ?variant:variant ->
@@ -156,7 +113,6 @@ val create :
   ?resample_ess_ratio:float ->
   ?proposal:proposal ->
   ?heading_model:heading_model ->
-  ?init_overestimate:float ->
   ?reinit_near:float ->
   ?reinit_far:float ->
   ?out_of_scope_after:int ->
@@ -164,19 +120,51 @@ val create :
   ?compress_after:int ->
   ?decompress_particles:int ->
   ?compress_max_nll:float option ->
-  ?index_min_displacement:float ->
-  ?detection_threshold:float ->
-  ?case4_margin:float ->
-  ?max_sensing_range:float ->
-  ?shelf_miss_weight:float ->
   ?resample_scheme:resample_scheme ->
   ?proposal_noise_override:Rfid_geom.Vec3.t option ->
-  ?drop_out_of_order:bool ->
   ?degraded_widen_after:int ->
-  ?degraded_noise_scale:float ->
-  ?degraded_widen_sigma:float ->
   unit ->
   t
-(** {!default} with overrides. @raise Invalid_argument on non-positive
-    particle counts, a resample ratio outside (0, 1], or negative
-    thresholds. *)
+(** Defaults: [Factorized_indexed], J = 100, K = 200 with no
+    adaptation, systematic resampling at ESS ratio 0.5 with no ESS cap,
+    displacement proposal, known heading 0, re-detection at 1 and 6 ft,
+    out of scope after 15 epochs, report delay 60 epochs, compression
+    after 20 epochs re-expanded to 10 particles with no NLL gate, no
+    proposal-noise override, widening after 10 degraded epochs.
+    @raise Invalid_argument on non-positive
+    particle counts or horizons, a resample ratio outside (0, 1], or
+    [reinit_near]/[reinit_far] out of order. *)
+
+(** {1 Fixed model constants}
+
+    Values every deployment so far runs with; they are not settable. *)
+
+val init_overestimate : float
+(** Widening factor of the sensor-model-based initialization cone
+    (1.25). *)
+
+val detection_threshold : float
+(** Read-probability level treated as the sensing-region edge (0.02). *)
+
+val max_sensing_range : float
+(** Hard cap (ft) on the detection range derived from the sensor model
+    (12) — guards cones and index boxes against calibrated models whose
+    distance decay is unidentifiable from the training geometry. *)
+
+val shelf_miss_weight : float
+(** Tempering factor on the log-likelihood of shelf-tag {e misses} in
+    reader weighting (0.25). Reads are the reliable reader evidence
+    (Fig. 2(c)); misses mostly carry information through the sensor
+    model's soft boundary, exactly where a fitted logistic deviates
+    most from the true region, so full-strength miss evidence (1, the
+    literal Eq. 5) lets model mismatch drag the reader posterior. *)
+
+val degraded_noise_scale : float
+(** Multiplier on the reader proposal noise during dead-reckoned epochs
+    (3.0): with no location fix to anchor the proposal, the reader
+    belief must spread faster than the motion model's nominal sigma. *)
+
+val degraded_widen_sigma : float
+(** Per-axis std-dev (ft) of the jitter applied to object particles on
+    each widening epoch (0.25); compressed beliefs inflate their
+    covariance by the equivalent amount. *)

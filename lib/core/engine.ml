@@ -15,12 +15,8 @@ let c_epochs = Obs.counter Obs.global "engine.epochs"
 let c_degraded_epochs = Obs.counter Obs.global "engine.degraded_epochs"
 let c_events = Obs.counter Obs.global "engine.events"
 let c_degraded_events = Obs.counter Obs.global "engine.degraded_events"
-let c_dup_skipped = Obs.counter Obs.global "engine.duplicates_skipped"
-let c_ooo_dropped = Obs.counter Obs.global "engine.out_of_order_dropped"
 
 type stats = {
-  duplicate_epochs_skipped : int;
-  out_of_order_dropped : int;
   degraded_epochs : int;
   degraded_events : int;
 }
@@ -36,8 +32,6 @@ type t = {
      pushed in nondecreasing order because the delay is constant. *)
   pending : (int * int) Queue.t;
   scheduled : (int, unit) Hashtbl.t;  (* objects with a pending report *)
-  mutable dup_skipped : int;
-  mutable ooo_dropped : int;
   mutable degraded_run : int;  (* consecutive degraded epochs, 0 after a normal step *)
   mutable degraded_event_count : int;
   mutable journal : (journal_entry -> unit) option;
@@ -60,8 +54,6 @@ let create ~world ~params ~config ~init_reader ?num_objects ?(seed = 0) () =
     cfg = config;
     pending = Queue.create ();
     scheduled = Hashtbl.create 64;
-    dup_skipped = 0;
-    ooo_dropped = 0;
     degraded_run = 0;
     degraded_event_count = 0;
     journal = None;
@@ -141,8 +133,6 @@ let config t = t.cfg
 
 let stats t =
   {
-    duplicate_epochs_skipped = t.dup_skipped;
-    out_of_order_dropped = t.ooo_dropped;
     degraded_epochs =
       (match t.filter with
       | Basic (f, _) -> Basic_filter.degraded_epochs f
@@ -152,9 +142,7 @@ let stats t =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "@[duplicates skipped: %d, out-of-order dropped: %d, degraded epochs: %d, \
-     degraded events: %d@]"
-    s.duplicate_epochs_skipped s.out_of_order_dropped s.degraded_epochs
+    "@[degraded epochs: %d, degraded events: %d@]" s.degraded_epochs
     s.degraded_events
 
 let emit t ~at ~degraded obj =
@@ -184,86 +172,68 @@ let drain_due t ~at ~degraded =
   drain ();
   List.rev !events
 
-(* Epoch admission shared by [step] and [step_degraded]: [Ok] to
-   proceed, [Skip] for counted duplicates / policy-dropped reorderings.
-   A strictly decreasing epoch raises unless [config.drop_out_of_order]
-   says to count and drop it. *)
-type admission = Admit | Skip
-
-let admit_epoch t e ~what =
+(* Epoch order is the caller's contract ([Rfid_robust.Ingest] enforces
+   it on every stream that can carry a bad epoch); checked here before
+   the journal hook runs, so a violation is never journaled. *)
+let check_epoch t e ~what =
   let cur = epoch t in
-  if e > cur then Admit
-  else if e = cur then begin
-    t.dup_skipped <- t.dup_skipped + 1;
-    Obs.incr c_dup_skipped 1;
-    Skip
-  end
-  else if t.cfg.Config.drop_out_of_order then begin
-    t.ooo_dropped <- t.ooo_dropped + 1;
-    Obs.incr c_ooo_dropped 1;
-    Skip
-  end
-  else
+  if e <= cur then
     invalid_arg
-      (Printf.sprintf "Engine.%s: observation epoch %d precedes current epoch %d" what e
-         cur)
+      (Printf.sprintf "Engine.%s: observation epoch %d does not follow current epoch %d"
+         what e cur)
 
 let step t obs =
   let e = obs.Rfid_model.Types.o_epoch in
-  match admit_epoch t e ~what:"step" with
-  | Skip -> []
-  | Admit ->
-      (* Write-ahead: the journal sees the admitted entry before any
-         state changes, so a crash after the append but before (or
-         during) the update replays the epoch exactly once. *)
-      (match t.journal with Some j -> j (Journal_step obs) | None -> ());
-      let t0 = Obs.start sp_step in
-      t.degraded_run <- 0;
-      filter_step t obs;
-      (* Schedule a report for each object that just entered scope, unless
-         one is already pending from this encounter. *)
-      let t_rep = Obs.start sp_report in
-      List.iter
-        (fun obj ->
-          if not (Hashtbl.mem t.scheduled obj) then begin
-            Hashtbl.replace t.scheduled obj ();
-            Queue.push (e + t.cfg.Config.report_delay, obj) t.pending
-          end)
-        (newly_seen t);
-      let events = drain_due t ~at:e ~degraded:false in
-      Obs.stop sp_report t_rep;
-      Obs.incr c_epochs 1;
-      Obs.stop sp_step t0;
-      events
+  check_epoch t e ~what:"step";
+  (* Write-ahead: the journal sees the entry before any state changes,
+     so a crash after the append but before (or during) the update
+     replays the epoch exactly once. *)
+  (match t.journal with Some j -> j (Journal_step obs) | None -> ());
+  let t0 = Obs.start sp_step in
+  t.degraded_run <- 0;
+  filter_step t obs;
+  (* Schedule a report for each object that just entered scope, unless
+     one is already pending from this encounter. *)
+  let t_rep = Obs.start sp_report in
+  List.iter
+    (fun obj ->
+      if not (Hashtbl.mem t.scheduled obj) then begin
+        Hashtbl.replace t.scheduled obj ();
+        Queue.push (e + t.cfg.Config.report_delay, obj) t.pending
+      end)
+    (newly_seen t);
+  let events = drain_due t ~at:e ~degraded:false in
+  Obs.stop sp_report t_rep;
+  Obs.incr c_epochs 1;
+  Obs.stop sp_step t0;
+  events
 
 let step_degraded ?(tags = []) t ~epoch:e =
-  match admit_epoch t e ~what:"step_degraded" with
-  | Skip -> []
-  | Admit ->
-      (match t.journal with Some j -> j (Journal_degraded (e, tags)) | None -> ());
-      let t0 = Obs.start sp_step_degraded in
-      (* Shelf tags read during the outage still localize the reader —
-         their positions are known exactly. Object tags carry no usable
-         evidence without a trusted fix and are ignored. *)
-      let shelf_tags =
-        List.filter_map
-          (function Rfid_model.Types.Shelf_tag i -> Some i | Rfid_model.Types.Object_tag _ -> None)
-          tags
-        |> List.sort_uniq Int.compare
-      in
-      (match t.filter with
-      | Basic (f, _) -> Basic_filter.dead_reckon f ~shelf_tags ~epoch:e
-      | Factored f -> Factored_filter.dead_reckon f ~shelf_tags ~epoch:e);
-      t.degraded_run <- t.degraded_run + 1;
-      (* Reports falling due mid-outage still honor the delay policy;
-         their events are flagged so consumers can discount them. *)
-      let t_rep = Obs.start sp_report in
-      let events = drain_due t ~at:e ~degraded:true in
-      Obs.stop sp_report t_rep;
-      Obs.incr c_epochs 1;
-      Obs.incr c_degraded_epochs 1;
-      Obs.stop sp_step_degraded t0;
-      events
+  check_epoch t e ~what:"step_degraded";
+  (match t.journal with Some j -> j (Journal_degraded (e, tags)) | None -> ());
+  let t0 = Obs.start sp_step_degraded in
+  (* Shelf tags read during the outage still localize the reader —
+     their positions are known exactly. Object tags carry no usable
+     evidence without a trusted fix and are ignored. *)
+  let shelf_tags =
+    List.filter_map
+      (function Rfid_model.Types.Shelf_tag i -> Some i | Rfid_model.Types.Object_tag _ -> None)
+      tags
+    |> List.sort_uniq Int.compare
+  in
+  (match t.filter with
+  | Basic (f, _) -> Basic_filter.dead_reckon f ~shelf_tags ~epoch:e
+  | Factored f -> Factored_filter.dead_reckon f ~shelf_tags ~epoch:e);
+  t.degraded_run <- t.degraded_run + 1;
+  (* Reports falling due mid-outage still honor the delay policy;
+     their events are flagged so consumers can discount them. *)
+  let t_rep = Obs.start sp_report in
+  let events = drain_due t ~at:e ~degraded:true in
+  Obs.stop sp_report t_rep;
+  Obs.incr c_epochs 1;
+  Obs.incr c_degraded_epochs 1;
+  Obs.stop sp_step_degraded t0;
+  events
 
 let flush t =
   let e = epoch t in
@@ -295,8 +265,6 @@ type snapshot = {
   es_filter : filter_snapshot;
   es_pending : (int * int) list;
   es_scheduled : int list;
-  es_dup_skipped : int;
-  es_ooo_dropped : int;
   es_degraded_run : int;
   es_degraded_event_count : int;
 }
@@ -311,8 +279,6 @@ let snapshot t =
     es_scheduled =
       Hashtbl.fold (fun obj () acc -> obj :: acc) t.scheduled []
       |> List.sort Int.compare;
-    es_dup_skipped = t.dup_skipped;
-    es_ooo_dropped = t.ooo_dropped;
     es_degraded_run = t.degraded_run;
     es_degraded_event_count = t.degraded_event_count;
   }
@@ -342,8 +308,6 @@ let restore ~world ~params ~config s =
     cfg = config;
     pending;
     scheduled;
-    dup_skipped = s.es_dup_skipped;
-    ooo_dropped = s.es_ooo_dropped;
     degraded_run = s.es_degraded_run;
     degraded_event_count = s.es_degraded_event_count;
     journal = None;

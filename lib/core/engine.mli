@@ -10,12 +10,12 @@
     emits events for encounters still pending at stream end (e.g. "upon
     completion of a full area scan").
 
-    Real deployments are not clean: epochs duplicate, arrive out of
-    order, or lose their location fix. The engine therefore (a) skips
-    and counts equal-epoch duplicates instead of raising, (b) drops or
-    halts on strictly decreasing epochs per
-    [config.drop_out_of_order], and (c) offers {!step_degraded} for
-    epochs whose location fix was rejected upstream — the filter
+    The engine consumes one strictly increasing epoch sequence.
+    Real streams duplicate and reorder epochs; [Rfid_robust.Ingest]
+    is the one place that decides what happens to those (drop, re-time
+    or halt), so every stream that can carry a bad epoch goes through
+    it, and the engine only checks the contract. {!step_degraded}
+    takes epochs whose location fix was rejected upstream — the filter
     dead-reckons through them and the resulting events carry a
     [degraded] flag. {!snapshot}/{!restore} serialize the complete
     engine state for checkpoint/resume (see [Rfid_robust.Checkpoint]);
@@ -25,10 +25,6 @@
 type t
 
 type stats = {
-  duplicate_epochs_skipped : int;
-      (** observations whose epoch equalled the current one *)
-  out_of_order_dropped : int;
-      (** observations dropped under [config.drop_out_of_order] *)
   degraded_epochs : int;  (** epochs processed by {!step_degraded} *)
   degraded_events : int;  (** events emitted with the degraded flag *)
 }
@@ -50,11 +46,10 @@ val create :
 
 val step : t -> Rfid_model.Types.observation -> Event.t list
 (** Feed one epoch; returns the events whose report delay expired at
-    this epoch. An observation at the current epoch is skipped and
-    counted (see {!stats}); one at an earlier epoch is dropped and
-    counted when [config.drop_out_of_order] is set.
-    @raise Invalid_argument on a strictly decreasing epoch under the
-    default (halt) policy. *)
+    this epoch.
+    @raise Invalid_argument if the observation's epoch is not beyond
+    the current one; the journal hook (see {!set_journal}) is not
+    called and the engine is unchanged. *)
 
 val step_degraded :
   ?tags:Rfid_model.Types.tag list -> t -> epoch:Rfid_model.Types.epoch -> Event.t list
@@ -66,8 +61,8 @@ val step_degraded :
     though the fix did not: shelf tags among them localize the
     dead-reckoned reader belief (their positions are known exactly),
     while object tags are ignored — without a trusted fix there is no
-    proposal to weight object hypotheses against. Epoch ordering is
-    policed exactly as in {!step}. *)
+    proposal to weight object hypotheses against.
+    @raise Invalid_argument as {!step} does. *)
 
 val run : t -> Rfid_model.Types.observation list -> Event.t list
 (** [step] over a whole stream, then {!flush}; returns all events in
@@ -88,9 +83,6 @@ val iter_estimates :
     posterior bounding boxes through this without materializing an
     intermediate list per object. List- and sort-free: the filters
     keep their known sets in sorted form. *)
-
-val iter_known : t -> (int -> unit) -> unit
-(** Visit every known object id, ascending, without building a list. *)
 
 val num_known : t -> int
 (** Number of known objects, O(1). *)
@@ -133,7 +125,7 @@ val config : t -> Config.t
 (** The configuration the engine was created with. *)
 
 val stats : t -> stats
-(** Robustness counters accumulated since creation (or restore). *)
+(** Degraded-mode counters accumulated since creation (or restore). *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line rendering of {!stats}, as the CLI summaries print it. *)
@@ -151,21 +143,20 @@ type journal_entry =
 
 val set_journal : t -> (journal_entry -> unit) option -> unit
 (** Install (or clear) the write-ahead hook. When set, {!step} and
-    {!step_degraded} call it with the epoch's entry {e after} admission
-    but {e before} any state changes, so a journal flushed at entry
-    granularity always covers at least as much as any state the engine
-    exposed. Skipped duplicates / out-of-order drops are not
-    journaled. *)
+    {!step_degraded} call it with the epoch's entry {e after} the epoch
+    check but {e before} any state changes, so a journal flushed at
+    entry granularity always covers at least as much as any state the
+    engine exposed. An epoch that fails the check is not journaled. *)
 
 (** {1 Checkpointing} *)
 
 (** Complete dynamic engine state — filter state (RNG streams, reader
     and object particles, spatial index, compression queue), pending
-    report queue, and robustness counters — as plain data. The
+    report queue, and degraded-mode counters — as plain data. The
     representation is public so [Rfid_robust.Codec] can serialize it
-    field by field; treat it as read-only elsewhere. Field and
-    constructor order are part of the legacy (v1, Marshal) checkpoint
-    format — do not add, remove or reorder without bumping it. *)
+    field by field; treat it as read-only elsewhere. Adding or
+    removing a field changes that format: bump [Rfid_robust.Codec.version]
+    with it. *)
 type filter_snapshot =
   | Basic_snapshot of Basic_filter.snapshot * int  (** declared object count *)
   | Factored_snapshot of Factored_filter.snapshot
@@ -174,8 +165,6 @@ type snapshot = {
   es_filter : filter_snapshot;
   es_pending : (int * int) list;  (** (due epoch, object) report queue *)
   es_scheduled : int list;  (** objects with a pending report, ascending *)
-  es_dup_skipped : int;
-  es_ooo_dropped : int;
   es_degraded_run : int;
   es_degraded_event_count : int;
 }

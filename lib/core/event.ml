@@ -14,14 +14,6 @@ let std_dev_xy t =
   | None -> None
   | Some c -> Some (sqrt (Float.max 0. ((c.(0).(0) +. c.(1).(1)) /. 2.)))
 
-let confidence_ellipse t ~level =
-  match t.ev_cov with
-  | None -> None
-  | Some cov ->
-      let loc = Rfid_geom.Vec3.to_array t.ev_loc in
-      let g = Rfid_prob.Gaussian.create ~mean:loc ~cov in
-      Some (Rfid_prob.Gaussian.confidence_ellipse_xy g ~level)
-
 let pp ppf t =
   Format.fprintf ppf "@[t=%d obj=%d loc=%a%t%t@]" t.ev_epoch t.ev_obj Rfid_geom.Vec3.pp
     t.ev_loc

@@ -32,10 +32,4 @@ val std_dev_xy : t -> float option
 (** Root of the mean of the x and y posterior variances — a scalar
     spread summary. *)
 
-val confidence_ellipse : t -> level:float -> (float * float * float) option
-(** [(semi_major, semi_minor, angle)] of the XY confidence region at
-    the given coverage level — the paper's "(statistics)?" field offers
-    exactly this kind of summary. [None] when the event carries no
-    covariance. @raise Invalid_argument unless [0 < level < 1]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -228,8 +228,8 @@ let create ~world ~params ~config ~init_reader ~rng =
     reader_gen = 0;
     objects = Hashtbl.create 64;
     cache =
-      Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
-        ~max_range:config.Config.max_sensing_range
+      Common.Sensor_cache.create ~threshold:Config.detection_threshold
+        ~max_range:Config.max_sensing_range
         params.Params.sensor;
     shelf_tags;
     shelf_index;
@@ -339,11 +339,15 @@ let decompress_into t rng rw store g =
     Ps.set_log_w store i 0.
   done
 
+(* Inflation (ft) of the Case-2 probe box, absorbing reader-particle
+   spread. *)
+let case4_margin = 1.0
+
 (* The probe/insertion box for the sensing region around a reader
    location: heading-independent square of side 2 * detection range,
-   inflated by the configured margin for reader-particle spread. *)
+   inflated by [case4_margin]. *)
 let sensing_box t loc =
-  let r = t.cache.Common.Sensor_cache.range +. t.config.Config.case4_margin in
+  let r = t.cache.Common.Sensor_cache.range +. case4_margin in
   Box2.of_center loc ~half_width:r ~half_height:r
 
 (* Sort [a.(0) .. a.(n - 1)] ascending in place. The runs sorted here
@@ -393,7 +397,7 @@ let weight_readers t reported =
     tag_culled :=
       !tag_culled
       + Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x ~ty:tag_loc.Vec3.y
-          ~tz:tag_loc.Vec3.z ~read ~miss_weight:t.config.Config.shelf_miss_weight acc
+          ~tz:tag_loc.Vec3.z ~read ~miss_weight:Config.shelf_miss_weight acc
   done;
   (* A read shelf tag outside the probe box (possible with heavy
      location noise) still contributes evidence; find it by id. *)
@@ -422,7 +426,7 @@ let weight_readers t reported =
             !tag_culled
             + Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x
                 ~ty:tag_loc.Vec3.y ~tz:tag_loc.Vec3.z ~read:true
-                ~miss_weight:t.config.Config.shelf_miss_weight acc
+                ~miss_weight:Config.shelf_miss_weight acc
       | exception Not_found -> ()
     done
   end;
@@ -696,6 +700,10 @@ let maybe_resample_readers t =
     done
   end
 
+(* Index insertions are consolidated until the reader has moved this
+   far (ft), keeping the sensing-region index compact. *)
+let index_min_displacement = 0.5
+
 let update_index t reported scope =
   match t.index with
   | None -> ()
@@ -709,7 +717,7 @@ let update_index t reported scope =
       let should_flush =
         match idx.last_insert_loc with
         | None -> true
-        | Some prev -> Vec3.dist_xy prev reported >= t.config.Config.index_min_displacement
+        | Some prev -> Vec3.dist_xy prev reported >= index_min_displacement
       in
       if should_flush then begin
         (match idx.pending_box with
@@ -815,7 +823,7 @@ let drain_evictions t e =
 
 let init_fresh t rng rw (obj : obj_state) store n =
   Ps.resize store n;
-  Common.fill_fresh_particles t.cache ~overestimate:t.config.Config.init_overestimate
+  Common.fill_fresh_particles t.cache ~overestimate:Config.init_overestimate
     ~world:t.world ~pre:t.pre ~rw ~rng ~store ~step:1;
   obj.reader_gen <- t.reader_gen
 
@@ -839,7 +847,7 @@ let init_on_read t rng rw (obj : obj_state) ~reported =
       else if d >= t.config.Config.reinit_near then begin
         refresh_pointers t rng rw obj;
         Common.fill_fresh_particles t.cache
-          ~overestimate:t.config.Config.init_overestimate ~world:t.world ~pre:t.pre ~rw
+          ~overestimate:Config.init_overestimate ~world:t.world ~pre:t.pre ~rw
           ~rng ~store ~step:2
       end
 
@@ -927,7 +935,6 @@ let step t (obs : Types.observation) =
         | Active store -> hits := !hits + Ps.length store
         | Compressed _ -> ())
   done;
-  Sensor_model.pre_note_hits t.pre !hits;
   Obs.stop sp_weighting t_weight;
   Obs.set g_scope_objects (float_of_int t.processed_last);
   Obs.set g_particles_in_scope (float_of_int !hits);
@@ -972,7 +979,7 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   t.newly_seen <- [];
   t.processed_last <- 0;
   let motion = t.params.Params.motion in
-  let scale = t.config.Config.degraded_noise_scale in
+  let scale = Config.degraded_noise_scale in
   let s = motion.Motion_model.sigma in
   let sigma = Vec3.make (s.Vec3.x *. scale) (s.Vec3.y *. scale) (s.Vec3.z *. scale) in
   Array.iter
@@ -1006,10 +1013,9 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
             ignore
               (Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x
                  ~ty:tag_loc.Vec3.y ~tz:tag_loc.Vec3.z ~read:true
-                 ~miss_weight:t.config.Config.shelf_miss_weight acc)
+                 ~miss_weight:Config.shelf_miss_weight acc)
         | exception Not_found -> ())
       shelf_tags;
-    Sensor_model.pre_note_hits t.pre !calls;
     Obs.incr c_sensor_evals !calls;
     Array.iteri (fun i (r : reader_particle) -> r.log_w <- r.log_w +. acc.(i)) t.readers;
     let m =
@@ -1022,8 +1028,8 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   end;
   t.consecutive_degraded <- t.consecutive_degraded + 1;
   t.degraded_total <- t.degraded_total + 1;
-  let w = t.config.Config.degraded_widen_sigma in
-  if t.consecutive_degraded >= t.config.Config.degraded_widen_after && w > 0. then begin
+  let w = Config.degraded_widen_sigma in
+  if t.consecutive_degraded >= t.config.Config.degraded_widen_after then begin
     t.dirty_all <- true;
     let wsigma = Vec3.make w w 0. in
     (* Widening visits every tracked object by evidence semantics (the
@@ -1057,7 +1063,6 @@ let dead_reckon ?(shelf_tags = []) t ~epoch:e =
   t.epoch <- e
 
 let degraded_epochs t = t.degraded_total
-let consecutive_degraded t = t.consecutive_degraded
 
 let estimate t obj_id =
   match Hashtbl.find_opt t.objects obj_id with
@@ -1110,9 +1115,6 @@ let is_compressed t obj_id =
   | Some { belief = Active _; _ } | None -> false
 
 let num_index_boxes t = match t.index with None -> 0 | Some idx -> Dyn_index.size idx.regions
-
-let sensor_memo_hits t = Sensor_model.pre_hits t.pre
-let sensor_memo_size t = Sensor_model.pre_size t.pre
 
 let iter_reader_particles t f =
   let rw = reader_weights t in
@@ -1311,8 +1313,8 @@ let restore ~world ~params ~config s =
     reader_gen = s.fs_reader_gen;
     objects;
     cache =
-      Common.Sensor_cache.create ~threshold:config.Config.detection_threshold
-        ~max_range:config.Config.max_sensing_range
+      Common.Sensor_cache.create ~threshold:Config.detection_threshold
+        ~max_range:Config.max_sensing_range
         params.Params.sensor;
     shelf_tags;
     shelf_index;

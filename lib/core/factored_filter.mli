@@ -96,13 +96,13 @@ val dead_reckon :
 (** Advance one epoch {e without} a usable location fix (missing or
     rejected by the ingest guard): reader particles move by the motion
     model with proposal noise inflated by
-    [config.degraded_noise_scale]. [shelf_tags] (default [[]], expected
+    {!Config.degraded_noise_scale}. [shelf_tags] (default [[]], expected
     deduplicated and ascending) lists shelf tags read during the
     outage; their exactly-known positions re-weight the reader
     particles, localizing the dead-reckoned belief. With none, weights
     are unchanged. After [config.degraded_widen_after] consecutive
     dead-reckoned epochs, object beliefs additionally diffuse by
-    [config.degraded_widen_sigma] per epoch (particle clouds are
+    {!Config.degraded_widen_sigma} per epoch (particle clouds are
     jittered and clamped to shelves; compressed Gaussians inflate their
     XY covariance). Deterministic: per-object randomness is keyed by
     (object id, epoch) as in {!step}.
@@ -110,10 +110,6 @@ val dead_reckon :
 
 val degraded_epochs : t -> int
 (** Total dead-reckoned epochs so far. *)
-
-val consecutive_degraded : t -> int
-(** Length of the current dead-reckoning run; 0 after any normal
-    {!step}. *)
 
 (** {1 Checkpointing} *)
 
@@ -194,14 +190,6 @@ val is_compressed : t -> int -> bool
 val num_index_boxes : t -> int
 (** Sensing-region boxes currently held by the spatial index (0 without
     an index). *)
-
-val sensor_memo_hits : t -> int
-(** Total sensor-likelihood evaluations served through the per-epoch
-    reader-pose memo ({!Rfid_model.Sensor_model.precompute}). *)
-
-val sensor_memo_size : t -> int
-(** Pose slots currently held by the sensor memo (= the reader particle
-    count). *)
 
 val iter_reader_particles :
   t -> (Rfid_model.Reader_state.t -> float -> unit) -> unit

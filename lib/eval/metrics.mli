@@ -9,8 +9,6 @@ type error = {
   count : int;  (** events scored *)
 }
 
-val zero : error
-
 val inference_error : Rfid_core.Event.t list -> Rfid_model.Trace.t -> error
 (** Score each event against the true location of its object at the
     event's epoch (clamped to the trace's last epoch for events emitted

@@ -45,20 +45,20 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?init_reader ?(seed
   let epochs = List.length observations in
   (* Per-epoch latencies land in a preallocated buffer so the
      measurement loop itself stays off the allocation counters (modulo
-     a boxed float per gettimeofday call, identical across variants). *)
+     a boxed float per clock read, identical across variants). *)
   let lat = Array.make (Int.max epochs 1) 0. in
   Gc.full_major ();
   let baseline_words = (Gc.stat ()).Gc.live_words in
   let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Rfid_obs.Metrics.now () in
   let max_scope = ref 0 in
   let i = ref 0 in
   let events =
     List.concat_map
       (fun obs ->
-        let e0 = Unix.gettimeofday () in
+        let e0 = Rfid_obs.Metrics.now () in
         let evs = Rfid_core.Engine.step engine obs in
-        lat.(!i) <- Unix.gettimeofday () -. e0;
+        lat.(!i) <- Rfid_obs.Metrics.now () -. e0;
         incr i;
         max_scope :=
           Int.max !max_scope (Rfid_core.Engine.objects_processed_last_step engine);
@@ -66,7 +66,7 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?init_reader ?(seed
       observations
   in
   let events = events @ Rfid_core.Engine.flush engine in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Rfid_obs.Metrics.now () -. t0 in
   let g1 = Gc.quick_stat () in
   Gc.full_major ();
   let live_heap_mb =

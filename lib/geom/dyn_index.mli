@@ -19,9 +19,9 @@
     Handles are small ints, reused after {!remove}; each [insert]
     returns the handle to later [remove]/[update] that entry. Queries
     fill reusable {!Hits} buffers, and a steady-state {!query_into}
-    allocates nothing. Entries whose box spans more than
-    {!max_span_cells} cells are kept on an oversize list probed by
-    every query instead of bloating thousands of buckets. Hit order is
+    allocates nothing. Entries whose box spans more than 64 cells are
+    kept on an oversize list probed by every query instead of bloating
+    thousands of buckets. Hit order is
     unspecified (grid visit order); callers consume hits as sets or
     sort them. *)
 
@@ -87,10 +87,6 @@ val iter : 'a t -> (int -> Box2.t -> 'a -> unit) -> unit
 
 val clear : 'a t -> unit
 (** Drop every entry; handles become invalid, capacity is retained. *)
-
-val max_span_cells : int
-(** Cell-coverage bound above which an entry lives on the oversize
-    list (64). *)
 
 val cell_size : 'a t -> float
 (** Current grid cell size — exposed for tests of the self-tuning. *)

@@ -12,9 +12,7 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val dot : t -> t -> float
 val norm : t -> float
-val norm_sq : t -> float
 val dist : t -> t -> float
-val dist_sq : t -> t -> float
 
 val dist_xy : t -> t -> float
 (** Distance projected onto the XY plane (the paper's reported error

@@ -1,6 +1,3 @@
 type t = { loc : Rfid_geom.Vec3.t; heading : float }
 
 let make ~loc ~heading = { loc; heading }
-
-let pp ppf t =
-  Format.fprintf ppf "%a @ %.1f deg" Rfid_geom.Vec3.pp t.loc (t.heading *. 180. /. Float.pi)

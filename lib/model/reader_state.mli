@@ -4,4 +4,3 @@
 type t = { loc : Rfid_geom.Vec3.t; heading : float }
 
 val make : loc:Rfid_geom.Vec3.t -> heading:float -> t
-val pp : Format.formatter -> t -> unit

@@ -162,7 +162,6 @@ type pre = {
          saturation argument assumes finite poses, so culling is
          disabled (cut forced to infinity) while any are present *)
   mutable pstamp : int;  (* bumped whenever memo contents may change *)
-  mutable hits : int;
 }
 
 let precompute t ~n =
@@ -179,7 +178,6 @@ let precompute t ~n =
     phead = Float.Array.make cap 0.;
     pbad = 0;
     pstamp = 0;
-    hits = 0;
   }
 
 let pre_size p = p.pn
@@ -436,9 +434,6 @@ let pre_accumulate_joint_obj p store ~obj ~num_objects ~read acc =
   !culled
 
 let pre_poses p = (p.prx, p.pry, p.prz, p.phead)
-
-let pre_note_hits p k = p.hits <- p.hits + k
-let pre_hits p = p.hits
 
 let max_search_range = 100.
 

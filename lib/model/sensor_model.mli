@@ -190,13 +190,6 @@ val pre_poses : pre -> floatarray * floatarray * floatarray * floatarray
     indices [>= pre_size] are unspecified; {!pre_resize} invalidates
     the returned arrays. *)
 
-val pre_note_hits : pre -> int -> unit
-(** Add to the served-evaluation counter. *)
-
-val pre_hits : pre -> int
-(** Total evaluations served via this memo, as counted by
-    {!pre_note_hits}. *)
-
 val detection_range : ?threshold:float -> t -> float
 (** Head-on distance at which the read probability falls below
     [threshold] (default 0.02): the radius used for sensing-region

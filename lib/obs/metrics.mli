@@ -123,6 +123,11 @@ val span : t -> string -> span
 (** Find-or-register span [name]; its histogram is registered under the
     same name ({!histogram} on that name returns it). *)
 
+val now : unit -> float
+(** CLOCK_MONOTONIC, in seconds: the clock {!start} and {!stop} read.
+    Differences of two readings never go negative when the wall clock
+    steps. *)
+
 val start : span -> float
 (** Monotonic-clock timestamp (CLOCK_MONOTONIC, in seconds) opening the
     region; pass it to {!stop}. *)

@@ -34,8 +34,6 @@ module Univariate = struct
     if sigma = 0. then if x < mu then 0. else 1.
     else 0.5 *. (1. +. erf ((x -. mu) /. (sigma *. sqrt 2.)))
 
-  let sample { mu; sigma } rng = Rng.gaussian rng ~mu ~sigma ()
-
   let fit ?w data =
     let n = Array.length data in
     if n = 0 then invalid_arg "Gaussian.Univariate.fit: empty data";

@@ -16,7 +16,6 @@ module Univariate : sig
   val pdf : t -> float -> float
   val log_pdf : t -> float -> float
   val cdf : t -> float -> float
-  val sample : t -> Rng.t -> float
 
   val fit : ?w:float array -> float array -> t
   (** Moment-matched (maximum likelihood) fit; [w] are normalized
@@ -35,7 +34,6 @@ val create : mean:float array -> cov:Linalg.mat -> t
     dimension or not positive (semi)definite. Semidefinite covariances
     are jittered (see {!Linalg.cholesky}). *)
 
-val dim : t -> int
 val mean : t -> float array
 val cov : t -> Linalg.mat
 

@@ -35,13 +35,6 @@ let mat_vec a v =
       done;
       !s)
 
-let add a b =
-  let n = dim a in
-  if dim b <> n then invalid_arg "Linalg.add: size mismatch";
-  Array.init n (fun i -> Array.init n (fun j -> a.(i).(j) +. b.(i).(j)))
-
-let scale c a = Array.map (Array.map (fun x -> c *. x)) a
-
 let dot u v =
   if Array.length u <> Array.length v then invalid_arg "Linalg.dot: size mismatch";
   let s = ref 0. in

@@ -14,8 +14,6 @@ val copy : mat -> mat
 val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> float array -> float array
-val add : mat -> mat -> mat
-val scale : float -> mat -> mat
 
 val dot : float array -> float array -> float
 val outer : float array -> float array -> mat
@@ -26,10 +24,6 @@ val cholesky : mat -> mat
     the matrix is only semidefinite — covariances of degenerate particle
     clouds hit this constantly. @raise Invalid_argument if the matrix is
     not square or not positive (semi)definite even after jitter. *)
-
-val solve_cholesky : mat -> float array -> float array
-(** [solve_cholesky l b] solves [l * l^T * x = b] given the Cholesky
-    factor [l] by forward then backward substitution. *)
 
 val solve_spd : mat -> float array -> float array
 (** Solve [a x = b] for symmetric positive definite [a]. *)

@@ -23,13 +23,8 @@
 
     For kill-anywhere recovery, {!save_rotating} keeps the last [keep]
     checkpoints as [ckpt-<epoch>.bin] files in a directory and
-    {!load_newest} walks them newest-first, falling back down the chain
-    past any corrupted file. *)
-
-val version : int
-(** Current checkpoint envelope version (2), stamped into the header of
-    every file {!save} writes. {!load} accepts only this version; bump
-    it whenever the payload encoding changes. *)
+    {!load_auto} on that directory walks them newest-first, falling
+    back down the chain past any corrupted file. *)
 
 val save : path:string -> Rfid_core.Engine.snapshot -> unit
 (** Write a checkpoint atomically and durably (via [path ^ ".tmp"] +
@@ -75,12 +70,9 @@ val clear_rotation : dir:string -> unit
     log; this is the same hygiene for the checkpoint directory.)
     Missing directory is a no-op. *)
 
-val load_newest : dir:string -> (Rfid_core.Engine.snapshot, string) result
-(** Load the newest (highest-epoch) checkpoint in [dir] that passes
-    verification, silently skipping corrupted newer ones. [Error]
-    only when [dir] has no loadable checkpoint; the message then lists
-    every file tried and why it failed. *)
-
 val load_auto : path:string -> (Rfid_core.Engine.snapshot, string) result
-(** [load_newest] if [path] is a directory, {!load} otherwise — the
+(** {!load} if [path] is a file. If it is a directory, the newest
+    (highest-epoch) checkpoint in it that passes verification, silently
+    skipping corrupted newer ones; [Error] only when none loads, and
+    the message then lists every file tried and why it failed. The
     dispatch behind the CLI's [--resume], which accepts either. *)

@@ -5,7 +5,7 @@ module BF = Rfid_core.Basic_filter
 module FF = Rfid_core.Factored_filter
 
 let magic = "RCOD"
-let version = 1
+let version = 2
 
 (* Adler-32 (RFC 1950), hand-rolled so the format needs no zlib
    binding. Deferring the modulo amortizes it: 5552 is the largest
@@ -471,8 +471,6 @@ let encode_engine_section buf (s : E.snapshot) ~basic_count =
   add_int body basic_count;
   add_list add_int_pair body s.E.es_pending;
   add_list add_int body s.E.es_scheduled;
-  add_int body s.E.es_dup_skipped;
-  add_int body s.E.es_ooo_dropped;
   add_int body s.E.es_degraded_run;
   add_int body s.E.es_degraded_event_count;
   add_section buf "engine" (Buffer.contents body)
@@ -482,16 +480,12 @@ let decode_engine_section track c ~filter_of_count =
   let basic_count = r_int eng in
   let es_pending = r_list ~elem_bytes:16 r_int_pair eng in
   let es_scheduled = r_list ~elem_bytes:8 r_int eng in
-  let es_dup_skipped = r_int eng in
-  let es_ooo_dropped = r_int eng in
   let es_degraded_run = r_int eng in
   let es_degraded_event_count = r_int eng in
   {
     E.es_filter = filter_of_count basic_count;
     es_pending;
     es_scheduled;
-    es_dup_skipped;
-    es_ooo_dropped;
     es_degraded_run;
     es_degraded_event_count;
   }

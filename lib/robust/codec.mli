@@ -11,7 +11,7 @@
     byte, then a fixed sequence of {e sections} — [name, body length,
     body, Adler-32 of the body] — covering the complete snapshot: RNG
     states, particle slabs, index entries, compression queue, pending
-    reports, robustness counters. Per-section framing means a decode
+    reports, degraded-mode counters. Per-section framing means a decode
     failure names the section and byte offset where the stream went
     bad, and a corrupted region is caught by its own checksum before
     its bytes can be misread as structure.
@@ -24,8 +24,8 @@
 
 val version : int
 (** Codec format version stamped after the magic; {!decode} refuses any
-    other. Independent of the checkpoint-envelope version (see
-    {!Checkpoint.version}). *)
+    other. Independent of the checkpoint-envelope version in
+    {!Checkpoint}'s file header. *)
 
 val encode : Rfid_core.Engine.snapshot -> string
 (** Serialize to the portable format. Total cost is one linear pass
@@ -54,15 +54,10 @@ module Prim : sig
   (** {2 Writers (append to a [Buffer.t])} *)
 
   val add_u8 : Buffer.t -> int -> unit
-  val add_i64 : Buffer.t -> int64 -> unit
   val add_int : Buffer.t -> int -> unit
-  val add_f : Buffer.t -> float -> unit
-  val add_bool : Buffer.t -> bool -> unit
   val add_vec3 : Buffer.t -> Rfid_geom.Vec3.t -> unit
   val add_tag : Buffer.t -> Rfid_model.Types.tag -> unit
-  val add_opt : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
   val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
-  val add_array : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a array -> unit
 
   (** {2 Readers (consume from a cursor)} *)
 
@@ -72,19 +67,12 @@ module Prim : sig
   val pos : cursor -> int
   val remaining : cursor -> int
   val r_u8 : cursor -> int
-  val r_i64 : cursor -> int64
   val r_int : cursor -> int
-  val r_f : cursor -> float
-  val r_bool : cursor -> bool
   val r_vec3 : cursor -> Rfid_geom.Vec3.t
   val r_tag : cursor -> Rfid_model.Types.tag
 
-  val r_len : cursor -> elem_bytes:int -> int
-  (** A list/array length, validated against the bytes actually left
-      ([elem_bytes] is a lower bound on the per-element encoding), so a
-      corrupted length can never drive a huge allocation. *)
-
-  val r_opt : (cursor -> 'a) -> cursor -> 'a option
   val r_list : ?elem_bytes:int -> (cursor -> 'a) -> cursor -> 'a list
-  val r_array : ?elem_bytes:int -> dummy:'a -> (cursor -> 'a) -> cursor -> 'a array
+  (** [elem_bytes] is a lower bound on the per-element encoding: the
+      decoded length is validated against the bytes actually left, so a
+      corrupted length can never drive a huge allocation. *)
 end

@@ -17,7 +17,7 @@ let of_config ~objects ~seed config =
   {
     world = wh.Rfid_sim.Warehouse.world;
     params = Rfid_model.Params.create ~sensor:fitted ();
-    config = { config with Rfid_core.Config.drop_out_of_order = true };
+    config;
     init_reader = Rfid_sim.Warehouse.reader_start wh;
     num_objects = objects;
     seed;

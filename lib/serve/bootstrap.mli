@@ -27,8 +27,7 @@ type t = {
 
 val of_config : objects:int -> seed:int -> Rfid_core.Config.t -> t
 (** The fixture around an already-validated engine configuration (the
-    CLI's engine flags build one); [drop_out_of_order] is forced on to
-    match the guard. *)
+    CLI's engine flags build one). *)
 
 val make :
   objects:int ->

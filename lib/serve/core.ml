@@ -64,8 +64,6 @@ let greeting t =
 let queue_depth t = Admission.length t.queue
 let epoch t = Engine.epoch t.engine
 let admitted t = t.admitted
-let draining t = t.draining
-let halted t = t.halted
 let engine t = t.engine
 let preload_event t ev = Query.record_event t.query ev
 
@@ -297,8 +295,6 @@ let handle_stats t =
           ("fault." ^ Ingest.fault_name fault, string_of_int n))
         (Ingest.counters t.guard)
     @ [
-        ("engine.duplicates_skipped", string_of_int s.Engine.duplicate_epochs_skipped);
-        ("engine.out_of_order_dropped", string_of_int s.Engine.out_of_order_dropped);
         ("engine.degraded_epochs", string_of_int s.Engine.degraded_epochs);
         ("engine.degraded_events", string_of_int s.Engine.degraded_events);
       ]

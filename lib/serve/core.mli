@@ -80,8 +80,6 @@ val epoch : t -> int
 val admitted : t -> int
 (** Queued observations that advanced the engine's epoch so far. *)
 
-val draining : t -> bool
-val halted : t -> string option
 val engine : t -> Rfid_core.Engine.t
 val preload_event : t -> Rfid_core.Event.t -> unit
 (** Seed the event ring (recovery replays the durable events log here

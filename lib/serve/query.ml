@@ -88,8 +88,6 @@ let create ?(events_keep = 4096) () =
     seen = 0;
   }
 
-let invalidate t = t.full_invalid <- true
-
 (* A posterior with a degenerate axis (all particles agreed exactly)
    still occupies a point; give its box a hair of width so the closed
    intersection test finds it, and treat its axis mass as a step
@@ -139,8 +137,7 @@ let refit t obj (mean : Vec3.t) (cov : Rfid_prob.Linalg.mat) =
       Hashtbl.replace t.fits obj f
 
 (* Bring the cache and index up to date with the engine, visiting only
-   what changed: a wholesale rebuild on {!invalidate} (fresh query
-   layer, checkpoint restore), every object when the change feed says
+   what changed: a wholesale rebuild on the first call, every object when the change feed says
    everything moved (degraded widening, Unfactorized), and otherwise
    exactly the dirty ids. Consumes the feed. *)
 let maintain t ~engine =

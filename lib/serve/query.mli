@@ -2,7 +2,7 @@
 
     The query layer keeps a per-object cache of moment-matched
     Gaussian fits plus a dynamic spatial index
-    ({!Rfid_geom.Dyn_index}) of their ±{!sigma_reach} boxes, and keeps
+    ({!Rfid_geom.Dyn_index}) of their ±3.5σ boxes, and keeps
     both current {e incrementally}: before answering, it drains the
     engine's change feed ({!Rfid_core.Engine.iter_dirty_changes}) and
     recomputes only the flagged objects' fits, moving their index
@@ -18,10 +18,9 @@
     reportable [RANGE] answer. Probes are allocation-light, through
     reusable hit buffers.
 
-    {!invalidate} requests a wholesale rebuild (counted in
-    [query.full_rebuilds]) — for checkpoint restore/[--recover] paths,
-    where the cache predates the state that replaced the engine. A
-    fresh query layer starts invalid.
+    A fresh query layer rebuilds the whole cache on its first query
+    (counted in [query.full_rebuilds]); a restored engine gets a fresh
+    query layer.
 
     The module also keeps the bounded ring of emitted events that backs
     [EVENTS since-epoch] — bounded so a long-lived server does not
@@ -49,29 +48,9 @@ type near_answer = {
 
 type t
 
-val sigma_reach : float
-(** Half-width of an object's index box, in posterior standard
-    deviations per axis (3.5). *)
-
-val min_mass_floor : float
-(** Lowest admissible [min-mass] threshold for [RANGE] (0.001);
-    requests below it are clamped here, keeping the σ-box pruning
-    sound. *)
-
 val create : ?events_keep:int -> unit -> t
 (** [events_keep] bounds the event ring (default 4096).
     @raise Invalid_argument if [events_keep < 1]. *)
-
-val invalidate : t -> unit
-(** Mark the whole cache stale; the next query rebuilds fits and index
-    from scratch. Needed only when the engine behind the queries is
-    {e replaced} (checkpoint restore) — ordinary steps are picked up
-    incrementally via the change feed. *)
-
-val maintain : t -> engine:Rfid_core.Engine.t -> unit
-(** Bring the fit cache and index up to date, visiting only changed
-    objects, and consume the engine's change feed. Queries call this
-    themselves; exposed for tests and benches. *)
 
 val range :
   t ->
@@ -83,7 +62,8 @@ val range :
   min_mass:float ->
   answer list
 (** Objects whose posterior mass inside the XY box reaches [min_mass]
-    (clamped to at least {!min_mass_floor}), in ascending object id.
+    (clamped to at least 0.001, which keeps the σ-box pruning sound),
+    in ascending object id.
     @raise Invalid_argument if a min bound exceeds its max or any bound
     is not finite. *)
 

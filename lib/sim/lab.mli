@@ -20,9 +20,6 @@
 
 type shelf_size = Small | Large
 
-val shelf_width : shelf_size -> float
-(** 0.66 or 2.6 ft. *)
-
 type t = {
   world : Rfid_model.World.t;
       (** imagined shelves (5 segments per row, one reference tag each) *)
@@ -42,12 +39,6 @@ val scan : t -> seed:int -> Rfid_model.Trace.t
 
 val num_objects : int
 (** 70: 80 tags minus 10 reference tags. *)
-
-val tag_spacing : float
-(** 1/3 ft (4 inches). *)
-
-val pass_epochs : int
-(** Epochs in one pass down a row (the scan has two passes). *)
 
 val heading : Rfid_model.Types.epoch -> float
 (** The robot's commanded heading during a scan: 0 (facing row 0) for

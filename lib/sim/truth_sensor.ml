@@ -39,8 +39,6 @@ let spherical ?(rr_center = 0.8) ?(range = 4.0) ?(angle_falloff = 2.0) () =
   in
   { read_prob; range; half_angle = Float.min Float.pi angle_falloff }
 
-let sample_read t rng ~d ~theta = Rfid_prob.Rng.bernoulli rng ~p:(t.read_prob ~d ~theta)
-
 let read_prob_at t ~reader_loc ~reader_heading ~tag_loc =
   let d, theta =
     Rfid_model.Sensor_model.geometry ~reader_loc ~reader_heading ~tag_loc

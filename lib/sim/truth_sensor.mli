@@ -28,8 +28,6 @@ val spherical : ?rr_center:float -> ?range:float -> ?angle_falloff:float -> unit
     20%. Defaults: [rr_center] 0.8, [range] 4 ft, [angle_falloff]
     2.0 rad. *)
 
-val sample_read : t -> Rfid_prob.Rng.t -> d:float -> theta:float -> bool
-
 val read_prob_at :
   t ->
   reader_loc:Rfid_geom.Vec3.t ->

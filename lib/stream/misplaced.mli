@@ -16,9 +16,6 @@ type config = {
   confirmations : int;  (** consecutive out-of-place reports required *)
 }
 
-val default_config : config
-(** tolerance 0.5 ft, 2 confirmations. *)
-
 type alert = {
   a_epoch : Rfid_model.Types.epoch;
   a_obj : int;
@@ -32,7 +29,8 @@ type t
 
 val create :
   ?config:config -> home:(int -> Rfid_geom.Box2.t option) -> unit -> t
-(** [home obj] is the planogram lookup; objects with no assigned home
+(** [config] defaults to a 0.5 ft tolerance and 2 confirmations.
+    [home obj] is the planogram lookup; objects with no assigned home
     are never flagged. @raise Invalid_argument on a non-positive
     tolerance or confirmation count. *)
 

@@ -238,16 +238,12 @@ let engine_snapshot_gen =
   in
   let* pending = small_list (pair (int_bound 1000) (int_bound 50)) in
   let* scheduled = small_list (int_bound 1000) in
-  let* dup = int_bound 10 in
-  let* ooo = int_bound 10 in
   let* dr = int_bound 10 in
   let+ de = int_bound 10 in
   {
     E.es_filter = filter;
     es_pending = pending;
     es_scheduled = scheduled;
-    es_dup_skipped = dup;
-    es_ooo_dropped = ooo;
     es_degraded_run = dr;
     es_degraded_event_count = de;
   }
@@ -313,6 +309,22 @@ let tiny_snapshot =
   lazy
     (let _, engine, _ = engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed in
      E.snapshot engine)
+
+(* A stream stamped with an older codec version (v1 carried two engine
+   counters this layout no longer has) is refused by version, before
+   any section is read. *)
+let test_old_version_refused () =
+  let data = Bytes.of_string (Codec.encode (Lazy.force tiny_snapshot)) in
+  Alcotest.(check int) "version byte follows the magic" Codec.version
+    (Char.code (Bytes.get data 4));
+  Bytes.set data 4 (Char.chr 1);
+  match Codec.decode (Bytes.to_string data) with
+  | Ok _ -> Alcotest.fail "v1 codec stream decoded; it must be refused"
+  | Error msg ->
+      Alcotest.(check string) "refusal names the version"
+        (Printf.sprintf "codec: unsupported version 1 (this build reads v%d)"
+           Codec.version)
+        msg
 
 let test_every_flip_rejected () =
   let data = Codec.encode (Lazy.force tiny_snapshot) in
@@ -382,6 +394,7 @@ let suite =
       qcheck_roundtrip;
       Alcotest.test_case "legacy v1 checkpoint cleanly refused" `Quick
         test_v1_rejected;
+      Alcotest.test_case "older codec version refused" `Quick test_old_version_refused;
       Alcotest.test_case "every byte flip rejected" `Slow test_every_flip_rejected;
       Alcotest.test_case "truncations rejected" `Quick test_every_truncation_rejected;
       Alcotest.test_case "errors name the failing section" `Quick

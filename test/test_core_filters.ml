@@ -10,11 +10,7 @@ let test_config_validation () =
   Util.check_raises_invalid "bad ratio" (fun () ->
       ignore (Config.create ~resample_ratio:1.5 ()));
   Util.check_raises_invalid "reinit order" (fun () ->
-      ignore (Config.create ~reinit_near:5. ~reinit_far:1. ()));
-  Util.check_raises_invalid "bad threshold" (fun () ->
-      ignore (Config.create ~detection_threshold:0. ()));
-  Util.check_raises_invalid "bad max range" (fun () ->
-      ignore (Config.create ~max_sensing_range:(-1.) ()))
+      ignore (Config.create ~reinit_near:5. ~reinit_far:1. ()))
 
 let test_event () =
   let ev =
@@ -124,15 +120,17 @@ let test_epoch_order_enforced () =
   in
   let obs = List.hd (Trace.observations trace) in
   ignore (Engine.step engine obs);
-  (* An equal-epoch duplicate is middleware noise: skipped and counted,
-     not fatal. *)
-  Alcotest.(check int) "duplicate produces nothing" 0
-    (List.length (Engine.step engine obs));
-  Alcotest.(check int) "duplicate counted" 1
-    (Engine.stats engine).Engine.duplicate_epochs_skipped;
-  (* A strictly earlier epoch still violates the contract by default. *)
+  (* The ingest guard owns the duplicate/reorder policy; the engine
+     only checks the contract, before anything reaches the journal. *)
+  let journaled = ref 0 in
+  Engine.set_journal engine (Some (fun _ -> incr journaled));
+  Util.check_raises_invalid "equal epoch" (fun () -> Engine.step engine obs);
   Util.check_raises_invalid "earlier epoch" (fun () ->
-      Engine.step engine { obs with Types.o_epoch = obs.Types.o_epoch - 1 })
+      Engine.step engine { obs with Types.o_epoch = obs.Types.o_epoch - 1 });
+  Util.check_raises_invalid "degraded equal epoch" (fun () ->
+      Engine.step_degraded engine ~epoch:obs.Types.o_epoch);
+  Alcotest.(check int) "nothing journaled" 0 !journaled;
+  Alcotest.(check int) "epoch unchanged" obs.Types.o_epoch (Engine.epoch engine)
 
 let test_missed_readings_still_reported () =
   (* At 60% read rate objects are missed often; smoothing must still

@@ -416,21 +416,6 @@ let test_degraded_shelf_tag_localization () =
         true (di < db))
     [ Rfid_core.Config.Unfactorized; Rfid_core.Config.Factorized_indexed ]
 
-let test_engine_ooo_drop_policy () =
-  let wh, trace = Lazy.force small_scenario in
-  let engine =
-    Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-      ~config:
-        (Rfid_core.Config.create ~num_reader_particles:30 ~num_object_particles:40
-           ~drop_out_of_order:true ())
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:11 ()
-  in
-  ignore (Rfid_core.Engine.step engine (obs 5 (v 0. 0. 0.) []));
-  Alcotest.(check int) "ooo dropped silently" 0
-    (List.length (Rfid_core.Engine.step engine (obs 2 (v 0. 0. 0.) [])));
-  Alcotest.(check int) "ooo counted" 1
-    (Rfid_core.Engine.stats engine).Rfid_core.Engine.out_of_order_dropped
-
 let suite =
   ( "robust",
     [
@@ -446,5 +431,4 @@ let suite =
       Alcotest.test_case "degraded recovery" `Quick test_degraded_recovery;
       Alcotest.test_case "degraded shelf-tag localization" `Quick
         test_degraded_shelf_tag_localization;
-      Alcotest.test_case "engine ooo drop policy" `Quick test_engine_ooo_drop_policy;
     ] )
