@@ -936,9 +936,10 @@ let serve_cmd =
   in
   let metrics_push_every =
     Arg.(
-      value & opt float 10.
+      value
+      & opt (float_in ~range:"(0, inf]" (fun r -> r > 0.)) 10.
       & info [ "metrics-push-every" ] ~docv:"SECONDS"
-          ~doc:"Seconds between metrics pushes.")
+          ~doc:"Seconds between metrics pushes (> 0).")
   in
   Cmd.v
     (Cmd.info "serve" ~doc)

@@ -19,7 +19,11 @@
      4. protocol fuzz — random, mutated, and hostile request frames
         through the stream server's state machine
         ([Rfid_serve.Core.handle_line]).  No frame may raise, and
-        every non-empty frame must get a newline-terminated reply. *)
+        every non-empty frame must get a newline-terminated reply.
+
+   After the iterations, one float-rendering pass (seeded by the base
+   seed) renders random 64-bit patterns with [Rfid_serve.Framing.float_str]
+   and requires the bytes of the libc chain it replaces. *)
 
 open Rfid_model
 
@@ -227,6 +231,49 @@ let fuzz_protocol rng boot =
     ignore (Rfid_serve.Core.tick core ~max_steps:4)
   done
 
+(* Float rendering: the reply rule as the libc chain it was first
+   written as, the first of %.15g, %.16g, %.17g that reads back. *)
+let printf_float_str v =
+  if Float.is_nan v then "nan"
+  else if v = Float.infinity then "inf"
+  else if v = Float.neg_infinity then "-inf"
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p v in
+      if float_of_string s = v then Some s else None
+    in
+    match try_prec 15 with
+    | Some s -> s
+    | None -> (
+        match try_prec 16 with Some s -> s | None -> Printf.sprintf "%.17g" v)
+
+let float_patterns = 200_000
+
+(* Half the patterns are raw 64-bit draws (every exponent, NaN payloads
+   and subnormals included); the other half get an exponent within
+   2^±20, where reply coordinates and masses live. *)
+let fuzz_float_rendering ~seed =
+  Printf.printf "fuzz: float rendering, %d patterns, seed %d\n%!"
+    float_patterns seed;
+  let rng = Rfid_prob.Rng.create ~seed in
+  for i = 1 to float_patterns do
+    let bits = Rfid_prob.Rng.bits64 rng in
+    let bits =
+      if i land 1 = 0 then bits
+      else
+        let e = Int64.of_int (1003 + Rfid_prob.Rng.int rng 41) in
+        Int64.logor
+          (Int64.logand bits 0x800F_FFFF_FFFF_FFFFL)
+          (Int64.shift_left e 52)
+    in
+    let v = Int64.float_of_bits bits in
+    let got = Rfid_serve.Framing.float_str v and want = printf_float_str v in
+    if got <> want then
+      failwith
+        (Printf.sprintf "float_str 0x%016Lx = %S, printf chain says %S" bits got
+           want)
+  done
+
 let policy_sets =
   [|
     Rfid_robust.Ingest.default_policies;
@@ -319,8 +366,16 @@ let () =
        incr failures;
        Printf.printf "  FAILURE at seed %d: %s\n%!" seed (Printexc.to_string exn))
   done;
-  if !failures > 0 then begin
+  let float_ok =
+    try
+      fuzz_float_rendering ~seed:base_seed;
+      true
+    with exn ->
+      Printf.printf "  FAILURE in float rendering, seed %d: %s\n%!" base_seed
+        (Printexc.to_string exn);
+      false
+  in
+  if !failures > 0 then
     Printf.printf "fuzz: %d/%d iterations raised\n%!" !failures iters;
-    exit 1
-  end
+  if !failures > 0 || not float_ok then exit 1
   else Printf.printf "fuzz: ok (%d iterations, no escaping exceptions)\n%!" iters

@@ -232,28 +232,40 @@ let fit_gaussian ~w t =
   if n = 0 then invalid_arg "Particle_store.fit_gaussian: empty store";
   if Array.length w <> n then
     invalid_arg "Particle_store.fit_gaussian: weight length mismatch";
-  let mean = Array.make 3 0. in
+  (* One unboxed accumulator per cell. The covariance is not
+     symmetrized: [(wi *. dx) *. dy] and [(wi *. dy) *. dx] may round
+     differently, and [Gaussian.fit] sums both. *)
+  let mx = ref 0. and my = ref 0. and mz = ref 0. in
   for i = 0 to n - 1 do
     let wi = Array.unsafe_get w i in
-    mean.(0) <- mean.(0) +. (wi *. FA.unsafe_get t.xs i);
-    mean.(1) <- mean.(1) +. (wi *. FA.unsafe_get t.ys i);
-    mean.(2) <- mean.(2) +. (wi *. FA.unsafe_get t.zs i)
+    mx := !mx +. (wi *. FA.unsafe_get t.xs i);
+    my := !my +. (wi *. FA.unsafe_get t.ys i);
+    mz := !mz +. (wi *. FA.unsafe_get t.zs i)
   done;
-  let cov = Array.make_matrix 3 3 0. in
-  let p = Array.make 3 0. in
+  let mx = !mx and my = !my and mz = !mz in
+  let cxx = ref 0. and cxy = ref 0. and cxz = ref 0. in
+  let cyx = ref 0. and cyy = ref 0. and cyz = ref 0. in
+  let czx = ref 0. and czy = ref 0. and czz = ref 0. in
   for i = 0 to n - 1 do
     let wi = Array.unsafe_get w i in
-    p.(0) <- FA.unsafe_get t.xs i;
-    p.(1) <- FA.unsafe_get t.ys i;
-    p.(2) <- FA.unsafe_get t.zs i;
-    for j = 0 to 2 do
-      for k = 0 to 2 do
-        cov.(j).(k) <-
-          cov.(j).(k) +. (wi *. (p.(j) -. mean.(j)) *. (p.(k) -. mean.(k)))
-      done
-    done
+    let dx = FA.unsafe_get t.xs i -. mx in
+    let dy = FA.unsafe_get t.ys i -. my in
+    let dz = FA.unsafe_get t.zs i -. mz in
+    cxx := !cxx +. (wi *. dx *. dx);
+    cxy := !cxy +. (wi *. dx *. dy);
+    cxz := !cxz +. (wi *. dx *. dz);
+    cyx := !cyx +. (wi *. dy *. dx);
+    cyy := !cyy +. (wi *. dy *. dy);
+    cyz := !cyz +. (wi *. dy *. dz);
+    czx := !czx +. (wi *. dz *. dx);
+    czy := !czy +. (wi *. dz *. dy);
+    czz := !czz +. (wi *. dz *. dz)
   done;
-  Gaussian.create ~mean ~cov
+  Gaussian.create ~mean:[| mx; my; mz |]
+    ~cov:
+      [|
+        [| !cxx; !cxy; !cxz |]; [| !cyx; !cyy; !cyz |]; [| !czx; !czy; !czz |];
+      |]
 
 (* Average weighted negative log-likelihood under [g] — the SoA form of
    [Gaussian.avg_nll ~w g (Array.map Vec3.to_array locs)]. The 3-float

@@ -26,6 +26,7 @@ type t = {
   query : Query.t;
   checkpoint_every : int;
   hooks : hooks;
+  reply : Buffer.t;  (* every reply is written here, then copied out *)
   mutable admitted : int;
   mutable paused : bool;
   mutable draining : bool;
@@ -44,6 +45,7 @@ let create ~guard ~engine ~num_objects ?(admit_cap = 1024) ?events_keep
     query = Query.create ?events_keep ();
     checkpoint_every;
     hooks;
+    reply = Buffer.create 1024;
     admitted = 0;
     paused = false;
     draining = false;
@@ -141,49 +143,105 @@ let drain t =
 (* ------------------------------------------------------------------ *)
 (* Reply formatting *)
 
-let fstr = Framing.float_str
+(* A reply is written into [t.reply], which [start] clears, and copied
+   out once by [finish]: no Printf, and no fresh buffer per reply. *)
+let start t =
+  Buffer.clear t.reply;
+  t.reply
 
-let err code msg = (Printf.sprintf "ERR %d %s\n" code msg, false)
-let ok body = (Printf.sprintf "OK %s\n" body, false)
+let finish t = (Buffer.contents t.reply, false)
 
-let halted_reply msg = err 500 (Printf.sprintf "halted: %s" msg)
+let rec add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let add_float b v = Buffer.add_string b (Framing.float_str v)
+
+let err t code msg =
+  let b = start t in
+  Buffer.add_string b "ERR ";
+  add_int b code;
+  Buffer.add_char b ' ';
+  Buffer.add_string b msg;
+  Buffer.add_char b '\n';
+  finish t
+
+(* ["OK n\n"], the count line of a multi-line reply, left open for
+   the lines that follow. *)
+let ok_count t n =
+  let b = start t in
+  Buffer.add_string b "OK ";
+  add_int b n;
+  Buffer.add_char b '\n';
+  b
+
+let ok_int t n =
+  ignore (ok_count t n);
+  finish t
+
+let halted_reply t msg = err t 500 ("halted: " ^ msg)
 
 let handle_put t rest =
-  if t.draining then err 410 "draining"
+  if t.draining then err t 410 "draining"
   else
     match t.halted with
-    | Some msg -> halted_reply msg
+    | Some msg -> halted_reply t msg
     | None -> (
         match Rfid_model.Trace_io.observation_of_line rest with
-        | Error msg -> err 400 msg
+        | Error msg -> err t 400 msg
         | Ok obs ->
             if Admission.offer t.queue obs then
-              ok (string_of_int (Admission.length t.queue))
-            else
-              ( Printf.sprintf "BUSY %d/%d\n" (Admission.length t.queue)
-                  (Admission.capacity t.queue),
-                false ))
+              ok_int t (Admission.length t.queue)
+            else begin
+              let b = start t in
+              Buffer.add_string b "BUSY ";
+              add_int b (Admission.length t.queue);
+              Buffer.add_char b '/';
+              add_int b (Admission.capacity t.queue);
+              Buffer.add_char b '\n';
+              finish t
+            end)
 
 let handle_sync t =
   match t.halted with
-  | Some msg -> halted_reply msg
+  | Some msg -> halted_reply t msg
   | None -> (
       process_queue t;
       match t.halted with
-      | Some msg -> halted_reply msg
-      | None -> ok (string_of_int (Engine.epoch t.engine)))
+      | Some msg -> halted_reply t msg
+      | None -> ok_int t (Engine.epoch t.engine))
 
 let handle_at t rest =
   match int_of_string_opt (String.trim rest) with
-  | None -> err 401 "bad-argument: AT takes one object id"
+  | None -> err t 401 "bad-argument: AT takes one object id"
   | Some obj -> (
       match Query.at t.query ~engine:t.engine obj with
-      | None -> err 404 (Printf.sprintf "unknown-object %d" obj)
+      | None -> err t 404 ("unknown-object " ^ string_of_int obj)
       | Some (loc, sd_xy) ->
-          ok
-            (Printf.sprintf "%d %d %s %s %s %s" obj (Engine.epoch t.engine)
-               (fstr loc.Rfid_geom.Vec3.x) (fstr loc.Rfid_geom.Vec3.y)
-               (fstr loc.Rfid_geom.Vec3.z) (fstr sd_xy)))
+          let b = start t in
+          Buffer.add_string b "OK ";
+          add_int b obj;
+          Buffer.add_char b ' ';
+          add_int b (Engine.epoch t.engine);
+          List.iter
+            (fun v ->
+              Buffer.add_char b ' ';
+              add_float b v)
+            Rfid_geom.Vec3.[ loc.x; loc.y; loc.z; sd_xy ];
+          Buffer.add_char b '\n';
+          finish t)
+
+(* One answer line of RANGE/NEAR: ["obj v x y z"]. *)
+let add_answer b obj v xyz =
+  add_int b obj;
+  Buffer.add_char b ' ';
+  add_float b v;
+  Buffer.add_char b ' ';
+  Buffer.add_string b xyz;
+  Buffer.add_char b '\n'
 
 let handle_near t rest =
   let fields =
@@ -198,23 +256,17 @@ let handle_near t rest =
     | _ -> None
   in
   match parsed with
-  | None -> err 401 "bad-argument: NEAR takes k x y"
+  | None -> err t 401 "bad-argument: NEAR takes k x y"
   | Some (k, x, y) -> (
       match Query.near t.query ~engine:t.engine ~k ~x ~y with
-      | exception Invalid_argument msg -> err 401 (Printf.sprintf "bad-argument: %s" msg)
+      | exception Invalid_argument msg -> err t 401 ("bad-argument: " ^ msg)
       | answers ->
-          let buf = Buffer.create (16 + (48 * List.length answers)) in
-          Buffer.add_string buf (Printf.sprintf "OK %d\n" (List.length answers));
+          let b = ok_count t (List.length answers) in
           List.iter
             (fun (a : Query.near_answer) ->
-              Buffer.add_string buf (string_of_int a.Query.n_obj);
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf (fstr a.Query.n_dist);
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf a.Query.n_xyz;
-              Buffer.add_char buf '\n')
+              add_answer b a.Query.n_obj a.Query.n_dist a.Query.n_xyz)
             answers;
-          (Buffer.contents buf, false))
+          finish t)
 
 let handle_range t rest =
   let fields =
@@ -238,86 +290,79 @@ let handle_range t rest =
   in
   match parsed with
   | None ->
-      err 401 "bad-argument: RANGE takes min-x min-y max-x max-y [min-mass]"
+      err t 401 "bad-argument: RANGE takes min-x min-y max-x max-y [min-mass]"
   | Some (min_x, min_y, max_x, max_y, min_mass) -> (
       match
         Query.range t.query ~engine:t.engine ~min_x ~min_y ~max_x ~max_y
           ~min_mass
       with
-      | exception Invalid_argument msg -> err 401 (Printf.sprintf "bad-argument: %s" msg)
+      | exception Invalid_argument msg -> err t 401 ("bad-argument: " ^ msg)
       | answers ->
-          let buf = Buffer.create (16 + (48 * List.length answers)) in
-          Buffer.add_string buf
-            (Printf.sprintf "OK %d\n" (List.length answers));
+          let b = ok_count t (List.length answers) in
           List.iter
             (fun (a : Query.answer) ->
-              Buffer.add_string buf (string_of_int a.Query.a_obj);
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf (fstr a.Query.a_mass);
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf a.Query.a_xyz;
-              Buffer.add_char buf '\n')
+              add_answer b a.Query.a_obj a.Query.a_mass a.Query.a_xyz)
             answers;
-          (Buffer.contents buf, false))
+          finish t)
 
 let handle_events t rest =
   match int_of_string_opt (String.trim rest) with
-  | None -> err 401 "bad-argument: EVENTS takes one since-epoch"
+  | None -> err t 401 "bad-argument: EVENTS takes one since-epoch"
   | Some since ->
       let events = Query.events_since t.query ~epoch:since in
-      let buf = Buffer.create 128 in
-      Buffer.add_string buf (Printf.sprintf "OK %d\n" (List.length events));
+      let b = ok_count t (List.length events) in
       List.iter
-        (fun ev ->
-          Buffer.add_string buf (Format.asprintf "%a\n" Event.pp ev))
+        (fun ev -> Buffer.add_string b (Format.asprintf "%a\n" Event.pp ev))
         events;
-      (Buffer.contents buf, false)
+      finish t
 
 let handle_stats t =
   let s = Engine.stats t.engine in
-  let bool b = if b then "1" else "0" in
+  let bool b = if b then 1 else 0 in
   let kvs =
     [
-      ("epoch", string_of_int (Engine.epoch t.engine));
-      ("known_objects", string_of_int (Engine.num_known t.engine));
-      ("queue_depth", string_of_int (Admission.length t.queue));
-      ("queue_capacity", string_of_int (Admission.capacity t.queue));
-      ("admitted", string_of_int t.admitted);
-      ("busy_rejections", string_of_int (Admission.overflows t.queue));
-      ("events_seen", string_of_int (Query.events_seen t.query));
-      ("events_dropped", string_of_int (Query.events_dropped t.query));
+      ("epoch", Engine.epoch t.engine);
+      ("known_objects", Engine.num_known t.engine);
+      ("queue_depth", Admission.length t.queue);
+      ("queue_capacity", Admission.capacity t.queue);
+      ("admitted", t.admitted);
+      ("busy_rejections", Admission.overflows t.queue);
+      ("events_seen", Query.events_seen t.query);
+      ("events_dropped", Query.events_dropped t.query);
       ("paused", bool t.paused);
       ("draining", bool t.draining);
       ("halted", bool (t.halted <> None));
     ]
     @ List.map
-        (fun (fault, n) ->
-          ("fault." ^ Ingest.fault_name fault, string_of_int n))
+        (fun (fault, n) -> ("fault." ^ Ingest.fault_name fault, n))
         (Ingest.counters t.guard)
     @ [
-        ("engine.degraded_epochs", string_of_int s.Engine.degraded_epochs);
-        ("engine.degraded_events", string_of_int s.Engine.degraded_events);
+        ("engine.degraded_epochs", s.Engine.degraded_epochs);
+        ("engine.degraded_events", s.Engine.degraded_events);
       ]
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "OK %d\n" (List.length kvs));
+  let b = ok_count t (List.length kvs) in
   List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s %s\n" k v))
+    (fun (k, v) ->
+      Buffer.add_string b k;
+      Buffer.add_char b ' ';
+      add_int b v;
+      Buffer.add_char b '\n')
     kvs;
-  (Buffer.contents buf, false)
+  finish t
 
 let handle_drain t =
   match t.halted with
-  | Some msg -> halted_reply msg
+  | Some msg -> halted_reply t msg
   | None -> (
       drain t;
       match t.halted with
-      | Some msg -> halted_reply msg
-      | None -> ok (string_of_int (Engine.epoch t.engine)))
+      | Some msg -> halted_reply t msg
+      | None -> ok_int t (Engine.epoch t.engine))
 
 let handle_line t line =
   if String.length line > Framing.max_line_bytes then
-    err 413 "line too long"
+    err t 413 "line too long"
   else
     let line = String.trim line in
     if line = "" then ("", false)
@@ -330,7 +375,7 @@ let handle_line t line =
         | None -> (line, "")
       in
       match cmd with
-      | "PING" -> ok "pong"
+      | "PING" -> ("OK pong\n", false)
       | "PUT" -> handle_put t rest
       | "SYNC" -> handle_sync t
       | "AT" -> handle_at t rest
@@ -340,10 +385,10 @@ let handle_line t line =
       | "STATS" -> handle_stats t
       | "PAUSE" ->
           t.paused <- true;
-          ok "paused"
+          ("OK paused\n", false)
       | "RESUME" ->
           t.paused <- false;
-          ok "running"
+          ("OK running\n", false)
       | "DRAIN" -> handle_drain t
       | "QUIT" -> ("OK bye\n", true)
-      | _ -> err 400 (Printf.sprintf "unknown-command %s" cmd)
+      | _ -> err t 400 ("unknown-command " ^ cmd)

@@ -10,8 +10,8 @@
     stream.
 
     The module also owns the float formatting of every reply
-    ({!float_str}): shortest decimal form that round-trips the IEEE-754
-    double exactly. Queries answer from live posteriors, and the
+    ({!float_str}): a decimal form that reads back as the identical
+    IEEE-754 double. Queries answer from live posteriors, and the
     serve-smoke gate diffs those answers byte-for-byte against an
     offline replay — a lossy printf would hide real divergence. *)
 
@@ -36,6 +36,9 @@ val pending_bytes : buffer -> int
 (** Bytes currently buffered awaiting a terminator. *)
 
 val float_str : float -> string
-(** Shortest [%.15g]/[%.16g]/[%.17g] form whose [float_of_string]
-    round-trips the value bit-for-bit. Non-finite values print as
+(** The bytes of the first of C's [%.15g], [%.16g], [%.17g] whose
+    [float_of_string] is the value again ([%.17g] always is). That is
+    not always the shortest form that reads back: [0x1p-1017] prints
+    as [7.1202363472230444e-307], since its [%.16g] does not read back
+    though another 16-digit string would. Non-finite values print as
     [nan]/[inf]/[-inf]. *)

@@ -32,7 +32,7 @@ type fit = {
   mutable f_stamp : int;
   mutable f_xyz : string;
       (* rendered "x y z" of [f_loc], or "" when not yet rendered since
-         the last refit — shortest-round-trip float formatting is the
+         the last refit — round-trip float formatting is the
          per-hit cost of a big RANGE reply, so it is paid once per fit,
          not once per query. *)
 }
@@ -162,10 +162,12 @@ let maintain t ~engine =
 let xyz_str (f : fit) =
   if String.length f.f_xyz = 0 then
     f.f_xyz <-
-      Printf.sprintf "%s %s %s"
-        (Framing.float_str f.f_loc.Vec3.x)
-        (Framing.float_str f.f_loc.Vec3.y)
-        (Framing.float_str f.f_loc.Vec3.z);
+      String.concat " "
+        [
+          Framing.float_str f.f_loc.Vec3.x;
+          Framing.float_str f.f_loc.Vec3.y;
+          Framing.float_str f.f_loc.Vec3.z;
+        ];
   f.f_xyz
 
 let axis_mass ~mu ~sd ~lo ~hi =

@@ -55,6 +55,68 @@ let test_float_str () =
   Alcotest.(check string) "nan" "nan" (Framing.float_str Float.nan);
   Alcotest.(check string) "inf" "inf" (Framing.float_str Float.infinity)
 
+(* The reply rule as the libc chain it was first written as: the first
+   of %.15g, %.16g, %.17g that reads back. [Framing.float_str] derives
+   the same bytes from one conversion; this is the reference the
+   byte-identity checks below (and the fuzzer's float target) hold it
+   to. *)
+let printf_float_str v =
+  if Float.is_nan v then "nan"
+  else if v = Float.infinity then "inf"
+  else if v = Float.neg_infinity then "-inf"
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p v in
+      if float_of_string s = v then Some s else None
+    in
+    match try_prec 15 with
+    | Some s -> s
+    | None -> (
+        match try_prec 16 with Some s -> s | None -> Printf.sprintf "%.17g" v)
+
+let check_float_bytes what vs =
+  List.iter
+    (fun v ->
+      let want = printf_float_str v and got = Framing.float_str v in
+      if got <> want then
+        Alcotest.failf "%s: float_str %h = %S, printf chain says %S" what v got
+          want)
+    vs
+
+let with_neighbours vs =
+  List.concat_map (fun v -> [ Float.pred v; v; Float.succ v ]) vs
+
+let test_float_bytes_edges () =
+  check_float_bytes "specials"
+    [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity ];
+  check_float_bytes "powers of two"
+    (with_neighbours (List.init (1023 + 1074 + 1) (fun i -> Float.ldexp 1. (i - 1074))));
+  check_float_bytes "subnormals"
+    (List.concat_map
+       (fun bits ->
+         let v = Int64.float_of_bits bits in
+         [ v; -.v ])
+       [ 1L; 2L; 3L; 0xFFFL; 0x8_0000_0000L; 0x000F_FFFF_FFFF_FFFFL;
+         0x0008_0000_0000_0001L ]);
+  check_float_bytes "around 1e15, 1e16, 1e17"
+    (with_neighbours
+       [ 1e15; 1e16; 1e17; 999999999999999.; 9999999999999998.;
+         99999999999999984.; 1e15 +. 1.; 1e16 +. 2. ]);
+  check_float_bytes "%g style switch"
+    (with_neighbours
+       [ 1e-4; 1e-5; 0.0001234; 0.00001234; 9.99999e-5; 0.000099999999999999999 ]);
+  check_float_bytes "integers"
+    (List.concat_map
+       (fun i -> [ float_of_int i; -.float_of_int i ])
+       (List.init 2000 Fun.id @ [ 123456789; 1 lsl 52; 1 lsl 53; (1 lsl 53) + 1; max_int ]));
+  check_float_bytes "extremes"
+    (with_neighbours [ Float.max_float; Float.min_float; 1e308; 1e-308; 1e22; 1e23 ]);
+  (* 16 digits would read back here too, but the rule takes 17 only
+     after both 15 and 16 fail, so a shortest-digits algorithm would
+     print different bytes. *)
+  Alcotest.(check string) "0x1p-1017" "7.1202363472230444e-307"
+    (Framing.float_str 0x1p-1017)
+
 (* ------------------------------------------------------------------ *)
 (* Admission *)
 
@@ -280,6 +342,31 @@ let far_obs =
           (Rfid_prob.Rng.create ~seed:boot.Bootstrap.seed)))
 
 let reply_count reply = Scanf.sscanf reply "OK %d" Fun.id
+
+(* Every mass and mean coordinate a seeded RANGE sweep over the
+   warehouse returns, rendered both ways. *)
+let test_float_bytes_range_masses () =
+  let boot = Lazy.force far_boot in
+  let engine = feed_engine boot (Lazy.force far_obs) in
+  let q = Query.create () in
+  let vs = ref [] in
+  (* [far_boot]'s objects sit near x = 2 along y in [0, 25]. *)
+  for i = 0 to 15 do
+    for j = -2 to 52 do
+      let x = float_of_int i *. 0.25 and y = float_of_int j *. 0.5 in
+      List.iter
+        (fun (a : Query.answer) ->
+          let l = a.Query.a_loc in
+          vs :=
+            a.Query.a_mass :: l.Rfid_geom.Vec3.x :: l.Rfid_geom.Vec3.y
+            :: l.Rfid_geom.Vec3.z :: !vs)
+        (Query.range q ~engine ~min_x:x ~min_y:y ~max_x:(x +. 0.5)
+           ~max_y:(y +. 0.6) ~min_mass:0.001)
+    done
+  done;
+  if List.length !vs < 400 then
+    Alcotest.failf "RANGE sweep returned only %d values" (List.length !vs);
+  check_float_bytes "RANGE sweep" !vs
 
 let test_range_far_bounds () =
   let boot = Lazy.force far_boot in
@@ -870,6 +957,10 @@ let suite =
       Alcotest.test_case "framing: CRLF tolerated" `Quick test_framing_crlf;
       Alcotest.test_case "framing: overflow resyncs" `Quick test_framing_overflow;
       Alcotest.test_case "framing: float round-trip" `Quick test_float_str;
+      Alcotest.test_case "framing: float bytes = printf chain" `Quick
+        test_float_bytes_edges;
+      Alcotest.test_case "framing: RANGE floats = printf chain" `Quick
+        test_float_bytes_range_masses;
       Alcotest.test_case "admission: bounded fifo" `Quick test_admission;
       Alcotest.test_case "query: range mass" `Quick test_range_mass;
       Alcotest.test_case "query: event ring" `Quick test_event_ring;
