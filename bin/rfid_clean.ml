@@ -383,8 +383,7 @@ let fault_flags_term =
 let on_ooo_arg =
   Arg.(
     value
-    & opt (enum [ ("halt", Rfid_robust.Ingest.Halt); ("drop", Rfid_robust.Ingest.Drop) ])
-        Rfid_robust.Ingest.Halt
+    & opt (enum [ ("halt", false); ("drop", true) ]) false
     & info [ "on-out-of-order" ] ~docv:"POLICY"
         ~doc:"What to do with an out-of-order epoch: $(b,halt) (default) or $(b,drop).")
 
@@ -393,8 +392,8 @@ let on_ooo_arg =
    as it appears (so events hit disk in emission order, before the
    checkpoint that covers them) and checkpointing every
    [checkpoint_every] admitted epochs and at exit.  Returns the events
-   plus whether the run stopped early ([--stop-after] or a halt
-   policy). *)
+   plus whether the run stopped early ([--stop-after] or an
+   out-of-order halt). *)
 let guarded_run ~on_admitted ~session ~guard ~checkpoint_every ~stop_after
     observations =
   let engine = Session.engine session in
@@ -460,7 +459,7 @@ let print_stage_summary () =
       stages
   end
 
-let infer { objects; seed; config } rounds read_rate ff on_ooo
+let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
     durability resume stop_after metrics metrics_every =
   (* Scope counters to this run: the registry is process-global and the
      snapshots below must start from zero for their deltas to mean
@@ -479,10 +478,7 @@ let infer { objects; seed; config } rounds read_rate ff on_ooo
     end
   in
   let guard =
-    Rfid_robust.Ingest.create
-      ~policies:
-        { Rfid_robust.Ingest.default_policies with
-          Rfid_robust.Ingest.on_out_of_order_epoch = on_ooo }
+    Rfid_robust.Ingest.create ~drop_out_of_order
       ~bounds:(World.bounding_box world) ~max_object_id:objects ()
   in
   let session =
@@ -681,12 +677,7 @@ let replay file { objects; seed; config } lenient =
      a lenient replay should survive whatever the file contains, so it
      drops out-of-order epochs instead of halting on them. *)
   let guard =
-    Rfid_robust.Ingest.create
-      ~policies:
-        { Rfid_robust.Ingest.default_policies with
-          Rfid_robust.Ingest.on_out_of_order_epoch =
-            (if lenient then Rfid_robust.Ingest.Drop else Rfid_robust.Ingest.Halt) }
-      ~max_object_id:objects ()
+    Rfid_robust.Ingest.create ~drop_out_of_order:lenient ~max_object_id:objects ()
   in
   let result = Rfid_robust.Ingest.run_engine guard engine observations in
   Format.eprintf "# ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
@@ -842,14 +833,7 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
             (Rfid_obs.Openmetrics.render Rfid_obs.Metrics.global)
         end
   in
-  let server_config =
-    {
-      Rfid_serve.Server.default_config with
-      Rfid_serve.Server.host;
-      port;
-      max_steps_per_tick;
-    }
-  in
+  let server_config = { Rfid_serve.Server.host; port; max_steps_per_tick } in
   let on_listening ~host ~port =
     Printf.printf "# rfid-serve listening on %s:%d\n%!" host port
   in

@@ -8,9 +8,10 @@
         (flips, truncation, garbage lines), parse leniently;
      2. stream fuzz — corrupt the observation stream itself
         (Faults.apply plus negative epochs and huge tag ids), then run
-        it through the ingest guard into a real engine under a rotating
-        policy set.  [Halt] policies may stop the run — as an [Error]
-        value, never an exception;
+        it through the ingest guard into a real engine, alternating a
+        guard that halts on an out-of-order epoch with one that drops
+        it.  A halt may stop the run — as an [Error] value, never an
+        exception;
      3. durability fuzz — corrupt a saved checkpoint and a write-ahead
         log on disk.  [Checkpoint.load] must answer [Error] or the
         bit-identical original snapshot (checksums make a silently
@@ -274,18 +275,6 @@ let fuzz_float_rendering ~seed =
            want)
   done
 
-let policy_sets =
-  [|
-    Rfid_robust.Ingest.default_policies;
-    Rfid_robust.Ingest.uniform_policies Rfid_robust.Ingest.Drop;
-    Rfid_robust.Ingest.uniform_policies Rfid_robust.Ingest.Clamp;
-    Rfid_robust.Ingest.uniform_policies Rfid_robust.Ingest.Halt;
-    {
-      Rfid_robust.Ingest.default_policies with
-      Rfid_robust.Ingest.on_out_of_order_epoch = Rfid_robust.Ingest.Drop;
-    };
-  |]
-
 let () =
   let iters, base_seed =
     match Array.to_list Sys.argv with
@@ -350,14 +339,13 @@ let () =
            ~num_objects:6 ~seed ()
        in
        let guard =
-         Rfid_robust.Ingest.create
-           ~policies:(policy_sets.(iter mod Array.length policy_sets))
+         Rfid_robust.Ingest.create ~drop_out_of_order:(iter land 1 = 1)
            ~bounds:(World.bounding_box wh.Rfid_sim.Warehouse.world)
-           ~max_object_id:6 ~max_gap:50 ()
+           ~max_object_id:6 ()
        in
        (match Rfid_robust.Ingest.run_engine guard engine corrupted with
        | Ok events -> ignore (List.length events)
-       | Error (_fault, _msg) -> () (* a Halt policy stopping is fine *));
+       | Error (_fault, _msg) -> () (* an out-of-order halt is fine *));
        (* Layer 3: on-disk durability corruption. *)
        fuzz_durability rng engine clean;
        (* Layer 4: hostile request frames through the protocol core. *)

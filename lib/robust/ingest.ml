@@ -39,84 +39,35 @@ let fault_name = function
   | Epoch_gap -> "epoch-gap"
   | Out_of_range_tag -> "out-of-range-tag"
 
-type policy = Drop | Clamp | Halt
-
-let policy_name = function Drop -> "drop" | Clamp -> "clamp" | Halt -> "halt"
-
-type policies = {
-  on_nonfinite_fix : policy;
-  on_out_of_bounds_fix : policy;
-  on_negative_epoch : policy;
-  on_duplicate_epoch : policy;
-  on_out_of_order_epoch : policy;
-  on_epoch_gap : policy;
-  on_out_of_range_tag : policy;
-}
-
-let default_policies =
-  {
-    on_nonfinite_fix = Drop;
-    on_out_of_bounds_fix = Clamp;
-    on_negative_epoch = Drop;
-    on_duplicate_epoch = Drop;
-    on_out_of_order_epoch = Halt;
-    on_epoch_gap = Clamp;
-    on_out_of_range_tag = Clamp;
-  }
-
-let uniform_policies p =
-  {
-    on_nonfinite_fix = p;
-    on_out_of_bounds_fix = p;
-    on_negative_epoch = p;
-    on_duplicate_epoch = p;
-    on_out_of_order_epoch = p;
-    on_epoch_gap = p;
-    on_out_of_range_tag = p;
-  }
-
-let policy_for ps = function
-  | Nonfinite_fix -> ps.on_nonfinite_fix
-  | Out_of_bounds_fix -> ps.on_out_of_bounds_fix
-  | Negative_epoch -> ps.on_negative_epoch
-  | Duplicate_epoch -> ps.on_duplicate_epoch
-  | Out_of_order_epoch -> ps.on_out_of_order_epoch
-  | Epoch_gap -> ps.on_epoch_gap
-  | Out_of_range_tag -> ps.on_out_of_range_tag
-
 type decision =
   | Accept of Types.observation
   | Degraded of Types.epoch * Types.tag list
   | Rejected
   | Halted of fault * string
 
+(* Slack around the deployment bounds before a fix counts as out of
+   bounds, and the largest forward epoch jump admitted uncounted. *)
+let bounds_margin = 10.
+let max_gap = 100
+
 type t = {
-  policies : policies;
-  bounds : Rfid_geom.Box2.t option;
-  bounds_margin : float;
+  drop_out_of_order : bool;
+  bounds : Rfid_geom.Box2.t option;  (* already inflated by [bounds_margin] *)
   max_object_id : int option;
-  max_gap : int;
   counts : int array;
   mutable last_epoch : int;  (* last admitted epoch; -1 initially *)
-  mutable last_good_fix : Rfid_geom.Vec3.t option;
 }
 
-let create ?(policies = default_policies) ?bounds ?(bounds_margin = 10.)
-    ?max_object_id ?(max_gap = 100) () =
-  if bounds_margin < 0. then invalid_arg "Ingest.create: negative bounds_margin";
-  if max_gap <= 0 then invalid_arg "Ingest.create: max_gap must be positive";
+let create ?(drop_out_of_order = false) ?bounds ?max_object_id () =
   (match max_object_id with
   | Some n when n < 0 -> invalid_arg "Ingest.create: negative max_object_id"
   | Some _ | None -> ());
   {
-    policies;
-    bounds;
-    bounds_margin;
+    drop_out_of_order;
+    bounds = Option.map (fun b -> Rfid_geom.Box2.inflate b bounds_margin) bounds;
     max_object_id;
-    max_gap;
     counts = Array.make (List.length all_faults) 0;
     last_epoch = -1;
-    last_good_fix = None;
   }
 
 let count t fault = t.counts.(fault_index fault)
@@ -149,129 +100,74 @@ let finite_fix (l : Rfid_geom.Vec3.t) =
   && Float.is_finite l.Rfid_geom.Vec3.y
   && Float.is_finite l.Rfid_geom.Vec3.z
 
-let halted fault detail =
-  Halted
-    ( fault,
-      Printf.sprintf "Ingest: %s (%s policy is halt)" detail (fault_name fault) )
+let bad_tag t = function
+  | Types.Object_tag id ->
+      id < 0 || (match t.max_object_id with Some n -> id >= n | None -> false)
+  | Types.Shelf_tag id -> id < 0
 
 (* Admission runs the checks in a fixed order — epoch timeline first
    (nothing downstream is meaningful on a bad epoch), then tag ids,
-   then the location fix — applying each fault's policy as it trips:
-   [Drop] discards the record (or, for fix faults, just the fix —
-   yielding a degraded dead-reckoned epoch), [Clamp] repairs in place
-   and keeps going, [Halt] stops the stream with an error value rather
-   than an exception. *)
+   then the location fix — and repairs each fault as the table in
+   ingest.mli says. *)
 let admit_inner t (obs : Types.observation) =
-  let apply_epoch_fault fault detail =
-    match policy_for t.policies fault with
-    | Drop -> Error Rejected
-    | Halt -> Error (halted fault detail)
-    | Clamp -> Ok (t.last_epoch + 1)
-  in
   let e = obs.Types.o_epoch in
-  let epoch_result =
-    if e < 0 then begin
-      note t Negative_epoch;
-      apply_epoch_fault Negative_epoch (Printf.sprintf "negative epoch %d" e)
+  if e < 0 then begin
+    note t Negative_epoch;
+    Rejected
+  end
+  else if t.last_epoch >= 0 && e = t.last_epoch then begin
+    note t Duplicate_epoch;
+    Rejected
+  end
+  else if t.last_epoch >= 0 && e < t.last_epoch then begin
+    note t Out_of_order_epoch;
+    if t.drop_out_of_order then Rejected
+    else
+      Halted
+        ( Out_of_order_epoch,
+          Printf.sprintf
+            "Ingest: epoch %d after epoch %d (out-of-order-epoch policy is halt)"
+            e t.last_epoch )
+  end
+  else begin
+    if t.last_epoch >= 0 && e > t.last_epoch + max_gap then note t Epoch_gap;
+    let tags = obs.Types.o_read_tags in
+    let tags =
+      if List.exists (bad_tag t) tags then begin
+        note t Out_of_range_tag;
+        List.filter (fun tag -> not (bad_tag t tag)) tags
+      end
+      else tags
+    in
+    t.last_epoch <- e;
+    let loc = obs.Types.o_reported_loc in
+    let accept loc =
+      Accept { Types.o_epoch = e; o_reported_loc = loc; o_read_tags = tags }
+    in
+    if not (finite_fix loc) then begin
+      note t Nonfinite_fix;
+      (* The fix is untrusted but the (validated) tag readings are not:
+         pass them along so degraded-mode inference can still localize
+         the reader from shelf tags. *)
+      Degraded (e, tags)
     end
-    else if t.last_epoch >= 0 && e = t.last_epoch then begin
-      note t Duplicate_epoch;
-      apply_epoch_fault Duplicate_epoch (Printf.sprintf "duplicate epoch %d" e)
-    end
-    else if t.last_epoch >= 0 && e < t.last_epoch then begin
-      note t Out_of_order_epoch;
-      apply_epoch_fault Out_of_order_epoch
-        (Printf.sprintf "epoch %d after epoch %d" e t.last_epoch)
-    end
-    else if t.last_epoch >= 0 && e > t.last_epoch + t.max_gap then begin
-      note t Epoch_gap;
-      match policy_for t.policies Epoch_gap with
-      | Drop -> Error Rejected
-      | Halt ->
-          Error
-            (halted Epoch_gap
-               (Printf.sprintf "gap of %d epochs after epoch %d" (e - t.last_epoch)
-                  t.last_epoch))
-      | Clamp -> Ok e (* a gap is counted but the record itself is sound *)
-    end
-    else Ok e
-  in
-  match epoch_result with
-  | Error d -> d
-  | Ok e -> (
-      let bad_tag = function
-        | Types.Object_tag id ->
-            id < 0
-            || (match t.max_object_id with Some n -> id >= n | None -> false)
-        | Types.Shelf_tag id -> id < 0
-      in
-      let tags_result =
-        if List.exists bad_tag obs.Types.o_read_tags then begin
-          note t Out_of_range_tag;
-          match policy_for t.policies Out_of_range_tag with
-          | Drop -> Error Rejected
-          | Halt ->
-              Error
-                (halted Out_of_range_tag
-                   (Printf.sprintf "out-of-range tag at epoch %d" e))
-          | Clamp -> Ok (List.filter (fun tag -> not (bad_tag tag)) obs.Types.o_read_tags)
-        end
-        else Ok obs.Types.o_read_tags
-      in
-      match tags_result with
-      | Error d -> d
-      | Ok tags -> (
-          let degrade () =
-            t.last_epoch <- e;
-            (* The fix is untrusted but the (validated) tag readings are
-               not: pass them along so degraded-mode inference can still
-               localize the reader from shelf tags. *)
-            Degraded (e, tags)
-          in
-          let accept loc =
-            t.last_epoch <- e;
-            t.last_good_fix <- Some loc;
-            Accept { Types.o_epoch = e; o_reported_loc = loc; o_read_tags = tags }
-          in
-          let loc = obs.Types.o_reported_loc in
-          if not (finite_fix loc) then begin
-            note t Nonfinite_fix;
-            match policy_for t.policies Nonfinite_fix with
-            | Drop -> degrade ()
-            | Halt ->
-                halted Nonfinite_fix (Printf.sprintf "non-finite fix at epoch %d" e)
-            | Clamp -> (
-                (* Repair with the last trusted fix; with none yet seen
-                   there is nothing to clamp to, so fall back to dead
-                   reckoning. *)
-                match t.last_good_fix with
-                | Some prev -> accept prev
-                | None -> degrade ())
+    else
+      match t.bounds with
+      | Some box ->
+          if Rfid_geom.Box2.contains_point box loc then accept loc
+          else begin
+            note t Out_of_bounds_fix;
+            let clamp v lo hi = Float.max lo (Float.min hi v) in
+            accept
+              (Rfid_geom.Vec3.make
+                 (clamp loc.Rfid_geom.Vec3.x box.Rfid_geom.Box2.min_x
+                    box.Rfid_geom.Box2.max_x)
+                 (clamp loc.Rfid_geom.Vec3.y box.Rfid_geom.Box2.min_y
+                    box.Rfid_geom.Box2.max_y)
+                 loc.Rfid_geom.Vec3.z)
           end
-          else
-            match t.bounds with
-            | Some box
-              when not
-                     (Rfid_geom.Box2.contains_point
-                        (Rfid_geom.Box2.inflate box t.bounds_margin)
-                        loc) -> (
-                note t Out_of_bounds_fix;
-                match policy_for t.policies Out_of_bounds_fix with
-                | Drop -> degrade ()
-                | Halt ->
-                    halted Out_of_bounds_fix
-                      (Printf.sprintf "fix outside deployment bounds at epoch %d" e)
-                | Clamp ->
-                    let clamp v lo hi = Float.max lo (Float.min hi v) in
-                    let box = Rfid_geom.Box2.inflate box t.bounds_margin in
-                    accept
-                      (Rfid_geom.Vec3.make
-                         (clamp loc.Rfid_geom.Vec3.x box.Rfid_geom.Box2.min_x
-                            box.Rfid_geom.Box2.max_x)
-                         (clamp loc.Rfid_geom.Vec3.y box.Rfid_geom.Box2.min_y
-                            box.Rfid_geom.Box2.max_y)
-                         loc.Rfid_geom.Vec3.z))
-            | Some _ | None -> accept loc))
+      | None -> accept loc
+  end
 
 let admit t obs =
   let t0 = Obs.start sp_ingest in

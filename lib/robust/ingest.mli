@@ -5,9 +5,21 @@
     units emit NaN during outages, middleware duplicates and reorders
     records, and readers pick up tags from outside the deployment's
     universe. The guard classifies each incoming observation against a
-    small fault taxonomy and applies a configurable per-fault policy —
-    repair, discard, or stop — so the engine behind it only ever sees
-    admissible input, and every intervention is counted. *)
+    small fault taxonomy and applies one fixed treatment per fault, so
+    the engine behind it only ever sees admissible input, and every
+    intervention is counted:
+
+    - a negative or duplicate epoch is rejected;
+    - an out-of-order epoch halts the stream, or is rejected when the
+      guard was created with [~drop_out_of_order:true] — the one choice
+      left to callers;
+    - an epoch gap (a forward jump of more than 100 epochs) is counted
+      and admitted;
+    - out-of-range tags are stripped from the reading;
+    - a non-finite fix degrades the epoch (the timeline advances, the
+      fix is discarded, the validated tags ride along);
+    - an out-of-bounds fix is clamped onto the bounds inflated by 10
+      on every side. *)
 
 type fault =
   | Nonfinite_fix  (** NaN/infinite coordinate in the reported fix *)
@@ -15,7 +27,7 @@ type fault =
   | Negative_epoch
   | Duplicate_epoch  (** same epoch as the last admitted record *)
   | Out_of_order_epoch  (** epoch earlier than the last admitted record *)
-  | Epoch_gap  (** forward jump larger than [max_gap] epochs *)
+  | Epoch_gap  (** forward jump larger than 100 epochs *)
   | Out_of_range_tag  (** negative tag id, or object id >= [max_object_id] *)
 
 val all_faults : fault list
@@ -26,38 +38,6 @@ val fault_name : fault -> string
 (** Stable kebab-case name (e.g. ["nonfinite-fix"]), used in log lines,
     bench JSON, and the ["ingest.fault.*"] observability counters. *)
 
-(** What to do when a fault trips. [Clamp] repairs the record in place
-    (substitute the last good fix, clamp coordinates into bounds,
-    re-time a bad epoch to [last + 1], strip invalid tags — for a gap it
-    just counts and admits). [Drop] discards the offending part: the
-    whole record for epoch/tag faults, only the fix for location faults
-    (the epoch is then processed in degraded dead-reckoning mode).
-    [Halt] stops the stream with an error value. *)
-type policy = Drop | Clamp | Halt
-
-val policy_name : policy -> string
-(** ["drop"], ["clamp"] or ["halt"] — the CLI flag spelling. *)
-
-type policies = {
-  on_nonfinite_fix : policy;
-  on_out_of_bounds_fix : policy;
-  on_negative_epoch : policy;
-  on_duplicate_epoch : policy;
-  on_out_of_order_epoch : policy;
-  on_epoch_gap : policy;
-  on_out_of_range_tag : policy;
-}
-
-val default_policies : policies
-(** Conservative defaults: repair what is safely repairable
-    (out-of-bounds fixes, bad tags, gaps), drop what is not (non-finite
-    fixes — degrading the epoch — plus negative and duplicate epochs),
-    and halt on out-of-order epochs, which usually indicate a broken
-    transport rather than a noisy sensor. *)
-
-val uniform_policies : policy -> policies
-(** The same policy for every fault — used by the fault-matrix tests. *)
-
 type decision =
   | Accept of Rfid_model.Types.observation
       (** possibly repaired; feed to {!Rfid_core.Engine.step} *)
@@ -66,23 +46,23 @@ type decision =
           readings ride along (shelf tags among them still localize the
           reader). Feed to {!Rfid_core.Engine.step_degraded}. *)
   | Rejected  (** record discarded entirely *)
-  | Halted of fault * string  (** a [Halt] policy tripped *)
+  | Halted of fault * string
+      (** an out-of-order epoch on a guard that does not drop them *)
 
 type t
 
 val create :
-  ?policies:policies ->
+  ?drop_out_of_order:bool ->
   ?bounds:Rfid_geom.Box2.t ->
-  ?bounds_margin:float ->
   ?max_object_id:int ->
-  ?max_gap:int ->
   unit ->
   t
-(** [bounds] (typically {!Rfid_model.World.bounding_box}) enables the
-    out-of-bounds check, with [bounds_margin] slack (default 10) on
-    every side. [max_object_id] enables the object-id range check
-    (valid ids are [0 .. max_object_id - 1]). [max_gap] (default 100)
-    is the largest tolerated forward epoch jump. *)
+(** [drop_out_of_order] (default [false]) rejects an out-of-order
+    epoch instead of halting on it. [bounds] (typically
+    {!Rfid_model.World.bounding_box}) enables the out-of-bounds check,
+    with 10 of slack on every side. [max_object_id] enables the
+    object-id range check (valid ids are [0 .. max_object_id - 1]).
+    @raise Invalid_argument if [max_object_id] is negative. *)
 
 val admit : t -> Rfid_model.Types.observation -> decision
 (** Classify one observation, update the guard's timeline state and
@@ -102,10 +82,7 @@ val advance_timeline : t -> Rfid_model.Types.epoch -> unit
     already at or past [epoch]). Recovery uses this to seed a fresh
     guard from a checkpoint's epoch, and to keep the timeline in step
     while replaying write-ahead-log entries that bypass {!admit} (see
-    [Rfid_robust.Wal.replay]). The last-good-fix memory is {e not}
-    restored — it is not persisted — so the first post-recovery
-    non-finite fix under a [Clamp] policy dead-reckons instead of
-    repairing from a pre-crash fix (conservative, never wrong). *)
+    [Rfid_robust.Wal.replay]). *)
 
 val step_engine :
   t ->

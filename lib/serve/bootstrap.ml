@@ -36,11 +36,6 @@ let restore_engine t snapshot =
     snapshot
 
 let fresh_guard t =
-  Rfid_robust.Ingest.create
-    ~policies:
-      {
-        Rfid_robust.Ingest.default_policies with
-        Rfid_robust.Ingest.on_out_of_order_epoch = Rfid_robust.Ingest.Drop;
-      }
+  Rfid_robust.Ingest.create ~drop_out_of_order:true
     ~bounds:(Rfid_model.World.bounding_box t.world)
     ~max_object_id:t.num_objects ()

@@ -46,4 +46,4 @@ val restore_engine : t -> Rfid_core.Engine.snapshot -> Rfid_core.Engine.t
 
 val fresh_guard : t -> Rfid_robust.Ingest.t
 (** Ingest guard over the fixture's world bounds and object universe,
-    with [on_out_of_order_epoch = Drop]. *)
+    with [~drop_out_of_order:true]. *)

@@ -92,33 +92,21 @@ let step_one t obs =
           t.hooks.on_checkpoint t.engine
       end
 
-let tick t ~max_steps =
-  if t.paused || t.halted <> None then 0
-  else begin
-    let steps = ref 0 in
-    let continue = ref true in
-    while !continue && !steps < max_steps do
-      match Admission.take t.queue with
-      | None -> continue := false
-      | Some obs ->
-          step_one t obs;
-          incr steps;
-          if t.halted <> None then continue := false
-    done;
-    !steps
-  end
-
-(* [SYNC]/[DRAIN] queue processing: ignores the pause latch — both are
-   explicit requests to make queued writes visible now. *)
-let process_queue t =
-  let continue = ref true in
-  while !continue do
+(* Step queued observations until [max_steps] are done, the queue is
+   empty or the guard halts. [SYNC]/[DRAIN] call it without a step cap
+   and ignore the pause latch: both are explicit requests to make
+   queued writes visible now. *)
+let rec run_queue t ~max_steps steps =
+  if t.halted <> None || steps >= max_steps then steps
+  else
     match Admission.take t.queue with
-    | None -> continue := false
+    | None -> steps
     | Some obs ->
         step_one t obs;
-        if t.halted <> None then continue := false
-  done
+        run_queue t ~max_steps (steps + 1)
+
+let tick t ~max_steps = if t.paused then 0 else run_queue t ~max_steps 0
+let process_queue t = ignore (run_queue t ~max_steps:max_int 0)
 
 let drain t =
   if not t.draining then begin

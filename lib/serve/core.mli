@@ -18,8 +18,9 @@
       (see {!Query});
     - three latches: {e paused} ([PAUSE]/[RESUME] gate {!tick} only),
       {e draining} ([DRAIN] — terminal for writes, queries stay up),
-      and {e halted} (the guard's [Halt] policy tripped — terminal for
-      writes, with the fault echoed in every subsequent write reply). *)
+      and {e halted} (the guard halted on an out-of-order epoch —
+      terminal for writes, with the fault echoed in every subsequent
+      write reply). *)
 
 type hooks = {
   on_events : Rfid_core.Event.t list -> unit;

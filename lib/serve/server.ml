@@ -1,19 +1,14 @@
-type config = {
-  host : string;
-  port : int;
-  max_conns : int;
-  max_steps_per_tick : int;
-  tick_timeout : float;
-}
+type config = { host : string; port : int; max_steps_per_tick : int }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    max_conns = 64;
-    max_steps_per_tick = 256;
-    tick_timeout = 0.05;
-  }
+let default_config = { host = "127.0.0.1"; port = 0; max_steps_per_tick = 256 }
+
+(* Accept cap: connections past it are accepted and closed at once. *)
+let max_conns = 64
+
+(* Longest select wait, in seconds, so a pass (and [on_pass]) runs at
+   least this often; after a tick that left queued work behind the
+   loop polls instead. *)
+let tick_timeout = 0.05
 
 let max_out_bytes = 1 lsl 20
 
@@ -140,7 +135,7 @@ let run ?(on_listening = fun ~host:_ ~port:_ -> ())
     while !continue do
       match Unix.accept listen_fd with
       | fd, _ ->
-          if List.length !conns >= config.max_conns then
+          if List.length !conns >= max_conns then
             (* Refusing at the accept keeps the fd set bounded; the
                client sees a clean close, not a hung connect. *)
             Unix.close fd
@@ -202,7 +197,7 @@ let run ?(on_listening = fun ~host:_ ~port:_ -> ())
         (fun c -> if pending_out c > 0 then Some c.fd else None)
         !conns
     in
-    let timeout = if !backlogged then 0. else config.tick_timeout in
+    let timeout = if !backlogged then 0. else tick_timeout in
     let readable, writable, _ =
       try Unix.select readers writers [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])

@@ -26,17 +26,16 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port *)
-  max_conns : int;  (** accept cap; excess connections are refused *)
   max_steps_per_tick : int;
       (** queued observations stepped per loop pass *)
-  tick_timeout : float;
-      (** select timeout in seconds; the loop only polls while a tick
-          left queued work behind *)
 }
+(** Two limits are fixed: at most 64 connections at once (a connection
+    past that is accepted and closed at once), and a select wait of at
+    most 50 ms, so a pass runs at least that often (the loop only polls
+    while a tick left queued work behind). *)
 
 val default_config : config
-(** [{host = "127.0.0.1"; port = 0; max_conns = 64;
-    max_steps_per_tick = 256; tick_timeout = 0.05}] *)
+(** [{host = "127.0.0.1"; port = 0; max_steps_per_tick = 256}] *)
 
 val max_out_bytes : int
 (** Read backpressure threshold (1 MiB): a connection with more unsent

@@ -1,5 +1,5 @@
 (* Tests of the robustness layer: the ingest guard's per-fault
-   policies, fault injection, and degraded-mode inference. *)
+   repairs, fault injection, and degraded-mode inference. *)
 open Rfid_model
 open Rfid_robust
 
@@ -36,7 +36,11 @@ let small_engine ?(variant = Rfid_core.Config.Factorized_indexed) ?(seed = 11) (
 
 let check_decision what expected actual =
   let show = function
-    | Ingest.Accept o -> Printf.sprintf "Accept@%d" o.Types.o_epoch
+    | Ingest.Accept o ->
+        let l = o.Types.o_reported_loc in
+        Printf.sprintf "Accept@%d (%g, %g, %g) %d tags" o.Types.o_epoch
+          l.Rfid_geom.Vec3.x l.Rfid_geom.Vec3.y l.Rfid_geom.Vec3.z
+          (List.length o.Types.o_read_tags)
     | Ingest.Degraded (e, tags) ->
         Printf.sprintf "Degraded@%d/%d" e (List.length tags)
     | Ingest.Rejected -> "Rejected"
@@ -53,8 +57,8 @@ let test_guard_clean_passthrough () =
   Alcotest.(check int) "no faults" 0 (Ingest.total_faults g)
 
 let test_guard_epoch_faults () =
-  (* Default policies: duplicates and negative epochs are dropped,
-     out-of-order halts. *)
+  (* Duplicates and negative epochs are rejected; out-of-order halts
+     unless the guard drops it. *)
   let g = Ingest.create () in
   ignore (Ingest.admit g (obs 5 (v 0. 0. 0.) []));
   check_decision "duplicate rejected" Ingest.Rejected
@@ -71,34 +75,32 @@ let test_guard_epoch_faults () =
   Alcotest.(check int) "duplicate counted" 1 (Ingest.count g Ingest.Duplicate_epoch);
   Alcotest.(check int) "negative counted" 1 (Ingest.count g Ingest.Negative_epoch);
   Alcotest.(check int) "ooo counted" 1 (Ingest.count g Ingest.Out_of_order_epoch);
-  (* Clamp policy re-times bad epochs to last + 1 instead. *)
-  let g = Ingest.create ~policies:(Ingest.uniform_policies Ingest.Clamp) () in
+  (* A dropping guard rejects the late epoch and keeps its timeline. *)
+  let g = Ingest.create ~drop_out_of_order:true () in
   ignore (Ingest.admit g (obs 5 (v 0. 0. 0.) []));
-  (match Ingest.admit g (obs 5 (v 1. 1. 0.) []) with
-  | Ingest.Accept o -> Alcotest.(check int) "re-timed to 6" 6 o.Types.o_epoch
-  | _ -> Alcotest.fail "clamped duplicate must be accepted");
-  match Ingest.admit g (obs 2 (v 1. 1. 0.) []) with
-  | Ingest.Accept o -> Alcotest.(check int) "re-timed to 7" 7 o.Types.o_epoch
-  | _ -> Alcotest.fail "clamped out-of-order must be accepted"
+  check_decision "out-of-order rejected" Ingest.Rejected
+    (Ingest.admit g (obs 3 (v 0. 0. 0.) []));
+  Alcotest.(check int) "dropped ooo counted" 1
+    (Ingest.count g Ingest.Out_of_order_epoch);
+  let o = obs 6 (v 0. 0. 0.) [] in
+  check_decision "timeline kept" (Ingest.Accept o) (Ingest.admit g o)
 
 let test_guard_gap () =
-  let g = Ingest.create ~max_gap:10 () in
+  let g = Ingest.create () in
   ignore (Ingest.admit g (obs 0 (v 0. 0. 0.) []));
-  (* Default policy Clamp: counted but admitted unchanged. *)
+  (* A jump of exactly 100 epochs is not a gap. *)
   (match Ingest.admit g (obs 100 (v 0. 0. 0.) []) with
-  | Ingest.Accept o -> Alcotest.(check int) "gap kept epoch" 100 o.Types.o_epoch
-  | _ -> Alcotest.fail "gap must be admitted under clamp");
-  Alcotest.(check int) "gap counted" 1 (Ingest.count g Ingest.Epoch_gap);
-  let g =
-    Ingest.create
-      ~policies:{ Ingest.default_policies with Ingest.on_epoch_gap = Ingest.Drop }
-      ~max_gap:10 ()
-  in
-  ignore (Ingest.admit g (obs 0 (v 0. 0. 0.) []));
-  check_decision "gap dropped" Ingest.Rejected (Ingest.admit g (obs 100 (v 0. 0. 0.) []))
+  | Ingest.Accept o -> Alcotest.(check int) "jump kept epoch" 100 o.Types.o_epoch
+  | _ -> Alcotest.fail "jump must be admitted");
+  Alcotest.(check int) "100 is no gap" 0 (Ingest.count g Ingest.Epoch_gap);
+  (* One more is: counted, but admitted unchanged. *)
+  (match Ingest.admit g (obs 201 (v 0. 0. 0.) []) with
+  | Ingest.Accept o -> Alcotest.(check int) "gap kept epoch" 201 o.Types.o_epoch
+  | _ -> Alcotest.fail "gap must be admitted");
+  Alcotest.(check int) "gap counted" 1 (Ingest.count g Ingest.Epoch_gap)
 
 let test_guard_fix_faults () =
-  (* Non-finite fix, default (Drop): the epoch survives as degraded. *)
+  (* Non-finite fix: the epoch survives as degraded. *)
   let g = Ingest.create () in
   ignore (Ingest.admit g (obs 0 (v 1. 1. 0.) []));
   check_decision "nan fix degrades"
@@ -107,49 +109,34 @@ let test_guard_fix_faults () =
   (* The degraded epoch advanced the timeline: same epoch again is now
      a duplicate. *)
   check_decision "timeline advanced" Ingest.Rejected (Ingest.admit g (obs 1 nan3 []));
-  (* Clamp substitutes the last good fix... *)
-  let g = Ingest.create ~policies:(Ingest.uniform_policies Ingest.Clamp) () in
-  ignore (Ingest.admit g (obs 0 (v 1. 1. 0.) []));
-  (match Ingest.admit g (obs 1 nan3 []) with
-  | Ingest.Accept o ->
-      Alcotest.(check (float 0.)) "substituted x" 1. o.Types.o_reported_loc.Rfid_geom.Vec3.x
-  | _ -> Alcotest.fail "clamped NaN must be accepted");
-  (* ... unless there is no good fix yet. *)
-  let g = Ingest.create ~policies:(Ingest.uniform_policies Ingest.Clamp) () in
-  check_decision "no fix to clamp to" (Ingest.Degraded (0, []))
+  (* The same holds for the very first record. *)
+  let g = Ingest.create () in
+  check_decision "first fix non-finite" (Ingest.Degraded (0, []))
     (Ingest.admit g (obs 0 nan3 []))
 
 let test_guard_bounds () =
   let bounds = Rfid_geom.Box2.make ~min_x:0. ~min_y:0. ~max_x:10. ~max_y:10. in
-  let g = Ingest.create ~bounds ~bounds_margin:1. () in
-  (* Inside (with margin): untouched. *)
-  (match Ingest.admit g (obs 0 (v 10.5 5. 0.) []) with
+  let g = Ingest.create ~bounds () in
+  (* Inside the 10 ft margin: untouched. *)
+  (match Ingest.admit g (obs 0 (v 19.5 5. 0.) []) with
   | Ingest.Accept o ->
-      Alcotest.(check (float 0.)) "margin respected" 10.5
+      Alcotest.(check (float 0.)) "margin respected" 19.5
         o.Types.o_reported_loc.Rfid_geom.Vec3.x
   | _ -> Alcotest.fail "in-margin fix must pass");
-  (* Far outside: clamped onto the inflated box (default policy). *)
+  Alcotest.(check int) "in-margin fix is no fault" 0
+    (Ingest.count g Ingest.Out_of_bounds_fix);
+  (* Far outside: clamped onto the inflated box. *)
   (match Ingest.admit g (obs 1 (v 500. (-500.) 0.) []) with
   | Ingest.Accept o ->
-      Alcotest.(check (float 1e-9)) "x clamped" 11. o.Types.o_reported_loc.Rfid_geom.Vec3.x;
-      Alcotest.(check (float 1e-9)) "y clamped" (-1.)
+      Alcotest.(check (float 1e-9)) "x clamped" 20. o.Types.o_reported_loc.Rfid_geom.Vec3.x;
+      Alcotest.(check (float 1e-9)) "y clamped" (-10.)
         o.Types.o_reported_loc.Rfid_geom.Vec3.y
   | _ -> Alcotest.fail "out-of-bounds fix must be clamped");
-  Alcotest.(check int) "bounds fault counted" 1 (Ingest.count g Ingest.Out_of_bounds_fix);
-  (* Drop policy: degraded epoch instead. *)
-  let g =
-    Ingest.create ~bounds
-      ~policies:
-        { Ingest.default_policies with Ingest.on_out_of_bounds_fix = Ingest.Drop }
-      ()
-  in
-  ignore (Ingest.admit g (obs 0 (v 1. 1. 0.) []));
-  check_decision "oob dropped to degraded" (Ingest.Degraded (1, []))
-    (Ingest.admit g (obs 1 (v 500. 500. 0.) []))
+  Alcotest.(check int) "bounds fault counted" 1 (Ingest.count g Ingest.Out_of_bounds_fix)
 
 let test_guard_tags () =
   let g = Ingest.create ~max_object_id:10 () in
-  (* Clamp (default): invalid tags stripped, valid ones kept. *)
+  (* Invalid tags stripped, valid ones kept. *)
   (match
      Ingest.admit g
        (obs 0 (v 0. 0. 0.)
@@ -159,20 +146,16 @@ let test_guard_tags () =
       Alcotest.(check int) "only valid tag kept" 1 (List.length o.Types.o_read_tags);
       Alcotest.(check bool) "the right one" true
         (List.mem (Types.Object_tag 3) o.Types.o_read_tags)
-  | _ -> Alcotest.fail "tag fault under clamp must accept");
+  | _ -> Alcotest.fail "tag fault must accept");
   Alcotest.(check int) "tag fault counted" 1 (Ingest.count g Ingest.Out_of_range_tag);
   (* Boundary: id = max_object_id - 1 is valid, id = max_object_id is not. *)
   (match Ingest.admit g (obs 1 (v 0. 0. 0.) [ Types.Object_tag 9 ]) with
   | Ingest.Accept o -> Alcotest.(check int) "boundary id kept" 1 (List.length o.Types.o_read_tags)
   | _ -> Alcotest.fail "boundary id must pass");
-  let g =
-    Ingest.create ~max_object_id:10
-      ~policies:
-        { Ingest.default_policies with Ingest.on_out_of_range_tag = Ingest.Drop }
-      ()
-  in
-  check_decision "tag fault under drop" Ingest.Rejected
-    (Ingest.admit g (obs 0 (v 0. 0. 0.) [ Types.Object_tag 10 ]))
+  (* A reading of nothing but bad tags is still an epoch. *)
+  check_decision "all tags stripped"
+    (Ingest.Accept (obs 2 (v 0. 0. 0.) []))
+    (Ingest.admit g (obs 2 (v 0. 0. 0.) [ Types.Object_tag 10 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -206,81 +189,82 @@ let test_faults_deterministic () =
       ignore (Rfid_sim.Faults.make ~drop_prob:1.5 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Fault matrix: every fault kind x every policy runs to completion.   *)
+(* Fault matrix: every fault kind x both out-of-order choices, with the
+   exact decision the faulty record gets.                              *)
 
-let with_policy fault policy =
-  let d = Ingest.default_policies in
-  match fault with
-  | Ingest.Nonfinite_fix -> { d with Ingest.on_nonfinite_fix = policy }
-  | Ingest.Out_of_bounds_fix -> { d with Ingest.on_out_of_bounds_fix = policy }
-  | Ingest.Negative_epoch -> { d with Ingest.on_negative_epoch = policy }
-  | Ingest.Duplicate_epoch -> { d with Ingest.on_duplicate_epoch = policy }
-  | Ingest.Out_of_order_epoch -> { d with Ingest.on_out_of_order_epoch = policy }
-  | Ingest.Epoch_gap -> { d with Ingest.on_epoch_gap = policy }
-  | Ingest.Out_of_range_tag -> { d with Ingest.on_out_of_range_tag = policy }
+let clean e = obs e (v (float_of_int e) 1. 0.) [ Types.Object_tag 0 ]
 
-(* A short clean stream with one instance of the given fault spliced in. *)
-let stream_with fault =
-  let base = List.init 12 (fun e -> obs e (v (float_of_int e) 1. 0.) [ Types.Object_tag 0 ]) in
-  match fault with
-  | Ingest.Nonfinite_fix ->
-      List.map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then { o with Types.o_reported_loc = nan3 } else o)
-        base
-  | Ingest.Out_of_bounds_fix ->
-      List.map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then { o with Types.o_reported_loc = v 1e5 1e5 0. } else o)
-        base
-  | Ingest.Negative_epoch ->
-      List.concat_map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then [ obs (-3) (v 0. 0. 0.) []; o ] else [ o ])
-        base
-  | Ingest.Duplicate_epoch ->
-      List.concat_map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then [ o; o ] else [ o ])
-        base
-  | Ingest.Out_of_order_epoch ->
-      List.concat_map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then [ o; obs 2 (v 2. 1. 0.) [] ] else [ o ])
-        base
-  | Ingest.Epoch_gap ->
-      base @ [ obs 500 (v 12. 1. 0.) [] ]
+(* One record with [fault], to follow clean epochs 0-5. *)
+let faulty_record = function
+  | Ingest.Nonfinite_fix -> obs 6 nan3 [ Types.Object_tag 0 ]
+  | Ingest.Out_of_bounds_fix -> obs 6 (v 1e5 1e5 0.) [ Types.Object_tag 0 ]
+  | Ingest.Negative_epoch -> obs (-3) (v 0. 0. 0.) []
+  | Ingest.Duplicate_epoch -> clean 5
+  | Ingest.Out_of_order_epoch -> obs 2 (v 2. 1. 0.) []
+  | Ingest.Epoch_gap -> obs 500 (v 6. 1. 0.) [ Types.Object_tag 0 ]
   | Ingest.Out_of_range_tag ->
-      List.map (fun (o : Types.observation) ->
-          if o.Types.o_epoch = 6 then
-            { o with Types.o_read_tags = [ Types.Object_tag 99999 ] }
-          else o)
-        base
+      obs 6 (v 6. 1. 0.) [ Types.Object_tag 0; Types.Object_tag 99999 ]
+
+let expected_decision ~bounds ~drop_out_of_order fault =
+  let r = faulty_record fault in
+  match fault with
+  | Ingest.Nonfinite_fix -> Ingest.Degraded (6, [ Types.Object_tag 0 ])
+  | Ingest.Out_of_bounds_fix ->
+      Ingest.Accept
+        {
+          r with
+          Types.o_reported_loc =
+            v (bounds.Rfid_geom.Box2.max_x +. 10.) (bounds.Rfid_geom.Box2.max_y +. 10.) 0.;
+        }
+  | Ingest.Negative_epoch | Ingest.Duplicate_epoch -> Ingest.Rejected
+  | Ingest.Out_of_order_epoch ->
+      if drop_out_of_order then Ingest.Rejected
+      else Ingest.Halted (Ingest.Out_of_order_epoch, "")
+  | Ingest.Epoch_gap -> Ingest.Accept r
+  | Ingest.Out_of_range_tag -> Ingest.Accept { r with Types.o_read_tags = [ Types.Object_tag 0 ] }
+
+(* Clean epochs 0-5, the faulty record, then five clean epochs after it. *)
+let stream_with fault =
+  let r = faulty_record fault in
+  let next = max 7 (r.Types.o_epoch + 1) in
+  List.init 6 clean @ [ r ] @ List.init 5 (fun i -> clean (next + i))
 
 let test_fault_matrix () =
+  let wh, _ = Lazy.force small_scenario in
+  let bounds = World.bounding_box wh.Rfid_sim.Warehouse.world in
   List.iter
     (fun fault ->
       List.iter
-        (fun policy ->
+        (fun drop_out_of_order ->
           let what =
-            Printf.sprintf "%s x %s" (Ingest.fault_name fault)
-              (Ingest.policy_name policy)
+            Printf.sprintf "%s x drop_out_of_order=%b" (Ingest.fault_name fault)
+              drop_out_of_order
           in
-          let wh, _ = Lazy.force small_scenario in
+          let guard () = Ingest.create ~drop_out_of_order ~bounds ~max_object_id:4 () in
+          let g = guard () in
+          List.iter
+            (fun e ->
+              let o = clean e in
+              check_decision (what ^ ": clean prefix") (Ingest.Accept o) (Ingest.admit g o))
+            [ 0; 1; 2; 3; 4; 5 ];
+          check_decision what
+            (expected_decision ~bounds ~drop_out_of_order fault)
+            (Ingest.admit g (faulty_record fault));
+          Alcotest.(check int) (what ^ ": fault counted once") 1 (Ingest.count g fault);
+          Alcotest.(check int) (what ^ ": no other fault") 1 (Ingest.total_faults g);
+          (* The whole stream through a real engine: only the halting
+             guard stops, and with an error value, not an exception. *)
           let _, _, engine = small_engine ~seed:17 () in
-          let guard =
-            Ingest.create
-              ~policies:(with_policy fault policy)
-              ~bounds:(World.bounding_box wh.Rfid_sim.Warehouse.world)
-              ~max_object_id:4 ~max_gap:100 ()
-          in
-          (* Must run to completion — Ok, or a clean Error for the
-             injected fault under Halt — without any exception. *)
-          (match Ingest.run_engine guard engine (stream_with fault) with
-          | Ok _ -> ()
+          match Ingest.run_engine (guard ()) engine (stream_with fault) with
+          | Ok _ ->
+              Alcotest.(check bool) (what ^ ": runs to the end") false
+                (fault = Ingest.Out_of_order_epoch && not drop_out_of_order)
           | Error (f, _) ->
               Alcotest.(check string) (what ^ ": halt names the fault")
-                (Ingest.fault_name fault) (Ingest.fault_name f);
-              Alcotest.(check string) (what ^ ": only halt stops") "halt"
-                (Ingest.policy_name policy));
-          Alcotest.(check bool) (what ^ ": fault counted") true
-            (Ingest.count guard fault >= 1))
-        [ Ingest.Drop; Ingest.Clamp; Ingest.Halt ])
+                (Ingest.fault_name Ingest.Out_of_order_epoch) (Ingest.fault_name f);
+              Alcotest.(check bool) (what ^ ": only the halting guard stops") false
+                drop_out_of_order)
+        [ false; true ])
     Ingest.all_faults
 
 (* ------------------------------------------------------------------ *)

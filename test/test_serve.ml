@@ -323,6 +323,55 @@ let test_core_drain_order () =
   | `Events n :: `Mark :: `Checkpoint :: _ when n > 0 -> ()
   | _ -> Alcotest.fail "DRAIN must fire on_checkpoint, on_flush_mark, then the flush events"
 
+(* The halted latch (PROTOCOL.md §4): a guard that halts on an
+   out-of-order epoch ends writes for good, while queries stay up. *)
+let test_core_halted_latch () =
+  let boot = Lazy.force boot in
+  let put_all core =
+    List.iter
+      (fun line ->
+        let reply = req core ("PUT " ^ line) in
+        if String.length reply < 3 || String.sub reply 0 3 <> "OK " then
+          Alcotest.failf "PUT %s not acked: %s" line (String.trim reply))
+      [ "5,0.0,-1.0,0.0,obj:3"; "3,0.1,-0.9,0.0,obj:3"; "6,0.2,-0.8,0.0,obj:3" ]
+  in
+  let check_stats what core keys =
+    let stats = req core "STATS" in
+    List.iter
+      (fun (k, v) ->
+        if not (contains_sub stats (Printf.sprintf "\n%s %d\n" k v)) then
+          Alcotest.failf "%s: STATS should show %s %d:\n%s" what k v stats)
+      keys
+  in
+  let core =
+    Core.create ~guard:(Rfid_robust.Ingest.create ())
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:boot.Bootstrap.num_objects ()
+  in
+  put_all core;
+  let halted =
+    "ERR 500 halted: out-of-order-epoch: Ingest: epoch 3 after epoch 5 \
+     (out-of-order-epoch policy is halt)\n"
+  in
+  Alcotest.(check string) "SYNC halts" halted (req core "SYNC");
+  Alcotest.(check string) "later PUT refused" halted
+    (req core "PUT 7,0.3,-0.7,0.0,obj:3");
+  Alcotest.(check string) "DRAIN refused" halted (req core "DRAIN");
+  Alcotest.(check int) "tick steps nothing" 0 (Core.tick core ~max_steps:100);
+  (* The server's SIGTERM path drains without a reply; the epoch queued
+     behind the halt must still not reach the engine. *)
+  Core.drain core;
+  (match req core "AT 3" with
+  | r when String.length r > 5 && String.sub r 0 5 = "OK 3 " -> ()
+  | r -> Alcotest.failf "AT must still answer: %s" r);
+  check_stats "halting guard" core
+    [ ("epoch", 5); ("queue_depth", 1); ("halted", 1); ("fault.out-of-order-epoch", 1) ];
+  (* The serving guard drops the same epoch and carries on. *)
+  let core = make_core boot in
+  put_all core;
+  Alcotest.(check string) "dropping guard syncs" "OK 6\n" (req core "SYNC");
+  check_stats "dropping guard" core
+    [ ("epoch", 6); ("halted", 0); ("fault.out-of-order-epoch", 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Far-off requests: PROTOCOL.md accepts any finite bound or center *)
 
@@ -968,6 +1017,7 @@ let suite =
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
       Alcotest.test_case "core: RANGE with far finite bounds" `Quick test_range_far_bounds;
       Alcotest.test_case "query: NEAR far from every object" `Quick test_near_far_center;
+      Alcotest.test_case "core: halted latch" `Quick test_core_halted_latch;
       Alcotest.test_case "core: DRAIN checkpoints, marks, flushes" `Quick
         test_core_drain_order;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;
