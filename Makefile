@@ -44,9 +44,10 @@ doc:
 
 # Fails when a value a lib/*/*.mli exports has no user outside its own
 # module. Users are the modules under lib bin bench perfbench smoke
-# crash fuzz test examples, found in the typed trees of the build; the
-# commented allow-list lives in tools/dead_exports.ml. Fatal inside
-# `make test`.
+# crash fuzz examples, found in the typed trees of the build; tests do
+# not count. The commented allow-list lives in tools/dead_exports.ml,
+# and an entry that names no export or whose export has a user fails
+# too. Fatal inside `make test`.
 dead-exports:
 	$(DUNE) build @check && $(DUNE) exec tools/dead_exports.exe -- _build/default
 

@@ -1,8 +1,7 @@
 (* Fire-code monitoring (§II-B of the paper): clean the raw RFID streams
-   into location events, then run the two CQL-style queries on top —
-   the location-update query and the fire-code violation query
-   ("display of solid merchandise shall not exceed 200 pounds per
-   square foot of shelf area").
+   into location events, then run the CQL-style fire-code violation
+   query on top ("display of solid merchandise shall not exceed 200
+   pounds per square foot of shelf area").
 
    The scenario: a clerk wheels four heavy crates onto the same square
    foot of shelf mid-scan. The monitoring pipeline must notice from
@@ -59,52 +58,19 @@ let () =
   let events = Rfid_core.Engine.run engine (Rfid_model.Trace.observations trace) in
   Printf.printf "cleaned stream: %d location events\n\n" (List.length events);
 
-  (* Query 1: location updates (Istream over [Partition By tag Row 1]). *)
-  let updates =
-    Rfid_stream.Location_update.run
-      (Rfid_stream.Location_update.create ~min_change:0.5 ())
-      events
-  in
-  Printf.printf "location-update query (changes > 0.5 ft):\n";
-  List.iter
-    (fun u -> Format.printf "  %a@." Rfid_stream.Location_update.pp_update u)
-    updates;
-
-  (* Query 2: fire code. Every crate weighs 60 lbs; the limit is 200 lbs
+  (* The fire-code query. Every crate weighs 60 lbs; the limit is 200 lbs
      per square foot, so 4 crates in one cell violate it. *)
   let fire =
     Rfid_stream.Fire_code.create
       (Rfid_stream.Fire_code.default_config ~weight_of:(fun _ -> 60.))
   in
   let violations = Rfid_stream.Fire_code.run fire events in
-  Printf.printf "\nfire-code query (> 200 lbs per square foot):\n";
+  Printf.printf "fire-code query (> 200 lbs per square foot):\n";
   if violations = [] then print_endline "  no violations detected"
   else
     List.iter
       (fun v -> Format.printf "  VIOLATION %a@." Rfid_stream.Fire_code.pp_violation v)
       violations;
-
-  (* Query 3: misplaced inventory (the paper's opening §I example).
-     Each object's planogram slot is its original shelf position. *)
-  let home obj =
-    if obj >= 0 && obj < num_objects then
-      Some
-        (Box2.of_center wh.Rfid_sim.Warehouse.object_locs.(obj) ~half_width:0.6
-           ~half_height:0.6)
-    else None
-  in
-  (* One confirmation suffices here: each crate is re-reported once per
-     scan round. *)
-  let mq =
-    Rfid_stream.Misplaced.create
-      ~config:{ Rfid_stream.Misplaced.tolerance = 0.5; confirmations = 1 }
-      ~home ()
-  in
-  let alerts = Rfid_stream.Misplaced.run mq events in
-  Printf.printf "\nmisplaced-inventory query:\n";
-  List.iter
-    (fun a -> Format.printf "  %a@." Rfid_stream.Misplaced.pp_alert a)
-    alerts;
 
   (* Sanity: where the crates really are. *)
   let truth = Rfid_model.Trace.final_object_locs trace in

@@ -82,8 +82,6 @@ module Window = struct
   let present t =
     let n = Int.min t.size (Int.max 1 t.filled) in
     counts t n > 0
-
-  let size t = t.size
 end
 
 type tag_state = {

@@ -47,7 +47,7 @@ val run :
     Shelf-tag readings are ignored (SMURF has no use for them — one of
     the two deficits the comparison in the paper isolates). *)
 
-(** {1 Internals exposed for testing and reuse} *)
+(** {1 Shared with the uniform baseline} *)
 
 val sample_in_range :
   Rfid_model.World.t ->
@@ -59,20 +59,4 @@ val sample_in_range :
   Rfid_geom.Vec3.t
 (** Uniform sample over (disc of [range] around [center]) ∩ shelf area,
     by rejection; the clamped centre when the intersection is empty.
-    With [facing], only the half-plane in that direction is eligible.
-    Shared with the {!Uniform} baseline. *)
-
-module Window : sig
-  type t
-
-  val create : config -> t
-
-  val observe : t -> read:bool -> epoch:int -> unit
-  (** Feed one interrogation epoch. *)
-
-  val present : t -> bool
-  (** Is the tag currently declared in range? *)
-
-  val size : t -> int
-  (** Current window size in epochs. *)
-end
+    With [facing], only the half-plane in that direction is eligible. *)

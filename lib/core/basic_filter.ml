@@ -509,13 +509,6 @@ let reader_estimate t =
 
 let newly_seen t = t.newly_seen
 
-let known_objects t =
-  let out = ref [] in
-  for i = t.num_objects - 1 downto 0 do
-    if t.last_read.(i) >= 0 then out := i :: !out
-  done;
-  !out
-
 let iter_known t f =
   for i = 0 to t.num_objects - 1 do
     if t.last_read.(i) >= 0 then f i

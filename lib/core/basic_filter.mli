@@ -42,9 +42,6 @@ val newly_seen : t -> int list
 (** Objects that (re-)entered the reader's scope during the last
     {!step}. *)
 
-val known_objects : t -> int list
-(** Objects read at least once so far, ascending. *)
-
 val iter_known : t -> (int -> unit) -> unit
 (** Visit every known object id in ascending order (a scan of the
     declared universe — O(num_objects), list-free). *)

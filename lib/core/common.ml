@@ -140,12 +140,6 @@ let jitter p ~sigma rng =
     (p.Vec3.y +. Rfid_prob.Rng.gaussian rng ~sigma:sigma.Vec3.y ())
     (p.Vec3.z +. Rfid_prob.Rng.gaussian rng ~sigma:sigma.Vec3.z ())
 
-let resample scheme rng w ~n =
-  match scheme with
-  | Config.Systematic -> Rfid_prob.Resample.systematic rng w ~n
-  | Config.Multinomial -> Rfid_prob.Resample.multinomial rng w ~n
-  | Config.Residual -> Rfid_prob.Resample.residual rng w ~n
-
 (* Same dispatch into the scratch-buffer variants: identical draws and
    indices, no allocation. *)
 let resample_into scheme rng w ~n ~out =

@@ -11,15 +11,6 @@ module Sensor_cache : sig
   val create : threshold:float -> max_range:float -> Rfid_model.Sensor_model.t -> t
 end
 
-val init_cone :
-  Sensor_cache.t ->
-  overestimate:float ->
-  reader_loc:Rfid_geom.Vec3.t ->
-  heading:float ->
-  Rfid_geom.Cone.t
-(** The initialization cone: sensing geometry widened by
-    [overestimate]. *)
-
 val sample_initial_location :
   Sensor_cache.t ->
   overestimate:float ->
@@ -87,10 +78,6 @@ val proposal_sigma :
 
 val jitter : Rfid_geom.Vec3.t -> sigma:Rfid_geom.Vec3.t -> Rfid_prob.Rng.t -> Rfid_geom.Vec3.t
 (** Add independent per-axis Gaussian noise to a point. *)
-
-val resample :
-  Config.resample_scheme -> Rfid_prob.Rng.t -> float array -> n:int -> int array
-(** Dispatch to the configured {!Rfid_prob.Resample} scheme. *)
 
 val resample_into :
   Config.resample_scheme ->

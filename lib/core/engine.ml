@@ -81,11 +81,6 @@ let newly_seen t =
   | Basic (f, _) -> Basic_filter.newly_seen f
   | Factored f -> Factored_filter.newly_seen f
 
-let known_objects t =
-  match t.filter with
-  | Basic (f, _) -> Basic_filter.known_objects f
-  | Factored f -> Factored_filter.known_objects f
-
 let iter_known t f =
   match t.filter with
   | Basic (fl, _) -> Basic_filter.iter_known fl f

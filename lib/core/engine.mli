@@ -111,9 +111,6 @@ val clear_changes : t -> unit
 val reader_estimate : t -> Rfid_geom.Vec3.t
 (** Weighted posterior mean of the reader's location. *)
 
-val known_objects : t -> int list
-(** Every object read so far, ascending. *)
-
 val epoch : t -> Rfid_model.Types.epoch
 (** Epoch of the last admitted observation (-1 for a fresh engine). *)
 
@@ -155,8 +152,8 @@ val set_journal : t -> (journal_entry -> unit) option -> unit
     report queue, and degraded-mode counters — as plain data. The
     representation is public so [Rfid_robust.Codec] can serialize it
     field by field; treat it as read-only elsewhere. Adding or
-    removing a field changes that format: bump [Rfid_robust.Codec.version]
-    with it. *)
+    removing a field changes that format: bump the codec's format
+    version with it. *)
 type filter_snapshot =
   | Basic_snapshot of Basic_filter.snapshot * int  (** declared object count *)
   | Factored_snapshot of Factored_filter.snapshot

@@ -28,8 +28,8 @@ val make :
   t
 (** [degraded] defaults to [false]. *)
 
-val std_dev_xy : t -> float option
-(** Root of the mean of the x and y posterior variances — a scalar
-    spread summary. *)
-
 val pp : Format.formatter -> t -> unit
+(** One line, [t=E obj=O loc=(x, y, z)], followed by [ (sd_xy=S)] when
+    the event has a covariance — [S] the root of the mean of the x and
+    y variances, a scalar spread summary — and by [ [degraded]] when
+    flagged. *)

@@ -311,8 +311,8 @@ let sample_reader_idx rng rw = Rfid_prob.Rng.categorical rng rw
    epoch, after the reader proposal, before the per-object pass. Writes
    go through the compare-then-write entry point: when consecutive
    epochs share every pose (duplicate, degraded-mode or
-   stationary-reader streams), no slot is rewritten, the memo's
-   fingerprint stamp survives, and the epoch counts as a reuse. *)
+   stationary-reader streams), no slot is rewritten and the epoch
+   counts as a reuse. *)
 let refresh_memo t =
   let j = num_readers t in
   let changed = ref (Sensor_model.pre_size t.pre <> j) in

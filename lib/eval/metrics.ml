@@ -44,19 +44,6 @@ let per_object_error events trace =
     last []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let coverage events trace =
-  let n = trace.Rfid_model.Trace.num_objects in
-  if n = 0 then 1.
-  else begin
-    let seen = Hashtbl.create 32 in
-    List.iter
-      (fun (ev : Rfid_core.Event.t) ->
-        if ev.Rfid_core.Event.ev_obj >= 0 && ev.ev_obj < n then
-          Hashtbl.replace seen ev.Rfid_core.Event.ev_obj ())
-      events;
-    float_of_int (Hashtbl.length seen) /. float_of_int n
-  end
-
 let pp_error ppf e =
   Format.fprintf ppf "X=%.3f Y=%.3f XY=%.3f ft (n=%d)" e.mean_x e.mean_y e.mean_xy
     e.count

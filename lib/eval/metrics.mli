@@ -20,7 +20,4 @@ val per_object_error :
 (** XY error of each object's {e last} event, by object id (the
     location-update query keeps only the most recent report per tag). *)
 
-val coverage : Rfid_core.Event.t list -> Rfid_model.Trace.t -> float
-(** Fraction of the trace's objects that received at least one event. *)
-
 val pp_error : Format.formatter -> error -> unit

@@ -7,18 +7,6 @@ let make ~min_x ~min_y ~max_x ~max_y =
   if min_x > max_x || min_y > max_y then invalid_arg "Box2.make: min exceeds max";
   { min_x; min_y; max_x; max_y }
 
-let of_points = function
-  | [] -> invalid_arg "Box2.of_points: empty list"
-  | (p : Vec3.t) :: rest ->
-      let box =
-        List.fold_left
-          (fun (lx, ly, hx, hy) (q : Vec3.t) ->
-            (Float.min lx q.x, Float.min ly q.y, Float.max hx q.x, Float.max hy q.y))
-          (p.x, p.y, p.x, p.y) rest
-      in
-      let min_x, min_y, max_x, max_y = box in
-      make ~min_x ~min_y ~max_x ~max_y
-
 let of_center (c : Vec3.t) ~half_width ~half_height =
   make ~min_x:(c.x -. half_width) ~min_y:(c.y -. half_height)
     ~max_x:(c.x +. half_width) ~max_y:(c.y +. half_height)
@@ -44,8 +32,3 @@ let area t = (t.max_x -. t.min_x) *. (t.max_y -. t.min_y)
 let inflate t margin =
   make ~min_x:(t.min_x -. margin) ~min_y:(t.min_y -. margin) ~max_x:(t.max_x +. margin)
     ~max_y:(t.max_y +. margin)
-
-let center t = Vec3.make ((t.min_x +. t.max_x) /. 2.) ((t.min_y +. t.max_y) /. 2.) 0.
-
-let pp ppf t =
-  Format.fprintf ppf "[%.2f,%.2f]x[%.2f,%.2f]" t.min_x t.max_x t.min_y t.max_y

@@ -10,10 +10,6 @@ type t = private { min_x : float; min_y : float; max_x : float; max_y : float }
 val make : min_x:float -> min_y:float -> max_x:float -> max_y:float -> t
 (** @raise Invalid_argument if a min exceeds its max or any bound is NaN. *)
 
-val of_points : Vec3.t list -> t
-(** Smallest box containing the XY projections of the points.
-    @raise Invalid_argument on the empty list. *)
-
 val of_center : Vec3.t -> half_width:float -> half_height:float -> t
 
 val contains_point : t -> Vec3.t -> bool
@@ -33,7 +29,3 @@ val inflate : t -> float -> t
 (** Grow every side outward by a margin. @raise Invalid_argument if the
     margin is negative enough to invert the box. *)
 
-val center : t -> Vec3.t
-(** Center of the box at z = 0. *)
-
-val pp : Format.formatter -> t -> unit

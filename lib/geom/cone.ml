@@ -12,44 +12,13 @@ let wrap a =
   let a = Float.rem a two_pi in
   if a > Float.pi then a -. two_pi else if a <= -.Float.pi then a +. two_pi else a
 
-let relative_angle t (p : Vec3.t) =
+let contains t (p : Vec3.t) =
   let dx = p.x -. t.apex.x and dy = p.y -. t.apex.y in
-  if dx = 0. && dy = 0. then 0.
-  else Float.abs (wrap (atan2 dy dx -. t.heading))
-
-let contains t p = Vec3.dist_xy t.apex p <= t.range && relative_angle t p <= t.half_angle
-
-let bounding_box t =
-  let candidates = ref [ t.apex ] in
-  let push a =
-    candidates :=
-      Vec3.make
-        (t.apex.x +. (t.range *. cos a))
-        (t.apex.y +. (t.range *. sin a))
-        t.apex.z
-      :: !candidates
-  in
-  push (t.heading -. t.half_angle);
-  push (t.heading +. t.half_angle);
-  (* Axis extremes of the full circle that fall inside the sector extend
-     the arc's bounding box beyond the two edge points. *)
-  List.iter
-    (fun axis -> if Float.abs (wrap (axis -. t.heading)) <= t.half_angle then push axis)
-    [ 0.; Float.pi /. 2.; Float.pi; -.Float.pi /. 2. ];
-  Box2.of_points !candidates
+  Vec3.dist_xy t.apex p <= t.range
+  && ((dx = 0. && dy = 0.) || Float.abs (wrap (atan2 dy dx -. t.heading)) <= t.half_angle)
 
 let sample t rng =
   let u = Rfid_prob.Rng.float rng in
   let r = t.range *. sqrt u in
   let a = Rfid_prob.Rng.uniform rng ~lo:(t.heading -. t.half_angle) ~hi:(t.heading +. t.half_angle) in
   Vec3.make (t.apex.x +. (r *. cos a)) (t.apex.y +. (r *. sin a)) t.apex.z
-
-let sample_in_box t box rng =
-  let rec attempt k =
-    if k = 0 then None
-    else begin
-      let p = sample t rng in
-      if Box2.contains_point box p then Some p else attempt (k - 1)
-    end
-  in
-  attempt 256

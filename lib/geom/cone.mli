@@ -15,21 +15,11 @@ val make : apex:Vec3.t -> heading:float -> half_angle:float -> range:float -> t
 (** @raise Invalid_argument unless [0 < half_angle <= pi] and
     [range > 0]. *)
 
-val relative_angle : t -> Vec3.t -> float
-(** Unsigned angle in [\[0, pi\]] between the cone heading and the
-    apex-to-point direction (XY projection). The apex itself maps
-    to 0. *)
-
 val contains : t -> Vec3.t -> bool
-(** XY distance within range and relative angle within half-angle. *)
-
-val bounding_box : t -> Box2.t
-(** Tight axis-aligned box of the sector (accounts for which axis
-    extremes of the arc the sector sweeps through). *)
+(** XY distance within range, and the apex-to-point direction (XY
+    projection) within the half-angle of the heading; the apex itself
+    is inside. *)
 
 val sample : t -> Rfid_prob.Rng.t -> Vec3.t
 (** Area-uniform sample inside the sector, at z = apex.z. *)
 
-val sample_in_box : t -> Box2.t -> Rfid_prob.Rng.t -> Vec3.t option
-(** Area-uniform sample from sector ∩ box by rejection (at most 256
-    proposals); [None] when the intersection is (nearly) empty. *)

@@ -32,8 +32,8 @@ module Hits = struct
     h.len <- h.len + 1
 end
 
-(* Growable handle list: the per-cell bucket and the free/oversize
-   stacks. Swap-pop removal keeps deletion O(bucket length). *)
+(* Growable handle list: the per-cell bucket and the oversize stack.
+   Swap-pop removal keeps an update O(bucket length). *)
 type bucket = { mutable ids : int array; mutable n : int }
 
 let bucket_create () = { ids = [||]; n = 0 }
@@ -70,7 +70,6 @@ type 'a t = {
   mutable seen : int array;  (* query-generation stamp, for dedup *)
   mutable cap : int;  (* slots allocated; handles live in [0, cap) *)
   mutable hi : int;  (* slots ever used; live handles are < hi *)
-  free : bucket;  (* recycled handles *)
   buckets : (int, bucket) Hashtbl.t;
   oversize : bucket;
   mutable cell : float;
@@ -94,7 +93,6 @@ let create ~dummy () =
     seen = [||];
     cap = 0;
     hi = 0;
-    free = bucket_create ();
     buckets = Hashtbl.create 64;
     oversize = bucket_create ();
     cell = 1.0;
@@ -200,20 +198,10 @@ let grow t n =
   t.seen <- extend 0 t.seen;
   t.cap <- cap
 
-let alloc_slot t =
-  if t.free.n > 0 then begin
-    t.free.n <- t.free.n - 1;
-    t.free.ids.(t.free.n)
-  end
-  else begin
-    if t.hi = t.cap then grow t (t.hi + 1);
-    let id = t.hi in
-    t.hi <- t.hi + 1;
-    id
-  end
-
 let insert t box v =
-  let id = alloc_slot t in
+  if t.hi = t.cap then grow t (t.hi + 1);
+  let id = t.hi in
+  t.hi <- t.hi + 1;
   t.values.(id) <- v;
   t.boxes.(id) <- box;
   t.alive.(id) <- true;
@@ -227,15 +215,6 @@ let check_live t h ~what =
   if h < 0 || h >= t.hi || not t.alive.(h) then
     invalid_arg (Printf.sprintf "Dyn_index.%s: dead or out-of-range handle %d" what h)
 
-let remove t h =
-  check_live t h ~what:"remove";
-  unlink t h;
-  t.alive.(h) <- false;
-  t.values.(h) <- t.dummy;
-  t.count <- t.count - 1;
-  t.extent_sum <- t.extent_sum -. extent t.boxes.(h);
-  bucket_push t.free h
-
 let update t h box v =
   check_live t h ~what:"update";
   unlink t h;
@@ -244,10 +223,6 @@ let update t h box v =
   t.values.(h) <- v;
   link t h;
   maybe_retune t
-
-let get t h =
-  check_live t h ~what:"get";
-  (t.boxes.(h), t.values.(h))
 
 let push_hit t hits id probe =
   if t.seen.(id) <> t.query_gen then begin
@@ -295,7 +270,6 @@ let iter t f =
 let clear t =
   Hashtbl.reset t.buckets;
   t.oversize.n <- 0;
-  t.free.n <- 0;
   Array.fill t.values 0 t.cap t.dummy;
   Array.fill t.alive 0 t.cap false;
   t.hi <- 0;

@@ -1,29 +1,26 @@
 (** A dynamic spatial index over XY bounding boxes with stable entry
     handles — the repo's one spatial index.
 
-    §IV-C of the paper prunes each epoch's work with "a standard
-    spatial index (a simplified R*-tree)"; this uniform grid plays that
-    role for the factored filter's sensing-region and shelf-tag
-    indexes, which only insert and probe, and for the serving layer's
-    query index, where each tracked object owns one box that {e moves}
-    whenever its posterior changes, so entries must also be deleted
-    and updated in place. An entry's box is registered in every grid
-    cell it overlaps, removal pops it back out of those cells, and a
-    probe visits only the cells it covers. The cell size self-tunes to
-    twice the mean box extent (rehashing all entries when the
-    population drifts more than 4x away), so occupancy stays O(1) per
-    cell without the caller knowing the world scale. Any finite
-    coordinate is accepted: cells far out are clamped to the grid's
-    edge, which keeps every answer exact.
+    §IV-C of the paper prunes each epoch's work with "a standard spatial
+    index (a simplified R*-tree)"; this uniform grid plays that role for the
+    factored filter's sensing-region and shelf-tag indexes, which only
+    insert and probe, and for the serving layer's query index, where each
+    tracked object owns one box that {e moves} whenever its posterior
+    changes, so entries are updated in place. An entry's box is registered
+    in every grid cell it overlaps, an update moves it between those cells,
+    and a probe visits only the cells it covers. The cell size self-tunes to
+    twice the mean box extent (rehashing all entries when the population
+    drifts more than 4x away), so occupancy stays O(1) per cell without the
+    caller knowing the world scale. Any finite coordinate is accepted: cells
+    far out are clamped to the grid's edge, which keeps every answer exact.
 
-    Handles are small ints, reused after {!remove}; each [insert]
-    returns the handle to later [remove]/[update] that entry. Queries
-    fill reusable {!Hits} buffers, and a steady-state {!query_into}
-    allocates nothing. Entries whose box spans more than 64 cells are
-    kept on an oversize list probed by every query instead of bloating
-    thousands of buckets. Hit order is
-    unspecified (grid visit order); callers consume hits as sets or
-    sort them. *)
+    Handles are small ints, handed out in insertion order (from 0 again
+    after a {!clear}); each [insert] returns the handle to later [update]
+    that entry. Queries fill reusable {!Hits} buffers, and a steady-state
+    {!query_into} allocates nothing. Entries whose box spans more than 64
+    cells are kept on an oversize list probed by every query instead of
+    bloating thousands of buckets. Hit order is unspecified (grid visit
+    order); callers consume hits as sets or sort them. *)
 
 (** Reusable hit buffers for {!query_into}: a growable array that keeps
     its storage across queries, so per-epoch probes build no lists. *)
@@ -51,24 +48,15 @@ end
 type 'a t
 
 val create : dummy:'a -> unit -> 'a t
-(** Empty index. [dummy] fills unused entry slots so freed values are
-    not pinned for the GC. *)
+(** Empty index. [dummy] fills unused entry slots so cleared values
+    are not pinned for the GC. *)
 
 val insert : 'a t -> Box2.t -> 'a -> int
 (** Register a value under its box; returns the entry's handle. *)
 
-val remove : 'a t -> int -> unit
-(** Unregister an entry by handle; the handle becomes invalid (and may
-    be reused by a later {!insert}).
-    @raise Invalid_argument on a dead or out-of-range handle. *)
-
 val update : 'a t -> int -> Box2.t -> 'a -> unit
 (** [update t h box v] moves entry [h] to a new box (and value) in
     place — the delete/re-insert pair without handle churn.
-    @raise Invalid_argument on a dead or out-of-range handle. *)
-
-val get : 'a t -> int -> Box2.t * 'a
-(** The live entry behind a handle.
     @raise Invalid_argument on a dead or out-of-range handle. *)
 
 val size : 'a t -> int

@@ -15,18 +15,10 @@ let dist_xy a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-let lerp a b u = add a (scale u (sub b a))
-let to_array { x; y; z } = [| x; y; z |]
-
 let of_array = function
   | [| x; y; z |] -> { x; y; z }
   | _ -> invalid_arg "Vec3.of_array: expected length 3"
 
 let xy_angle a = atan2 a.y a.x
-
-let equal ?(eps = 1e-9) a b =
-  Float.abs (a.x -. b.x) <= eps
-  && Float.abs (a.y -. b.y) <= eps
-  && Float.abs (a.z -. b.z) <= eps
 
 let pp ppf { x; y; z } = Format.fprintf ppf "(%.3f, %.3f, %.3f)" x y z

@@ -10,7 +10,6 @@ val zero : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val dot : t -> t -> float
 val norm : t -> float
 val dist : t -> t -> float
 
@@ -18,17 +17,10 @@ val dist_xy : t -> t -> float
 (** Distance projected onto the XY plane (the paper's reported error
     metric is "inference error in XY plane"). *)
 
-val lerp : t -> t -> float -> t
-(** [lerp a b u] is [a + u (b - a)]. *)
-
-val to_array : t -> float array
-(** [[| x; y; z |]] — bridge to {!Rfid_prob.Gaussian}. *)
-
 val of_array : float array -> t
 (** @raise Invalid_argument unless length is 3. *)
 
 val xy_angle : t -> float
 (** [atan2 y x] of the vector — heading in the XY plane, radians. *)
 
-val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

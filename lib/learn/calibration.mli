@@ -66,21 +66,3 @@ val calibrate :
 (** Run EM on a training stream. The returned parameters keep [init]'s
     object model (α is not identifiable from a short static-object
     trace). @raise Invalid_argument on an empty stream. *)
-
-(** {1 E-step internals, exposed for tests} *)
-
-type evidence = {
-  geometries : (float * float) array;  (** (distance, angle) pairs *)
-  outcomes : bool array;
-  weights : float array;
-  reader_track : (Rfid_geom.Vec3.t * Rfid_geom.Vec3.t) array;
-      (** (posterior reader mean, reported location) per epoch *)
-}
-
-val e_step :
-  world:Rfid_model.World.t ->
-  params:Rfid_model.Params.t ->
-  config:config ->
-  observations:Rfid_model.Types.observation list ->
-  init_reader:Rfid_model.Reader_state.t ->
-  evidence

@@ -17,30 +17,15 @@ let sample_report t rng true_loc =
        (Rng.gaussian rng ~sigma:t.sigma.Vec3.y ())
        (Rng.gaussian rng ~sigma:t.sigma.Vec3.z ()))
 
-(* A zero sigma on an axis means that axis is not observed (e.g. a 2-D
-   positioning system reporting a constant z): it contributes nothing,
-   rather than collapsing every particle's weight to -infinity. *)
-let gauss_log_pdf ~sigma x =
-  if sigma = 0. then 0.
-  else
-    Rfid_prob.Gaussian.Univariate.log_pdf
-      (Rfid_prob.Gaussian.Univariate.create ~mu:0. ~sigma)
-      x
-
-let log_pdf t ~true_loc ~reported =
-  let d = Vec3.sub reported (Vec3.add true_loc t.bias) in
-  gauss_log_pdf ~sigma:t.sigma.Vec3.x d.Vec3.x
-  +. gauss_log_pdf ~sigma:t.sigma.Vec3.y d.Vec3.y
-  +. gauss_log_pdf ~sigma:t.sigma.Vec3.z d.Vec3.z
-
-(* Batched variant for the reader-weighting hot path: one cross-module
-   call per epoch against the sensor memo's pose slabs instead of one
-   [log_pdf] per reader particle (which, without flambda, boxes a
-   [Vec3.t] pair and three floats per call). The per-axis term is
-   [gauss_log_pdf] with [Gaussian.Univariate.log_pdf] at mu = 0 inlined
-   textually — same constant, same operation order — and the three
-   terms sum left-to-right as in [log_pdf], so each written value is
-   bit-identical. *)
+(* The reader-weighting hot path: one cross-module call per epoch
+   against the sensor memo's pose slabs instead of one call per reader
+   particle (which, without flambda, boxes a [Vec3.t] pair and three
+   floats per call). The per-axis term is the Gaussian log-density at
+   mu = 0, [-0.5 (z^2 + log 2pi) - log sigma], and the three terms sum
+   left-to-right. A zero sigma on an axis means
+   that axis is not observed (e.g. a 2-D positioning system reporting a
+   constant z): it contributes nothing, rather than collapsing every
+   particle's weight to -infinity. *)
 let log_2pi = log (2. *. Float.pi)
 
 let log_pdf_poses_into t ~reported ~rx ~ry ~rz ~n out =

@@ -29,16 +29,12 @@ val log_pdf_poses_into :
   n:int ->
   float array ->
   unit
-(** [log_pdf_poses_into t ~reported ~rx ~ry ~rz ~n out] writes
-    [out.(i) <- log_pdf t ~true_loc:(rx.(i), ry.(i), rz.(i)) ~reported]
-    for [i < n], bit for bit, in one batched pass over pose slabs (as
-    returned by {!Rfid_model.Sensor_model.pre_poses}) — the
-    reader-weighting hot path's replacement for a boxing [log_pdf] call
-    per reader particle. @raise Invalid_argument if [out] is shorter
-    than [n]. *)
+(** [log_pdf_poses_into t ~reported ~rx ~ry ~rz ~n out] writes to
+    [out.(i)], for [i < n], the log-likelihood of the report given the
+    true location [(rx.(i), ry.(i), rz.(i))] — the [p(R-hat|R)] factor
+    of the reader-particle weight (Eq. 5) — in one batched pass over
+    pose slabs (as returned by {!Rfid_model.Sensor_model.pre_poses}).
+    An axis whose sigma is 0 is treated as unobserved and contributes
+    nothing (a 2-D positioning system does not measure z).
+    @raise Invalid_argument if [out] is shorter than [n]. *)
 
-val log_pdf : t -> true_loc:Rfid_geom.Vec3.t -> reported:Rfid_geom.Vec3.t -> float
-(** Log-likelihood of a report given the true location — the
-    [p(R-hat|R)] factor of the reader-particle weight (Eq. 5). An axis
-    whose sigma is 0 is treated as unobserved and contributes nothing
-    (a 2-D positioning system does not measure z). *)

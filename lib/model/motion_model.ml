@@ -33,22 +33,3 @@ let sample_next t rng (prev : Reader_state.t) =
     +. Rng.gaussian rng ~sigma:t.heading_sigma ()
   in
   Reader_state.make ~loc ~heading
-
-(* Zero-sigma axes are deterministic in the model; log_pdf treats them
-   as unconstrained rather than returning -infinity for numerically
-   non-identical values. *)
-let gauss_log_pdf ~mu ~sigma x =
-  if sigma = 0. then 0.
-  else
-    Rfid_prob.Gaussian.Univariate.log_pdf
-      (Rfid_prob.Gaussian.Univariate.create ~mu ~sigma)
-      x
-
-let log_pdf t ~(prev : Reader_state.t) ~(next : Reader_state.t) =
-  let expected = Vec3.add prev.Reader_state.loc t.velocity in
-  let d = Vec3.sub next.Reader_state.loc expected in
-  gauss_log_pdf ~mu:0. ~sigma:t.sigma.Vec3.x d.Vec3.x
-  +. gauss_log_pdf ~mu:0. ~sigma:t.sigma.Vec3.y d.Vec3.y
-  +. gauss_log_pdf ~mu:0. ~sigma:t.sigma.Vec3.z d.Vec3.z
-  +. gauss_log_pdf ~mu:0. ~sigma:t.heading_sigma
-       (next.Reader_state.heading -. prev.Reader_state.heading -. t.heading_drift)

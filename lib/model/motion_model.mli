@@ -27,6 +27,3 @@ val create :
 val sample_next : t -> Rfid_prob.Rng.t -> Reader_state.t -> Reader_state.t
 (** Draw R_t given R_{t-1}. *)
 
-val log_pdf : t -> prev:Reader_state.t -> next:Reader_state.t -> float
-(** Transition log-density (positions and heading; independent
-    Gaussians). *)

@@ -1,11 +1,6 @@
 type t = { move_prob : float }
 
-let create ?(move_prob = 1e-4) () =
-  if not (move_prob >= 0. && move_prob <= 1.) then
-    invalid_arg "Object_model.create: move_prob must be in [0, 1]";
-  { move_prob }
-
-let default = create ()
+let default = { move_prob = 1e-4 }
 
 let sample_next t world rng loc =
   if Rfid_prob.Rng.bernoulli rng ~p:t.move_prob then World.sample_on_shelves world rng

@@ -7,10 +7,8 @@
 
 type t = { move_prob : float }
 
-val create : ?move_prob:float -> unit -> t
-(** Default alpha = 1e-4. @raise Invalid_argument unless in [0, 1]. *)
-
 val default : t
+(** alpha = 1e-4. *)
 
 val sample_next : t -> World.t -> Rfid_prob.Rng.t -> Rfid_geom.Vec3.t -> Rfid_geom.Vec3.t
 (** Draw O_t given O_{t-1}. *)

@@ -161,7 +161,6 @@ type pre = {
       (* pose slots in [0, pn) holding a non-finite component: the
          saturation argument assumes finite poses, so culling is
          disabled (cut forced to infinity) while any are present *)
-  mutable pstamp : int;  (* bumped whenever memo contents may change *)
 }
 
 let precompute t ~n =
@@ -177,11 +176,9 @@ let precompute t ~n =
     prz = Float.Array.make cap 0.;
     phead = Float.Array.make cap 0.;
     pbad = 0;
-    pstamp = 0;
   }
 
 let pre_size p = p.pn
-let pre_stamp p = p.pstamp
 
 let slot_bad p i =
   not
@@ -208,10 +205,7 @@ let pre_resize p n =
     p.phead <- Float.Array.make cap 0.
   end;
   p.pn <- n;
-  if changed then begin
-    p.pstamp <- p.pstamp + 1;
-    recount_bad p
-  end
+  if changed then recount_bad p
 
 let pre_set_pose p i ~x ~y ~z ~heading =
   if i < 0 || i >= p.pn then invalid_arg "Sensor_model.pre_set_pose: index out of range";
@@ -221,8 +215,7 @@ let pre_set_pose p i ~x ~y ~z ~heading =
   Float.Array.unsafe_set p.prz i z;
   Float.Array.unsafe_set p.phead i heading;
   let is_bad = slot_bad p i in
-  if is_bad <> was_bad then p.pbad <- p.pbad + (if is_bad then 1 else -1);
-  p.pstamp <- p.pstamp + 1
+  if is_bad <> was_bad then p.pbad <- p.pbad + (if is_bad then 1 else -1)
 
 (* Zero-sign-exact equality: the kernels' arithmetic distinguishes
    +0.0 from -0.0 ([atan2 dy dx] and subtraction both do), so a pose
@@ -481,17 +474,6 @@ let detection_half_angle ?(threshold = 0.02) t ~d =
     in
     bisect 0. Float.pi 40
   end
-
-let sensing_region_box ?threshold t ~reader_loc =
-  let r = detection_range ?threshold t in
-  Box2.of_center reader_loc ~half_width:r ~half_height:r
-
-let initialization_cone ?(overestimate = 1.25) t ~reader_loc ~reader_heading =
-  let range = Float.max 0.5 (overestimate *. detection_range t) in
-  let half_angle =
-    Float.min Float.pi (Float.max 0.2 (overestimate *. detection_half_angle t ~d:(range /. 2.)))
-  in
-  Cone.make ~apex:reader_loc ~heading:reader_heading ~half_angle ~range
 
 let pp ppf t =
   Format.fprintf ppf "sigmoid(%.3f %+.3f d %+.3f d^2 %+.3f th %+.3f th^2)" t.a0 t.a1

@@ -105,28 +105,16 @@ val pre_resize : pre -> int -> unit
 (** Set the slot count, reallocating slabs only on growth; slot
     contents are unspecified after a growing resize. *)
 
-val pre_set_pose : pre -> int -> x:float -> y:float -> z:float -> heading:float -> unit
-(** Fill one pose slot. @raise Invalid_argument out of range. *)
-
 val pre_set_pose_checked :
   pre -> int -> x:float -> y:float -> z:float -> heading:float -> bool
-(** As {!pre_set_pose}, but first compares the new pose against the
-    slot's current contents and skips the write (returning [false])
-    when they are identical. The comparison is zero-sign-exact — a
-    [-0.0] replacing a [+0.0] counts as a change, because the kernel
-    arithmetic ([atan2], subtraction) distinguishes them — and a NaN
-    component always counts as changed. A filter refreshing its memo
-    through this entry point can detect a fully unchanged epoch (every
+(** Fill one pose slot, unless the new pose is identical to the slot's
+    current contents: then skip the write and return [false]. The comparison
+    is zero-sign-exact — a [-0.0] replacing a [+0.0] counts as a change,
+    because the kernel arithmetic ([atan2], subtraction) distinguishes them
+    — and a NaN component always counts as changed. A filter refreshing its
+    memo through this entry point can detect a fully unchanged epoch (every
     call returned [false]) and count it as a memo reuse.
     @raise Invalid_argument out of range. *)
-
-val pre_stamp : pre -> int
-(** Fingerprint of the memo's pose contents: bumped by every
-    {!pre_set_pose}, every {!pre_set_pose_checked} that actually
-    writes, and every {!pre_resize} that changes the slot count — and
-    by nothing else. Equal stamps therefore mean the memo still holds
-    exactly the poses it held before (the fingerprint is evicted on
-    any pose change). *)
 
 val log_prob_pre : pre -> int -> tx:float -> ty:float -> tz:float -> read:bool -> float
 (** [log_prob_pre p i ~tx ~ty ~tz ~read] is
@@ -200,21 +188,5 @@ val detection_range : ?threshold:float -> t -> float
 val detection_half_angle : ?threshold:float -> t -> d:float -> float
 (** Unsigned angle at which the read probability at distance [d] falls
     below [threshold] (default 0.02); [pi] when it never does. *)
-
-val sensing_region_box : ?threshold:float -> t -> reader_loc:Rfid_geom.Vec3.t -> Rfid_geom.Box2.t
-(** Conservative bounding box of the sensing region around a reader
-    location, heading-independent (the reader may face anywhere):
-    a square of side [2 * detection_range]. *)
-
-val initialization_cone :
-  ?overestimate:float ->
-  t ->
-  reader_loc:Rfid_geom.Vec3.t ->
-  reader_heading:float ->
-  Rfid_geom.Cone.t
-(** Cone for sensor-model-based particle initialization (§IV-A): range
-    and half-angle are the detection range/half-angle scaled by
-    [overestimate] (default 1.25, "chosen to be an overestimate of the
-    true range"). *)
 
 val pp : Format.formatter -> t -> unit

@@ -23,16 +23,3 @@ let final_object_locs t =
   Array.copy t.steps.(n - 1).true_object_locs
 
 let epochs t = Array.length t.steps
-
-let concat a b =
-  if a.num_objects <> b.num_objects then
-    invalid_arg "Trace.concat: num_objects mismatch";
-  let offset = Array.length a.steps in
-  let renumber s =
-    {
-      s with
-      epoch = s.epoch + offset;
-      observation = { s.observation with Types.o_epoch = s.observation.Types.o_epoch + offset };
-    }
-  in
-  { a with steps = Array.append a.steps (Array.map renumber b.steps) }

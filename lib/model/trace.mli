@@ -32,7 +32,3 @@ val final_object_locs : t -> Rfid_geom.Vec3.t array
 
 val epochs : t -> int
 
-val concat : t -> t -> t
-(** Append a second trace (e.g. a second scan round) after the first,
-    renumbering its epochs to continue the first's.
-    @raise Invalid_argument if the traces disagree on [num_objects]. *)

@@ -143,9 +143,6 @@ let observations_to_string observations =
     observations;
   Buffer.contents buf
 
-let observations_of_string s =
-  observations_of_lines (String.split_on_char '\n' s)
-
 let observations_of_string_lenient s =
   observations_of_lines_lenient (String.split_on_char '\n' s)
 

@@ -48,7 +48,6 @@ val read_observations_lenient :
     successfully parsed observations. Never raises on content. *)
 
 val observations_to_string : Types.observation list -> string
-val observations_of_string : string -> Types.observation list
 
 val observations_of_string_lenient :
   string -> Types.observation list * (int * string) list

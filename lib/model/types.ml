@@ -1,11 +1,6 @@
 type epoch = int
 type tag = Object_tag of int | Shelf_tag of int
 
-let tag_equal a b =
-  match (a, b) with
-  | Object_tag i, Object_tag j | Shelf_tag i, Shelf_tag j -> i = j
-  | Object_tag _, Shelf_tag _ | Shelf_tag _, Object_tag _ -> false
-
 let tag_compare a b =
   match (a, b) with
   | Object_tag i, Object_tag j | Shelf_tag i, Shelf_tag j -> Int.compare i j
@@ -16,78 +11,11 @@ let tag_to_string = function
   | Object_tag i -> Printf.sprintf "obj:%d" i
   | Shelf_tag i -> Printf.sprintf "shelf:%d" i
 
-let pp_tag ppf t = Format.pp_print_string ppf (tag_to_string t)
-
-type reading = { r_epoch : epoch; r_tag : tag }
-type location_report = { l_epoch : epoch; l_loc : Rfid_geom.Vec3.t }
-
 type observation = {
   o_epoch : epoch;
   o_reported_loc : Rfid_geom.Vec3.t;
   o_read_tags : tag list;
 }
-
-let check_sorted what epochs =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-        if a > b then invalid_arg (Printf.sprintf "Types.synchronize: %s stream not sorted" what);
-        go rest
-    | [ _ ] | [] -> ()
-  in
-  go epochs
-
-let synchronize ~readings ~reports =
-  check_sorted "reading" (List.map (fun r -> r.r_epoch) readings);
-  check_sorted "location" (List.map (fun l -> l.l_epoch) reports);
-  let first_epoch =
-    match (readings, reports) with
-    | [], [] -> None
-    | r :: _, [] -> Some r.r_epoch
-    | [], l :: _ -> Some l.l_epoch
-    | r :: _, l :: _ -> Some (Int.min r.r_epoch l.l_epoch)
-  in
-  match first_epoch with
-  | None -> []
-  | Some start ->
-      let last_epoch =
-        let last default l = match List.rev l with [] -> default | x :: _ -> x in
-        Int.max
-          (last start (List.map (fun r -> r.r_epoch) readings))
-          (last start (List.map (fun l -> l.l_epoch) reports))
-      in
-      (match reports with
-      | l :: _ when l.l_epoch <= start -> ()
-      | _ -> invalid_arg "Types.synchronize: no location report at or before first epoch");
-      let readings = ref readings and reports = ref reports in
-      let current_loc = ref Rfid_geom.Vec3.zero in
-      let out = ref [] in
-      for e = start to last_epoch do
-        (* Average all location reports of this epoch. *)
-        let sum = ref Rfid_geom.Vec3.zero and n = ref 0 in
-        let rec take_reports () =
-          match !reports with
-          | l :: rest when l.l_epoch = e ->
-              sum := Rfid_geom.Vec3.add !sum l.l_loc;
-              incr n;
-              reports := rest;
-              take_reports ()
-          | _ -> ()
-        in
-        take_reports ();
-        if !n > 0 then current_loc := Rfid_geom.Vec3.scale (1. /. float_of_int !n) !sum;
-        let tags = ref [] in
-        let rec take_readings () =
-          match !readings with
-          | r :: rest when r.r_epoch = e ->
-              tags := r.r_tag :: !tags;
-              readings := rest;
-              take_readings ()
-          | _ -> ()
-        in
-        take_readings ();
-        out := { o_epoch = e; o_reported_loc = !current_loc; o_read_tags = List.rev !tags } :: !out
-      done;
-      List.rev !out
 
 module Tag_ord = struct
   type t = tag

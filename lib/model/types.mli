@@ -1,10 +1,11 @@
-(** Shared stream vocabulary: tags, epochs, readings, observations.
+(** Shared stream vocabulary: tags, epochs, observations.
 
     §II of the paper fixes the input format — an RFID reading stream
     [(time, tag id)] and a reader location stream [(time, (x,y,z))],
     synchronized into coarse epochs (about one second each). This module
-    defines those records plus the per-epoch observation bundle the
-    inference engine consumes. *)
+    defines the per-epoch observation bundle the inference engine
+    consumes; its producers (trace files, the simulator, the server's
+    [PUT]) deliver the streams already synchronized. *)
 
 type epoch = int
 (** Coarse time step; consecutive integers from 0. *)
@@ -14,16 +15,7 @@ type tag = Object_tag of int | Shelf_tag of int
     anchor the reader-location correction; object tags are the targets
     of inference. *)
 
-val tag_equal : tag -> tag -> bool
-val tag_compare : tag -> tag -> int
-val pp_tag : Format.formatter -> tag -> unit
 val tag_to_string : tag -> string
-
-type reading = { r_epoch : epoch; r_tag : tag }
-(** One element of the RFID reading stream. *)
-
-type location_report = { l_epoch : epoch; l_loc : Rfid_geom.Vec3.t }
-(** One element of the reader location stream. *)
 
 type observation = {
   o_epoch : epoch;
@@ -32,18 +24,6 @@ type observation = {
 }
 (** Synchronized per-epoch evidence: everything the world reveals at
     time t. *)
-
-val synchronize :
-  readings:reading list -> reports:location_report list -> observation list
-(** Merge the two raw streams into per-epoch observations, averaging
-    multiple location reports within an epoch and attaching all readings
-    of that epoch (the simple low-level processing §II-A describes).
-    One observation is emitted for {e every} epoch from the first to the
-    last seen in either stream — an epoch without readings is genuine
-    negative evidence, not a gap. Epochs without a location report reuse
-    the most recent report.
-    @raise Invalid_argument if either stream is not sorted by epoch or
-    there is no location report at or before the first epoch. *)
 
 module Tag_map : Map.S with type key = tag
 module Tag_set : Set.S with type elt = tag

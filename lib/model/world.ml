@@ -20,8 +20,6 @@ let create shelf_list =
   { shelves; areas; total_area; bbox }
 
 let shelves t = t.shelves
-let num_shelves t = Array.length t.shelves
-
 let shelf_tag_location t id =
   match Array.find_opt (fun s -> s.shelf_id = id) t.shelves with
   | Some { tag = Some loc; _ } -> loc
@@ -87,4 +85,3 @@ let clamp_to_shelves t p =
   end
 
 let bounding_box t = t.bbox
-let total_area t = t.total_area

@@ -23,7 +23,6 @@ val create : shelf list -> t
     empty list. *)
 
 val shelves : t -> shelf array
-val num_shelves : t -> int
 
 val shelf_tag_location : t -> int -> Rfid_geom.Vec3.t
 (** Location of shelf tag [i]. @raise Not_found for unknown or untagged
@@ -53,4 +52,3 @@ val clamp_to_shelves : t -> Rfid_geom.Vec3.t -> Rfid_geom.Vec3.t
 val bounding_box : t -> Rfid_geom.Box2.t
 (** Box enclosing all shelf surfaces. *)
 
-val total_area : t -> float

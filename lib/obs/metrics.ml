@@ -22,8 +22,6 @@ let bucket_of_value v =
     else int_of_float f
   end
 
-let bucket_upper i = bucket_lo *. Float.exp2 (float_of_int i /. buckets_per_octave)
-
 (* Geometric midpoint of bucket [i]'s bounds — the value a quantile
    query answers with before clamping into the observed [min, max]. *)
 let bucket_rep i = bucket_lo *. Float.exp2 ((float_of_int i -. 0.5) /. buckets_per_octave)
@@ -160,16 +158,6 @@ let stop sp t0 =
   observe sp.sp_hist dur;
   if Trace.enabled () then
     Trace.emit ~name:sp.sp_name ~ts_us:(t0 *. 1e6) ~dur_us:(dur *. 1e6)
-
-let with_ sp f =
-  let t0 = start sp in
-  match f () with
-  | v ->
-      stop sp t0;
-      v
-  | exception e ->
-      stop sp t0;
-      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Listing and JSON dump                                               *)

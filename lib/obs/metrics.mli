@@ -15,9 +15,10 @@
     - {b One cell per counter, one row per histogram.} Inference runs
       on one domain, so recording is plain stores. The mutex guards
       only the name table.
-    - {b Histograms use fixed log-scaled buckets} ({!num_buckets}
-      buckets, 4 per octave, spanning [1e-9 .. ~5e9] in the recorded
-      unit), so quantile estimates carry at most ~9% relative error and
+    - {b Histograms use fixed log-scaled buckets} (256 buckets, 4 per
+      octave, spanning [1e-9 .. ~5e9] in the recorded unit; values at
+      or below [1e-9], NaN included, land in the first, values past the
+      top in the last), so quantile estimates carry at most ~9% relative error and
       recording is a [log2] plus an integer increment.
 
     Span values are recorded in {e seconds}; other histograms record
@@ -26,11 +27,7 @@
     chrome trace event. *)
 
 type t
-(** A registry: an isolated namespace of metrics. Most code uses
-    {!global}; tests create private registries. *)
-
-val create : unit -> t
-(** Fresh, empty registry. *)
+(** A registry: a namespace of metrics. *)
 
 val global : t
 (** The process-wide registry every built-in instrumentation site
@@ -88,30 +85,11 @@ val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 (** Exact sum of observed values. *)
 
-val histogram_min : histogram -> float
-(** Smallest observed value ([infinity] when empty). *)
-
-val histogram_max : histogram -> float
-(** Largest observed value ([neg_infinity] when empty). *)
-
 val quantile : histogram -> float -> float
 (** [quantile h q] (0 <= q <= 1) by nearest rank over the buckets,
     answering with the geometric midpoint of the selected bucket
     clamped into [[min, max]] — at most ~9% relative error from the
     bucket resolution. [nan] when empty. *)
-
-(** {2 Bucket geometry} (exposed for tests and external decoders) *)
-
-val num_buckets : int
-(** 256 buckets, 4 per octave: bucket [i > 0] covers
-    [(lo * 2^((i-1)/4), lo * 2^(i/4)]] with [lo = 1e-9]; bucket 0
-    catches everything at or below [lo]. *)
-
-val bucket_of_value : float -> int
-(** The bucket a value lands in (clamped to [[0, num_buckets))). *)
-
-val bucket_upper : int -> float
-(** Inclusive upper bound of a bucket. *)
 
 (** {1 Spans} *)
 
@@ -137,10 +115,6 @@ val stop : span -> float -> unit
     and, when {!Trace.enabled}, appends a chrome trace event. Nested
     spans are fine: each [start]/[stop] pair is independent, and the
     trace viewer recovers nesting from interval containment. *)
-
-val with_ : span -> (unit -> 'a) -> 'a
-(** Time [f ()] under the span; the duration is recorded (and the
-    exception re-raised) even if [f] raises. *)
 
 (** {1 Read-out} *)
 

@@ -21,8 +21,5 @@
     protocol needs. Output ends with [# EOF]. Rendering is read-only
     and deterministic for a given registry state. *)
 
-val sanitize_name : string -> string
-(** The exposition-charset mapping above. *)
-
 val render : Metrics.t -> string
 (** The whole registry as one exposition-format document. *)

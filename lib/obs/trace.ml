@@ -38,8 +38,6 @@ let emit ~name ~ts_us ~dur_us =
       sink.count <- sink.count + 1;
       Mutex.unlock sink.mu
 
-let events () = Int.min sink.count max_events
-
 let write_now () =
   match sink.path with
   | None -> ()
@@ -55,12 +53,5 @@ let write_now () =
               output_string oc "{\"traceEvents\":[\n";
               Buffer.output_buffer oc sink.buf;
               output_string oc "\n]}\n"))
-
-let set_path p =
-  Mutex.lock sink.mu;
-  sink.path <- (match p with Some "" -> None | _ -> p);
-  Buffer.clear sink.buf;
-  sink.count <- 0;
-  Mutex.unlock sink.mu
 
 let () = at_exit write_now

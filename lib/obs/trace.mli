@@ -3,7 +3,7 @@
     When the [OBS_TRACE] environment variable names a file, every
     {!Metrics.stop} appends one complete ("X"-phase) trace event to an
     in-memory buffer, and the buffer is written as a Chrome
-    [traceEvents] JSON document at process exit (or on {!write_now}).
+    [traceEvents] JSON document at process exit.
     Load the file in [chrome://tracing] or Perfetto to see the
     per-stage span structure of a run; nesting is recovered from
     interval containment, so no begin/end pairing is required.
@@ -15,22 +15,9 @@
 
 val enabled : unit -> bool
 (** Whether a trace sink is active (an [OBS_TRACE] path was present at
-    startup, or {!set_path} installed one). *)
+    startup). *)
 
 val emit : name:string -> ts_us:float -> dur_us:float -> unit
 (** Record one complete span: [name], start timestamp and duration in
     microseconds. No-op when disabled; thread-safe. *)
 
-val events : unit -> int
-(** Events recorded so far (capped at 1,000,000). *)
-
-val write_now : unit -> unit
-(** Write the buffered events to the configured path as a Chrome
-    [{"traceEvents": [...]}] document, truncating any previous
-    contents. Registered with [at_exit]; safe to call repeatedly or
-    when disabled (no-op). *)
-
-val set_path : string option -> unit
-(** Redirect (or, with [None], disable) the sink at run time,
-    discarding any buffered events — intended for tests; production
-    runs should use the [OBS_TRACE] environment variable. *)

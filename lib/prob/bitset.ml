@@ -59,19 +59,6 @@ let add t i =
     if wi >= t.hwm then t.hwm <- wi + 1
   end
 
-let remove t i =
-  if i >= 0 then begin
-    let wi = i / bits_per_word in
-    if wi < t.hwm then begin
-      let b = 1 lsl (i mod bits_per_word) in
-      let w = t.words.(wi) in
-      if w land b <> 0 then begin
-        t.words.(wi) <- w land lnot b;
-        t.card <- t.card - 1
-      end
-    end
-  end
-
 let clear t =
   Array.fill t.words 0 t.hwm 0;
   t.hwm <- 0;

@@ -26,9 +26,6 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 (** @raise Invalid_argument on a negative element. *)
 
-val remove : t -> int -> unit
-(** No-op if absent (or negative). *)
-
 val clear : t -> unit
 (** Empty the set in O(high-water-mark words). *)
 

@@ -7,15 +7,6 @@ module Univariate = struct
     if sigma < 0. then invalid_arg "Gaussian.Univariate.create: negative sigma";
     { mu; sigma }
 
-  let log_pdf { mu; sigma } x =
-    if sigma = 0. then if x = mu then infinity else neg_infinity
-    else begin
-      let z = (x -. mu) /. sigma in
-      -0.5 *. ((z *. z) +. log_2pi) -. log sigma
-    end
-
-  let pdf t x = exp (log_pdf t x)
-
   (* Abramowitz & Stegun 7.1.26 rational approximation of erf, accurate
      to ~1.5e-7 — ample for the cdf's only users (tests, summaries). *)
   let erf x =
@@ -33,14 +24,6 @@ module Univariate = struct
   let cdf { mu; sigma } x =
     if sigma = 0. then if x < mu then 0. else 1.
     else 0.5 *. (1. +. erf ((x -. mu) /. (sigma *. sqrt 2.)))
-
-  let fit ?w data =
-    let n = Array.length data in
-    if n = 0 then invalid_arg "Gaussian.Univariate.fit: empty data";
-    let w = match w with Some w -> w | None -> Array.make n (1. /. float_of_int n) in
-    let mu = Stats.weighted_mean ~w data in
-    let var = Stats.weighted_variance ~w data in
-    { mu; sigma = sqrt (Float.max 0. var) }
 end
 
 type t = {
@@ -119,26 +102,3 @@ let fit ?w points =
       done)
     points;
   create ~mean ~cov
-
-let avg_nll ?w t points =
-  let n = Array.length points in
-  if n = 0 then invalid_arg "Gaussian.avg_nll: empty data";
-  let w = match w with Some w -> w | None -> Array.make n (1. /. float_of_int n) in
-  let acc = ref 0. in
-  Array.iteri (fun i p -> acc := !acc -. (w.(i) *. log_pdf t p)) points;
-  !acc
-
-let confidence_ellipse_xy t ~level =
-  if dim t < 2 then invalid_arg "Gaussian.confidence_ellipse_xy: need >= 2 dims";
-  if not (level > 0. && level < 1.) then
-    invalid_arg "Gaussian.confidence_ellipse_xy: level must be in (0, 1)";
-  let a = t.cov.(0).(0) and b = t.cov.(0).(1) and c = t.cov.(1).(1) in
-  (* Eigenvalues of [[a b] [b c]] in closed form. *)
-  let tr = a +. c in
-  let det = (a *. c) -. (b *. b) in
-  let disc = sqrt (Float.max 0. ((tr *. tr /. 4.) -. det)) in
-  let l1 = (tr /. 2.) +. disc and l2 = (tr /. 2.) -. disc in
-  let angle = if b = 0. then (if a >= c then 0. else Float.pi /. 2.) else atan2 (l1 -. a) b in
-  (* Chi-square quantile, 2 dof: P(X <= r^2) = 1 - exp(-r^2 / 2). *)
-  let r2 = -2. *. log (1. -. level) in
-  (sqrt (Float.max 0. (l1 *. r2)), sqrt (Float.max 0. (l2 *. r2)), angle)

@@ -13,14 +13,7 @@ module Univariate : sig
   val create : mu:float -> sigma:float -> t
   (** @raise Invalid_argument if [sigma < 0]. *)
 
-  val pdf : t -> float -> float
-  val log_pdf : t -> float -> float
   val cdf : t -> float -> float
-
-  val fit : ?w:float array -> float array -> t
-  (** Moment-matched (maximum likelihood) fit; [w] are normalized
-      weights, uniform if omitted. @raise Invalid_argument on empty
-      data. *)
 end
 
 (** {1 Multivariate} *)
@@ -47,20 +40,3 @@ val fit : ?w:float array -> float array array -> t
     Gaussians q, i.e. exactly the belief-compression step of §IV-D.
     @raise Invalid_argument on empty data or ragged rows. *)
 
-val avg_nll : ?w:float array -> t -> float array array -> float
-(** Weighted average negative log-likelihood of points under [t]: the
-    compression-loss score used to rank objects for compression (a
-    monotone surrogate of the discrete-to-continuous KL divergence the
-    paper describes). Lower means the cloud is more Gaussian. *)
-
-val mahalanobis_sq : t -> float array -> float
-(** Squared Mahalanobis distance of a point from the mean. *)
-
-val confidence_ellipse_xy : t -> level:float -> float * float * float
-(** [(semi_major, semi_minor, angle)] of the confidence ellipse of the
-    first two dimensions at the given coverage level (e.g. 0.95): the
-    eigen-decomposition of the XY covariance scaled by the chi-square
-    quantile with two degrees of freedom, [r^2 = -2 ln (1 - level)].
-    [angle] is the major axis' direction in radians.
-    @raise Invalid_argument unless the distribution has >= 2 dimensions
-    and [0 < level < 1]. *)

@@ -6,8 +6,6 @@ let dim a =
   Array.iter (fun row -> if Array.length row <> n then invalid_arg "Linalg: matrix not square") a;
   n
 
-let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1. else 0.))
-
 let copy a = Array.map Array.copy a
 
 let transpose a =
@@ -40,8 +38,6 @@ let dot u v =
   let s = ref 0. in
   Array.iteri (fun i x -> s := !s +. (x *. v.(i))) u;
   !s
-
-let outer u v = Array.map (fun x -> Array.map (fun y -> x *. y) v) u
 
 let cholesky_attempt a n =
   let l = Array.make_matrix n n 0. in
@@ -109,63 +105,3 @@ let solve_cholesky l b =
   x
 
 let solve_spd a b = solve_cholesky (cholesky a) b
-
-let inverse_spd a =
-  let n = dim a in
-  let l = cholesky a in
-  let cols =
-    Array.init n (fun j ->
-        let e = Array.make n 0. in
-        e.(j) <- 1.;
-        solve_cholesky l e)
-  in
-  Array.init n (fun i -> Array.init n (fun j -> cols.(j).(i)))
-
-let log_det_spd a =
-  let l = cholesky a in
-  let n = Array.length l in
-  let s = ref 0. in
-  for i = 0 to n - 1 do
-    s := !s +. log l.(i).(i)
-  done;
-  2. *. !s
-
-let solve_gauss a b =
-  let n = dim a in
-  if Array.length b <> n then invalid_arg "Linalg.solve_gauss: size mismatch";
-  let m = copy a in
-  let x = Array.copy b in
-  for col = 0 to n - 1 do
-    (* Partial pivot. *)
-    let pivot = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs m.(r).(col) > Float.abs m.(!pivot).(col) then pivot := r
-    done;
-    if Float.abs m.(!pivot).(col) < 1e-300 then
-      invalid_arg "Linalg.solve_gauss: singular matrix";
-    if !pivot <> col then begin
-      let tmp = m.(col) in
-      m.(col) <- m.(!pivot);
-      m.(!pivot) <- tmp;
-      let t = x.(col) in
-      x.(col) <- x.(!pivot);
-      x.(!pivot) <- t
-    end;
-    for r = col + 1 to n - 1 do
-      let f = m.(r).(col) /. m.(col).(col) in
-      if f <> 0. then begin
-        for c = col to n - 1 do
-          m.(r).(c) <- m.(r).(c) -. (f *. m.(col).(c))
-        done;
-        x.(r) <- x.(r) -. (f *. x.(col))
-      end
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let s = ref x.(i) in
-    for k = i + 1 to n - 1 do
-      s := !s -. (m.(i).(k) *. x.(k))
-    done;
-    x.(i) <- !s /. m.(i).(i)
-  done;
-  x

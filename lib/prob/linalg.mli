@@ -9,14 +9,11 @@
 
 type mat = float array array
 
-val identity : int -> mat
 val copy : mat -> mat
 val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> float array -> float array
-
 val dot : float array -> float array -> float
-val outer : float array -> float array -> mat
 
 val cholesky : mat -> mat
 (** Lower-triangular [l] with [l * l^T = a] for a symmetric positive
@@ -28,14 +25,3 @@ val cholesky : mat -> mat
 val solve_spd : mat -> float array -> float array
 (** Solve [a x = b] for symmetric positive definite [a]. *)
 
-val inverse_spd : mat -> mat
-(** Inverse of a symmetric positive definite matrix via Cholesky. *)
-
-val log_det_spd : mat -> float
-(** Log determinant of a symmetric positive definite matrix. *)
-
-val solve_gauss : mat -> float array -> float array
-(** General square solve by Gaussian elimination with partial pivoting
-    (used for the Newton step of the logistic fit, whose Hessian is
-    negated SPD but may be near-singular). @raise Invalid_argument on a
-    singular system. *)

@@ -18,20 +18,6 @@ let exp_underflow = -746.
 
 type model = { coef : float array }
 
-let predict m features = sigmoid (Linalg.dot m.coef features)
-
-let log_likelihood m ~x ~y ?w () =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Logistic.log_likelihood: shape mismatch";
-  let w = match w with Some w -> w | None -> Array.make n 1. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    let z = Linalg.dot m.coef x.(i) in
-    let ll = if y.(i) then log_sigmoid z else log_sigmoid (-.z) in
-    acc := !acc +. (w.(i) *. ll)
-  done;
-  !acc
-
 let fit ?(l2 = 1e-4) ?(max_iter = 400) ?(tol = 1e-8) ?init ?(nonpositive = []) ~x ~y ?w
     ~dim () =
   List.iter

@@ -27,12 +27,6 @@ type model = { coef : float array }
 (** Coefficients over a feature vector; [predict] and [fit] agree on the
     feature layout chosen by the caller. *)
 
-val predict : model -> float array -> float
-(** Probability of the positive class for a feature vector. *)
-
-val log_likelihood : model -> x:float array array -> y:bool array -> ?w:float array -> unit -> float
-(** Weighted Bernoulli log-likelihood of the data under the model. *)
-
 val fit :
   ?l2:float ->
   ?max_iter:int ->

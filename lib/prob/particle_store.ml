@@ -50,16 +50,6 @@ let resize t n =
   end;
   t.n <- n
 
-(* Budget shrink: drop the tail, keep the slabs. Note the survivors are
-   the *prefix* — after a systematic resample that is a biased subsample
-   (ancestor indices come out in CDF order), so filters shrinking a
-   posterior resample directly to the target count instead; this
-   primitive is for callers whose particles carry no meaningful order. *)
-let resize_down t n =
-  if n < 0 || n > t.n then
-    invalid_arg "Particle_store.resize_down: size outside [0, length]";
-  t.n <- n
-
 (* Budget grow: cyclic replication with per-axis Gaussian jitter. New
    particle [k + i] copies particle [i mod k] (log weight and reader
    pointer included) and perturbs each coordinate by [sigma_* *
@@ -146,10 +136,6 @@ let set_log_w t i w =
   check t i "set_log_w";
   FA.unsafe_set t.lw i w
 
-let add_log_w t i dw =
-  check t i "add_log_w";
-  FA.unsafe_set t.lw i (FA.unsafe_get t.lw i +. dw)
-
 let set_reader t i r =
   check t i "set_reader";
   Array.unsafe_set t.reader_idx i r
@@ -171,8 +157,6 @@ let shift_log_w t d =
   for i = 0 to t.n - 1 do
     FA.unsafe_set t.lw i (FA.unsafe_get t.lw i -. d)
   done
-
-let reset_log_w t = FA.fill t.lw 0 t.n 0.
 
 (* Normalized linear weights of the current log weights, written into a
    caller buffer of length exactly [n] — the in-place replacement for
@@ -290,13 +274,3 @@ let avg_nll ~w g t =
    iteration (no flambda). Indices < [length t] are valid; the arrays
    are invalidated by [resize] and [swap]. *)
 let backing t = (t.xs, t.ys, t.zs, t.lw, t.reader_idx)
-
-let copy t =
-  let n = t.n in
-  let out = create ~n in
-  FA.blit t.xs 0 out.xs 0 n;
-  FA.blit t.ys 0 out.ys 0 n;
-  FA.blit t.zs 0 out.zs 0 n;
-  FA.blit t.lw 0 out.lw 0 n;
-  Array.blit t.reader_idx 0 out.reader_idx 0 n;
-  out

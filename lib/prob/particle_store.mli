@@ -23,23 +23,10 @@ val create : n:int -> t
 val length : t -> int
 (** Live particle count [n]. *)
 
-val capacity : t -> int
-(** Allocated slab length ([>= length]); grows geometrically, never
-    shrinks. *)
-
 val resize : t -> int -> unit
 (** Set the live count, reallocating slabs only when the capacity is
     exceeded. Slab contents are unspecified after a growing resize —
     callers fill [0, n) before reading. *)
-
-val resize_down : t -> int -> unit
-(** Truncate the live count to [n <= length], keeping the slabs. The
-    survivors are the {e prefix}: after a systematic resample the
-    ancestor indices are in CDF order, so a prefix is a biased
-    subsample — posterior-shrinking callers should resample directly to
-    the target count instead and use this only where particle order
-    carries no meaning.
-    @raise Invalid_argument if [n] is outside [[0, length]]. *)
 
 val resize_up :
   t ->
@@ -92,9 +79,6 @@ val set_loc : t -> int -> x:float -> y:float -> z:float -> unit
 val set_log_w : t -> int -> float -> unit
 (** Overwrite the log weight of particle [i]. *)
 
-val add_log_w : t -> int -> float -> unit
-(** Accumulate evidence onto the log weight of particle [i]. *)
-
 val set_reader : t -> int -> int -> unit
 (** Re-point particle [i] at another reader hypothesis. *)
 
@@ -116,9 +100,6 @@ val max_log_w : t -> float
 
 val shift_log_w : t -> float -> unit
 (** Subtract a constant from every log weight (centring). *)
-
-val reset_log_w : t -> unit
-(** Zero every log weight (post-resample reset). *)
 
 val weights_into : t -> float array -> unit
 (** Write the normalized linear weights of the current log weights into
@@ -162,5 +143,3 @@ val avg_nll : w:float array -> Gaussian.t -> t -> float
     Gaussian (the compression acceptance test), with a reused probe
     buffer. @raise Invalid_argument on an empty store. *)
 
-val copy : t -> t
-(** Deep copy trimmed to [length]. *)

@@ -16,10 +16,6 @@ let multinomial_into rng w ~n ~out =
     out.(i) <- Rng.categorical rng w
   done
 
-let multinomial rng w ~n =
-  check w;
-  Array.init n (fun _ -> Rng.categorical rng w)
-
 let systematic_into rng w ~n ~out =
   check w;
   check_out out ~n;
@@ -73,13 +69,3 @@ let residual_into rng w ~n ~out =
     out.(!filled) <- Rng.categorical rng residuals;
     incr filled
   done
-
-let residual rng w ~n =
-  check w;
-  let out = Array.make n 0 in
-  residual_into rng w ~n ~out;
-  out
-
-let ess_below w ~ratio =
-  let n = Array.length w in
-  n > 0 && Stats.effective_sample_size (Stats.normalize w) < ratio *. float_of_int n

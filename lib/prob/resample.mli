@@ -7,32 +7,24 @@
     the lowest Monte-Carlo variance of the simple schemes and costs one
     uniform draw per resampling event. *)
 
-val multinomial : Rng.t -> float array -> n:int -> int array
-(** [n] i.i.d. draws from the categorical distribution of the weights. *)
-
 val systematic : Rng.t -> float array -> n:int -> int array
 (** Single uniform offset, [n] evenly spaced points through the
     cumulative weights. Deterministic given the offset; indices come out
     sorted. *)
 
-val residual : Rng.t -> float array -> n:int -> int array
-(** Deterministic copies of [floor (n * w_i)] per particle, multinomial
-    on the remainder. *)
+(** {1 In-place schemes}
 
-(** {1 In-place variants}
-
-    Identical RNG consumption and identical output indices to the
-    allocating schemes above, written into a caller buffer (of length
-    at least [n]) — the filter hot paths resample into scratch-arena
-    buffers with zero steady-state allocation.
+    Written into a caller buffer (of length at least [n]) — the filter
+    hot paths resample into scratch-arena buffers with zero
+    steady-state allocation. [systematic_into] consumes the RNG and
+    returns indices exactly as {!systematic} does.
     @raise Invalid_argument if the buffer is shorter than [n]. *)
 
 val multinomial_into : Rng.t -> float array -> n:int -> out:int array -> unit
-val systematic_into : Rng.t -> float array -> n:int -> out:int array -> unit
-val residual_into : Rng.t -> float array -> n:int -> out:int array -> unit
+(** [n] i.i.d. draws from the categorical distribution of the weights. *)
 
-val ess_below : float array -> ratio:float -> bool
-(** [ess_below w ~ratio] is true when the effective sample size of the
-    normalized weights [w] has fallen below [ratio *. length w] — the
-    standard trigger for resampling (we use ratio = 0.5 by default at
-    call sites). *)
+val systematic_into : Rng.t -> float array -> n:int -> out:int array -> unit
+
+val residual_into : Rng.t -> float array -> n:int -> out:int array -> unit
+(** Deterministic copies of [floor (n * w_i)] per particle, multinomial
+    on the remainder. *)

@@ -8,7 +8,7 @@
    64-bit pattern (including NaN payloads) round-trips exactly.
 
    The sampling hot paths ([float], [int], [bernoulli], [uniform],
-   [gaussian], [exponential], [for_key_into]) hand-inline the
+   [gaussian], [for_key_into]) hand-inline the
    advance-and-mix sequence: without flambda, even a same-module call to
    a [mix64] helper boxes its [int64] argument, intermediates and result.
    The inlined bodies are the original [bits64]/[mix64] operations
@@ -34,8 +34,6 @@ let of_state s =
 let state t = Int64.bits_of_float (Float.Array.unsafe_get t 0)
 
 let create ~seed = of_state (mix64 (Int64.of_int seed))
-let copy t = of_state (state t)
-
 let bits64 t =
   let s = Int64.add (Int64.bits_of_float (Float.Array.unsafe_get t 0)) golden_gamma in
   Float.Array.unsafe_set t 0 (Int64.float_of_bits s);
@@ -46,16 +44,11 @@ let split t = of_state (mix64 (bits64 t))
 (* Keyed substream derivation: a pure function of the base state and the
    key — the base generator is NOT advanced, so the substream for a
    given key is the same no matter how many other substreams were
-   derived before it, or in what order. Two mixing
-   rounds separate keys that differ in few bits (consecutive object ids
-   and epochs are exactly that case). *)
-let for_key t ~key =
-  let s = mix64 (Int64.add (state t) (Int64.mul golden_gamma key)) in
-  of_state (mix64 (Int64.logxor s golden_gamma))
-
-(* Allocation-free [for_key]: same pure state derivation, written into a
-   caller-owned generator (a scratch-arena slot in the filter hot
-   paths). [mix64] inlined twice — see the header comment. *)
+   derived before it, or in what order. Two mixing rounds separate keys
+   that differ in few bits (consecutive object ids and epochs are
+   exactly that case). Written into a caller-owned generator (a
+   scratch-arena slot in the filter hot paths), so it allocates nothing.
+   [mix64] inlined twice — see the header comment. *)
 let for_key_into t ~key dst =
   let z = Int64.add (Int64.bits_of_float (Float.Array.unsafe_get t 0)) (Int64.mul golden_gamma key) in
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -146,24 +139,6 @@ let gaussian t ?(mu = 0.) ?(sigma = 1.) () =
     end
   done;
   mu +. (sigma *. !result)
-
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let s = Int64.add (Int64.bits_of_float (Float.Array.unsafe_get t 0)) golden_gamma in
-  Float.Array.unsafe_set t 0 (Int64.float_of_bits s);
-  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let z = Int64.(logxor z (shift_right_logical z 31)) in
-  let u = Int64.to_float (Int64.shift_right_logical z 11) *. 0x1p-53 in
-  -.log1p (-.u) /. rate
-
-let shuffle_in_place t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
 
 let categorical t w =
   let n = Array.length w in

@@ -15,10 +15,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed. Two generators
     with the same seed produce identical streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state: the copy and the original
-    produce the same subsequent stream but advance independently. *)
-
 val state : t -> int64
 (** The raw 64-bit generator state. Together with {!of_state} this
     makes a generator checkpointable: restoring the state restores the
@@ -33,21 +29,17 @@ val split : t -> t
     (statistically) independent of the remainder of [t]'s stream. Use to
     hand sub-components their own generator. *)
 
-val for_key : t -> key:int64 -> t
-(** [for_key t ~key] derives the [key]-th substream of [t] {e without
-    advancing [t]}: a pure function of [t]'s current state and [key].
-    Derivations therefore commute — any number of substreams can be
-    drawn in any order and each key always yields the same generator.
-    The factored filter keys per-object randomness by
-    [key_pair obj_id epoch], so an object's draws do not depend on which
-    objects were updated before it, and a restored checkpoint
-    continues every object's stream exactly. *)
-
 val for_key_into : t -> key:int64 -> t -> unit
-(** [for_key_into t ~key dst] is {!for_key} writing the derived state
-    into [dst] instead of allocating a fresh generator — the hot paths
-    re-key one scratch generator per object per epoch. [t] is not
-    advanced. *)
+(** [for_key_into t ~key dst] derives the [key]-th substream of [t]
+    into [dst] {e without advancing [t]}: a pure function of [t]'s
+    current state and [key]. Derivations therefore commute — any number
+    of substreams can be drawn in any order and each key always yields
+    the same generator. The factored filter keys per-object randomness
+    by [key_pair obj_id epoch], so an object's draws do not depend on
+    which objects were updated before it, and a restored checkpoint
+    continues every object's stream exactly. Writing into [dst] instead
+    of allocating lets the hot paths re-key one scratch generator per
+    object per epoch. *)
 
 val key_pair : int -> int -> int64
 (** [key_pair a b] packs two non-negative ints into one substream key;
@@ -75,12 +67,6 @@ val bernoulli : t -> p:float -> bool
 val gaussian : t -> ?mu:float -> ?sigma:float -> unit -> float
 (** Normal deviate via the Marsaglia polar method. Defaults:
     [mu = 0.], [sigma = 1.]. Requires [sigma >= 0.]. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential deviate with the given rate. Requires [rate > 0.]. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
 
 val categorical : t -> float array -> int
 (** [categorical t w] draws an index proportionally to the non-negative

@@ -73,38 +73,3 @@ let variance a =
     let s = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a in
     s /. float_of_int n
   end
-
-let weighted_mean ~w a =
-  let acc = ref 0. in
-  Array.iteri (fun i x -> acc := !acc +. (w.(i) *. x)) a;
-  !acc
-
-let weighted_variance ~w a =
-  let m = weighted_mean ~w a in
-  let acc = ref 0. in
-  Array.iteri (fun i x -> acc := !acc +. (w.(i) *. ((x -. m) ** 2.))) a;
-  !acc
-
-let quantile a ~q =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.quantile: empty array";
-  let q = Float.max 0. (Float.min 1. q) in
-  let sorted = Array.copy a in
-  Array.sort Float.compare sorted;
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = Int.min (n - 1) (lo + 1) in
-  let frac = pos -. float_of_int lo in
-  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
-let rmse a b =
-  let n = Array.length a in
-  if n <> Array.length b then invalid_arg "Stats.rmse: length mismatch";
-  if n = 0 then 0.
-  else begin
-    let s = ref 0. in
-    for i = 0 to n - 1 do
-      s := !s +. ((a.(i) -. b.(i)) ** 2.)
-    done;
-    sqrt (!s /. float_of_int n)
-  end

@@ -38,15 +38,3 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance; 0 on empty. *)
 
-val weighted_mean : w:float array -> float array -> float
-(** Mean under normalized weights [w]. *)
-
-val weighted_variance : w:float array -> float array -> float
-(** Population variance under normalized weights [w]. *)
-
-val quantile : float array -> q:float -> float
-(** [quantile a ~q] for [q] in [\[0,1\]], by sorting a copy (nearest-rank
-    with linear interpolation). @raise Invalid_argument on empty input. *)
-
-val rmse : float array -> float array -> float
-(** Root mean squared difference of two equal-length arrays. *)

@@ -22,11 +22,6 @@
     produces for that snapshot. Corrupted input yields [Error], never a
     wrong snapshot and never an escaping exception. *)
 
-val version : int
-(** Codec format version stamped after the magic; {!decode} refuses any
-    other. Independent of the checkpoint-envelope version in
-    {!Checkpoint}'s file header. *)
-
 val encode : Rfid_core.Engine.snapshot -> string
 (** Serialize to the portable format. Total cost is one linear pass
     plus the per-section checksums. *)

@@ -72,8 +72,6 @@ let create ?(drop_out_of_order = false) ?bounds ?max_object_id () =
 
 let count t fault = t.counts.(fault_index fault)
 let counters t = List.map (fun f -> (f, count t f)) all_faults
-let total_faults t = Array.fold_left ( + ) 0 t.counts
-
 (* Observability handles: one counter per fault kind (shared across all
    guard instances — the per-instance [counts] array stays the precise
    per-guard view), the stage span over [admit], and one counter per

@@ -30,10 +30,6 @@ type fault =
   | Epoch_gap  (** forward jump larger than 100 epochs *)
   | Out_of_range_tag  (** negative tag id, or object id >= [max_object_id] *)
 
-val all_faults : fault list
-(** Every fault, in {!fault_name} display order — drives the
-    fault-matrix tests and the counter read-outs. *)
-
 val fault_name : fault -> string
 (** Stable kebab-case name (e.g. ["nonfinite-fix"]), used in log lines,
     bench JSON, and the ["ingest.fault.*"] observability counters. *)
@@ -64,18 +60,12 @@ val create :
     object-id range check (valid ids are [0 .. max_object_id - 1]).
     @raise Invalid_argument if [max_object_id] is negative. *)
 
+val counters : t -> (fault * int) list
+(** Every fault with its count, in {!fault_name} display order. *)
+
 val admit : t -> Rfid_model.Types.observation -> decision
 (** Classify one observation, update the guard's timeline state and
     counters, and say what to do with it. Never raises. *)
-
-val count : t -> fault -> int
-(** Times [fault] has tripped on this guard instance. *)
-
-val counters : t -> (fault * int) list
-(** Every fault with its count, in {!all_faults} order. *)
-
-val total_faults : t -> int
-(** Sum of all fault counts on this guard instance. *)
 
 val advance_timeline : t -> Rfid_model.Types.epoch -> unit
 (** Fast-forward the guard's last-admitted-epoch marker (no-op if it is

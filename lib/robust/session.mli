@@ -19,8 +19,9 @@
       its path the same way but fails if nothing loads.
     + Recovery trims the events log to complete lines with epoch at or
       below the checkpoint's, stopping at the ["# flush"] marker
-      (flush events share the final step's epoch; see
-      {!truncate_events_file}).
+      (flush events share the final step's epoch). A torn last line,
+      the marker and the flush events behind it, and anything newer
+      than the checkpoint are dropped; a missing log is started empty.
     + Recovery reads the WAL {e once}, truncates its torn tail,
       advances the guard's timeline to the restored epoch, replays the
       WAL entries past it into the engine and the events log, and only
@@ -92,22 +93,10 @@ val close : t -> unit
     kill offsets with it. *)
 
 val logged_events : t -> Rfid_core.Event.t list
-(** Every event line of the events log, parsed back with
-    {!event_of_log_line}, oldest first; [[]] without [events]. After a
+(** Every event line of the events log, parsed back, oldest first;
+    blank, comment and unparsable lines are skipped. {!Rfid_core.Event.pp}
+    prints at fixed precision, so the parse is lossy (the covariance
+    comes back as the diagonal [sd_xy]) but re-printing an event yields
+    its original line byte for byte. [[]] without [events]. After a
     recovering {!start} this is the history the uninterrupted run had
     logged by the last replayed epoch. *)
-
-(** {1 Helpers} *)
-
-val truncate_events_file : path:string -> epoch:int -> unit
-(** Chop an events log back to its complete lines with epoch <=
-    [epoch]. Everything past that is dropped: a line torn by a crash,
-    the ["# flush"] marker and the flush events behind it, anything
-    newer than the checkpoint. A missing file is a no-op. *)
-
-val event_of_log_line : string -> Rfid_core.Event.t option
-(** Parse one events-log line; [None] for blank, comment and
-    unparsable lines. {!Rfid_core.Event.pp} prints at fixed precision,
-    so the parse is lossy (the covariance comes back as the diagonal
-    [sd_xy]) but re-printing the result yields the original line byte
-    for byte. *)

@@ -21,9 +21,6 @@ type spec = {
           becomes NaN — a sustained positioning outage *)
 }
 
-val none : spec
-(** All probabilities zero, no outage: [apply none] is the identity. *)
-
 val make :
   ?drop_prob:float ->
   ?duplicate_prob:float ->

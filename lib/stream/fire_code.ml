@@ -18,44 +18,60 @@ let default_config ~weight_of = { weight_of; window = 5; limit = 200. }
 
 type t = {
   cfg : config;
-  recent : int Window.t;  (* objects reported within the range window *)
+  recent : (Rfid_model.Types.epoch * int) Queue.t;
+      (* objects reported within the range window, oldest first *)
   latest_loc : (int, Vec3.t) Hashtbl.t;
+  mutable epoch : Rfid_model.Types.epoch;  (* epoch of the last event *)
+  reported : (cell, unit) Hashtbl.t;  (* cells already reported at [epoch] *)
 }
 
 let create cfg =
   if cfg.window <= 0 then invalid_arg "Fire_code.create: window must be positive";
-  { cfg; recent = Window.create ~size:cfg.window; latest_loc = Hashtbl.create 64 }
+  {
+    cfg;
+    recent = Queue.create ();
+    latest_loc = Hashtbl.create 64;
+    epoch = min_int;
+    reported = Hashtbl.create 8;
+  }
 
 let push t (ev : Rfid_core.Event.t) =
   let e = ev.Rfid_core.Event.ev_epoch in
+  if e < t.epoch then invalid_arg "Fire_code: epoch regression";
+  if e > t.epoch then begin
+    t.epoch <- e;
+    Hashtbl.reset t.reported
+  end;
   Hashtbl.replace t.latest_loc ev.Rfid_core.Event.ev_obj ev.Rfid_core.Event.ev_loc;
-  Window.push t.recent ~epoch:e ev.Rfid_core.Event.ev_obj;
+  Queue.push (e, ev.Rfid_core.Event.ev_obj) t.recent;
+  while fst (Queue.peek t.recent) <= e - t.cfg.window do
+    ignore (Queue.pop t.recent)
+  done;
   (* Group the window's objects by square-foot cell of their latest
      location; each object counts once. *)
   let seen = Hashtbl.create 16 in
   let cells : (cell, float * int list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
+  Queue.iter
     (fun (_, obj) ->
       if not (Hashtbl.mem seen obj) then begin
         Hashtbl.replace seen obj ();
-        match Hashtbl.find_opt t.latest_loc obj with
-        | None -> ()
-        | Some loc ->
-            let c = cell_of loc in
-            let w, objs =
-              match Hashtbl.find_opt cells c with Some x -> x | None -> (0., [])
-            in
-            Hashtbl.replace cells c (w +. t.cfg.weight_of obj, obj :: objs)
+        let c = cell_of (Hashtbl.find t.latest_loc obj) in
+        let w, objs = Option.value (Hashtbl.find_opt cells c) ~default:(0., []) in
+        Hashtbl.replace cells c (w +. t.cfg.weight_of obj, obj :: objs)
       end)
-    (Window.contents t.recent);
-  Hashtbl.fold
-    (fun c (w, objs) acc ->
-      if w > t.cfg.limit then
-        { v_epoch = e; v_cell = c; v_weight = w; v_objects = List.sort Int.compare objs }
-        :: acc
-      else acc)
-    cells []
-  |> List.sort (fun a b -> compare a.v_cell b.v_cell)
+    t.recent;
+  let vs =
+    Hashtbl.fold
+      (fun c (w, objs) acc ->
+        if w > t.cfg.limit && not (Hashtbl.mem t.reported c) then
+          { v_epoch = e; v_cell = c; v_weight = w; v_objects = List.sort Int.compare objs }
+          :: acc
+        else acc)
+      cells []
+    |> List.sort (fun a b -> compare a.v_cell b.v_cell)
+  in
+  List.iter (fun v -> Hashtbl.replace t.reported v.v_cell ()) vs;
+  vs
 
 let run t events = List.concat_map (push t) events
 

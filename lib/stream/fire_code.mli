@@ -18,8 +18,6 @@
 type cell = int * int
 (** Square-foot grid cell (floor x, floor y). *)
 
-val cell_of : Rfid_geom.Vec3.t -> cell
-
 type violation = {
   v_epoch : Rfid_model.Types.epoch;
   v_cell : cell;
@@ -39,11 +37,12 @@ val default_config : weight_of:(int -> float) -> config
 type t
 
 val create : config -> t
-
-val push : t -> Rfid_core.Event.t -> violation list
-(** Feed the next event; returns the cells in violation as of this
-    event's epoch (each cell reported at most once per epoch). *)
+(** @raise Invalid_argument if [window <= 0]. *)
 
 val run : t -> Rfid_core.Event.t list -> violation list
+(** Feed events in epoch order; returns the cells in violation, each
+    cell reported at most once per epoch, at the event that first takes
+    it over the limit. Successive calls continue the same stream.
+    @raise Invalid_argument if an event's epoch is before the last one's. *)
 
 val pp_violation : Format.formatter -> violation -> unit

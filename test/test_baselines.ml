@@ -1,53 +1,51 @@
 open Rfid_baselines
 open Rfid_model
 
-(* SMURF window mechanics *)
+(* SMURF window mechanics, seen through [Smurf.run]: one tag, read or
+   missed per epoch; each presence period the window declares yields
+   one event at its last present epoch. *)
 
-let window () = Smurf.Window.create (Smurf.default_config ~read_range:3. ())
+let smurf_epochs ?(config = Smurf.default_config ~read_range:3. ()) reads =
+  let obs =
+    List.mapi
+      (fun e read ->
+        {
+          Types.o_epoch = e;
+          o_reported_loc = Util.vec3 0.5 5. 0.;
+          o_read_tags = (if read then [ Types.Object_tag 0 ] else []);
+        })
+      reads
+  in
+  Smurf.run ~world:(Util.two_shelf_world ()) ~config ~seed:1 obs
+  |> List.map (fun (ev : Rfid_core.Event.t) -> ev.Rfid_core.Event.ev_epoch)
 
 let test_window_present_while_read () =
-  let w = window () in
-  for e = 0 to 9 do
-    Smurf.Window.observe w ~read:true ~epoch:e;
-    Alcotest.(check bool) "present while reading" true (Smurf.Window.present w)
-  done
+  Alcotest.(check (list int)) "one period through the last read" [ 9 ]
+    (smurf_epochs (List.init 10 (fun _ -> true)))
 
 let test_window_absent_initially_silent () =
-  let w = window () in
-  Smurf.Window.observe w ~read:false ~epoch:0;
-  Alcotest.(check bool) "no reads yet: absent" false (Smurf.Window.present w)
+  Alcotest.(check (list int)) "no reads: no events" [] (smurf_epochs (List.init 5 (fun _ -> false)))
 
 let test_window_smooths_dropouts () =
-  (* Read rate ~50%: a missed epoch inside the window must not end the
-     presence period once the window has adapted. *)
-  let w = window () in
-  let reads = [ true; true; false; true; false; true; true; false; true; false ] in
-  List.iteri (fun e r -> Smurf.Window.observe w ~read:r ~epoch:e) reads;
-  Alcotest.(check bool) "window grew" true (Smurf.Window.size w > 1);
-  Smurf.Window.observe w ~read:false ~epoch:10;
-  Alcotest.(check bool) "single miss smoothed over" true (Smurf.Window.present w)
+  (* Read rate ~50%: once the window has adapted, a missed epoch must
+     not end the presence period. *)
+  let reads = [ true; true; false; true; false; true; true; false; true; false; false ] in
+  match List.rev (smurf_epochs reads) with
+  | last :: _ -> Alcotest.(check int) "single misses smoothed over" 10 last
+  | [] -> Alcotest.fail "expected a presence period"
 
 let test_window_detects_departure () =
-  let w = window () in
-  for e = 0 to 14 do
-    Smurf.Window.observe w ~read:true ~epoch:e
-  done;
-  (* Tag gone: long run of misses must eventually flip presence. *)
-  let still = ref true in
-  for e = 15 to 40 do
-    Smurf.Window.observe w ~read:false ~epoch:e;
-    if not (Smurf.Window.present w) then still := false
-  done;
-  Alcotest.(check bool) "declared gone" false !still
+  (* Tag gone: a long run of misses must eventually flip presence. *)
+  match smurf_epochs (List.init 41 (fun e -> e <= 14)) with
+  | [ e ] -> Alcotest.(check bool) "declared gone before the end" true (e < 40)
+  | es -> Alcotest.failf "expected one period, got %d" (List.length es)
 
 let test_window_cap () =
-  let cfg = { (Smurf.default_config ~read_range:3. ()) with Smurf.max_window = 5 } in
-  let w = Smurf.Window.create cfg in
-  (* Tiny read rate pushes w* huge; size must stay capped. *)
-  for e = 0 to 50 do
-    Smurf.Window.observe w ~read:(e mod 7 = 0) ~epoch:e
-  done;
-  Alcotest.(check bool) "cap respected" true (Smurf.Window.size w <= 5)
+  (* Tiny read rate pushes w* huge; with the window capped at 5 epochs
+     every 6-epoch gap between reads ends the period. *)
+  let config = { (Smurf.default_config ~read_range:3. ()) with Smurf.max_window = 5 } in
+  Alcotest.(check int) "one period per read" 8
+    (List.length (smurf_epochs ~config (List.init 51 (fun e -> e mod 7 = 0))))
 
 (* End-to-end SMURF and Uniform on simulated traces *)
 
@@ -74,7 +72,7 @@ let test_smurf_emits_events () =
   in
   Alcotest.(check bool) "events produced" true (List.length events > 0);
   Util.check_close ~eps:0.01 "every object reported" 1.
-    (Rfid_eval.Metrics.coverage events trace);
+    (Util.coverage events trace);
   (* Sampled locations are always on shelves. *)
   List.iter
     (fun (ev : Rfid_core.Event.t) ->
@@ -122,7 +120,7 @@ let test_uniform_baseline () =
       ~config:(Uniform.default_config ~read_range:3. ()) ~seed:2
       (Trace.observations trace)
   in
-  Util.check_close ~eps:0.01 "coverage" 1. (Rfid_eval.Metrics.coverage events trace);
+  Util.check_close ~eps:0.01 "coverage" 1. (Util.coverage events trace);
   List.iter
     (fun (ev : Rfid_core.Event.t) ->
       if not (World.contains wh.Rfid_sim.Warehouse.world ev.Rfid_core.Event.ev_loc)

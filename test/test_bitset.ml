@@ -15,10 +15,6 @@ let test_basics () =
   Bitset.add b 17;
   Alcotest.(check bool) "mem after add" true (Bitset.mem b 17);
   Alcotest.(check int) "add idempotent" 1 (Bitset.cardinal b);
-  Bitset.remove b 17;
-  Bitset.remove b 17;
-  Alcotest.(check int) "remove idempotent" 0 (Bitset.cardinal b);
-  Bitset.remove b 123456;  (* beyond capacity: no-op, no growth needed *)
   Alcotest.(check bool) "mem beyond capacity" false (Bitset.mem b 123456)
 
 let test_negative_ids () =
@@ -38,11 +34,7 @@ let test_word_boundaries () =
   let n = Bitset.fill_into b out in
   Alcotest.(check (list int)) "fill_into ascending" ids
     (Array.to_list (Array.sub out 0 n));
-  List.iter (fun i -> Alcotest.(check bool) "mem" true (Bitset.mem b i)) ids;
-  Bitset.remove b 62;
-  Alcotest.(check (list int)) "remove top bit of word 0"
-    [ 0; 61; 63; 64; 125; 126; 127; 1000 ]
-    (Bitset.elements b)
+  List.iter (fun i -> Alcotest.(check bool) "mem" true (Bitset.mem b i)) ids
 
 let test_clear_reuse () =
   let b = Bitset.create ~capacity:4 () in
@@ -84,9 +76,6 @@ let prop_matches_int_set =
         | r when r < 55 ->
             Bitset.add b id;
             model := IS.add id !model
-        | r when r < 85 ->
-            Bitset.remove b id;
-            model := IS.remove id !model
         | r when r < 97 ->
             if Bitset.mem b id <> IS.mem id !model then ok := false
         | _ ->

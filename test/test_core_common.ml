@@ -18,15 +18,39 @@ let test_sensor_cache () =
   Util.check_close "cap binds" 5. capped.Common.Sensor_cache.range
 
 let test_init_cone_geometry () =
+  (* On a shelf the size of the floor nothing is clamped, so the initial
+     samples trace the initialization cone itself: apex at the reader,
+     centred on its heading, reaching past the sensing range by the
+     overestimate and no further. *)
   let c = cache () in
-  let cone =
-    Common.init_cone c ~overestimate:1.25 ~reader_loc:(Util.vec3 1. 2. 0.) ~heading:0.7
+  let world =
+    World.create
+      [
+        {
+          World.shelf_id = 0;
+          surface = Box2.make ~min_x:(-100.) ~min_y:(-100.) ~max_x:100. ~max_y:100.;
+          height = 0.;
+          tag = None;
+        };
+      ]
   in
-  Util.check_close ~eps:1e-9 "apex x" 1. cone.Cone.apex.Vec3.x;
-  Util.check_close ~eps:1e-9 "heading" 0.7 cone.Cone.heading;
-  Util.check_close ~eps:1e-6 "overestimated range"
-    (1.25 *. c.Common.Sensor_cache.range)
-    cone.Cone.range
+  let rng = Util.rng () in
+  let apex = Util.vec3 1. 2. 0. in
+  let reach = 1.25 *. c.Common.Sensor_cache.range in
+  let far = ref 0. and sx = ref 0. and sy = ref 0. in
+  for _ = 1 to 2000 do
+    let p =
+      Common.sample_initial_location c ~overestimate:1.25 ~world ~reader_loc:apex
+        ~heading:0.7 rng
+    in
+    let d = Vec3.dist_xy p apex in
+    if d > reach +. 1e-9 then Alcotest.failf "sample %g ft out, past the %g ft cone" d reach;
+    far := Float.max !far d;
+    sx := !sx +. (p.Vec3.x -. apex.Vec3.x);
+    sy := !sy +. (p.Vec3.y -. apex.Vec3.y)
+  done;
+  Alcotest.(check bool) "overestimated range" true (!far > c.Common.Sensor_cache.range);
+  Util.check_close ~eps:0.05 "heading" 0.7 (atan2 !sy !sx)
 
 let test_sample_initial_location_on_shelves () =
   let world = Util.two_shelf_world () in
@@ -51,10 +75,11 @@ let fill_setup () =
   let j = 5 in
   let pre = Sensor_model.precompute Sensor_model.default ~n:j in
   for p = 0 to j - 1 do
-    Sensor_model.pre_set_pose pre p ~x:(0.5 *. float_of_int p)
-      ~y:(4. +. (0.3 *. float_of_int p))
-      ~z:0.2
-      ~heading:(0.4 *. float_of_int p)
+    ignore
+      (Sensor_model.pre_set_pose_checked pre p ~x:(0.5 *. float_of_int p)
+         ~y:(4. +. (0.3 *. float_of_int p))
+         ~z:0.2
+         ~heading:(0.4 *. float_of_int p))
   done;
   let rw = [| 0.1; 0.3; 0.2; 0.25; 0.15 |] in
   (world, c, pre, rw)
@@ -194,8 +219,10 @@ let test_resample_dispatch () =
   let w = [| 0.5; 0.5 |] in
   List.iter
     (fun scheme ->
-      let idx = Common.resample scheme rng w ~n:10 in
-      Alcotest.(check int) "n indices" 10 (Array.length idx);
+      let idx = Array.make 12 (-1) in
+      Common.resample_into scheme rng w ~n:10 ~out:idx;
+      Alcotest.(check int) "n indices written" (-1) idx.(10);
+      let idx = Array.sub idx 0 10 in
       Array.iter (fun i -> Util.check_in_range "valid" ~lo:0. ~hi:1. (float_of_int i)) idx)
     [ Config.Systematic; Config.Multinomial; Config.Residual ]
 

@@ -18,12 +18,11 @@ let test_event () =
       ~cov:[| [| 4.; 0.; 0. |]; [| 0.; 16.; 0. |]; [| 0.; 0.; 0. |] |]
       ()
   in
-  (match Event.std_dev_xy ev with
-  | Some s -> Util.check_close "sd_xy" (sqrt 10.) s
-  | None -> Alcotest.fail "expected stats");
+  Alcotest.(check string) "sd_xy printed" "t=5 obj=3 loc=(1.000, 2.000, 0.000) (sd_xy=3.162)"
+    (Format.asprintf "%a" Event.pp ev);
   let bare = Event.make ~epoch:0 ~obj:0 ~loc:Vec3.zero () in
-  Alcotest.(check bool) "no stats" true (Event.std_dev_xy bare = None);
-  ignore (Format.asprintf "%a" Event.pp ev)
+  Alcotest.(check string) "no stats" "t=0 obj=0 loc=(0.000, 0.000, 0.000)"
+    (Format.asprintf "%a" Event.pp bare)
 
 (* A tiny deterministic scenario used across filter tests. *)
 let scenario ?(num_objects = 6) ?(seed = 21) ?(rr = 1.0) () =
@@ -138,7 +137,7 @@ let test_missed_readings_still_reported () =
   let _, trace = scenario ~rr:0.6 () in
   let r = run_variant Config.Factorized trace in
   Util.check_close ~eps:0.01 "full coverage" 1.
-    (Rfid_eval.Metrics.coverage r.Rfid_eval.Runner.events trace);
+    (Util.coverage r.Rfid_eval.Runner.events trace);
   Alcotest.(check bool) "error still bounded" true
     (r.Rfid_eval.Runner.error.Rfid_eval.Metrics.mean_xy < 1.0)
 
@@ -150,7 +149,7 @@ let test_empty_stream () =
       ~init_reader:(Rfid_sim.Warehouse.reader_start wh) ()
   in
   Alcotest.(check (list pass)) "no events" [] (Engine.run engine []);
-  Alcotest.(check (list pass)) "no objects" [] (Engine.known_objects engine);
+  Alcotest.(check int) "no objects" 0 (Engine.num_known engine);
   Alcotest.(check bool) "no estimate" true (Engine.estimate engine 0 = None)
 
 let test_compression_lifecycle () =

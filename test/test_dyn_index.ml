@@ -1,10 +1,9 @@
-(* Tests for the dynamic grid index behind the serving layer's query
-   cache: deterministic handle-lifecycle, oversize-entry and
-   cell-retune checks, plus random operation traces proving the index
-   is trace-equivalent to a naive model — every query agrees with a
-   linear scan over the live entries, across insert / remove / update /
-   clear, the self-tuning rehashes they trigger, and boxes and probes
-   at far finite coordinates. *)
+(* Tests for the dynamic grid index behind the serving layer's query cache:
+   deterministic handle-lifecycle, oversize-entry and cell-retune checks,
+   plus random operation traces proving the index is trace-equivalent to a
+   naive model — every query agrees with a linear scan over the live
+   entries, across insert / update / clear, the self-tuning rehashes they
+   trigger, and boxes and probes at far finite coordinates. *)
 
 module Dyn_index = Rfid_geom.Dyn_index
 module Box2 = Rfid_geom.Box2
@@ -25,6 +24,11 @@ let query idx probe =
   Dyn_index.query_into idx probe hits;
   sorted_hits hits
 
+let entry idx h =
+  let found = ref None in
+  Dyn_index.iter idx (fun h' b v -> if h' = h then found := Some (b, v));
+  match !found with Some e -> e | None -> Alcotest.failf "handle %d not live" h
+
 let test_handle_lifecycle () =
   let idx = Dyn_index.create ~dummy:(-1) () in
   Alcotest.(check (list int)) "empty index, empty query" []
@@ -33,44 +37,35 @@ let test_handle_lifecycle () =
   let h2 = Dyn_index.insert idx (box 5. 5. 6. 6.) 20 in
   let h3 = Dyn_index.insert idx (box 0.5 0.5 5.5 5.5) 30 in
   Alcotest.(check int) "size" 3 (Dyn_index.size idx);
-  let b, v = Dyn_index.get idx h2 in
-  Alcotest.(check int) "get value" 20 v;
-  Alcotest.(check bool) "get box" true (b = box 5. 5. 6. 6.);
+  let b, v = entry idx h2 in
+  Alcotest.(check int) "entry value" 20 v;
+  Alcotest.(check bool) "entry box" true (b = box 5. 5. 6. 6.);
   Alcotest.(check (list int)) "corner probe" [ 10; 30 ]
     (query idx (box 0. 0. 0.6 0.6));
   Alcotest.(check (list int)) "shared edge counts" [ 10; 30 ]
     (query idx (box 1. 1. 1. 1.));
   Alcotest.(check (list int)) "whole plane" [ 10; 20; 30 ]
     (query idx (box (-100.) (-100.) 100. 100.));
-  Dyn_index.remove idx h3;
-  Alcotest.(check (list int)) "removed entry gone" [ 10 ]
-    (query idx (box 0. 0. 0.6 0.6));
-  Util.check_raises_invalid "double remove" (fun () -> Dyn_index.remove idx h3);
-  Util.check_raises_invalid "get on dead handle" (fun () ->
-      ignore (Dyn_index.get idx h3));
-  Util.check_raises_invalid "update on dead handle" (fun () ->
-      Dyn_index.update idx h3 (box 0. 0. 1. 1.) 0);
   Util.check_raises_invalid "out-of-range handle" (fun () ->
-      Dyn_index.remove idx 999);
+      Dyn_index.update idx 999 (box 0. 0. 1. 1.) 0);
   Util.check_raises_invalid "negative handle" (fun () ->
-      ignore (Dyn_index.get idx (-1)));
-  (* Freed slots are recycled; recycled handles answer for the new
-     entry only. *)
-  let h4 = Dyn_index.insert idx (box 8. 8. 9. 9.) 40 in
-  Alcotest.(check int) "freed slot reused" h3 h4;
-  Alcotest.(check (list int)) "reused handle is the new entry" [ 40 ]
-    (query idx (box 8.5 8.5 8.6 8.6));
+      Dyn_index.update idx (-1) (box 0. 0. 1. 1.) 0);
   (* Update moves an entry without changing its handle. *)
   Dyn_index.update idx h1 (box 50. 50. 51. 51.) 11;
-  Alcotest.(check (list int)) "moved away" [] (query idx (box 0. 0. 0.6 0.6));
+  Alcotest.(check (list int)) "moved away" [ 30 ] (query idx (box 0. 0. 0.6 0.6));
   Alcotest.(check (list int)) "moved here" [ 11 ]
     (query idx (box 49. 49. 52. 52.));
   Dyn_index.clear idx;
   Alcotest.(check int) "cleared" 0 (Dyn_index.size idx);
   Util.check_raises_invalid "cleared handles are dead" (fun () ->
-      ignore (Dyn_index.get idx h1));
+      Dyn_index.update idx h3 (box 0. 0. 1. 1.) 0);
   Alcotest.(check (list int)) "query after clear" []
-    (query idx (box (-1e9) (-1e9) 1e9 1e9))
+    (query idx (box (-1e9) (-1e9) 1e9 1e9));
+  (* Handles restart after a clear and answer for the new entry only. *)
+  let h4 = Dyn_index.insert idx (box 8. 8. 9. 9.) 40 in
+  Alcotest.(check int) "handles restart" h1 h4;
+  Alcotest.(check (list int)) "restarted handle is the new entry" [ 40 ]
+    (query idx (box (-100.) (-100.) 100. 100.))
 
 (* The reusable hit buffer: bounds-checked reads, and every probe
    starts from an empty buffer. *)
@@ -107,9 +102,6 @@ let test_oversize () =
   Alcotest.(check (list int)) "no longer everywhere" [ 3 ]
     (query idx (box 3.1 0.1 3.2 0.2));
   Alcotest.(check (list int)) "now a normal entry" [ 2; 999 ]
-    (query idx (box 2.05 0.1 2.1 0.2));
-  Dyn_index.remove idx hh;
-  Alcotest.(check (list int)) "removable" [ 2 ]
     (query idx (box 2.05 0.1 2.1 0.2))
 
 (* The cell size tracks the live population's box extents, and queries
@@ -117,16 +109,15 @@ let test_oversize () =
 let test_cell_retune () =
   let idx = Dyn_index.create ~dummy:(-1) () in
   Alcotest.(check (float 0.)) "initial cell" 1.0 (Dyn_index.cell_size idx);
-  let handles =
-    Array.init 32 (fun i ->
-        let x = float_of_int (i * 30) in
-        Dyn_index.insert idx (box x 0. (x +. 100.) 100.) i)
-  in
+  for i = 0 to 31 do
+    let x = float_of_int (i * 30) in
+    ignore (Dyn_index.insert idx (box x 0. (x +. 100.) 100.) i)
+  done;
   Alcotest.(check bool) "cell grew with big boxes" true
     (Dyn_index.cell_size idx > 4.0);
   Alcotest.(check (list int)) "query correct after growing rehash" [ 0; 1 ]
     (query idx (box 35. 5. 45. 10.));
-  Array.iter (Dyn_index.remove idx) handles;
+  Dyn_index.clear idx;
   for i = 0 to 31 do
     let x = float_of_int i in
     ignore (Dyn_index.insert idx (box x 0. (x +. 0.1) 0.1) (100 + i))
@@ -200,12 +191,6 @@ let prop_matches_model =
             let h = Dyn_index.insert idx b v in
             if Hashtbl.mem model h then ok := false (* live handles unique *);
             Hashtbl.replace model h (b, v)
-        | r when r < 60 -> (
-            match live_handle () with
-            | None -> ()
-            | Some h ->
-                Dyn_index.remove idx h;
-                Hashtbl.remove model h)
         | r when r < 78 -> (
             match live_handle () with
             | None -> ()

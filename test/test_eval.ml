@@ -63,12 +63,6 @@ let test_per_object_takes_last () =
   | [ (0, e) ] -> Util.check_close "last event wins" 0. e
   | l -> Alcotest.failf "unexpected per-object list of %d" (List.length l)
 
-let test_coverage () =
-  let trace = tiny_trace () in
-  Util.check_close "empty coverage" 0. (Rfid_eval.Metrics.coverage [] trace);
-  let one = [ Event.make ~epoch:0 ~obj:1 ~loc:Rfid_geom.Vec3.zero () ] in
-  Util.check_close "half" 0.5 (Rfid_eval.Metrics.coverage one trace)
-
 let test_runner_counts_readings () =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:5 () in
   let trace =
@@ -100,6 +94,5 @@ let suite =
       Alcotest.test_case "epoch clamping and unknown ids" `Quick
         test_error_epoch_clamping_and_unknowns;
       Alcotest.test_case "per-object last event" `Quick test_per_object_takes_last;
-      Alcotest.test_case "coverage" `Quick test_coverage;
       Alcotest.test_case "runner counts readings" `Quick test_runner_counts_readings;
     ] )

@@ -52,7 +52,7 @@ let test_read_rate_matches_sensor () =
         acc
         + List.length
             (List.filter
-               (fun tag -> Types.tag_equal tag (Types.Shelf_tag 0))
+               (fun tag -> tag = Types.Shelf_tag 0)
                s.Trace.observation.Types.o_read_tags))
       0 t.Trace.steps
   in
@@ -88,17 +88,6 @@ let test_trace_accessors () =
   Alcotest.(check int) "observations length" 50 (List.length (Trace.observations t));
   Alcotest.(check int) "final locs" 5 (Array.length (Trace.final_object_locs t))
 
-let test_trace_concat () =
-  let a = run_trace ~epochs:10 () and b = run_trace ~epochs:5 ~seed:12 () in
-  let c = Trace.concat a b in
-  Alcotest.(check int) "combined epochs" 15 (Trace.epochs c);
-  Alcotest.(check int) "renumbered" 14 c.Trace.steps.(14).Trace.epoch;
-  Alcotest.(check int) "obs renumbered" 14
-    c.Trace.steps.(14).Trace.observation.Types.o_epoch;
-  let d = run_trace ~num_objects:3 ~epochs:5 () in
-  Util.check_raises_invalid "object count mismatch" (fun () ->
-      ignore (Trace.concat a d))
-
 let suite =
   ( "generative",
     [
@@ -110,5 +99,4 @@ let suite =
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "trace accessors" `Quick test_trace_accessors;
-      Alcotest.test_case "trace concat" `Quick test_trace_concat;
     ] )

@@ -7,7 +7,6 @@ let test_vec_arithmetic () =
   Util.check_vec3 "add" (Util.vec3 5. (-3.) 9.) (Vec3.add a b);
   Util.check_vec3 "sub" (Util.vec3 (-3.) 7. (-3.)) (Vec3.sub a b);
   Util.check_vec3 "scale" (Util.vec3 2. 4. 6.) (Vec3.scale 2. a);
-  Util.check_close "dot" 12. (Vec3.dot a b);
   Util.check_close "norm" (sqrt 14.) (Vec3.norm a);
   Util.check_close "dist" (Vec3.norm (Vec3.sub a b)) (Vec3.dist a b)
 
@@ -16,11 +15,8 @@ let test_vec_xy () =
   Util.check_close "dist_xy ignores z" 5. (Vec3.dist_xy a b);
   Util.check_close "xy_angle" (Float.pi /. 2.) (Vec3.xy_angle (Util.vec3 0. 1. 0.))
 
-let test_vec_lerp_array () =
-  Util.check_vec3 "lerp midpoint" (Util.vec3 1. 1. 1.)
-    (Vec3.lerp Vec3.zero (Util.vec3 2. 2. 2.) 0.5);
-  Util.check_vec3 "array roundtrip" (Util.vec3 1. 2. 3.)
-    (Vec3.of_array (Vec3.to_array (Util.vec3 1. 2. 3.)));
+let test_vec_of_array () =
+  Util.check_vec3 "of_array" (Util.vec3 1. 2. 3.) (Vec3.of_array [| 1.; 2.; 3. |]);
   Util.check_raises_invalid "bad array" (fun () -> Vec3.of_array [| 1. |])
 
 (* Box2 *)
@@ -45,14 +41,11 @@ let test_box_union_area () =
   let u = Box2.union (box 0. 0. 1. 1.) (box 2. 2. 3. 4.) in
   Util.check_close "union area" 12. (Box2.area u)
 
-let test_box_of_points_inflate_center () =
-  let b = Box2.of_points [ Util.vec3 1. 5. 0.; Util.vec3 (-2.) 3. 9. ] in
-  Util.check_close "min_x" (-2.) b.Box2.min_x;
-  Util.check_close "max_y" 5. b.Box2.max_y;
-  Util.check_raises_invalid "empty points" (fun () -> Box2.of_points []);
+let test_box_inflate_of_center () =
   let infl = Box2.inflate (box 0. 0. 2. 2.) 1. in
   Util.check_close "inflated area" 16. (Box2.area infl);
-  Util.check_vec3 "center" (Util.vec3 1. 1. 0.) (Box2.center (box 0. 0. 2. 2.))
+  Alcotest.(check bool) "of_center" true
+    (Box2.of_center (Util.vec3 1. 1. 5.) ~half_width:1. ~half_height:1. = box 0. 0. 2. 2.)
 
 (* Cone *)
 
@@ -65,12 +58,6 @@ let test_cone_contains () =
   Alcotest.(check bool) "beyond range" false (Cone.contains c (Util.vec3 4. 0. 0.));
   Alcotest.(check bool) "behind" false (Cone.contains c (Util.vec3 (-1.) 0. 0.));
   Alcotest.(check bool) "wide angle" false (Cone.contains c (Util.vec3 1. 1. 0.))
-
-let test_cone_relative_angle () =
-  let c = Cone.make ~apex:Vec3.zero ~heading:(Float.pi /. 2.) ~half_angle:1. ~range:5. in
-  Util.check_close ~eps:1e-9 "straight up" 0. (Cone.relative_angle c (Util.vec3 0. 3. 0.));
-  Util.check_close ~eps:1e-9 "right angle" (Float.pi /. 2.)
-    (Cone.relative_angle c (Util.vec3 3. 0. 0.))
 
 let test_cone_heading_wrap () =
   (* Heading near pi: a point across the -pi/pi seam must still read as
@@ -86,31 +73,6 @@ let test_cone_samples_inside () =
     if not (Cone.contains c p) then
       Alcotest.failf "sample escaped cone: %s" (Format.asprintf "%a" Vec3.pp p)
   done
-
-let test_cone_bounding_box_covers_samples () =
-  let rng = Util.rng () in
-  let c =
-    Cone.make ~apex:(Util.vec3 (-1.) 4. 0.) ~heading:2.5 ~half_angle:1.2 ~range:3.
-  in
-  let bb = Cone.bounding_box c in
-  for _ = 1 to 2000 do
-    let p = Cone.sample c rng in
-    if not (Box2.contains_point bb p) then
-      Alcotest.failf "sample outside bounding box: %s" (Format.asprintf "%a" Vec3.pp p)
-  done
-
-let test_cone_sample_in_box () =
-  let rng = Util.rng () in
-  let c = Cone.make ~apex:Vec3.zero ~heading:0. ~half_angle:0.5 ~range:3. in
-  let b = box 1. (-1.) 2. 1. in
-  (match Cone.sample_in_box c b rng with
-  | Some p ->
-      Alcotest.(check bool) "in box" true (Box2.contains_point b p);
-      Alcotest.(check bool) "in cone" true (Cone.contains c p)
-  | None -> Alcotest.fail "expected intersection sample");
-  (* Disjoint box yields None. *)
-  Alcotest.(check bool) "disjoint" true
-    (Cone.sample_in_box c (box 50. 50. 51. 51.) rng = None)
 
 let test_cone_invalid () =
   Util.check_raises_invalid "zero half angle" (fun () ->
@@ -135,19 +97,14 @@ let suite =
     [
       Alcotest.test_case "vec arithmetic" `Quick test_vec_arithmetic;
       Alcotest.test_case "vec xy projections" `Quick test_vec_xy;
-      Alcotest.test_case "vec lerp/array" `Quick test_vec_lerp_array;
+      Alcotest.test_case "vec of_array" `Quick test_vec_of_array;
       Alcotest.test_case "box validation" `Quick test_box_make_invalid;
       Alcotest.test_case "box contains/intersects" `Quick test_box_contains_intersects;
       Alcotest.test_case "box union/area" `Quick test_box_union_area;
-      Alcotest.test_case "box of_points/inflate/center" `Quick
-        test_box_of_points_inflate_center;
+      Alcotest.test_case "box inflate/of_center" `Quick test_box_inflate_of_center;
       Alcotest.test_case "cone contains" `Quick test_cone_contains;
-      Alcotest.test_case "cone relative angle" `Quick test_cone_relative_angle;
       Alcotest.test_case "cone heading wrap" `Quick test_cone_heading_wrap;
       Alcotest.test_case "cone samples inside" `Quick test_cone_samples_inside;
-      Alcotest.test_case "cone bbox covers samples" `Quick
-        test_cone_bounding_box_covers_samples;
-      Alcotest.test_case "cone sample in box" `Quick test_cone_sample_in_box;
       Alcotest.test_case "cone validation" `Quick test_cone_invalid;
       prop_cone_sample_contained;
     ] )

@@ -112,7 +112,7 @@ let test_lab_pipeline () =
     (Printf.sprintf "ours %.3f < uniform %.3f" e_ours e_uniform)
     true (e_ours < e_uniform);
   Alcotest.(check bool) "most objects reported" true
-    (Rfid_eval.Metrics.coverage ours.Rfid_eval.Runner.events trace > 0.9)
+    (Util.coverage ours.Rfid_eval.Runner.events trace > 0.9)
 
 (* Heading tracked as hidden state: with Track_heading and shelf tags,
    the reader posterior still localizes. *)

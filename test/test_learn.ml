@@ -138,28 +138,6 @@ let test_em_detects_systematic_bias () =
      true" in Fig. 5(g). *)
   Util.check_in_range "recovered y bias" ~lo:0.25 ~hi:0.55 bias.Rfid_geom.Vec3.y
 
-let test_e_step_shapes () =
-  let world, trace = training_setup ~shelf_tags_kept:4 ~seed:29 in
-  let config = Rfid_learn.Calibration.default_config () in
-  let ev =
-    Rfid_learn.Calibration.e_step ~world ~params:Params.default ~config
-      ~observations:(Trace.observations trace)
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader
-  in
-  let n = Array.length ev.Rfid_learn.Calibration.geometries in
-  Alcotest.(check bool) "evidence harvested" true (n > 100);
-  Alcotest.(check int) "outcomes aligned" n
-    (Array.length ev.Rfid_learn.Calibration.outcomes);
-  Alcotest.(check int) "weights aligned" n
-    (Array.length ev.Rfid_learn.Calibration.weights);
-  Alcotest.(check int) "reader track per epoch" (Trace.epochs trace)
-    (Array.length ev.Rfid_learn.Calibration.reader_track);
-  (* Both classes present. *)
-  let reads = Array.to_list ev.Rfid_learn.Calibration.outcomes |> List.filter Fun.id in
-  Alcotest.(check bool) "has positives" true (List.length reads > 0);
-  Alcotest.(check bool) "has negatives" true
-    (List.length reads < n)
-
 let test_calibrate_validation () =
   let world, _ = training_setup ~shelf_tags_kept:4 ~seed:1 in
   let config = Rfid_learn.Calibration.default_config () in
@@ -181,6 +159,5 @@ let suite =
         test_em_learns_motion_and_sensing;
       Alcotest.test_case "EM detects systematic bias" `Slow
         test_em_detects_systematic_bias;
-      Alcotest.test_case "E-step shapes" `Quick test_e_step_shapes;
       Alcotest.test_case "calibrate validation" `Quick test_calibrate_validation;
     ] )

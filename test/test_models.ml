@@ -16,14 +16,6 @@ let test_motion_sampling () =
   Util.check_close ~eps:0.002 "mean dx" 0. mean.Vec3.x;
   Util.check_close ~eps:0.002 "mean dy" 0.1 mean.Vec3.y
 
-let test_motion_log_pdf_peak () =
-  let m = Motion_model.default in
-  let prev = Reader_state.make ~loc:Vec3.zero ~heading:0. in
-  let at v = Motion_model.log_pdf m ~prev ~next:(Reader_state.make ~loc:v ~heading:0.) in
-  let expected = at (Util.vec3 0. 0.1 0.) in
-  let off = at (Util.vec3 0. 0.3 0.) in
-  Alcotest.(check bool) "expected displacement most likely" true (expected > off)
-
 let test_motion_validation () =
   Util.check_raises_invalid "negative sigma" (fun () ->
       ignore (Motion_model.create ~sigma:(Util.vec3 (-1.) 0. 0.) ()));
@@ -42,8 +34,13 @@ let test_sensing_roundtrip () =
   let mean = Vec3.scale (1. /. float_of_int n) !sum in
   Util.check_close ~eps:0.01 "biased mean x" 1.5 mean.Vec3.x;
   Util.check_close ~eps:0.01 "mean y" 2. mean.Vec3.y;
-  (* log_pdf peaks at truth + bias. *)
-  let at r = Location_sensing.log_pdf s ~true_loc:truth ~reported:r in
+  (* The likelihood peaks at truth + bias. *)
+  let at r =
+    let out = [| 0. |] in
+    Location_sensing.log_pdf_poses_into s ~reported:r ~rx:(Float.Array.make 1 truth.Vec3.x)
+      ~ry:(Float.Array.make 1 truth.Vec3.y) ~rz:(Float.Array.make 1 truth.Vec3.z) ~n:1 out;
+    out.(0)
+  in
   Alcotest.(check bool) "pdf peak at bias-shifted report" true
     (at (Util.vec3 1.5 2. 0.) > at (Util.vec3 1. 2. 0.))
 
@@ -52,26 +49,24 @@ let test_object_model () =
   let rng = Util.rng () in
   let loc = Util.vec3 3. 5. 0. in
   (* alpha = 0: never moves. *)
-  let frozen = Object_model.create ~move_prob:0. () in
+  let frozen = { Object_model.move_prob = 0. } in
   for _ = 1 to 100 do
     Util.check_vec3 "frozen" loc (Object_model.sample_next frozen w rng loc)
   done;
   (* alpha = 1: always moves, lands on a shelf. *)
-  let mover = Object_model.create ~move_prob:1. () in
+  let mover = { Object_model.move_prob = 1. } in
   let moved = ref 0 in
   for _ = 1 to 1000 do
     let next = Object_model.sample_next mover w rng loc in
-    if not (Vec3.equal next loc) then incr moved;
+    if not (Util.vec3_equal next loc) then incr moved;
     if not (World.contains w next) then Alcotest.fail "moved off-shelf"
   done;
-  Alcotest.(check bool) "moves nearly always" true (!moved > 990);
-  Util.check_raises_invalid "bad alpha" (fun () ->
-      ignore (Object_model.create ~move_prob:1.5 ()))
+  Alcotest.(check bool) "moves nearly always" true (!moved > 990)
 
 let test_params () =
   let p = Params.default in
   Alcotest.(check bool) "default sensor" true (p.Params.sensor = Sensor_model.default);
-  let custom = Params.create ~objects:(Object_model.create ~move_prob:0.5 ()) () in
+  let custom = Params.create ~objects:({ Object_model.move_prob = 0.5 }) () in
   Util.check_close "override" 0.5 custom.Params.objects.Object_model.move_prob;
   (* pp does not raise *)
   ignore (Format.asprintf "%a" Params.pp p)
@@ -80,7 +75,6 @@ let suite =
   ( "component_models",
     [
       Alcotest.test_case "motion sampling moments" `Quick test_motion_sampling;
-      Alcotest.test_case "motion log pdf peak" `Quick test_motion_log_pdf_peak;
       Alcotest.test_case "motion validation" `Quick test_motion_validation;
       Alcotest.test_case "location sensing" `Quick test_sensing_roundtrip;
       Alcotest.test_case "object dynamics" `Quick test_object_model;

@@ -1,10 +1,10 @@
 (* Observability layer: histogram bucket geometry, counter/gauge/
    histogram read-out, quantiles, span timing/nesting and clock, JSON
-   dumps, the chrome-trace sink, and an end-to-end check that engine
-   snapshots carry monotone counters — the same mechanism
-   `rfid_clean infer --metrics` exposes. *)
+   dumps, and an end-to-end check that engine snapshots carry monotone
+   counters — the same mechanism `rfid_clean infer --metrics` exposes.
+   Everything records into the global registry, under [test.*] names
+   where a test owns the metric. *)
 module M = Rfid_obs.Metrics
-module Trace_sink = Rfid_obs.Trace
 
 (* ------------------------------------------------------------------ *)
 (* A minimal recursive-descent JSON validator (no JSON library in the
@@ -148,52 +148,57 @@ let number_of ~key numbers =
 (* Bucket geometry *)
 
 let test_buckets () =
-  Alcotest.(check int) "tiny values in bucket 0" 0 (M.bucket_of_value 1e-12);
-  Alcotest.(check int) "nan in bucket 0" 0 (M.bucket_of_value Float.nan);
-  Alcotest.(check int) "neg in bucket 0" 0 (M.bucket_of_value (-1.0));
-  Alcotest.(check int) "huge clamps to top" (M.num_buckets - 1)
-    (M.bucket_of_value 1e300);
-  (* Monotone, and every value is at or below its bucket's upper bound. *)
-  let prev = ref (-1) in
+  (* Values outside the bucket range (NaN, negatives, tiny, huge) must
+     land in a bucket, and quantiles stay monotone in [q] across many
+     octaves. *)
+  let h = M.histogram M.global "test.buckets" in
+  List.iter (M.observe h) [ 1e-12; Float.nan; -1.0; 1e300 ];
+  Alcotest.(check int) "extremes counted" 4 (M.histogram_count h);
+  let h2 = M.histogram M.global "test.buckets.octaves" in
   for i = 0 to 200 do
-    let v = 1e-9 *. Float.exp2 (float_of_int i /. 10.) in
-    let b = M.bucket_of_value v in
-    if b < !prev then Alcotest.failf "bucket_of_value not monotone at %g" v;
-    prev := b;
-    if v > M.bucket_upper b +. 1e-15 then
-      Alcotest.failf "value %g above bucket %d upper %g" v b (M.bucket_upper b)
+    M.observe h2 (1e-9 *. Float.exp2 (float_of_int i /. 10.))
+  done;
+  let prev = ref neg_infinity in
+  for k = 0 to 100 do
+    let v = M.quantile h2 (float_of_int k /. 100.) in
+    if v < !prev then Alcotest.failf "quantile not monotone at q=%d%%" k;
+    prev := v
   done
 
 (* ------------------------------------------------------------------ *)
 (* Counters, gauges, histogram read-out *)
 
+let check_in_dump what needle =
+  let s = M.dump_json M.global in
+  if not (Util.contains_sub s needle) then Alcotest.failf "%s: %S not in %s" what needle s
+
 let test_values () =
-  let r = M.create () in
-  let c = M.counter r "c" in
+  let r = M.global in
+  let c = M.counter r "test.values.c" in
   M.incr c 2;
   M.incr c 15;
   Alcotest.(check int) "counter sums increments" 17 (M.counter_value c);
-  let g = M.gauge r "g" in
+  let g = M.gauge r "test.values.g" in
   M.set g 1.5;
   M.set g 2.5;
   Alcotest.(check (float 0.)) "gauge last write wins" 2.5 (M.gauge_value g);
-  let h = M.histogram r "h" in
+  let h = M.histogram r "test.values.h" in
   let values = [ 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ] in
   List.iter (M.observe h) values;
   Alcotest.(check int) "hist count" (List.length values) (M.histogram_count h);
   Alcotest.(check (float 1e-9)) "hist sum" 127.5 (M.histogram_sum h);
-  Alcotest.(check (float 0.)) "hist min" 0.5 (M.histogram_min h);
-  Alcotest.(check (float 0.)) "hist max" 64.0 (M.histogram_max h)
+  check_in_dump "hist min and max"
+    "\"test.values.h\": {\"count\": 8, \"sum\": 127.5, \"min\": 0.5, \"max\": 64,"
 
 let test_quantiles () =
-  let r = M.create () in
-  let h = M.histogram r "q" in
+  let r = M.global in
+  let h = M.histogram r "test.q" in
   Alcotest.(check bool) "empty quantile is nan" true (Float.is_nan (M.quantile h 0.5));
   M.observe h 3.0;
   (* One observation: every quantile clamps into [min, max] = [3, 3]. *)
   Alcotest.(check (float 0.)) "single value p50" 3.0 (M.quantile h 0.5);
   Alcotest.(check (float 0.)) "single value p99" 3.0 (M.quantile h 0.99);
-  let h2 = M.histogram r "q2" in
+  let h2 = M.histogram r "test.q2" in
   for i = 1 to 1000 do
     M.observe h2 (float_of_int i)
   done;
@@ -216,9 +221,9 @@ let test_quantiles () =
 (* Spans *)
 
 let test_spans () =
-  let r = M.create () in
-  let outer = M.span r "span.outer" in
-  let inner = M.span r "span.inner" in
+  let r = M.global in
+  let outer = M.span r "test.span.outer" in
+  let inner = M.span r "test.span.inner" in
   let spin s =
     let t_end = Unix.gettimeofday () +. s in
     while Unix.gettimeofday () < t_end do () done
@@ -230,55 +235,50 @@ let test_spans () =
     M.stop inner t1;
     M.stop outer t0
   done;
-  let ho = M.histogram r "span.outer" and hi = M.histogram r "span.inner" in
+  let ho = M.histogram r "test.span.outer" and hi = M.histogram r "test.span.inner" in
   Alcotest.(check int) "outer count" 3 (M.histogram_count ho);
   Alcotest.(check int) "inner count" 3 (M.histogram_count hi);
   (* Nesting: each outer interval contains its inner one. *)
-  if M.histogram_min ho +. 1e-9 < M.histogram_min hi then
-    Alcotest.fail "outer span shorter than nested inner span";
-  if M.histogram_min hi < 0.002 -. 1e-4 then
-    Alcotest.failf "inner span too short: %g" (M.histogram_min hi);
-  (* with_ records on exception too. *)
-  (try M.with_ outer (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "with_ recorded despite raise" 4 (M.histogram_count ho)
+  if M.histogram_sum ho +. 1e-9 < M.histogram_sum hi then
+    Alcotest.fail "outer spans shorter than nested inner spans";
+  if M.histogram_sum hi < 3. *. (0.002 -. 1e-4) then
+    Alcotest.failf "inner spans too short: %g" (M.histogram_sum hi)
 
 (* Spans read CLOCK_MONOTONIC, so a sleep is timed by the clock the
    sleep itself is measured against. *)
 let test_span_monotonic () =
-  let r = M.create () in
-  let sp = M.span r "span.sleep" in
+  let r = M.global in
+  let sp = M.span r "test.span.sleep" in
   let t0 = M.start sp in
   Unix.sleepf 0.002;
   M.stop sp t0;
-  let v = M.histogram_sum (M.histogram r "span.sleep") in
+  let v = M.histogram_sum (M.histogram r "test.span.sleep") in
   if not (v >= 0.002 -. 1e-9 && v < 1.0) then
     Alcotest.failf "a 2 ms sleep recorded %g s" v
 
 let test_registration_conflicts () =
-  let r = M.create () in
-  let c = M.counter r "same-name" in
-  let c' = M.counter r "same-name" in
+  let r = M.global in
+  let c = M.counter r "test.same-name" in
+  let c' = M.counter r "test.same-name" in
   M.incr c 1;
   M.incr c' 1;
   Alcotest.(check int) "same name, same counter" 2 (M.counter_value c);
   Alcotest.check_raises "kind conflict rejected"
-    (Invalid_argument "Metrics: \"same-name\" is already registered with a different kind")
-    (fun () -> ignore (M.histogram r "same-name"))
+    (Invalid_argument "Metrics: \"test.same-name\" is already registered with a different kind")
+    (fun () -> ignore (M.histogram r "test.same-name"))
 
 (* ------------------------------------------------------------------ *)
 (* JSON dump *)
 
 let test_dump_json () =
-  let r = M.create () in
-  M.incr (M.counter r "engine.epochs") 42;
-  M.set (M.gauge r "health.reader_ess") 12.5;
-  let h = M.histogram r "stage.step" in
+  let r = M.global in
+  M.reset r;
+  M.incr (M.counter r "test.dump.epochs") 42;
+  M.set (M.gauge r "test.dump.reader_ess") 12.5;
+  let h = M.histogram r "test.dump.step" in
   M.observe h 0.001;
   M.observe h 0.002;
-  (* An empty histogram prints only its count; named to sort after
-     "stage.step" so the assoc lookups below hit the populated one. *)
-  let empty = M.histogram r "stage.unused" in
-  ignore empty;
+  ignore (M.histogram r "test.dump.unused");
   let s = M.dump_json ~extra:[ ("epoch", "7") ] r in
   let keys, numbers = validate_json s in
   Alcotest.(check (list string)) "top-level keys"
@@ -286,40 +286,12 @@ let test_dump_json () =
     keys;
   Alcotest.(check (float 0.)) "extra epoch" 7. (number_of ~key:"epoch" numbers);
   Alcotest.(check (float 0.)) "counter value" 42.
-    (number_of ~key:"engine.epochs" numbers);
+    (number_of ~key:"test.dump.epochs" numbers);
   Alcotest.(check (float 0.)) "gauge value" 12.5
-    (number_of ~key:"health.reader_ess" numbers);
-  Alcotest.(check (float 0.)) "hist count" 2. (number_of ~key:"count" numbers);
-  Alcotest.(check (float 1e-12)) "hist sum" 0.003 (number_of ~key:"sum" numbers)
-
-(* ------------------------------------------------------------------ *)
-(* Chrome-trace sink *)
-
-let test_trace_sink () =
-  let path = Filename.temp_file "obs_trace" ".json" in
-  Trace_sink.set_path (Some path);
-  Fun.protect
-    ~finally:(fun () ->
-      Trace_sink.set_path None;
-      Sys.remove path)
-    (fun () ->
-      Alcotest.(check bool) "enabled" true (Trace_sink.enabled ());
-      let r = M.create () in
-      let sp = M.span r "stage.test" in
-      let before = Trace_sink.events () in
-      let t0 = M.start sp in
-      M.stop sp t0;
-      Alcotest.(check int) "one event recorded" (before + 1) (Trace_sink.events ());
-      Trace_sink.emit ~name:"with \"quotes\"" ~ts_us:1.0 ~dur_us:2.0;
-      Trace_sink.write_now ();
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let keys, _ = validate_json s in
-      Alcotest.(check (list string)) "trace document key" [ "traceEvents" ] keys)
+    (number_of ~key:"test.dump.reader_ess" numbers);
+  check_in_dump "hist count and sum" "\"test.dump.step\": {\"count\": 2, \"sum\": 0.003,";
+  (* An empty histogram prints only its count. *)
+  check_in_dump "empty hist" "\"test.dump.unused\": {\"count\": 0}"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: engine runs feed the global registry; snapshots are
@@ -381,7 +353,6 @@ let suite =
       Alcotest.test_case "span on monotonic clock" `Quick test_span_monotonic;
       Alcotest.test_case "registration conflicts" `Quick test_registration_conflicts;
       Alcotest.test_case "dump_json validity" `Quick test_dump_json;
-      Alcotest.test_case "trace sink" `Quick test_trace_sink;
       Alcotest.test_case "engine snapshots monotone" `Quick
         test_engine_snapshots_monotone;
     ] )

@@ -26,16 +26,21 @@ let filled ~seed n =
   done;
   (s, xs, ys, zs, lw, rd)
 
+(* Slab length: the store's capacity. *)
+let capacity s =
+  let xs, _, _, _, _ = Particle_store.backing s in
+  Float.Array.length xs
+
 let test_create_resize () =
   let s = Particle_store.create ~n:0 in
   Alcotest.(check int) "empty store legal" 0 (Particle_store.length s);
   Particle_store.resize s 5;
   Alcotest.(check int) "resize grows" 5 (Particle_store.length s);
-  Alcotest.(check bool) "capacity covers length" true (Particle_store.capacity s >= 5);
-  let cap = Particle_store.capacity s in
+  Alcotest.(check bool) "capacity covers length" true (capacity s >= 5);
+  let cap = capacity s in
   Particle_store.resize s 2;
   Alcotest.(check int) "resize shrinks length" 2 (Particle_store.length s);
-  Alcotest.(check int) "shrink keeps capacity" cap (Particle_store.capacity s);
+  Alcotest.(check int) "shrink keeps capacity" cap (capacity s);
   Util.check_raises_invalid "negative create" (fun () ->
       ignore (Particle_store.create ~n:(-1)))
 
@@ -48,9 +53,7 @@ let test_accessor_roundtrip () =
     Alcotest.(check (float 0.)) "z" zs.(i) (Particle_store.z s i);
     Alcotest.(check (float 0.)) "log_w" lw.(i) (Particle_store.log_w s i);
     Alcotest.(check int) "reader" rd.(i) (Particle_store.reader s i)
-  done;
-  Particle_store.add_log_w s 4 0.25;
-  Alcotest.(check (float 0.)) "add_log_w" (lw.(4) +. 0.25) (Particle_store.log_w s 4)
+  done
 
 let test_weight_ops () =
   let n = 33 in
@@ -60,10 +63,6 @@ let test_weight_ops () =
   Particle_store.shift_log_w s m;
   for i = 0 to n - 1 do
     Alcotest.(check (float 0.)) "shifted" (lw.(i) -. m) (Particle_store.log_w s i)
-  done;
-  Particle_store.reset_log_w s;
-  for i = 0 to n - 1 do
-    Alcotest.(check (float 0.)) "reset" 0. (Particle_store.log_w s i)
   done;
   Alcotest.(check (float 0.)) "empty max" neg_infinity
     (Particle_store.max_log_w (Particle_store.create ~n:0))
@@ -155,26 +154,6 @@ let test_fit_gaussian_bit_identical () =
   in
   Util.check_close ~eps:1e-9 "avg_nll matches row-wise reference" reference nll
 
-let test_resize_down () =
-  let n = 20 in
-  let s, xs, _, _, lw, rd = filled ~seed:61 n in
-  let cap = Particle_store.capacity s in
-  Particle_store.resize_down s 7;
-  Alcotest.(check int) "length truncated" 7 (Particle_store.length s);
-  Alcotest.(check int) "capacity kept" cap (Particle_store.capacity s);
-  for i = 0 to 6 do
-    Alcotest.(check (float 0.)) "prefix x intact" xs.(i) (Particle_store.x s i);
-    Alcotest.(check (float 0.)) "prefix log_w intact" lw.(i) (Particle_store.log_w s i);
-    Alcotest.(check int) "prefix reader intact" rd.(i) (Particle_store.reader s i)
-  done;
-  Particle_store.resize_down s 0;
-  Alcotest.(check int) "down to empty legal" 0 (Particle_store.length s);
-  Util.check_raises_invalid "negative target" (fun () ->
-      Particle_store.resize_down s (-1));
-  let s2, _, _, _, _, _ = filled ~seed:61 5 in
-  Util.check_raises_invalid "target above length" (fun () ->
-      Particle_store.resize_down s2 6)
-
 (* Reference for resize_up's appended tail: particle [k + t] is source
    particle [t mod k] jittered by one fresh gaussian per axis in x, y,
    z order, with log-weight and reader index copied verbatim. Drawing
@@ -206,7 +185,7 @@ let check_resize_up ~seed ~k ~n ~sigma_x ~sigma_y ~sigma_z =
 let test_resize_up_within_capacity () =
   (* Shrink first so the growth stays inside the existing slabs. *)
   let s, xs, _, _, _, _ = filled ~seed:67 16 in
-  Particle_store.resize_down s 4;
+  Particle_store.resize s 4;
   Particle_store.resize_up s ~n:12 ~rng:(mk_rng 5) ~sigma_x:0. ~sigma_y:0. ~sigma_z:0.;
   Alcotest.(check int) "grown back" 12 (Particle_store.length s);
   for i = 4 to 11 do
@@ -248,7 +227,9 @@ let qcheck_resize_up_fit_invariant =
     QCheck.(pair small_int (int_range 8 40))
     (fun (seed, k) ->
       let s, _, _, _, _, _ = filled ~seed k in
-      Particle_store.reset_log_w s;
+      for i = 0 to k - 1 do
+        Particle_store.set_log_w s i 0.
+      done;
       let w_before = Particle_store.normalized_weights s in
       let before = Particle_store.fit_gaussian ~w:w_before s in
       Particle_store.resize_up s ~n:(4 * k) ~rng:(mk_rng (seed + 77)) ~sigma_x:0.05
@@ -266,14 +247,6 @@ let qcheck_resize_up_fit_invariant =
         QCheck.Test.fail_reportf "fitted mean moved %.3f ft on grow" dist;
       true)
 
-let test_copy_independent () =
-  let n = 8 in
-  let s, xs, _, _, _, _ = filled ~seed:59 n in
-  let c = Particle_store.copy s in
-  Particle_store.set_loc s 0 ~x:99. ~y:0. ~z:0.;
-  Alcotest.(check (float 0.)) "copy unaffected by source writes" xs.(0) (Particle_store.x c 0);
-  Alcotest.(check int) "copy length" n (Particle_store.length c)
-
 let suite =
   ( "particle_store",
     [
@@ -285,7 +258,6 @@ let suite =
       Alcotest.test_case "blit and swap" `Quick test_blit_and_swap;
       Alcotest.test_case "backing views live slabs" `Quick test_backing_views_live_slabs;
       Alcotest.test_case "fit_gaussian bit-identical" `Quick test_fit_gaussian_bit_identical;
-      Alcotest.test_case "resize_down truncates in place" `Quick test_resize_down;
       Alcotest.test_case "resize_up within capacity" `Quick
         test_resize_up_within_capacity;
       Alcotest.test_case "resize_up across capacity" `Quick
@@ -293,5 +265,4 @@ let suite =
       Alcotest.test_case "resize_up invalid args" `Quick test_resize_up_invalid;
       qcheck_resize_up_replication;
       qcheck_resize_up_fit_invariant;
-      Alcotest.test_case "copy independent" `Quick test_copy_independent;
     ] )

@@ -5,6 +5,15 @@ let counts_of idx m =
   Array.iter (fun i -> c.(i) <- c.(i) + 1) idx;
   c
 
+(* The in-place schemes, into a fresh buffer. *)
+let into scheme r w ~n =
+  let out = Array.make n 0 in
+  scheme r w ~n ~out;
+  out
+
+let multinomial = into Resample.multinomial_into
+let residual = into Resample.residual_into
+
 let test_systematic_exact_for_uniform () =
   (* Uniform weights: systematic resampling must return each index
      exactly once (n = m). *)
@@ -29,14 +38,14 @@ let test_systematic_proportionality () =
 let test_multinomial_unbiased () =
   let r = Util.rng () in
   let w = [| 0.7; 0.3 |] in
-  let idx = Resample.multinomial r w ~n:50000 in
+  let idx = multinomial r w ~n:50000 in
   let c = counts_of idx 2 in
   Util.check_close ~eps:0.02 "multinomial rate" 0.7 (float_of_int c.(0) /. 50000.)
 
 let test_residual_floor_counts () =
   let r = Util.rng () in
   let w = [| 0.5; 0.3; 0.2 |] in
-  let idx = Resample.residual r w ~n:10 in
+  let idx = residual r w ~n:10 in
   let c = counts_of idx 3 in
   (* Deterministic floors: at least 5, 3, 2 copies respectively. *)
   Alcotest.(check bool) "floor 0" true (c.(0) >= 5);
@@ -51,14 +60,14 @@ let test_zero_weight_never_selected () =
     (fun scheme ->
       let idx = scheme r w ~n:100 in
       Array.iter (fun i -> Alcotest.(check int) "only live index" 1 i) idx)
-    [| Resample.systematic; Resample.multinomial; Resample.residual |]
+    [| Resample.systematic; multinomial; residual |]
 
 let test_empty_rejected () =
   let r = Util.rng () in
   Util.check_raises_invalid "systematic empty" (fun () ->
       Resample.systematic r [||] ~n:5);
   Util.check_raises_invalid "multinomial empty" (fun () ->
-      Resample.multinomial r [||] ~n:5)
+      multinomial r [||] ~n:5)
 
 let test_degenerate_weights_fallback () =
   let r = Util.rng () in
@@ -67,13 +76,6 @@ let test_degenerate_weights_fallback () =
   let idx = Resample.systematic r [| 0.; 0.; 0. |] ~n:6 in
   Alcotest.(check int) "returns n indices" 6 (Array.length idx);
   Array.iter (fun i -> Util.check_in_range "index" ~lo:0. ~hi:2. (float_of_int i)) idx
-
-let test_ess_below () =
-  Alcotest.(check bool) "uniform not below" false
-    (Resample.ess_below [| 0.25; 0.25; 0.25; 0.25 |] ~ratio:0.5);
-  Alcotest.(check bool) "degenerate below" true
-    (Resample.ess_below [| 1.; 0.; 0.; 0. |] ~ratio:0.5);
-  Alcotest.(check bool) "empty not below" false (Resample.ess_below [||] ~ratio:0.5)
 
 let prop_indices_in_range =
   Util.qcheck "resampled indices are valid"
@@ -87,7 +89,7 @@ let prop_indices_in_range =
         (fun scheme ->
           let idx = scheme r (Stats.normalize w) ~n in
           Array.length idx = n && Array.for_all (fun i -> i >= 0 && i < m) idx)
-        [ Resample.systematic; Resample.multinomial; Resample.residual ])
+        [ Resample.systematic; multinomial; residual ])
 
 let prop_systematic_unbiased =
   (* Expected count of index i is n * w_i; systematic guarantees counts
@@ -119,7 +121,6 @@ let suite =
       Alcotest.test_case "empty weights rejected" `Quick test_empty_rejected;
       Alcotest.test_case "degenerate weights fallback" `Quick
         test_degenerate_weights_fallback;
-      Alcotest.test_case "ess_below" `Quick test_ess_below;
       prop_indices_in_range;
       prop_systematic_unbiased;
     ] )

@@ -48,13 +48,17 @@ let check_decision what expected actual =
   in
   Alcotest.(check string) what (show expected) (show actual)
 
+let count g fault = List.assoc fault (Ingest.counters g)
+let total_faults g = List.fold_left (fun acc (_, n) -> acc + n) 0 (Ingest.counters g)
+let all_faults = List.map fst (Ingest.counters (Ingest.create ()))
+
 let test_guard_clean_passthrough () =
   let g = Ingest.create () in
   let o = obs 0 (v 1. 2. 0.) [ Types.Object_tag 1 ] in
   check_decision "clean accepted" (Ingest.Accept o) (Ingest.admit g o);
   let o1 = obs 1 (v 1. 2.1 0.) [] in
   check_decision "next accepted" (Ingest.Accept o1) (Ingest.admit g o1);
-  Alcotest.(check int) "no faults" 0 (Ingest.total_faults g)
+  Alcotest.(check int) "no faults" 0 (total_faults g)
 
 let test_guard_epoch_faults () =
   (* Duplicates and negative epochs are rejected; out-of-order halts
@@ -72,16 +76,16 @@ let test_guard_epoch_faults () =
   | d ->
       check_decision "out-of-order halts"
         (Ingest.Halted (Ingest.Out_of_order_epoch, "")) d);
-  Alcotest.(check int) "duplicate counted" 1 (Ingest.count g Ingest.Duplicate_epoch);
-  Alcotest.(check int) "negative counted" 1 (Ingest.count g Ingest.Negative_epoch);
-  Alcotest.(check int) "ooo counted" 1 (Ingest.count g Ingest.Out_of_order_epoch);
+  Alcotest.(check int) "duplicate counted" 1 (count g Ingest.Duplicate_epoch);
+  Alcotest.(check int) "negative counted" 1 (count g Ingest.Negative_epoch);
+  Alcotest.(check int) "ooo counted" 1 (count g Ingest.Out_of_order_epoch);
   (* A dropping guard rejects the late epoch and keeps its timeline. *)
   let g = Ingest.create ~drop_out_of_order:true () in
   ignore (Ingest.admit g (obs 5 (v 0. 0. 0.) []));
   check_decision "out-of-order rejected" Ingest.Rejected
     (Ingest.admit g (obs 3 (v 0. 0. 0.) []));
   Alcotest.(check int) "dropped ooo counted" 1
-    (Ingest.count g Ingest.Out_of_order_epoch);
+    (count g Ingest.Out_of_order_epoch);
   let o = obs 6 (v 0. 0. 0.) [] in
   check_decision "timeline kept" (Ingest.Accept o) (Ingest.admit g o)
 
@@ -92,12 +96,12 @@ let test_guard_gap () =
   (match Ingest.admit g (obs 100 (v 0. 0. 0.) []) with
   | Ingest.Accept o -> Alcotest.(check int) "jump kept epoch" 100 o.Types.o_epoch
   | _ -> Alcotest.fail "jump must be admitted");
-  Alcotest.(check int) "100 is no gap" 0 (Ingest.count g Ingest.Epoch_gap);
+  Alcotest.(check int) "100 is no gap" 0 (count g Ingest.Epoch_gap);
   (* One more is: counted, but admitted unchanged. *)
   (match Ingest.admit g (obs 201 (v 0. 0. 0.) []) with
   | Ingest.Accept o -> Alcotest.(check int) "gap kept epoch" 201 o.Types.o_epoch
   | _ -> Alcotest.fail "gap must be admitted");
-  Alcotest.(check int) "gap counted" 1 (Ingest.count g Ingest.Epoch_gap)
+  Alcotest.(check int) "gap counted" 1 (count g Ingest.Epoch_gap)
 
 let test_guard_fix_faults () =
   (* Non-finite fix: the epoch survives as degraded. *)
@@ -124,7 +128,7 @@ let test_guard_bounds () =
         o.Types.o_reported_loc.Rfid_geom.Vec3.x
   | _ -> Alcotest.fail "in-margin fix must pass");
   Alcotest.(check int) "in-margin fix is no fault" 0
-    (Ingest.count g Ingest.Out_of_bounds_fix);
+    (count g Ingest.Out_of_bounds_fix);
   (* Far outside: clamped onto the inflated box. *)
   (match Ingest.admit g (obs 1 (v 500. (-500.) 0.) []) with
   | Ingest.Accept o ->
@@ -132,7 +136,7 @@ let test_guard_bounds () =
       Alcotest.(check (float 1e-9)) "y clamped" (-10.)
         o.Types.o_reported_loc.Rfid_geom.Vec3.y
   | _ -> Alcotest.fail "out-of-bounds fix must be clamped");
-  Alcotest.(check int) "bounds fault counted" 1 (Ingest.count g Ingest.Out_of_bounds_fix)
+  Alcotest.(check int) "bounds fault counted" 1 (count g Ingest.Out_of_bounds_fix)
 
 let test_guard_tags () =
   let g = Ingest.create ~max_object_id:10 () in
@@ -147,7 +151,7 @@ let test_guard_tags () =
       Alcotest.(check bool) "the right one" true
         (List.mem (Types.Object_tag 3) o.Types.o_read_tags)
   | _ -> Alcotest.fail "tag fault must accept");
-  Alcotest.(check int) "tag fault counted" 1 (Ingest.count g Ingest.Out_of_range_tag);
+  Alcotest.(check int) "tag fault counted" 1 (count g Ingest.Out_of_range_tag);
   (* Boundary: id = max_object_id - 1 is valid, id = max_object_id is not. *)
   (match Ingest.admit g (obs 1 (v 0. 0. 0.) [ Types.Object_tag 9 ]) with
   | Ingest.Accept o -> Alcotest.(check int) "boundary id kept" 1 (List.length o.Types.o_read_tags)
@@ -174,7 +178,7 @@ let test_faults_deterministic () =
   let c = Rfid_sim.Faults.apply spec ~seed:4 stream in
   Alcotest.(check bool) "different seed differs" true (compare a c <> 0);
   Alcotest.(check bool) "identity spec" true
-    (compare (Rfid_sim.Faults.apply Rfid_sim.Faults.none ~seed:3 stream) stream = 0);
+    (compare (Rfid_sim.Faults.apply (Rfid_sim.Faults.make ()) ~seed:3 stream) stream = 0);
   (* The outage window really is NaN. *)
   let in_outage =
     List.filter (fun (o : Types.observation) -> o.Types.o_epoch >= 5 && o.Types.o_epoch < 10) a
@@ -250,8 +254,8 @@ let test_fault_matrix () =
           check_decision what
             (expected_decision ~bounds ~drop_out_of_order fault)
             (Ingest.admit g (faulty_record fault));
-          Alcotest.(check int) (what ^ ": fault counted once") 1 (Ingest.count g fault);
-          Alcotest.(check int) (what ^ ": no other fault") 1 (Ingest.total_faults g);
+          Alcotest.(check int) (what ^ ": fault counted once") 1 (count g fault);
+          Alcotest.(check int) (what ^ ": no other fault") 1 (total_faults g);
           (* The whole stream through a real engine: only the halting
              guard stops, and with an error value, not an exception. *)
           let _, _, engine = small_engine ~seed:17 () in
@@ -265,7 +269,7 @@ let test_fault_matrix () =
               Alcotest.(check bool) (what ^ ": only the halting guard stops") false
                 drop_out_of_order)
         [ false; true ])
-    Ingest.all_faults
+    all_faults
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode inference                                             *)

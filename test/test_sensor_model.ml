@@ -88,23 +88,6 @@ let test_detection_half_angle () =
   Util.check_close "omni half angle" Float.pi
     (Sensor_model.detection_half_angle omni ~d:0.5)
 
-let test_initialization_cone () =
-  let m = Sensor_model.default in
-  let c =
-    Sensor_model.initialization_cone m ~reader_loc:(Util.vec3 1. 1. 0.)
-      ~reader_heading:0.5
-  in
-  let r = Sensor_model.detection_range m in
-  Util.check_close ~eps:1e-6 "overestimated range" (1.25 *. r) c.Rfid_geom.Cone.range;
-  Util.check_close "apex" 1. c.Rfid_geom.Cone.apex.Rfid_geom.Vec3.x;
-  Util.check_close "heading" 0.5 c.Rfid_geom.Cone.heading
-
-let test_sensing_region_box () =
-  let m = Sensor_model.default in
-  let b = Sensor_model.sensing_region_box m ~reader_loc:(Util.vec3 0. 0. 0.) in
-  let r = Sensor_model.detection_range m in
-  Util.check_close ~eps:1e-6 "box half width" r b.Rfid_geom.Box2.max_x
-
 let prop_read_prob_in_unit =
   Util.qcheck "read prob in [0,1] for any coefficients"
     QCheck.(
@@ -116,6 +99,9 @@ let prop_read_prob_in_unit =
       let p = Sensor_model.read_prob_at m ~d ~theta in
       p >= 0. && p <= 1.)
 
+let set_pose pre i ~x ~y ~z ~heading =
+  ignore (Sensor_model.pre_set_pose_checked pre i ~x ~y ~z ~heading)
+
 (* A memo over [n] random poses, with the pose data kept as plain
    arrays for reference computations against [log_prob]. *)
 let random_memo ?(n = 24) m rng =
@@ -126,7 +112,7 @@ let random_memo ?(n = 24) m rng =
         let y = Rfid_prob.Rng.uniform rng ~lo:(-10.) ~hi:10. in
         let z = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:3. in
         let heading = Rfid_prob.Rng.uniform rng ~lo:(-7.) ~hi:7. in
-        Sensor_model.pre_set_pose pre i ~x ~y ~z ~heading;
+        set_pose pre i ~x ~y ~z ~heading;
         (x, y, z, heading))
   in
   (pre, poses)
@@ -315,7 +301,7 @@ let test_accumulate_culls_match_reference () =
   let n = 12 in
   let pre = Sensor_model.precompute m ~n in
   for i = 0 to n - 1 do
-    Sensor_model.pre_set_pose pre i
+    set_pose pre i
       ~x:(Rfid_prob.Rng.uniform rng ~lo:(-1.) ~hi:1.)
       ~y:(Rfid_prob.Rng.uniform rng ~lo:(-1.) ~hi:1.)
       ~z:0.
@@ -408,9 +394,9 @@ let test_nan_pose_disables_cull () =
   let r = Sensor_model.saturation_radius m in
   let pre = Sensor_model.precompute m ~n:4 in
   for i = 0 to 3 do
-    Sensor_model.pre_set_pose pre i ~x:0. ~y:0. ~z:0. ~heading:0.
+    set_pose pre i ~x:0. ~y:0. ~z:0. ~heading:0.
   done;
-  Sensor_model.pre_set_pose pre 2 ~x:0. ~y:0. ~z:0. ~heading:Float.nan;
+  set_pose pre 2 ~x:0. ~y:0. ~z:0. ~heading:Float.nan;
   let got = Array.make 4 0. in
   let culled =
     Sensor_model.pre_accumulate_tag pre ~tx:(r *. 2.) ~ty:0. ~tz:0. ~read:false
@@ -419,7 +405,7 @@ let test_nan_pose_disables_cull () =
   Alcotest.(check int) "cull disabled while a pose is non-finite" 0 culled;
   Alcotest.(check bool) "NaN pose yields NaN term" true (Float.is_nan got.(2));
   (* Restoring the pose re-enables the cull. *)
-  Sensor_model.pre_set_pose pre 2 ~x:0. ~y:0. ~z:0. ~heading:0.;
+  set_pose pre 2 ~x:0. ~y:0. ~z:0. ~heading:0.;
   let got = Array.make 4 0. in
   let culled =
     Sensor_model.pre_accumulate_tag pre ~tx:(r *. 2.) ~ty:0. ~tz:0. ~read:false
@@ -427,32 +413,22 @@ let test_nan_pose_disables_cull () =
   in
   Alcotest.(check int) "cull re-enabled" 4 culled
 
-let test_pre_stamp_eviction () =
+let test_checked_pose_writes () =
   let m = Sensor_model.default in
   let pre = Sensor_model.precompute m ~n:3 in
-  Sensor_model.pre_set_pose pre 0 ~x:1. ~y:2. ~z:0. ~heading:0.5;
-  let s0 = Sensor_model.pre_stamp pre in
+  set_pose pre 0 ~x:1. ~y:2. ~z:0. ~heading:0.5;
   Alcotest.(check bool) "identical pose skipped" false
     (Sensor_model.pre_set_pose_checked pre 0 ~x:1. ~y:2. ~z:0. ~heading:0.5);
-  Alcotest.(check int) "stamp unchanged on skip" s0 (Sensor_model.pre_stamp pre);
   (* Zero-sign change is a change: slots start at +0.0. *)
   Alcotest.(check bool) "-0.0 over +0.0 writes" true
     (Sensor_model.pre_set_pose_checked pre 1 ~x:(-0.0) ~y:0. ~z:0. ~heading:0.);
-  let s1 = Sensor_model.pre_stamp pre in
-  Alcotest.(check bool) "stamp bumped by the write" true (s1 > s0);
   Alcotest.(check bool) "-0.0 now in place" false
     (Sensor_model.pre_set_pose_checked pre 1 ~x:(-0.0) ~y:0. ~z:0. ~heading:0.);
   (* NaN never compares equal: always a write. *)
   Alcotest.(check bool) "NaN pose writes" true
     (Sensor_model.pre_set_pose_checked pre 2 ~x:0. ~y:0. ~z:0. ~heading:Float.nan);
   Alcotest.(check bool) "NaN pose writes again" true
-    (Sensor_model.pre_set_pose_checked pre 2 ~x:0. ~y:0. ~z:0. ~heading:Float.nan);
-  (* Size-preserving resize keeps the stamp; a size change evicts it. *)
-  let s2 = Sensor_model.pre_stamp pre in
-  Sensor_model.pre_resize pre 3;
-  Alcotest.(check int) "same-size resize keeps stamp" s2 (Sensor_model.pre_stamp pre);
-  Sensor_model.pre_resize pre 5;
-  Alcotest.(check bool) "resize evicts stamp" true (Sensor_model.pre_stamp pre > s2)
+    (Sensor_model.pre_set_pose_checked pre 2 ~x:0. ~y:0. ~z:0. ~heading:Float.nan)
 
 let prop_cull_bit_identical =
   Util.qcheck ~count:300 "culled tag kernel bit-identical over random models"
@@ -474,7 +450,7 @@ let prop_cull_bit_identical =
       let n = 5 in
       let pre = Sensor_model.precompute m ~n in
       for i = 0 to n - 1 do
-        Sensor_model.pre_set_pose pre i
+        set_pose pre i
           ~x:(0.3 *. float_of_int i)
           ~y:(-0.2 *. float_of_int i)
           ~z:(0.1 *. float_of_int i)
@@ -509,8 +485,6 @@ let suite =
       Alcotest.test_case "log prob consistency" `Quick test_log_prob_consistency;
       Alcotest.test_case "detection range" `Quick test_detection_range;
       Alcotest.test_case "detection half angle" `Quick test_detection_half_angle;
-      Alcotest.test_case "initialization cone" `Quick test_initialization_cone;
-      Alcotest.test_case "sensing region box" `Quick test_sensing_region_box;
       prop_read_prob_in_unit;
       Alcotest.test_case "memo bit-identical to log_prob" `Quick test_memo_bit_identical;
       Alcotest.test_case "batched store accumulation bit-identical" `Quick
@@ -526,6 +500,6 @@ let suite =
       Alcotest.test_case "saturation cull matches reference" `Quick
         test_accumulate_culls_match_reference;
       Alcotest.test_case "NaN pose disables cull" `Quick test_nan_pose_disables_cull;
-      Alcotest.test_case "pose fingerprint eviction" `Quick test_pre_stamp_eviction;
+      Alcotest.test_case "checked pose writes" `Quick test_checked_pose_writes;
       prop_cull_bit_identical;
     ] )

@@ -6,11 +6,6 @@
 
 open Rfid_serve
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* ------------------------------------------------------------------ *)
 (* Framing *)
 
@@ -294,7 +289,7 @@ let test_core_backpressure () =
     "room again" "OK 1\n"
     (req core "PUT 3,0.2,-0.8,0.0,obj:3");
   let stats = req core "STATS" in
-  if not (contains_sub stats "busy_rejections 1") then
+  if not (Util.contains_sub stats "busy_rejections 1") then
     Alcotest.failf "STATS should count 1 busy rejection:\n%s" stats
 
 (* Flush events share the last step's epoch, so recovery can only tell
@@ -339,7 +334,7 @@ let test_core_halted_latch () =
     let stats = req core "STATS" in
     List.iter
       (fun (k, v) ->
-        if not (contains_sub stats (Printf.sprintf "\n%s %d\n" k v)) then
+        if not (Util.contains_sub stats (Printf.sprintf "\n%s %d\n" k v)) then
           Alcotest.failf "%s: STATS should show %s %d:\n%s" what k v stats)
       keys
   in
@@ -468,35 +463,34 @@ let test_near_far_center () =
 
 let test_openmetrics () =
   let module M = Rfid_obs.Metrics in
-  let reg = M.create () in
-  M.incr (M.counter reg "serve.epochs") 3;
-  M.set (M.gauge reg "queue depth") 7.5;
-  let h = M.histogram reg "latency" in
+  let reg = M.global in
+  M.incr (M.counter reg "test.om.epochs") 3;
+  M.set (M.gauge reg "test om depth") 7.5;
+  M.set (M.gauge reg "9a-b:c d") 1.;
+  let h = M.histogram reg "test.om.latency" in
   M.observe h 0.002;
   M.observe h 0.004;
-  ignore (M.histogram reg "empty");
+  ignore (M.histogram reg "test.om.empty");
   let text = Rfid_obs.Openmetrics.render reg in
   List.iter
     (fun needle ->
-      if not (contains_sub text needle) then
+      if not (Util.contains_sub text needle) then
         Alcotest.failf "missing %S in rendered metrics:\n%s" needle text)
     [
-      "# TYPE serve_epochs counter";
-      "serve_epochs_total 3";
-      "# TYPE queue_depth gauge";
-      "queue_depth 7.5";
-      "# TYPE latency summary";
-      "latency{quantile=\"0.5\"}";
-      "latency_sum 0.006";
-      "latency_count 2";
-      "empty_count 0";
+      "# TYPE test_om_epochs counter";
+      "test_om_epochs_total 3";
+      "# TYPE test_om_depth gauge";
+      "test_om_depth 7.5";
+      "# TYPE _9a_b:c_d gauge";
+      "# TYPE test_om_latency summary";
+      "test_om_latency{quantile=\"0.5\"}";
+      "test_om_latency_sum 0.006";
+      "test_om_latency_count 2";
+      "test_om_empty_count 0";
       "# EOF";
     ];
-  if contains_sub text "empty{quantile" then
-    Alcotest.fail "empty histogram must not emit quantiles";
-  Alcotest.(check string)
-    "sanitize" "_9a_b:c_d"
-    (Rfid_obs.Openmetrics.sanitize_name "9a-b:c d")
+  if Util.contains_sub text "test_om_empty{quantile" then
+    Alcotest.fail "empty histogram must not emit quantiles"
 
 let test_push_udp () =
   let recv = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in

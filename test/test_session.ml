@@ -33,87 +33,6 @@ let with_tmp_dir f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
-(* Events-log truncation *)
-
-let line e = Printf.sprintf "t=%d obj=%d loc=(1.000, 2.000, 0.000) (sd_xy=0.250)\n" e (e mod 3)
-
-let check_truncation what ~epoch ~before ~after =
-  with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "events.log" in
-      write_file path before;
-      Session.truncate_events_file ~path ~epoch;
-      Alcotest.(check string) what after (read_file path))
-
-let test_truncate_torn_line () =
-  check_truncation "torn last line dropped" ~epoch:10
-    ~before:(line 1 ^ line 2 ^ "t=3 obj=0 loc=(1.0")
-    ~after:(line 1 ^ line 2)
-
-let test_truncate_past_epoch () =
-  check_truncation "lines past the checkpoint dropped" ~epoch:2
-    ~before:(line 1 ^ line 2 ^ line 2 ^ line 3 ^ line 4)
-    ~after:(line 1 ^ line 2 ^ line 2)
-
-let test_truncate_flush_marker () =
-  check_truncation "stops at the flush marker" ~epoch:10
-    ~before:(line 1 ^ line 2 ^ "# flush\n" ^ line 2)
-    ~after:(line 1 ^ line 2)
-
-let test_truncate_missing_file () =
-  with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "absent.log" in
-      Session.truncate_events_file ~path ~epoch:5;
-      Alcotest.(check bool) "still absent" false (Sys.file_exists path))
-
-(* ------------------------------------------------------------------ *)
-(* Events-log parsing *)
-
-let pp_line ev = Format.asprintf "%a" Event.pp ev
-
-let check_round_trip ev =
-  let printed = pp_line ev in
-  match Session.event_of_log_line printed with
-  | None -> Alcotest.failf "unparsable: %S" printed
-  | Some back -> Alcotest.(check string) "re-printed byte for byte" printed (pp_line back)
-
-let test_parse_examples () =
-  let loc = Rfid_geom.Vec3.make (-3.25) 17.5 0.001 in
-  let cov = [| [| 0.3; 0.1; 0. |]; [| 0.1; 0.7; 0. |]; [| 0.; 0.; 0.2 |] |] in
-  List.iter check_round_trip
-    [
-      Event.make ~epoch:0 ~obj:0 ~loc ();
-      Event.make ~epoch:12 ~obj:3 ~loc ~cov ();
-      Event.make ~epoch:99 ~obj:7 ~loc ~degraded:true ();
-      Event.make ~epoch:1234 ~obj:15 ~loc ~cov ~degraded:true ();
-    ];
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) (Printf.sprintf "%S is not an event" l) true
-        (Session.event_of_log_line l = None))
-    [ ""; "   "; "# flush"; "garbage"; "t=3 obj=" ]
-
-let gen_event =
-  QCheck.Gen.(
-    let coord = float_range (-500.) 500. in
-    map
-      (fun ((epoch, obj), (x, y, z), (sd, degraded)) ->
-        let cov =
-          Option.map (fun s -> [| [| s; 0.; 0. |]; [| 0.; s; 0. |]; [| 0.; 0.; 0. |] |]) sd
-        in
-        Event.make ~epoch ~obj ~loc:(Rfid_geom.Vec3.make x y z) ?cov ~degraded ())
-      (triple
-         (pair (int_bound 100_000) (int_bound 5000))
-         (triple coord coord coord)
-         (pair (opt (float_range 0. 40.)) bool)))
-
-let prop_round_trip =
-  Util.qcheck ~count:500 "Event.pp -> parse -> Event.pp is the identity"
-    (QCheck.make ~print:pp_line gen_event) (fun ev ->
-      match Session.event_of_log_line (pp_line ev) with
-      | Some back -> pp_line back = pp_line ev
-      | None -> false)
-
-(* ------------------------------------------------------------------ *)
 (* The durable cycle *)
 
 let boot = lazy (Bootstrap.make ~objects:4 ~seed:7 ~particles:30 ())
@@ -182,6 +101,115 @@ let same_file ~golden_dir ~dir name =
   Alcotest.(check string) (name ^ " byte-identical to the uninterrupted session")
     (read_file (Filename.concat golden_dir name))
     (read_file (Filename.concat dir name))
+
+(* ------------------------------------------------------------------ *)
+(* Events-log truncation: a recovering start trims the log to the
+   checkpoint's epoch. *)
+
+let line e = Printf.sprintf "t=%d obj=%d loc=(1.000, 2.000, 0.000) (sd_xy=0.250)\n" e (e mod 3)
+
+(* Checkpoint an engine stepped to [epoch], give it the events log
+   [before] (none if [None]), and return the log a recovering start
+   leaves. *)
+let recovered_log ~epoch before =
+  with_tmp_dir (fun dir ->
+      let config =
+        { (durable_config dir ~recover:true) with Session.checkpoint_keep = 1; wal = None }
+      in
+      let boot = Lazy.force boot in
+      let engine = Bootstrap.fresh_engine boot in
+      let guard = Bootstrap.fresh_guard boot in
+      List.iter
+        (fun (o : Types.observation) ->
+          if o.Types.o_epoch <= epoch then
+            ignore (Rfid_robust.Ingest.step_engine guard engine o))
+        (Lazy.force observations);
+      Alcotest.(check int) "checkpointed epoch" epoch (Engine.epoch engine);
+      Rfid_robust.Checkpoint.save ~path:(Option.get config.Session.checkpoint)
+        (Engine.snapshot engine);
+      let path = Option.get config.Session.events in
+      Option.iter (write_file path) before;
+      let s, _ = start config in
+      Session.close s;
+      read_file path)
+
+let check_truncation what ~epoch ~before ~after =
+  Alcotest.(check string) what after (recovered_log ~epoch (Some before))
+
+let test_truncate_torn_line () =
+  check_truncation "torn last line dropped" ~epoch:10
+    ~before:(line 1 ^ line 2 ^ "t=3 obj=0 loc=(1.0")
+    ~after:(line 1 ^ line 2)
+
+let test_truncate_past_epoch () =
+  check_truncation "lines past the checkpoint dropped" ~epoch:2
+    ~before:(line 1 ^ line 2 ^ line 2 ^ line 3 ^ line 4)
+    ~after:(line 1 ^ line 2 ^ line 2)
+
+let test_truncate_flush_marker () =
+  check_truncation "stops at the flush marker" ~epoch:10
+    ~before:(line 1 ^ line 2 ^ "# flush\n" ^ line 2)
+    ~after:(line 1 ^ line 2)
+
+let test_truncate_missing_file () =
+  Alcotest.(check string) "an empty log is started" "" (recovered_log ~epoch:5 None)
+
+(* ------------------------------------------------------------------ *)
+(* Events-log parsing: every line {!Session.log_events} writes reads
+   back through {!Session.logged_events}. *)
+
+let pp_line ev = Format.asprintf "%a" Event.pp ev
+
+(* Log [evs] in a fresh session, append the raw [extra] lines, and
+   read the log back. *)
+let round_trip ?(extra = []) evs =
+  with_tmp_dir (fun dir ->
+      let config = { (durable_config dir ~recover:false) with Session.checkpoint = None; wal = None } in
+      let s, _ = start config in
+      Session.log_events s evs;
+      List.iter
+        (fun l -> write_file ~append:true (Option.get config.Session.events) (l ^ "\n"))
+        extra;
+      let back = Session.logged_events s in
+      Session.close s;
+      back)
+
+let test_parse_examples () =
+  let loc = Rfid_geom.Vec3.make (-3.25) 17.5 0.001 in
+  let cov = [| [| 0.3; 0.1; 0. |]; [| 0.1; 0.7; 0. |]; [| 0.; 0.; 0.2 |] |] in
+  let evs =
+    [
+      Event.make ~epoch:0 ~obj:0 ~loc ();
+      Event.make ~epoch:12 ~obj:3 ~loc ~cov ();
+      Event.make ~epoch:99 ~obj:7 ~loc ~degraded:true ();
+      Event.make ~epoch:1234 ~obj:15 ~loc ~cov ~degraded:true ();
+    ]
+  in
+  Alcotest.(check (list string)) "re-printed byte for byte, other lines skipped"
+    (List.map pp_line evs)
+    (List.map pp_line (round_trip ~extra:[ ""; "   "; "# flush"; "garbage"; "t=3 obj=" ] evs))
+
+let gen_event =
+  QCheck.Gen.(
+    let coord = float_range (-500.) 500. in
+    map
+      (fun ((epoch, obj), (x, y, z), (sd, degraded)) ->
+        let cov =
+          Option.map (fun s -> [| [| s; 0.; 0. |]; [| 0.; s; 0. |]; [| 0.; 0.; 0. |] |]) sd
+        in
+        Event.make ~epoch ~obj ~loc:(Rfid_geom.Vec3.make x y z) ?cov ~degraded ())
+      (triple
+         (pair (int_bound 100_000) (int_bound 5000))
+         (triple coord coord coord)
+         (pair (opt (float_range 0. 40.)) bool)))
+
+let prop_round_trip =
+  Util.qcheck ~count:500 "Event.pp -> parse -> Event.pp is the identity"
+    (QCheck.make ~print:pp_line gen_event) (fun ev ->
+      List.map pp_line (round_trip [ ev ]) = [ pp_line ev ])
+
+(* ------------------------------------------------------------------ *)
+(* Recovery *)
 
 let test_recover_matches_uninterrupted () =
   let obs = Lazy.force observations in

@@ -45,7 +45,7 @@ let test_sensor_probabilities_valid () =
 let test_warehouse_layout () =
   let wh = Warehouse.layout ~num_objects:25 () in
   Alcotest.(check int) "3 shelves for 25 objects" 3
-    (World.num_shelves wh.Warehouse.world);
+    (Array.length (World.shelves wh.Warehouse.world));
   Alcotest.(check int) "objects" 25 (Array.length wh.Warehouse.object_locs);
   (* Objects are on shelves and evenly spaced. *)
   Array.iteri
@@ -62,7 +62,7 @@ let test_warehouse_layout () =
 
 let test_warehouse_shelf_tags_known () =
   let wh = Warehouse.layout ~num_objects:30 () in
-  Alcotest.(check int) "tag per shelf" (World.num_shelves wh.Warehouse.world)
+  Alcotest.(check int) "tag per shelf" (Array.length (World.shelves wh.Warehouse.world))
     (List.length (World.shelf_tags wh.Warehouse.world))
 
 (* Trace_gen *)

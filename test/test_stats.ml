@@ -41,24 +41,7 @@ let test_moments () =
   let a = [| 1.; 2.; 3.; 4. |] in
   Util.check_close "mean" 2.5 (Stats.mean a);
   Util.check_close "variance" 1.25 (Stats.variance a);
-  Util.check_close "empty mean" 0. (Stats.mean [||]);
-  let w = [| 0.5; 0.5; 0.; 0. |] in
-  Util.check_close "weighted mean" 1.5 (Stats.weighted_mean ~w a);
-  Util.check_close "weighted variance" 0.25 (Stats.weighted_variance ~w a)
-
-let test_quantile () =
-  let a = [| 3.; 1.; 2.; 5.; 4. |] in
-  Util.check_close "median" 3. (Stats.quantile a ~q:0.5);
-  Util.check_close "min" 1. (Stats.quantile a ~q:0.);
-  Util.check_close "max" 5. (Stats.quantile a ~q:1.);
-  Util.check_close "interpolated" 1.4 (Stats.quantile a ~q:0.1);
-  Util.check_raises_invalid "empty" (fun () -> Stats.quantile [||] ~q:0.5)
-
-let test_rmse () =
-  Util.check_close "rmse" (sqrt 29.) (Stats.rmse [| 0.; 0. |] [| 3.; -7. |]);
-  Util.check_close "rmse value" (sqrt 14.5) (Stats.rmse [| 0.; 0. |] [| 2.; 5. |]);
-  Util.check_close "rmse empty" 0. (Stats.rmse [||] [||]);
-  Util.check_raises_invalid "length mismatch" (fun () -> Stats.rmse [| 1. |] [||])
+  Util.check_close "empty mean" 0. (Stats.mean [||])
 
 let prop_lse_ge_max =
   Util.qcheck "log_sum_exp >= max element"
@@ -92,8 +75,6 @@ let suite =
       Alcotest.test_case "normalize" `Quick test_normalize;
       Alcotest.test_case "effective sample size" `Quick test_ess;
       Alcotest.test_case "moments" `Quick test_moments;
-      Alcotest.test_case "quantile" `Quick test_quantile;
-      Alcotest.test_case "rmse" `Quick test_rmse;
       prop_lse_ge_max;
       prop_normalize_sums_to_one;
       prop_ess_bounds;

@@ -3,192 +3,120 @@ open Rfid_core
 
 let ev ~epoch ~obj ~x ~y = Event.make ~epoch ~obj ~loc:(Util.vec3 x y 0.) ()
 
-(* Window *)
-
-let test_window_eviction () =
-  let w = Window.create ~size:3 in
-  Window.push w ~epoch:0 "a";
-  Window.push w ~epoch:1 "b";
-  Window.push w ~epoch:2 "c";
-  Alcotest.(check int) "full" 3 (Window.length w);
-  Window.push w ~epoch:3 "d";
-  Alcotest.(check (list (pair int string))) "oldest evicted"
-    [ (1, "b"); (2, "c"); (3, "d") ]
-    (Window.contents w);
-  Window.advance w ~epoch:10;
-  Alcotest.(check int) "advance evicts all" 0 (Window.length w)
-
-let test_window_same_epoch_multi () =
-  let w = Window.create ~size:2 in
-  Window.push w ~epoch:5 1;
-  Window.push w ~epoch:5 2;
-  Alcotest.(check int) "both kept" 2 (Window.length w);
-  Util.check_raises_invalid "regression" (fun () -> Window.push w ~epoch:4 3);
-  Util.check_raises_invalid "bad size" (fun () -> ignore (Window.create ~size:0))
-
-let test_window_fold () =
-  let w = Window.create ~size:10 in
-  List.iter (fun i -> Window.push w ~epoch:i i) [ 1; 2; 3 ];
-  Alcotest.(check int) "fold sum" 6 (Window.fold w ~init:0 ~f:(fun acc _ v -> acc + v))
-
-(* Location update query *)
-
-let test_location_update_istream () =
-  let q = Location_update.create () in
-  (* First sighting emits with no previous. *)
-  (match Location_update.push q (ev ~epoch:0 ~obj:1 ~x:1. ~y:1.) with
-  | Some u ->
-      Alcotest.(check bool) "no prev" true (u.Location_update.u_prev = None)
-  | None -> Alcotest.fail "first sighting must emit");
-  (* Same location: silent. *)
-  Alcotest.(check bool) "unchanged silent" true
-    (Location_update.push q (ev ~epoch:1 ~obj:1 ~x:1. ~y:1.) = None);
-  (* Moved: emits with previous location. *)
-  (match Location_update.push q (ev ~epoch:2 ~obj:1 ~x:4. ~y:1.) with
-  | Some u -> (
-      match u.Location_update.u_prev with
-      | Some p -> Util.check_vec3 "prev location" (Util.vec3 1. 1. 0.) p
-      | None -> Alcotest.fail "expected prev")
-  | None -> Alcotest.fail "move must emit");
-  (* Partitioned by tag: another object is independent. *)
-  Alcotest.(check bool) "other object emits" true
-    (Location_update.push q (ev ~epoch:3 ~obj:2 ~x:1. ~y:1.) <> None)
-
-let test_location_update_threshold () =
-  let q = Location_update.create ~min_change:0.5 () in
-  ignore (Location_update.push q (ev ~epoch:0 ~obj:1 ~x:0. ~y:0.));
-  Alcotest.(check bool) "sub-threshold jitter silent" true
-    (Location_update.push q (ev ~epoch:1 ~obj:1 ~x:0.3 ~y:0.) = None);
-  Alcotest.(check bool) "above threshold emits" true
-    (Location_update.push q (ev ~epoch:2 ~obj:1 ~x:1.0 ~y:0.) <> None);
-  Util.check_vec3 "current state" (Util.vec3 1. 0. 0.)
-    (Option.get (Location_update.current q 1))
-
 (* Fire code query *)
 
 let weight_of _ = 60.
+let fire_code events = Fire_code.run (Fire_code.create (Fire_code.default_config ~weight_of)) events
 
 let test_fire_code_triggers () =
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
   (* Three 60-lb objects land in the same square foot within the window:
      180 <= 200, no violation; the fourth pushes it to 240. *)
-  let vs1 = Fire_code.push q (ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3) in
-  let vs2 = Fire_code.push q (ev ~epoch:1 ~obj:2 ~x:2.5 ~y:3.7) in
-  let vs3 = Fire_code.push q (ev ~epoch:2 ~obj:3 ~x:2.9 ~y:3.1) in
-  Alcotest.(check int) "no violation under limit" 0
-    (List.length vs1 + List.length vs2 + List.length vs3);
-  (match Fire_code.push q (ev ~epoch:3 ~obj:4 ~x:2.1 ~y:3.9) with
+  match
+    fire_code
+      [
+        ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3;
+        ev ~epoch:1 ~obj:2 ~x:2.5 ~y:3.7;
+        ev ~epoch:2 ~obj:3 ~x:2.9 ~y:3.1;
+        ev ~epoch:3 ~obj:4 ~x:2.1 ~y:3.9;
+      ]
+  with
   | [ v ] ->
+      Alcotest.(check int) "at the fourth event" 3 v.Fire_code.v_epoch;
       Alcotest.(check (pair int int)) "cell" (2, 3) v.Fire_code.v_cell;
       Util.check_close "total weight" 240. v.Fire_code.v_weight;
       Alcotest.(check (list int)) "objects" [ 1; 2; 3; 4 ] v.Fire_code.v_objects
-  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs))
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
 let test_fire_code_window_expiry () =
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
-  ignore (Fire_code.push q (ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3));
-  ignore (Fire_code.push q (ev ~epoch:0 ~obj:2 ~x:2.5 ~y:3.7));
-  ignore (Fire_code.push q (ev ~epoch:0 ~obj:3 ~x:2.9 ~y:3.1));
   (* 10 epochs later the old events have left the 5-epoch window; a new
      60-lb object alone cannot violate. *)
-  let vs = Fire_code.push q (ev ~epoch:10 ~obj:4 ~x:2.1 ~y:3.9) in
+  let vs =
+    fire_code
+      [
+        ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3;
+        ev ~epoch:0 ~obj:2 ~x:2.5 ~y:3.7;
+        ev ~epoch:0 ~obj:3 ~x:2.9 ~y:3.1;
+        ev ~epoch:10 ~obj:4 ~x:2.1 ~y:3.9;
+      ]
+  in
   Alcotest.(check int) "expired events don't count" 0 (List.length vs)
 
-let test_fire_code_relocation_supersedes () =
+(* The fire-code query's range window *)
+
+let test_window_eviction () =
+  (* The 5-epoch window at epoch 4 still holds epoch 0; at epoch 5 it
+     no longer does. *)
+  let three = List.init 3 (fun i -> ev ~epoch:i ~obj:i ~x:2.5 ~y:3.5) in
+  (match fire_code (three @ [ ev ~epoch:4 ~obj:3 ~x:2.5 ~y:3.5 ]) with
+  | [ v ] -> Alcotest.(check (list int)) "oldest still in" [ 0; 1; 2; 3 ] v.Fire_code.v_objects
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  Alcotest.(check int) "oldest evicted" 0
+    (List.length (fire_code (three @ [ ev ~epoch:5 ~obj:3 ~x:2.5 ~y:3.5 ])))
+
+let test_window_same_epoch () =
   let q = Fire_code.create (Fire_code.default_config ~weight_of) in
-  ignore (Fire_code.push q (ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3));
-  ignore (Fire_code.push q (ev ~epoch:1 ~obj:2 ~x:2.5 ~y:3.7));
-  ignore (Fire_code.push q (ev ~epoch:2 ~obj:3 ~x:2.9 ~y:3.1));
+  (match Fire_code.run q (List.init 4 (fun i -> ev ~epoch:5 ~obj:i ~x:2.5 ~y:3.5)) with
+  | [ v ] -> Alcotest.(check (list int)) "all kept" [ 0; 1; 2; 3 ] v.Fire_code.v_objects
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  Util.check_raises_invalid "regression" (fun () ->
+      ignore (Fire_code.run q [ ev ~epoch:4 ~obj:9 ~x:0. ~y:0. ]));
+  Util.check_raises_invalid "bad window" (fun () ->
+      ignore (Fire_code.create { (Fire_code.default_config ~weight_of) with window = 0 }))
+
+let test_fire_code_relocation_supersedes () =
   (* Object 1 moves to another cell; the fourth object arrives in the
      original cell — but now only 3 * 60 = 180 lbs there. *)
-  ignore (Fire_code.push q (ev ~epoch:3 ~obj:1 ~x:9.9 ~y:9.9));
-  let vs = Fire_code.push q (ev ~epoch:4 ~obj:4 ~x:2.1 ~y:3.9) in
+  let vs =
+    fire_code
+      [
+        ev ~epoch:0 ~obj:1 ~x:2.2 ~y:3.3;
+        ev ~epoch:1 ~obj:2 ~x:2.5 ~y:3.7;
+        ev ~epoch:2 ~obj:3 ~x:2.9 ~y:3.1;
+        ev ~epoch:3 ~obj:1 ~x:9.9 ~y:9.9;
+        ev ~epoch:4 ~obj:4 ~x:2.1 ~y:3.9;
+      ]
+  in
   Alcotest.(check int) "moved object no longer counts" 0 (List.length vs)
 
 let test_fire_code_cell_of () =
-  Alcotest.(check (pair int int)) "positive" (2, 3)
-    (Fire_code.cell_of (Util.vec3 2.7 3.1 0.));
-  Alcotest.(check (pair int int)) "negative floors down" (-3, 0)
-    (Fire_code.cell_of (Util.vec3 (-2.1) 0.5 0.))
+  let cell_at x y =
+    match fire_code (List.init 4 (fun i -> ev ~epoch:0 ~obj:i ~x ~y)) with
+    | [ v ] -> v.Fire_code.v_cell
+    | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+  in
+  Alcotest.(check (pair int int)) "positive" (2, 3) (cell_at 2.7 3.1);
+  Alcotest.(check (pair int int)) "negative floors down" (-3, 0) (cell_at (-2.1) 0.5)
+
+let test_fire_code_once_per_epoch () =
+  (* A later event in the same epoch must not report the cell again;
+     the next epoch reports it anew. *)
+  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
+  let hot = List.init 4 (fun i -> ev ~epoch:0 ~obj:i ~x:2.5 ~y:3.5) in
+  let vs = Fire_code.run q (hot @ [ ev ~epoch:0 ~obj:4 ~x:7.5 ~y:7.5 ]) in
+  Alcotest.(check (list string)) "reported once"
+    [ "t=0 cell=(2,3) weight=240.0 lbs objects=[0;1;2;3]" ]
+    (List.map (Format.asprintf "%a" Fire_code.pp_violation) vs);
+  Alcotest.(check (list int)) "reported again next epoch" [ 1 ]
+    (List.map
+       (fun v -> v.Fire_code.v_epoch)
+       (Fire_code.run q [ ev ~epoch:1 ~obj:5 ~x:7.5 ~y:7.5; ev ~epoch:1 ~obj:6 ~x:7.5 ~y:7.5 ]))
 
 let test_fire_code_run () =
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
   let events = List.init 4 (fun i -> ev ~epoch:i ~obj:i ~x:2.5 ~y:3.5) in
-  let vs = Fire_code.run q events in
+  let vs = fire_code events in
   Alcotest.(check int) "one violation in batch" 1 (List.length vs);
   ignore (Format.asprintf "%a" Fire_code.pp_violation (List.hd vs))
-
-(* Misplaced-inventory query *)
-
-let home_of obj =
-  (* Objects 0-4 live in [0,5]x[0,5]; object 9 has no planogram slot. *)
-  if obj = 9 then None
-  else Some (Rfid_geom.Box2.make ~min_x:0. ~min_y:0. ~max_x:5. ~max_y:5.)
-
-let test_misplaced_debounce () =
-  let q = Misplaced.create ~home:home_of () in
-  (* One out-of-place report: no alert yet (debounce = 2). *)
-  Alcotest.(check bool) "first strike silent" true
-    (Misplaced.push q (ev ~epoch:0 ~obj:1 ~x:9. ~y:9.) = None);
-  (* Second consecutive: alert. *)
-  (match Misplaced.push q (ev ~epoch:1 ~obj:1 ~x:9. ~y:9.) with
-  | Some a ->
-      Alcotest.(check bool) "kind" true (a.Misplaced.a_kind = `Misplaced);
-      Util.check_close ~eps:1e-6 "distance outside" (sqrt 32.) a.Misplaced.a_distance
-  | None -> Alcotest.fail "expected alert");
-  Alcotest.(check (list int)) "tracked" [ 1 ] (Misplaced.currently_misplaced q);
-  (* No duplicate alert while still away. *)
-  Alcotest.(check bool) "no re-alert" true
-    (Misplaced.push q (ev ~epoch:2 ~obj:1 ~x:9. ~y:9.) = None);
-  (* Coming home emits a clear notice. *)
-  (match Misplaced.push q (ev ~epoch:3 ~obj:1 ~x:2. ~y:2.) with
-  | Some a -> Alcotest.(check bool) "cleared" true (a.Misplaced.a_kind = `Back_in_place)
-  | None -> Alcotest.fail "expected back-in-place");
-  Alcotest.(check (list int)) "none tracked" [] (Misplaced.currently_misplaced q)
-
-let test_misplaced_noise_resets () =
-  let q = Misplaced.create ~home:home_of () in
-  ignore (Misplaced.push q (ev ~epoch:0 ~obj:2 ~x:9. ~y:9.));
-  (* An in-place report between strikes resets the counter. *)
-  ignore (Misplaced.push q (ev ~epoch:1 ~obj:2 ~x:1. ~y:1.));
-  Alcotest.(check bool) "strike reset" true
-    (Misplaced.push q (ev ~epoch:2 ~obj:2 ~x:9. ~y:9.) = None)
-
-let test_misplaced_tolerance_and_unassigned () =
-  let q =
-    Misplaced.create
-      ~config:{ Misplaced.tolerance = 1.0; confirmations = 1 }
-      ~home:home_of ()
-  in
-  (* 0.8 ft outside the box but inside the tolerance: fine. *)
-  Alcotest.(check bool) "within tolerance" true
-    (Misplaced.push q (ev ~epoch:0 ~obj:3 ~x:5.8 ~y:2.) = None);
-  (* Unassigned objects never alert. *)
-  Alcotest.(check bool) "no planogram, no alert" true
-    (Misplaced.push q (ev ~epoch:1 ~obj:9 ~x:99. ~y:99.) = None);
-  Util.check_raises_invalid "bad config" (fun () ->
-      ignore
-        (Misplaced.create
-           ~config:{ Misplaced.tolerance = 0.; confirmations = 1 }
-           ~home:home_of ()))
 
 let suite =
   ( "stream",
     [
       Alcotest.test_case "window eviction" `Quick test_window_eviction;
-      Alcotest.test_case "window same-epoch entries" `Quick test_window_same_epoch_multi;
-      Alcotest.test_case "window fold" `Quick test_window_fold;
-      Alcotest.test_case "location update istream" `Quick test_location_update_istream;
-      Alcotest.test_case "location update threshold" `Quick
-        test_location_update_threshold;
+      Alcotest.test_case "window same-epoch entries" `Quick test_window_same_epoch;
       Alcotest.test_case "fire code triggers" `Quick test_fire_code_triggers;
       Alcotest.test_case "fire code window expiry" `Quick test_fire_code_window_expiry;
       Alcotest.test_case "fire code relocation" `Quick
         test_fire_code_relocation_supersedes;
       Alcotest.test_case "fire code cells" `Quick test_fire_code_cell_of;
+      Alcotest.test_case "fire code once per epoch" `Quick test_fire_code_once_per_epoch;
       Alcotest.test_case "fire code run" `Quick test_fire_code_run;
-      Alcotest.test_case "misplaced debounce and clear" `Quick test_misplaced_debounce;
-      Alcotest.test_case "misplaced noise resets" `Quick test_misplaced_noise_resets;
-      Alcotest.test_case "misplaced tolerance/unassigned" `Quick
-        test_misplaced_tolerance_and_unassigned;
     ] )

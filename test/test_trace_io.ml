@@ -12,14 +12,23 @@ let sample_stream () =
 
 let equal_obs (a : Types.observation) (b : Types.observation) =
   a.Types.o_epoch = b.Types.o_epoch
-  && Rfid_geom.Vec3.equal ~eps:1e-5 a.Types.o_reported_loc b.Types.o_reported_loc
+  && Util.vec3_equal ~eps:1e-5 a.Types.o_reported_loc b.Types.o_reported_loc
   && List.length a.Types.o_read_tags = List.length b.Types.o_read_tags
-  && List.for_all2 Types.tag_equal a.Types.o_read_tags b.Types.o_read_tags
+  && List.for_all2 ( = ) a.Types.o_read_tags b.Types.o_read_tags
+
+(* The strict reader, fed a string through a file. *)
+let observations_of_string s =
+  let path = Filename.temp_file "rfid_io_strict" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      In_channel.with_open_bin path Trace_io.read_observations)
 
 let test_roundtrip_string () =
   let stream = sample_stream () in
   let s = Trace_io.observations_to_string stream in
-  let back = Trace_io.observations_of_string s in
+  let back = observations_of_string s in
   Alcotest.(check int) "length" (List.length stream) (List.length back);
   List.iter2
     (fun a b -> Alcotest.(check bool) "observation roundtrips" true (equal_obs a b))
@@ -37,7 +46,7 @@ let test_roundtrip_simulated () =
   in
   let stream = Trace.observations trace in
   let back =
-    Trace_io.observations_of_string (Trace_io.observations_to_string stream)
+    observations_of_string (Trace_io.observations_to_string stream)
   in
   Alcotest.(check int) "length preserved" (List.length stream) (List.length back);
   List.iter2
@@ -62,7 +71,7 @@ let test_roundtrip_files () =
 
 let test_malformed_rejected () =
   let bad s =
-    match Trace_io.observations_of_string s with
+    match observations_of_string s with
     | _ -> Alcotest.failf "expected failure on %S" s
     | exception Failure _ -> ()
   in
@@ -82,7 +91,7 @@ let test_messy_but_valid_accepted () =
   (* Trailing whitespace, CRLF endings and padded fields are transport
      noise, not data errors. *)
   let s = "5 , 1.0 ,\t2.0 , 3.0 , obj:7 ; shelf:2 \r\n\r\n  \n6,0,0,0,\r\n" in
-  match Trace_io.observations_of_string s with
+  match observations_of_string s with
   | [ a; b ] ->
       Alcotest.(check int) "first epoch" 5 a.Types.o_epoch;
       Alcotest.(check int) "two tags" 2 (List.length a.Types.o_read_tags);
@@ -110,7 +119,7 @@ let test_lenient_reader () =
     (fun (_, msg) -> Alcotest.(check bool) "message non-empty" true (msg <> ""))
     errors;
   (* Strict reader fails on the same input, with a line number. *)
-  (match Trace_io.observations_of_string s with
+  (match observations_of_string s with
   | _ -> Alcotest.fail "strict reader must reject"
   | exception Failure msg ->
       Alcotest.(check bool)
@@ -137,7 +146,7 @@ let test_lenient_reader () =
 
 let test_comments_and_blank_lines_skipped () =
   let s = "# comment\n\nepoch,reported_x,reported_y,reported_z,tags\n5,1,2,3,obj:7\n" in
-  match Trace_io.observations_of_string s with
+  match observations_of_string s with
   | [ o ] ->
       Alcotest.(check int) "epoch" 5 o.Types.o_epoch;
       Alcotest.(check int) "one tag" 1 (List.length o.Types.o_read_tags)
@@ -157,7 +166,7 @@ let test_replay_through_engine () =
   in
   let original = Trace.observations trace in
   let replayed =
-    Trace_io.observations_of_string (Trace_io.observations_to_string original)
+    observations_of_string (Trace_io.observations_to_string original)
   in
   let run stream =
     let engine =
@@ -205,7 +214,7 @@ let prop_random_roundtrip =
                  items))
   in
   Util.qcheck ~count:100 "random observation streams roundtrip" gen (fun obs ->
-      let back = Trace_io.observations_of_string (Trace_io.observations_to_string obs) in
+      let back = observations_of_string (Trace_io.observations_to_string obs) in
       List.length back = List.length obs && List.for_all2 equal_obs obs back)
 
 let suite =

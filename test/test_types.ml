@@ -1,14 +1,12 @@
 open Rfid_model
 
-let tag = Alcotest.testable Types.pp_tag Types.tag_equal
-
 let test_tag_basics () =
-  Alcotest.(check bool) "object equal" true
-    (Types.tag_equal (Types.Object_tag 3) (Types.Object_tag 3));
   Alcotest.(check bool) "kind distinguishes" false
-    (Types.tag_equal (Types.Object_tag 3) (Types.Shelf_tag 3));
-  Alcotest.(check bool) "order: objects before shelves" true
-    (Types.tag_compare (Types.Object_tag 99) (Types.Shelf_tag 0) < 0);
+    (Types.Tag_set.mem (Types.Shelf_tag 3) (Types.Tag_set.singleton (Types.Object_tag 3)));
+  Alcotest.(check (list string)) "order: objects before shelves" [ "obj:99"; "shelf:0" ]
+    (List.map Types.tag_to_string
+       (Types.Tag_set.elements
+          (Types.Tag_set.of_list [ Types.Shelf_tag 0; Types.Object_tag 99 ])));
   Alcotest.(check string) "to_string" "obj:7" (Types.tag_to_string (Types.Object_tag 7));
   Alcotest.(check string) "to_string shelf" "shelf:2"
     (Types.tag_to_string (Types.Shelf_tag 2))
@@ -22,65 +20,9 @@ let test_tag_collections () =
   Alcotest.(check (option string)) "map lookup" (Some "x")
     (Types.Tag_map.find_opt (Types.Object_tag 5) m)
 
-let reading e t = { Types.r_epoch = e; r_tag = t }
-let report e l = { Types.l_epoch = e; l_loc = l }
-
-let test_synchronize_basic () =
-  let readings =
-    [ reading 0 (Types.Object_tag 1); reading 0 (Types.Shelf_tag 2);
-      reading 2 (Types.Object_tag 1) ]
-  in
-  let reports =
-    [ report 0 (Util.vec3 0. 0. 0.); report 1 (Util.vec3 0. 1. 0.);
-      report 2 (Util.vec3 0. 2. 0.) ]
-  in
-  let obs = Types.synchronize ~readings ~reports in
-  Alcotest.(check int) "every epoch present" 3 (List.length obs);
-  let o0 = List.nth obs 0 in
-  Alcotest.(check (list tag)) "epoch 0 tags"
-    [ Types.Object_tag 1; Types.Shelf_tag 2 ]
-    o0.Types.o_read_tags;
-  let o1 = List.nth obs 1 in
-  Alcotest.(check (list tag)) "epoch 1 empty = negative evidence" []
-    o1.Types.o_read_tags;
-  Util.check_vec3 "epoch 1 location" (Util.vec3 0. 1. 0.) o1.Types.o_reported_loc
-
-let test_synchronize_averages_reports () =
-  let reports = [ report 0 (Util.vec3 0. 0. 0.); report 0 (Util.vec3 2. 4. 0.) ] in
-  let obs = Types.synchronize ~readings:[] ~reports in
-  Alcotest.(check int) "one epoch" 1 (List.length obs);
-  Util.check_vec3 "averaged" (Util.vec3 1. 2. 0.)
-    (List.hd obs).Types.o_reported_loc
-
-let test_synchronize_reuses_last_report () =
-  let readings = [ reading 2 (Types.Object_tag 1) ] in
-  let reports = [ report 0 (Util.vec3 5. 5. 0.) ] in
-  let obs = Types.synchronize ~readings ~reports in
-  Alcotest.(check int) "epochs 0..2" 3 (List.length obs);
-  Util.check_vec3 "carried forward" (Util.vec3 5. 5. 0.)
-    (List.nth obs 2).Types.o_reported_loc
-
-let test_synchronize_validation () =
-  Util.check_raises_invalid "unsorted readings" (fun () ->
-      Types.synchronize
-        ~readings:[ reading 2 (Types.Object_tag 1); reading 0 (Types.Object_tag 1) ]
-        ~reports:[ report 0 Rfid_geom.Vec3.zero ]);
-  Util.check_raises_invalid "no initial report" (fun () ->
-      Types.synchronize
-        ~readings:[ reading 0 (Types.Object_tag 1) ]
-        ~reports:[ report 3 Rfid_geom.Vec3.zero ]);
-  Alcotest.(check int) "both empty" 0
-    (List.length (Types.synchronize ~readings:[] ~reports:[]))
-
 let suite =
   ( "types",
     [
       Alcotest.test_case "tag basics" `Quick test_tag_basics;
       Alcotest.test_case "tag collections" `Quick test_tag_collections;
-      Alcotest.test_case "synchronize basic" `Quick test_synchronize_basic;
-      Alcotest.test_case "synchronize averages reports" `Quick
-        test_synchronize_averages_reports;
-      Alcotest.test_case "synchronize carries reports forward" `Quick
-        test_synchronize_reuses_last_report;
-      Alcotest.test_case "synchronize validation" `Quick test_synchronize_validation;
     ] )

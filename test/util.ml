@@ -43,8 +43,21 @@ let two_shelf_world () =
 
 let vec3 = Rfid_geom.Vec3.make
 
+let vec3_equal ?(eps = 1e-9) (a : Rfid_geom.Vec3.t) (b : Rfid_geom.Vec3.t) =
+  Float.abs (a.x -. b.x) <= eps && Float.abs (a.y -. b.y) <= eps && Float.abs (a.z -. b.z) <= eps
+
 let check_vec3 ?(eps = 1e-6) what (expected : Rfid_geom.Vec3.t) (actual : Rfid_geom.Vec3.t) =
-  if not (Rfid_geom.Vec3.equal ~eps expected actual) then
+  if not (vec3_equal ~eps expected actual) then
     Alcotest.failf "%s: expected %s got %s" what
       (Format.asprintf "%a" Rfid_geom.Vec3.pp expected)
       (Format.asprintf "%a" Rfid_geom.Vec3.pp actual)
+
+(* Fraction of the trace's objects that received at least one event. *)
+let coverage events (trace : Rfid_model.Trace.t) =
+  float_of_int (List.length (Rfid_eval.Metrics.per_object_error events trace))
+  /. float_of_int trace.Rfid_model.Trace.num_objects
+
+let contains_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
