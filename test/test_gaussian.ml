@@ -1,5 +1,22 @@
 open Rfid_prob
 
+(* The univariate case is the 1-D Gaussian. *)
+let uni ~mu ~var = Gaussian.create ~mean:[| mu |] ~cov:[| [| var |] |]
+
+let test_uni_pdf () =
+  let g = uni ~mu:0. ~var:1. in
+  Util.check_close ~eps:1e-9 "standard normal at 0" (1. /. sqrt (2. *. Float.pi))
+    (Gaussian.pdf g [| 0. |]);
+  Util.check_close ~eps:1e-9 "log pdf consistent" (log (Gaussian.pdf g [| 1. |]))
+    (Gaussian.log_pdf g [| 1. |])
+
+let test_uni_fit () =
+  let g = Gaussian.fit [| [| 1. |]; [| 2. |]; [| 3. |] |] in
+  Util.check_close "fit mean" 2. (Gaussian.mean g).(0);
+  Util.check_close ~eps:1e-9 "fit variance" (2. /. 3.) (Gaussian.cov g).(0).(0);
+  let gw = Gaussian.fit ~w:[| 1.; 0.; 0. |] [| [| 1. |]; [| 2. |]; [| 3. |] |] in
+  Util.check_close "weighted fit mean" 1. (Gaussian.mean gw).(0)
+
 let test_uni_cdf () =
   let g = Gaussian.Univariate.create ~mu:0. ~sigma:1. in
   Util.check_close ~eps:1e-6 "cdf(0)" 0.5 (Gaussian.Univariate.cdf g 0.);
@@ -88,6 +105,23 @@ let avg_nll g pts =
   -.Array.fold_left (fun acc p -> acc +. Gaussian.log_pdf g p) 0. pts
   /. float_of_int (Array.length pts)
 
+let test_avg_nll () =
+  (* Points drawn from the model should have lower NLL under it than
+     under a badly shifted model; the particle store's weighted NLL
+     agrees with the per-point sum. *)
+  let g = Gaussian.create ~mean:[| 1.; 2.; 0.5 |] ~cov:[| [| 2.; 0.5; 0. |]; [| 0.5; 1.; 0. |]; [| 0.; 0.; 0.3 |] |] in
+  let rng = Util.rng () in
+  let n = 2000 in
+  let pts = Array.init n (fun _ -> Gaussian.sample g rng) in
+  let store = Particle_store.create ~n in
+  Array.iteri (fun i p -> Particle_store.set_loc store i ~x:p.(0) ~y:p.(1) ~z:p.(2)) pts;
+  let w = Array.make n (1. /. float_of_int n) in
+  let shifted = Gaussian.create ~mean:[| 10.; -10.; 0.5 |] ~cov:(Gaussian.cov g) in
+  let nll_good = Particle_store.avg_nll ~w g store in
+  let nll_bad = Particle_store.avg_nll ~w shifted store in
+  Alcotest.(check bool) "model fits own samples better" true (nll_good < nll_bad);
+  Util.check_close ~eps:1e-9 "matches the per-point mean" (avg_nll g pts) nll_good
+
 let prop_fit_is_kl_optimal_mean =
   (* The moment-matched mean minimizes the weighted squared error, so
      perturbing it can only increase avg NLL. *)
@@ -102,6 +136,25 @@ let prop_fit_is_kl_optimal_mean =
         Gaussian.create ~mean:[| m.(0) +. 0.5; m.(1) -. 0.3 |] ~cov:(Gaussian.cov g)
       in
       avg_nll g pts <= avg_nll perturbed pts +. 1e-9)
+
+let test_confidence_ellipse () =
+  (* The level-[level] confidence ellipse is the density contour at
+     squared Mahalanobis radius r2 = -2 log (1 - level): its semi-axes
+     are sigma_i * sqrt r2 along the principal axes. *)
+  let r = sqrt (-2. *. log 0.05) in
+  let on_contour what g x = Util.check_close ~eps:1e-9 what (r *. r) (mahalanobis_sq g x) in
+  let iso = Gaussian.create ~mean:[| 0.; 0. |] ~cov:[| [| 4.; 0. |]; [| 0.; 4. |] |] in
+  on_contour "isotropic, x semi-axis" iso [| 2. *. r; 0. |];
+  on_contour "isotropic, y semi-axis" iso [| 0.; -2. *. r |];
+  (* Anisotropic diagonal: the major axis follows the larger variance. *)
+  let aniso = Gaussian.create ~mean:[| 0.; 0. |] ~cov:[| [| 1.; 0. |]; [| 0.; 9. |] |] in
+  on_contour "minor semi-axis along x" aniso [| r; 0. |];
+  on_contour "major semi-axis along y" aniso [| 0.; 3. *. r |];
+  Alcotest.(check bool) "inside along y at the minor length" true
+    (mahalanobis_sq aniso [| 0.; r |] < r *. r);
+  (* Coverage level ordering. *)
+  let r50 = sqrt (-2. *. log 0.5) in
+  Alcotest.(check bool) "95% region larger than 50%" true (r > r50)
 
 let test_confidence_ellipse_coverage () =
   (* Empirical check: ~95% of samples fall inside the 95% ellipse. *)
@@ -121,8 +174,10 @@ let test_confidence_ellipse_coverage () =
 let suite =
   ( "gaussian",
     [
+      Alcotest.test_case "univariate pdf" `Quick test_uni_pdf;
       Alcotest.test_case "univariate cdf" `Quick test_uni_cdf;
       Alcotest.test_case "univariate degenerate" `Quick test_uni_degenerate;
+      Alcotest.test_case "univariate fit" `Quick test_uni_fit;
       Alcotest.test_case "mv pdf at mean" `Quick test_mv_pdf_at_mean;
       Alcotest.test_case "mv mahalanobis" `Quick test_mv_mahalanobis;
       Alcotest.test_case "mv sample moments" `Quick test_mv_sample_moments;
@@ -130,6 +185,8 @@ let suite =
       Alcotest.test_case "mv weighted fit" `Quick test_mv_weighted_fit;
       Alcotest.test_case "mv degenerate fit" `Quick test_mv_fit_degenerate;
       Alcotest.test_case "mv shape validation" `Quick test_mv_invalid;
+      Alcotest.test_case "avg negative log-likelihood" `Quick test_avg_nll;
+      Alcotest.test_case "confidence ellipse" `Quick test_confidence_ellipse;
       Alcotest.test_case "confidence ellipse coverage" `Quick
         test_confidence_ellipse_coverage;
       prop_fit_is_kl_optimal_mean;

@@ -59,6 +59,18 @@ let test_cone_contains () =
   Alcotest.(check bool) "behind" false (Cone.contains c (Util.vec3 (-1.) 0. 0.));
   Alcotest.(check bool) "wide angle" false (Cone.contains c (Util.vec3 1. 1. 0.))
 
+let test_cone_relative_angle () =
+  (* Membership turns on the angle between the heading and the
+     apex-to-point direction, on either side of the heading. *)
+  let c = Cone.make ~apex:Vec3.zero ~heading:(Float.pi /. 2.) ~half_angle:1. ~range:5. in
+  let at angle = Util.vec3 (3. *. cos (Float.pi /. 2. +. angle)) (3. *. sin (Float.pi /. 2. +. angle)) 0. in
+  Alcotest.(check bool) "straight up" true (Cone.contains c (at 0.));
+  Alcotest.(check bool) "just inside, left" true (Cone.contains c (at 0.99));
+  Alcotest.(check bool) "just inside, right" true (Cone.contains c (at (-0.99)));
+  Alcotest.(check bool) "just outside, left" false (Cone.contains c (at 1.01));
+  Alcotest.(check bool) "just outside, right" false (Cone.contains c (at (-1.01)));
+  Alcotest.(check bool) "right angle" false (Cone.contains c (Util.vec3 3. 0. 0.))
+
 let test_cone_heading_wrap () =
   (* Heading near pi: a point across the -pi/pi seam must still read as
      a small relative angle. *)
@@ -97,12 +109,13 @@ let suite =
     [
       Alcotest.test_case "vec arithmetic" `Quick test_vec_arithmetic;
       Alcotest.test_case "vec xy projections" `Quick test_vec_xy;
-      Alcotest.test_case "vec of_array" `Quick test_vec_of_array;
+      Alcotest.test_case "vec lerp/array" `Quick test_vec_of_array;
       Alcotest.test_case "box validation" `Quick test_box_make_invalid;
       Alcotest.test_case "box contains/intersects" `Quick test_box_contains_intersects;
       Alcotest.test_case "box union/area" `Quick test_box_union_area;
-      Alcotest.test_case "box inflate/of_center" `Quick test_box_inflate_of_center;
+      Alcotest.test_case "box of_points/inflate/center" `Quick test_box_inflate_of_center;
       Alcotest.test_case "cone contains" `Quick test_cone_contains;
+      Alcotest.test_case "cone relative angle" `Quick test_cone_relative_angle;
       Alcotest.test_case "cone heading wrap" `Quick test_cone_heading_wrap;
       Alcotest.test_case "cone samples inside" `Quick test_cone_samples_inside;
       Alcotest.test_case "cone validation" `Quick test_cone_invalid;

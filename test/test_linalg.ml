@@ -53,9 +53,35 @@ let test_solve_spd () =
   let back = Linalg.mat_vec spd_3 x in
   Array.iteri (fun i v -> Util.check_close "A x = b" b.(i) v) back
 
-let test_dot () =
+let test_inverse_spd () =
+  (* Column i of A^-1 solves A x = e_i. *)
+  let cols = Array.init 3 (fun i -> Linalg.solve_spd spd_3 (Array.init 3 (fun j -> if i = j then 1. else 0.))) in
+  let inv = Linalg.transpose cols in
+  Alcotest.check mat_testable "A * A^-1 = I"
+    [| [| 1.; 0.; 0. |]; [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |] |]
+    (Linalg.mat_mul spd_3 inv)
+
+let test_log_det () =
+  (* log det A = 2 * sum log L_ii for the Cholesky factor L. *)
+  let log_det a =
+    let l = Linalg.cholesky a in
+    2. *. Array.fold_left ( +. ) 0. (Array.mapi (fun i row -> log row.(i)) l)
+  in
+  Util.check_close "diag(2, 3)" (log 6.) (log_det [| [| 2.; 0. |]; [| 0.; 3. |] |]);
+  let a = spd_3 in
+  let det =
+    (a.(0).(0) *. ((a.(1).(1) *. a.(2).(2)) -. (a.(1).(2) *. a.(2).(1))))
+    -. (a.(0).(1) *. ((a.(1).(0) *. a.(2).(2)) -. (a.(1).(2) *. a.(2).(0))))
+    +. (a.(0).(2) *. ((a.(1).(0) *. a.(2).(1)) -. (a.(1).(1) *. a.(2).(0))))
+  in
+  Util.check_close ~eps:1e-9 "3x3 cofactor expansion" (log det) (log_det a)
+
+let test_dot_outer () =
   Util.check_close "dot" 11. (Linalg.dot [| 1.; 2. |] [| 3.; 4. |]);
-  Util.check_raises_invalid "dot mismatch" (fun () -> Linalg.dot [| 1. |] [||])
+  Util.check_raises_invalid "dot mismatch" (fun () -> Linalg.dot [| 1. |] [||]);
+  (* Outer product as a column times a row, each zero-padded square. *)
+  Alcotest.check mat_testable "outer" [| [| 3.; 4. |]; [| 6.; 8. |] |]
+    (Linalg.mat_mul [| [| 1.; 0. |]; [| 2.; 0. |] |] [| [| 3.; 4. |]; [| 0.; 0. |] |])
 
 let test_shape_checks () =
   Util.check_raises_invalid "ragged" (fun () ->
@@ -112,7 +138,9 @@ let suite =
       Alcotest.test_case "cholesky rejects indefinite" `Quick
         test_cholesky_indefinite_rejected;
       Alcotest.test_case "solve SPD" `Quick test_solve_spd;
-      Alcotest.test_case "dot" `Quick test_dot;
+      Alcotest.test_case "inverse SPD" `Quick test_inverse_spd;
+      Alcotest.test_case "log det" `Quick test_log_det;
+      Alcotest.test_case "dot and outer" `Quick test_dot_outer;
       Alcotest.test_case "shape validation" `Quick test_shape_checks;
       prop_cholesky_roundtrip;
       prop_solve_roundtrip;

@@ -96,6 +96,13 @@ let test_fit_validation () =
   Util.check_raises_invalid "feature dim" (fun () ->
       Logistic.fit ~x:[| [| 1.; 2. |] |] ~y:[| true |] ~dim:1 ())
 
+let prop_predict_in_unit_interval =
+  Util.qcheck "predictions live in (0,1)"
+    QCheck.(array_of_size (Gen.return 3) (float_range (-10.) 10.))
+    (fun coef ->
+      let p = predict { Logistic.coef } [| 1.; 2.; -3. |] in
+      p >= 0. && p <= 1.)
+
 let suite =
   ( "logistic",
     [
@@ -108,4 +115,5 @@ let suite =
       Alcotest.test_case "nonpositive constraints" `Quick test_nonpositive_constraint;
       Alcotest.test_case "likelihood improves" `Quick test_log_likelihood_improves;
       Alcotest.test_case "input validation" `Quick test_fit_validation;
+      prop_predict_in_unit_interval;
     ] )

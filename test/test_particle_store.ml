@@ -118,6 +118,32 @@ let test_blit_and_swap () =
   Alcotest.(check (float 0.)) "swap moved contents" cx.(0) (Particle_store.x a 0);
   Alcotest.(check (float 0.)) "swap moved contents back" xs.(0) (Particle_store.x c 0)
 
+let test_resize_down () =
+  let n = 20 in
+  let s, xs, _, _, lw, rd = filled ~seed:61 n in
+  let cap = capacity s in
+  Particle_store.resize s 7;
+  Alcotest.(check int) "length truncated" 7 (Particle_store.length s);
+  Alcotest.(check int) "capacity kept" cap (capacity s);
+  for i = 0 to 6 do
+    Alcotest.(check (float 0.)) "prefix x intact" xs.(i) (Particle_store.x s i);
+    Alcotest.(check (float 0.)) "prefix log_w intact" lw.(i) (Particle_store.log_w s i);
+    Alcotest.(check int) "prefix reader intact" rd.(i) (Particle_store.reader s i)
+  done;
+  Particle_store.resize s 0;
+  Alcotest.(check int) "down to empty legal" 0 (Particle_store.length s);
+  Util.check_raises_invalid "negative target" (fun () -> Particle_store.resize s (-1))
+
+let test_copy_independent () =
+  (* A whole-store blit into a fresh store is a copy, not a view. *)
+  let n = 8 in
+  let s, xs, _, _, _, _ = filled ~seed:59 n in
+  let c = Particle_store.create ~n in
+  Particle_store.blit ~src:s ~src_pos:0 ~dst:c ~dst_pos:0 ~len:n;
+  Particle_store.set_loc s 0 ~x:99. ~y:0. ~z:0.;
+  Alcotest.(check (float 0.)) "copy unaffected by source writes" xs.(0) (Particle_store.x c 0);
+  Alcotest.(check int) "copy length" n (Particle_store.length c)
+
 let test_backing_views_live_slabs () =
   let n = 9 in
   let s, xs, _, _, _, rd = filled ~seed:47 n in
@@ -258,11 +284,13 @@ let suite =
       Alcotest.test_case "blit and swap" `Quick test_blit_and_swap;
       Alcotest.test_case "backing views live slabs" `Quick test_backing_views_live_slabs;
       Alcotest.test_case "fit_gaussian bit-identical" `Quick test_fit_gaussian_bit_identical;
+      Alcotest.test_case "resize_down truncates in place" `Quick test_resize_down;
       Alcotest.test_case "resize_up within capacity" `Quick
         test_resize_up_within_capacity;
       Alcotest.test_case "resize_up across capacity" `Quick
         test_resize_up_capacity_crossing;
       Alcotest.test_case "resize_up invalid args" `Quick test_resize_up_invalid;
+      Alcotest.test_case "copy independent" `Quick test_copy_independent;
       qcheck_resize_up_replication;
       qcheck_resize_up_fit_invariant;
     ] )

@@ -77,6 +77,24 @@ let test_degenerate_weights_fallback () =
   Alcotest.(check int) "returns n indices" 6 (Array.length idx);
   Array.iter (fun i -> Util.check_in_range "index" ~lo:0. ~hi:2. (float_of_int i)) idx
 
+let test_in_place_buffers () =
+  let w = [| 0.2; 0.5; 0.3 |] in
+  (* systematic_into draws and returns exactly what systematic does. *)
+  let a = Rng.create ~seed:5 and b = Rng.create ~seed:5 in
+  let out = Array.make 8 0 in
+  Resample.systematic_into a w ~n:8 ~out;
+  Alcotest.(check (array int)) "systematic_into = systematic" (Resample.systematic b w ~n:8) out;
+  Alcotest.(check int64) "same RNG consumption" (Rng.state b) (Rng.state a);
+  List.iter
+    (fun (name, scheme) ->
+      Util.check_raises_invalid name (fun () ->
+          scheme (Util.rng ()) w ~n:4 ~out:(Array.make 3 0)))
+    [
+      ("systematic_into short buffer", Resample.systematic_into);
+      ("multinomial_into short buffer", Resample.multinomial_into);
+      ("residual_into short buffer", Resample.residual_into);
+    ]
+
 let prop_indices_in_range =
   Util.qcheck "resampled indices are valid"
     QCheck.(
@@ -119,6 +137,7 @@ let suite =
       Alcotest.test_case "zero weight never selected" `Quick
         test_zero_weight_never_selected;
       Alcotest.test_case "empty weights rejected" `Quick test_empty_rejected;
+      Alcotest.test_case "in-place buffers" `Quick test_in_place_buffers;
       Alcotest.test_case "degenerate weights fallback" `Quick
         test_degenerate_weights_fallback;
       prop_indices_in_range;

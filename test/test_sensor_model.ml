@@ -88,6 +88,25 @@ let test_detection_half_angle () =
   Util.check_close "omni half angle" Float.pi
     (Sensor_model.detection_half_angle omni ~d:0.5)
 
+let test_sensing_region_box () =
+  (* Every reader-relative point the default model reads with
+     probability >= 0.02 lies in the box of half-width detection_range
+     around the reader: the sensing region's bounding box. *)
+  let m = Sensor_model.default in
+  let r = Sensor_model.detection_range m in
+  let b = Rfid_geom.Box2.of_center (Util.vec3 0. 0. 0.) ~half_width:r ~half_height:r in
+  for i = 0 to 200 do
+    let d = 2. *. r *. float_of_int i /. 200. in
+    for j = -90 to 90 do
+      let theta = Float.pi *. float_of_int j /. 90. in
+      if Sensor_model.read_prob_at m ~d ~theta >= 0.02 then begin
+        let p = Util.vec3 (d *. cos theta) (d *. sin theta) 0. in
+        if not (Rfid_geom.Box2.contains_point b p) then
+          Alcotest.failf "read at d=%g theta=%g, outside the %g ft box" d theta r
+      end
+    done
+  done
+
 let prop_read_prob_in_unit =
   Util.qcheck "read prob in [0,1] for any coefficients"
     QCheck.(
@@ -485,6 +504,7 @@ let suite =
       Alcotest.test_case "log prob consistency" `Quick test_log_prob_consistency;
       Alcotest.test_case "detection range" `Quick test_detection_range;
       Alcotest.test_case "detection half angle" `Quick test_detection_half_angle;
+      Alcotest.test_case "sensing region box" `Quick test_sensing_region_box;
       prop_read_prob_in_unit;
       Alcotest.test_case "memo bit-identical to log_prob" `Quick test_memo_bit_identical;
       Alcotest.test_case "batched store accumulation bit-identical" `Quick

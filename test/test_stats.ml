@@ -43,6 +43,25 @@ let test_moments () =
   Util.check_close "variance" 1.25 (Stats.variance a);
   Util.check_close "empty mean" 0. (Stats.mean [||])
 
+let test_normalize_in_place () =
+  let a = [| log 1.; log 3. |] in
+  Stats.normalize_log_weights_in_place a;
+  Util.check_close "w0" 0.25 a.(0);
+  Util.check_close "w1" 0.75 a.(1);
+  let u = [| neg_infinity; neg_infinity |] in
+  Stats.normalize_log_weights_in_place u;
+  Util.check_close "uniform rescue" 0.5 u.(1)
+
+let test_normalize_into () =
+  let src = [| log 2.; log 6. |] in
+  let dst = [| 0.; 0. |] in
+  Stats.normalize_log_weights_into ~src ~dst;
+  Util.check_close "w0" 0.25 dst.(0);
+  Util.check_close "w1" 0.75 dst.(1);
+  Util.check_close "src untouched" (log 2.) src.(0);
+  Util.check_raises_invalid "length mismatch" (fun () ->
+      Stats.normalize_log_weights_into ~src ~dst:[| 0. |])
+
 let prop_lse_ge_max =
   Util.qcheck "log_sum_exp >= max element"
     QCheck.(array_of_size Gen.(int_range 1 20) (float_range (-50.) 50.))
@@ -75,6 +94,8 @@ let suite =
       Alcotest.test_case "normalize" `Quick test_normalize;
       Alcotest.test_case "effective sample size" `Quick test_ess;
       Alcotest.test_case "moments" `Quick test_moments;
+      Alcotest.test_case "normalize_log_weights in place" `Quick test_normalize_in_place;
+      Alcotest.test_case "normalize_log_weights_into" `Quick test_normalize_into;
       prop_lse_ge_max;
       prop_normalize_sums_to_one;
       prop_ess_bounds;

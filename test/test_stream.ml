@@ -53,6 +53,25 @@ let test_window_eviction () =
   Alcotest.(check int) "oldest evicted" 0
     (List.length (fire_code (three @ [ ev ~epoch:5 ~obj:3 ~x:2.5 ~y:3.5 ])))
 
+let test_window_fold () =
+  (* The cell's weight is the sum over the window's entries in that
+     cell: 70 + 80 + 90 lb, not counting the object in another cell. *)
+  let weight_of obj = 60. +. (10. *. float_of_int obj) in
+  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
+  match
+    Fire_code.run q
+      [
+        ev ~epoch:0 ~obj:1 ~x:2.5 ~y:3.5;
+        ev ~epoch:1 ~obj:2 ~x:2.5 ~y:3.5;
+        ev ~epoch:1 ~obj:9 ~x:7.5 ~y:7.5;
+        ev ~epoch:2 ~obj:3 ~x:2.5 ~y:3.5;
+      ]
+  with
+  | [ v ] ->
+      Util.check_close "fold sum" 240. v.Fire_code.v_weight;
+      Alcotest.(check (list int)) "objects folded" [ 1; 2; 3 ] v.Fire_code.v_objects
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 let test_window_same_epoch () =
   let q = Fire_code.create (Fire_code.default_config ~weight_of) in
   (match Fire_code.run q (List.init 4 (fun i -> ev ~epoch:5 ~obj:i ~x:2.5 ~y:3.5)) with
@@ -112,6 +131,7 @@ let suite =
     [
       Alcotest.test_case "window eviction" `Quick test_window_eviction;
       Alcotest.test_case "window same-epoch entries" `Quick test_window_same_epoch;
+      Alcotest.test_case "window fold" `Quick test_window_fold;
       Alcotest.test_case "fire code triggers" `Quick test_fire_code_triggers;
       Alcotest.test_case "fire code window expiry" `Quick test_fire_code_window_expiry;
       Alcotest.test_case "fire code relocation" `Quick
