@@ -43,11 +43,15 @@ doc:
 	fi
 
 # Fails when a value a lib/*/*.mli exports has no user outside its own
-# module. Users are the modules under lib bin bench perfbench smoke
-# crash fuzz examples, found in the typed trees of the build; tests do
-# not count. The commented allow-list lives in tools/dead_exports.ml,
-# and an entry that names no export or whose export has a user fails
-# too. Fatal inside `make test`.
+# module, when a submodule typed by a named module type (Set.S, ...)
+# is mentioned by no user outside its module, or when an optional
+# argument of an exported function is passed by no user (its own
+# module counts: a setting nobody sets is a constant). Users are the
+# modules under lib bin bench perfbench smoke crash fuzz examples,
+# found in the typed trees of the build; tests do not count. The
+# commented allow-list lives in tools/dead_exports.ml, and an entry
+# that names no export or whose export has a user fails too. Fatal
+# inside `make test`.
 dead-exports:
 	$(DUNE) build @check && $(DUNE) exec tools/dead_exports.exe -- _build/default
 

@@ -34,20 +34,18 @@ let epochs_per_sec p =
    actually run, so each point can carry its cull hit rate. Deltas
    around the run keep points independent of whatever ran earlier in
    the process. *)
-let c_sat = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "health.saturated_particles"
-let c_evals = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "health.sensor_evals"
+let c_sat = Rfid_obs.Metrics.counter "health.saturated_particles"
+let c_evals = Rfid_obs.Metrics.counter "health.sensor_evals"
 
 (* Adaptive-effort accounting: the filters observe every active
    object's current particle budget into health.object_budget each
    epoch, and count ESS-cap vetoes next to the resamples that did run,
    so each point carries its mean budget and skip rate. *)
-let c_skipped =
-  Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "filter.resamples_skipped"
-let c_obj_rs = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "filter.object_resamples"
-let c_reader_rs =
-  Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "filter.reader_resamples"
-let c_joint_rs = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "filter.joint_resamples"
-let h_budget = Rfid_obs.Metrics.histogram Rfid_obs.Metrics.global "health.object_budget"
+let c_skipped = Rfid_obs.Metrics.counter "filter.resamples_skipped"
+let c_obj_rs = Rfid_obs.Metrics.counter "filter.object_resamples"
+let c_reader_rs = Rfid_obs.Metrics.counter "filter.reader_resamples"
+let c_joint_rs = Rfid_obs.Metrics.counter "filter.joint_resamples"
+let h_budget = Rfid_obs.Metrics.histogram "health.object_budget"
 
 let run_point ?min_object_particles ?resample_ess_ratio ~variant ~label ~objects
     ~params ~trace () =
@@ -376,12 +374,9 @@ type serving_point = {
 (* Query-maintenance accounting: the serve layer counts per-object
    refits, AT cache hits and wholesale rebuilds; deltas around the run
    keep points independent. *)
-let c_fit_hits =
-  Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "query.fit_cache_hits"
-let c_idx_updates =
-  Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "query.index_updates"
-let c_rebuilds =
-  Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "query.full_rebuilds"
+let c_fit_hits = Rfid_obs.Metrics.counter "query.fit_cache_hits"
+let c_idx_updates = Rfid_obs.Metrics.counter "query.index_updates"
+let c_rebuilds = Rfid_obs.Metrics.counter "query.full_rebuilds"
 
 let lat_quantile_us sorted p =
   let n = Array.length sorted in

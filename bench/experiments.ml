@@ -10,7 +10,7 @@ let section title = Printf.printf "\n######## %s ########\n%!" title
 (* ------------------------------------------------------------------ *)
 (* Fig. 5(a)-(d): true and learned sensor models as read-rate fields.  *)
 
-let calibrate_on_training ?sensing ?(fit_motion = true) ~shelf_tags_kept ~em_iters ~seed () =
+let calibrate_on_training ?sensing ~shelf_tags_kept ~em_iters ~seed () =
   (* Training rig per §V-B: a 20-tag trace; [shelf_tags_kept] of the
      tags have known locations. One tag per shelf so the number of
      known-location tags is exactly the number of kept shelf tags. *)
@@ -22,12 +22,9 @@ let calibrate_on_training ?sensing ?(fit_motion = true) ~shelf_tags_kept ~em_ite
     Scenarios.warehouse_trace ~num_objects:20 ~objects_per_shelf:1
       ~shelf_tags_kept:keep ?sensing ~seed ()
   in
-  let config = Rfid_learn.Calibration.default_config () in
-  let config = { config with Rfid_learn.Calibration.em_iters; fit_motion } in
   Rfid_learn.Calibration.calibrate ~world:built.Scenarios.world ~init:Params.default
-    ~config
-    ~observations:(Trace.observations built.Scenarios.trace)
-    ~init_reader:built.Scenarios.trace.Trace.steps.(0).Trace.true_reader
+    ~em_iters ~init_reader:built.Scenarios.trace.Trace.steps.(0).Trace.true_reader
+    (Trace.observations built.Scenarios.trace)
 
 let sensor_models () =
   section "fig5a-d: sensor models (true vs learned)";
@@ -42,7 +39,7 @@ let sensor_models () =
     Printf.printf "  model: %s   MAE vs true: %.4f\n"
       (Format.asprintf "%a" Sensor_model.pp sensor)
       (Rfid_learn.Supervised.mean_abs_error sensor
-         ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob ())
+         ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob)
   in
   let learned20 = calibrate_on_training ~shelf_tags_kept:20 ~em_iters:4 ~seed:61 () in
   show "(b) learned sensor model, 20 shelf tags" learned20.Params.sensor;
@@ -110,7 +107,7 @@ let learning_shelf_tags () =
         in
         let mae =
           Rfid_learn.Supervised.mean_abs_error learned.Params.sensor
-            ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob ()
+            ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
         in
         [
           string_of_int k;
@@ -197,13 +194,11 @@ let location_noise () =
           Scenarios.warehouse_trace ~num_objects:20 ~objects_per_shelf:5 ~sensing
             ~seed:92 ()
         in
-        let cal = Rfid_learn.Calibration.default_config () in
-        let cal = { cal with Rfid_learn.Calibration.em_iters = 4 } in
         let learned =
           Rfid_learn.Calibration.calibrate ~world:train.Scenarios.world
-            ~init:Params.default ~config:cal
-            ~observations:(Trace.observations train.Scenarios.trace)
+            ~init:Params.default ~em_iters:4
             ~init_reader:train.Scenarios.trace.Trace.steps.(0).Trace.true_reader
+            (Trace.observations train.Scenarios.trace)
         in
         let r_learned =
           Scenarios.run ~params:learned ~config:(Scenarios.engine_config ~k ()) trace
@@ -408,13 +403,10 @@ let lab_table () =
           (* Calibrate the sensor model from a separate training scan of
              the same rig (§V-C uses the shelf tags this way). *)
           let train = Rfid_sim.Lab.scan lab ~seed:8 in
-          let cal = Rfid_learn.Calibration.default_config ~heading_model () in
-          let cal = { cal with Rfid_learn.Calibration.em_iters = 3 } in
           let learned =
-            Rfid_learn.Calibration.calibrate ~world:lab.Rfid_sim.Lab.world
-              ~init:Params.default ~config:cal
-              ~observations:(Trace.observations train)
-              ~init_reader:train.Trace.steps.(0).Trace.true_reader
+            Rfid_learn.Calibration.calibrate ~heading_model ~world:lab.Rfid_sim.Lab.world
+              ~init:Params.default ~em_iters:3
+              ~init_reader:train.Trace.steps.(0).Trace.true_reader (Trace.observations train)
           in
           let config =
             Rfid_core.Config.create ~variant:Rfid_core.Config.Factorized_indexed

@@ -91,14 +91,12 @@ let run ?params ?(config = engine_config ()) ?(seed = 7) trace =
   Rfid_eval.Runner.run_engine ?params ~config ~seed trace
 
 let uniform_events ?heading_of ~world ~range ~seed trace =
-  Rfid_baselines.Uniform.run ~world
-    ~config:(Rfid_baselines.Uniform.default_config ?heading_of ~read_range:range ())
-    ~seed (Trace.observations trace)
+  Rfid_baselines.Uniform.run ~world ~read_range:range ?heading_of ~seed
+    (Trace.observations trace)
 
 let smurf_events ?heading_of ~world ~range ~seed trace =
-  Rfid_baselines.Smurf.run ~world
-    ~config:(Rfid_baselines.Smurf.default_config ?heading_of ~read_range:range ())
-    ~seed (Trace.observations trace)
+  Rfid_baselines.Smurf.run ~world ~read_range:range ?heading_of ~seed
+    (Trace.observations trace)
 
 let xy_error events trace =
   (Rfid_eval.Metrics.inference_error events trace).Rfid_eval.Metrics.mean_xy

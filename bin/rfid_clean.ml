@@ -504,8 +504,7 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
   let take_snapshot () =
     snapshots :=
       Rfid_obs.Metrics.dump_json
-        ~extra:[ ("epoch", string_of_int (Rfid_core.Engine.epoch engine)) ]
-        Rfid_obs.Metrics.global
+        ~extra:[ ("epoch", string_of_int (Rfid_core.Engine.epoch engine)) ] ()
       :: !snapshots
   in
   let on_admitted n =
@@ -609,18 +608,15 @@ let calibrate shelf_tags em_iters seed =
       ~config:(Rfid_sim.Trace_gen.default_config ~sensor:truth ())
       (Rfid_prob.Rng.create ~seed)
   in
-  let config = Rfid_learn.Calibration.default_config () in
-  let config = { config with Rfid_learn.Calibration.em_iters } in
   let learned =
-    Rfid_learn.Calibration.calibrate ~world ~init:Params.default ~config
-      ~observations:(Trace.observations trace)
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader
+    Rfid_learn.Calibration.calibrate ~world ~init:Params.default ~em_iters
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader (Trace.observations trace)
   in
   Format.printf "learned parameters (EM, %d iterations, %d known tags):@.%a@."
     em_iters shelf_tags Params.pp learned;
   Printf.printf "sensor mean-absolute-error vs true region: %.4f\n"
     (Rfid_learn.Supervised.mean_abs_error learned.Params.sensor
-       ~read_prob:truth.Rfid_sim.Truth_sensor.read_prob ())
+       ~read_prob:truth.Rfid_sim.Truth_sensor.read_prob)
 
 let calibrate_cmd =
   let doc = "EM self-calibration on a simulated 20-tag training trace." in
@@ -723,13 +719,10 @@ let lab timeout_ms large seed =
   let rig = Rfid_sim.Lab.deployment ~timeout_ms ~shelf_size () in
   let heading_model = Rfid_core.Config.Known_heading Rfid_sim.Lab.heading in
   let train = Rfid_sim.Lab.scan rig ~seed:(seed + 1) in
-  let cal = Rfid_learn.Calibration.default_config ~heading_model () in
-  let cal = { cal with Rfid_learn.Calibration.em_iters = 3 } in
   let learned =
-    Rfid_learn.Calibration.calibrate ~world:rig.Rfid_sim.Lab.world
-      ~init:Params.default ~config:cal
-      ~observations:(Trace.observations train)
-      ~init_reader:train.Trace.steps.(0).Trace.true_reader
+    Rfid_learn.Calibration.calibrate ~heading_model ~world:rig.Rfid_sim.Lab.world
+      ~init:Params.default ~em_iters:3
+      ~init_reader:train.Trace.steps.(0).Trace.true_reader (Trace.observations train)
   in
   let trace = Rfid_sim.Lab.scan rig ~seed in
   let config =
@@ -740,16 +733,12 @@ let lab timeout_ms large seed =
   let range = Float.min 8. (Sensor_model.detection_range learned.Params.sensor) in
   let obs = Trace.observations trace in
   let smurf =
-    Rfid_baselines.Smurf.run ~world:rig.Rfid_sim.Lab.world
-      ~config:(Rfid_baselines.Smurf.default_config ~heading_of:Rfid_sim.Lab.heading
-           ~read_range:range ())
-      ~seed obs
+    Rfid_baselines.Smurf.run ~world:rig.Rfid_sim.Lab.world ~read_range:range
+      ~heading_of:Rfid_sim.Lab.heading ~seed obs
   in
   let uniform =
-    Rfid_baselines.Uniform.run ~world:rig.Rfid_sim.Lab.world
-      ~config:(Rfid_baselines.Uniform.default_config ~heading_of:Rfid_sim.Lab.heading
-           ~read_range:range ())
-      ~seed obs
+    Rfid_baselines.Uniform.run ~world:rig.Rfid_sim.Lab.world ~read_range:range
+      ~heading_of:Rfid_sim.Lab.heading ~seed obs
   in
   let line label events =
     let e = Rfid_eval.Metrics.inference_error events trace in
@@ -813,9 +802,9 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
         | Ok p -> Some p
         | Error msg -> failwith (Printf.sprintf "--metrics-push: %s" msg))
   in
-  let g_epoch = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.epoch" in
-  let g_queue = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.queue_depth" in
-  let g_admitted = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.admitted" in
+  let g_epoch = Rfid_obs.Metrics.gauge "serve.epoch" in
+  let g_queue = Rfid_obs.Metrics.gauge "serve.queue_depth" in
+  let g_admitted = Rfid_obs.Metrics.gauge "serve.admitted" in
   let last_push = ref (Unix.gettimeofday ()) in
   let on_pass ~out_backlog:_ =
     match pusher with
@@ -829,8 +818,7 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
             (float_of_int (Rfid_serve.Core.queue_depth core));
           Rfid_obs.Metrics.set g_admitted
             (float_of_int (Rfid_serve.Core.admitted core));
-          Rfid_serve.Push.send p
-            (Rfid_obs.Openmetrics.render Rfid_obs.Metrics.global)
+          Rfid_serve.Push.send p (Rfid_obs.Openmetrics.render ())
         end
   in
   let server_config = { Rfid_serve.Server.host; port; max_steps_per_tick } in

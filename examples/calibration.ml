@@ -47,12 +47,8 @@ let () =
   let t0 = Unix.gettimeofday () in
   let learned =
     Rfid_learn.Calibration.calibrate ~world:wh.Rfid_sim.Warehouse.world
-      ~init:(Params.create ~sensor:blind ())
-      ~config:
-        { (Rfid_learn.Calibration.default_config ()) with
-          Rfid_learn.Calibration.em_iters = 8 }
-      ~observations:(Trace.observations trace)
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader
+      ~init:(Params.create ~sensor:blind ()) ~em_iters:8
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader (Trace.observations trace)
   in
   Printf.printf "\nEM calibration took %.1f s\n" (Unix.gettimeofday () -. t0);
   Format.printf "learned parameters:@.  %a@." Params.pp learned;
@@ -61,4 +57,4 @@ let () =
       Sensor_model.read_prob_at learned.Params.sensor ~d ~theta);
   Printf.printf "\nmean |true - learned| read-rate gap: %.4f\n"
     (Rfid_learn.Supervised.mean_abs_error learned.Params.sensor
-       ~read_prob:truth.Rfid_sim.Truth_sensor.read_prob ())
+       ~read_prob:truth.Rfid_sim.Truth_sensor.read_prob)

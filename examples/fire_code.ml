@@ -61,8 +61,7 @@ let () =
   (* The fire-code query. Every crate weighs 60 lbs; the limit is 200 lbs
      per square foot, so 4 crates in one cell violate it. *)
   let fire =
-    Rfid_stream.Fire_code.create
-      (Rfid_stream.Fire_code.default_config ~weight_of:(fun _ -> 60.))
+    Rfid_stream.Fire_code.create ~weight_of:(fun _ -> 60.)
   in
   let violations = Rfid_stream.Fire_code.run fire events in
   Printf.printf "fire-code query (> 200 lbs per square foot):\n";

@@ -20,13 +20,10 @@ let () =
      known: 0 on the way out, pi on the way back). *)
   let heading_model = Rfid_core.Config.Known_heading Rfid_sim.Lab.heading in
   let train = Rfid_sim.Lab.scan lab ~seed:8 in
-  let cal = Rfid_learn.Calibration.default_config ~heading_model () in
-  let cal = { cal with Rfid_learn.Calibration.em_iters = 3 } in
   let learned =
-    Rfid_learn.Calibration.calibrate ~world:lab.Rfid_sim.Lab.world
-      ~init:Params.default ~config:cal
-      ~observations:(Trace.observations train)
-      ~init_reader:train.Trace.steps.(0).Trace.true_reader
+    Rfid_learn.Calibration.calibrate ~heading_model ~world:lab.Rfid_sim.Lab.world
+      ~init:Params.default ~em_iters:3
+      ~init_reader:train.Trace.steps.(0).Trace.true_reader (Trace.observations train)
   in
   Format.printf "calibrated from the training scan:@.  %a@.@." Params.pp learned;
 
@@ -43,16 +40,12 @@ let () =
   let range = Float.min 8. (Sensor_model.detection_range learned.Params.sensor) in
   let obs = Trace.observations trace in
   let smurf =
-    Rfid_baselines.Smurf.run ~world:lab.Rfid_sim.Lab.world
-      ~config:(Rfid_baselines.Smurf.default_config ~heading_of:Rfid_sim.Lab.heading
-           ~read_range:range ())
-      ~seed:5 obs
+    Rfid_baselines.Smurf.run ~world:lab.Rfid_sim.Lab.world ~read_range:range
+      ~heading_of:Rfid_sim.Lab.heading ~seed:5 obs
   in
   let uniform =
-    Rfid_baselines.Uniform.run ~world:lab.Rfid_sim.Lab.world
-      ~config:(Rfid_baselines.Uniform.default_config ~heading_of:Rfid_sim.Lab.heading
-           ~read_range:range ())
-      ~seed:5 obs
+    Rfid_baselines.Uniform.run ~world:lab.Rfid_sim.Lab.world ~read_range:range
+      ~heading_of:Rfid_sim.Lab.heading ~seed:5 obs
   in
   let report label events =
     let e = Rfid_eval.Metrics.inference_error events trace in

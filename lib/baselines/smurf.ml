@@ -1,23 +1,20 @@
 open Rfid_geom
 open Rfid_model
 
-type config = {
-  delta : float;
-  max_window : int;
-  read_range : float;
-  required_reads : int;
-  heading_of : (Types.epoch -> float) option;
-}
+(* Completeness confidence: a window of w* ~ ln(1/delta) / p_avg
+   epochs reads a present tag with probability 1 - delta. *)
+let delta = 0.05
 
-let default_config ?heading_of ~read_range () =
-  if read_range <= 0. then invalid_arg "Smurf.default_config: read_range must be positive";
-  { delta = 0.05; max_window = 25; read_range; required_reads = 1; heading_of }
+(* Window-size cap, epochs. *)
+let max_window = 25
+
+(* Reads before the window logic engages. *)
+let required_reads = 1
 
 module Window = struct
   (* Ring buffer of per-epoch read outcomes, newest last; the window is
      the suffix of length [size]. *)
   type t = {
-    cfg : config;
     history : bool array;  (* circular, capacity max_window *)
     mutable filled : int;
     mutable head : int;  (* next write slot *)
@@ -25,11 +22,9 @@ module Window = struct
     mutable total_reads : int;
   }
 
-  let create cfg =
-    if cfg.max_window <= 0 then invalid_arg "Smurf.Window.create: max_window <= 0";
+  let create () =
     {
-      cfg;
-      history = Array.make cfg.max_window false;
+      history = Array.make max_window false;
       filled = 0;
       head = 0;
       size = 1;
@@ -55,7 +50,7 @@ module Window = struct
     t.head <- (t.head + 1) mod cap;
     t.filled <- Int.min cap (t.filled + 1);
     if read then t.total_reads <- t.total_reads + 1;
-    if t.total_reads >= t.cfg.required_reads then begin
+    if t.total_reads >= required_reads then begin
       let n = Int.min t.size t.filled in
       let s = counts t n in
       if s > 0 then begin
@@ -63,9 +58,9 @@ module Window = struct
         (* Completeness: window large enough that a present tag is read
            with probability 1 - delta. *)
         let w_star =
-          int_of_float (Float.ceil (log (1. /. t.cfg.delta) /. p_avg))
+          int_of_float (Float.ceil (log (1. /. delta) /. p_avg))
         in
-        let w_star = Int.max 1 (Int.min t.cfg.max_window w_star) in
+        let w_star = Int.max 1 (Int.min max_window w_star) in
         (* Transition detection on the recent half-window: an observed
            count more than 2 sigma below expectation flags an exit. *)
         let half = Int.max 1 (n / 2) in
@@ -74,7 +69,7 @@ module Window = struct
         let sigma = sqrt (float_of_int half *. p_avg *. (1. -. p_avg)) in
         if float_of_int s_recent < expected -. (2. *. sigma) then
           t.size <- Int.max 1 (t.size / 2)
-        else if t.size < w_star then t.size <- Int.min t.cfg.max_window (t.size * 2)
+        else if t.size < w_star then t.size <- Int.min max_window (t.size * 2)
         else t.size <- w_star
       end
     end
@@ -128,7 +123,8 @@ let sample_in_range world rng ~center ~range ?facing () =
       in
       attempt 64
 
-let run ~world ~config ~seed observations =
+let run ~world ~read_range ?heading_of ~seed observations =
+  if read_range <= 0. then invalid_arg "Smurf.run: read_range must be positive";
   let rng = Rfid_prob.Rng.create ~seed in
   let tags : (int, tag_state) Hashtbl.t = Hashtbl.create 64 in
   let events = ref [] in
@@ -157,7 +153,7 @@ let run ~world ~config ~seed observations =
               if not (Hashtbl.mem tags i) then
                 Hashtbl.replace tags i
                   {
-                    window = Window.create config;
+                    window = Window.create ();
                     samples = [];
                     sample_count = 0;
                     last_present = e;
@@ -171,10 +167,10 @@ let run ~world ~config ~seed observations =
           let present = Window.present st.window in
           if present then begin
             st.last_present <- e;
-            let facing = Option.map (fun f -> f e) config.heading_of in
+            let facing = Option.map (fun f -> f e) heading_of in
             st.samples <-
               sample_in_range world rng ~center:obs.Types.o_reported_loc
-                ~range:config.read_range ?facing ()
+                ~range:read_range ?facing ()
               :: st.samples;
             st.sample_count <- st.sample_count + 1
           end

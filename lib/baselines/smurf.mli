@@ -21,31 +21,23 @@
     hands SMURF the range from {e our} learned sensor model, since SMURF
     cannot learn one). *)
 
-type config = {
-  delta : float;  (** completeness confidence parameter (default 0.05) *)
-  max_window : int;  (** window-size cap, epochs (default 25) *)
-  read_range : float;  (** sensing radius (ft) used for location sampling *)
-  required_reads : int;
-      (** minimum reads before the window logic engages (default 1) *)
-  heading_of : (Rfid_model.Types.epoch -> float) option;
-      (** antenna orientation per epoch, when known: location samples are
-          then restricted to the half-plane the antenna faces (the
-          paper's lab robot scans one row at a time) *)
-}
-
-val default_config : ?heading_of:(Rfid_model.Types.epoch -> float) -> read_range:float -> unit -> config
-(** @raise Invalid_argument if [read_range <= 0]. *)
-
 val run :
   world:Rfid_model.World.t ->
-  config:config ->
+  read_range:float ->
+  ?heading_of:(Rfid_model.Types.epoch -> float) ->
   seed:int ->
   Rfid_model.Types.observation list ->
   Rfid_core.Event.t list
 (** Clean a stream: one event per (object, presence period), at the
     period's last epoch, located at the mean of the period's samples.
     Shelf-tag readings are ignored (SMURF has no use for them — one of
-    the two deficits the comparison in the paper isolates). *)
+    the two deficits the comparison in the paper isolates).
+    [read_range] is the sensing radius (ft) used for location sampling.
+    With [heading_of] (the antenna orientation per epoch), samples are
+    restricted to the half-plane the antenna faces (the paper's lab
+    robot scans one row at a time). The window uses completeness
+    confidence delta = 0.05, is capped at 25 epochs, and engages from
+    the first read. @raise Invalid_argument if [read_range <= 0]. *)
 
 (** {1 Shared with the uniform baseline} *)
 

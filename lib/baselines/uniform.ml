@@ -1,15 +1,8 @@
 open Rfid_model
 
-type config = {
-  read_range : float;
-  out_of_scope_after : int;
-  heading_of : (Types.epoch -> float) option;
-}
-
-let default_config ?heading_of ~read_range () =
-  if read_range <= 0. then
-    invalid_arg "Uniform.default_config: read_range must be positive";
-  { read_range; out_of_scope_after = 15; heading_of }
+(* Epochs without a read that end a presence period (the engine's
+   scope horizon). *)
+let out_of_scope_after = 15
 
 type tag_state = {
   mutable last_read : int;
@@ -17,7 +10,8 @@ type tag_state = {
   mutable open_period : bool;
 }
 
-let run ~world ~config ~seed observations =
+let run ~world ~read_range ?heading_of ~seed observations =
+  if read_range <= 0. then invalid_arg "Uniform.run: read_range must be positive";
   let rng = Rfid_prob.Rng.create ~seed in
   let tags : (int, tag_state) Hashtbl.t = Hashtbl.create 64 in
   let events = ref [] in
@@ -34,9 +28,9 @@ let run ~world ~config ~seed observations =
           | Types.Shelf_tag _ -> ()
           | Types.Object_tag obj ->
               let sample =
-                let facing = Option.map (fun f -> f e) config.heading_of in
+                let facing = Option.map (fun f -> f e) heading_of in
                 Smurf.sample_in_range world rng ~center:obs.Types.o_reported_loc
-                  ~range:config.read_range ?facing ()
+                  ~range:read_range ?facing ()
               in
               let st =
                 match Hashtbl.find_opt tags obj with
@@ -46,7 +40,7 @@ let run ~world ~config ~seed observations =
                     Hashtbl.replace tags obj st;
                     st
               in
-              if st.open_period && e - st.last_read > config.out_of_scope_after then
+              if st.open_period && e - st.last_read > out_of_scope_after then
                 close obj st;
               st.last_read <- e;
               st.sample <- sample;
@@ -55,7 +49,7 @@ let run ~world ~config ~seed observations =
       (* Close periods that timed out this epoch. *)
       Hashtbl.iter
         (fun obj st ->
-          if st.open_period && e - st.last_read > config.out_of_scope_after then
+          if st.open_period && e - st.last_read > out_of_scope_after then
             close obj st)
         tags)
     observations;

@@ -8,15 +8,15 @@ module Obs = Rfid_obs.Metrics
    histograms always describe the active one. The joint filter keeps a
    single weight vector, hence one joint ESS histogram instead of the
    factored per-object/reader split. *)
-let sp_pose_memo = Obs.span Obs.global "stage.pose_memo"
-let sp_weighting = Obs.span Obs.global "stage.weighting"
-let sp_resampling = Obs.span Obs.global "stage.resampling"
-let h_joint_ess = Obs.histogram Obs.global "health.joint_ess"
-let c_joint_resamples = Obs.counter Obs.global "filter.joint_resamples"
-let c_resamples_skipped = Obs.counter Obs.global "filter.resamples_skipped"
-let c_saturated = Obs.counter Obs.global "health.saturated_particles"
-let c_sensor_evals = Obs.counter Obs.global "health.sensor_evals"
-let c_memo_reused = Obs.counter Obs.global "health.pose_memo_reused"
+let sp_pose_memo = Obs.span "stage.pose_memo"
+let sp_weighting = Obs.span "stage.weighting"
+let sp_resampling = Obs.span "stage.resampling"
+let h_joint_ess = Obs.histogram "health.joint_ess"
+let c_joint_resamples = Obs.counter "filter.joint_resamples"
+let c_resamples_skipped = Obs.counter "filter.resamples_skipped"
+let c_saturated = Obs.counter "health.saturated_particles"
+let c_sensor_evals = Obs.counter "health.sensor_evals"
+let c_memo_reused = Obs.counter "health.pose_memo_reused"
 
 (* Joint particles in structure-of-arrays form: particle [p]'s object
    locations live in row [p] of a single [J * N] slab (slot
@@ -198,11 +198,11 @@ let step t (obs : Types.observation) =
         done
       else begin
         let d = Vec3.dist reported t.last_read_reader.(i) in
-        if d >= t.config.Config.reinit_far then
+        if d >= Config.reinit_far then
           for p = 0 to j - 1 do
             reinit_object t p i
           done
-        else if d >= t.config.Config.reinit_near then
+        else if d >= Config.reinit_near then
           (* Keep half the hypotheses, spread the other half at the new
              location (§IV-A). *)
           for p = 0 to j - 1 do
@@ -299,7 +299,7 @@ let step t (obs : Types.observation) =
   for i = 0 to t.num_objects - 1 do
     if t.obj_read.(i) then begin
       if t.last_read.(i) < 0 then t.known_count <- t.known_count + 1;
-      if t.last_read.(i) < 0 || e - t.last_read.(i) > t.config.Config.out_of_scope_after
+      if t.last_read.(i) < 0 || e - t.last_read.(i) > Config.out_of_scope_after
       then t.newly_seen <- i :: t.newly_seen;
       t.last_read.(i) <- e;
       t.last_read_reader.(i) <- reported

@@ -15,13 +15,9 @@ type t = {
   resample_ess_ratio : float;
   proposal : proposal;
   heading_model : heading_model;
-  reinit_near : float;
-  reinit_far : float;
-  out_of_scope_after : int;
   report_delay : int;
   compress_after : int;
   decompress_particles : int;
-  compress_max_nll : float option;
   resample_scheme : resample_scheme;
   proposal_noise_override : Rfid_geom.Vec3.t option;
   degraded_widen_after : int;
@@ -33,15 +29,17 @@ let max_sensing_range = 12.
 let shelf_miss_weight = 0.25
 let degraded_noise_scale = 3.0
 let degraded_widen_sigma = 0.25
+let reinit_near = 1.0
+let reinit_far = 6.0
+let out_of_scope_after = 15
 
 let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     ?(num_object_particles = 200) ?min_object_particles ?(resample_ratio = 0.5)
     ?(resample_ess_ratio = 1.0)
     ?(proposal = From_reported_displacement)
     ?(heading_model = Known_heading (fun _ -> 0.))
-    ?(reinit_near = 1.0) ?(reinit_far = 6.0) ?(out_of_scope_after = 15)
     ?(report_delay = 60) ?(compress_after = 20) ?(decompress_particles = 10)
-    ?(compress_max_nll = None) ?(resample_scheme = Systematic)
+    ?(resample_scheme = Systematic)
     ?(proposal_noise_override = None) ?(degraded_widen_after = 10) () =
   if num_reader_particles <= 0 || num_object_particles <= 0 then
     invalid_arg "Config.create: particle counts must be positive";
@@ -55,15 +53,8 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
   if min_object_particles <= 0 || min_object_particles > num_object_particles then
     invalid_arg
       "Config.create: min_object_particles must be in [1, num_object_particles]";
-  if min_object_particles < num_object_particles && not (reinit_near > 0.) then
-    invalid_arg
-      "Config.create: adaptive budgets (min_object_particles < \
-       num_object_particles) need reinit_near > 0 to anchor the spread \
-       thresholds";
-  if reinit_near < 0. || reinit_far < reinit_near then
-    invalid_arg "Config.create: need 0 <= reinit_near <= reinit_far";
-  if out_of_scope_after <= 0 || report_delay < 0 || compress_after <= 0 then
-    invalid_arg "Config.create: scope/report/compress horizons must be positive";
+  if report_delay < 0 || compress_after <= 0 then
+    invalid_arg "Config.create: need report_delay >= 0 and compress_after > 0";
   if decompress_particles <= 0 then
     invalid_arg "Config.create: decompress_particles must be positive";
   if degraded_widen_after <= 0 then
@@ -77,13 +68,9 @@ let create ?(variant = Factorized_indexed) ?(num_reader_particles = 100)
     resample_ess_ratio;
     proposal;
     heading_model;
-    reinit_near;
-    reinit_far;
-    out_of_scope_after;
     report_delay;
     compress_after;
     decompress_particles;
-    compress_max_nll;
     resample_scheme;
     proposal_noise_override;
     degraded_widen_after;

@@ -47,7 +47,7 @@ type t = {
           doubling ladder
           [min, 2*min, 4*min, ..., num_object_particles], moving at
           most one rung per resample event: posterior spread (sqrt of
-          the weighted covariance trace) at or above [reinit_near]
+          the weighted covariance trace) at or above {!reinit_near}
           earns the full budget, and each halving of spread steps one
           rung down; stepping back up requires 1.5x the rung threshold
           (hysteresis). Shrinking resamples directly to the smaller
@@ -66,16 +66,6 @@ type t = {
           are counted in the [filter.resamples_skipped] metric. *)
   proposal : proposal;
   heading_model : heading_model;
-  reinit_near : float;
-      (** reader-displacement (ft) below which a re-detection reuses the
-          existing particles unchanged *)
-  reinit_far : float;
-      (** reader-displacement (ft) beyond which a re-detection discards
-          all old particles; in between, half are kept and half re-drawn
-          at the new location (§IV-A) *)
-  out_of_scope_after : int;
-      (** epochs without a reading after which an object has left the
-          reader's scope *)
   report_delay : int;
       (** epochs after entering scope at which a location event is
           emitted (the paper's experiments use 60 s) *)
@@ -85,10 +75,6 @@ type t = {
   decompress_particles : int;
       (** particle count when re-expanding a compressed belief (§V-D
           uses 10) *)
-  compress_max_nll : float option;
-      (** optional quality gate: skip compression when the Gaussian's
-          average negative log-likelihood over the particles exceeds
-          this bound (the KL-threshold policy of §IV-D) *)
   resample_scheme : resample_scheme;
       (** resampling scheme for both reader and object particles
           (default [Systematic]; the others exist for ablation) *)
@@ -113,13 +99,9 @@ val create :
   ?resample_ess_ratio:float ->
   ?proposal:proposal ->
   ?heading_model:heading_model ->
-  ?reinit_near:float ->
-  ?reinit_far:float ->
-  ?out_of_scope_after:int ->
   ?report_delay:int ->
   ?compress_after:int ->
   ?decompress_particles:int ->
-  ?compress_max_nll:float option ->
   ?resample_scheme:resample_scheme ->
   ?proposal_noise_override:Rfid_geom.Vec3.t option ->
   ?degraded_widen_after:int ->
@@ -127,17 +109,29 @@ val create :
   t
 (** Defaults: [Factorized_indexed], J = 100, K = 200 with no
     adaptation, systematic resampling at ESS ratio 0.5 with no ESS cap,
-    displacement proposal, known heading 0, re-detection at 1 and 6 ft,
-    out of scope after 15 epochs, report delay 60 epochs, compression
-    after 20 epochs re-expanded to 10 particles with no NLL gate, no
+    displacement proposal, known heading 0, report delay 60 epochs,
+    compression after 20 epochs re-expanded to 10 particles, no
     proposal-noise override, widening after 10 degraded epochs.
-    @raise Invalid_argument on non-positive
-    particle counts or horizons, a resample ratio outside (0, 1], or
-    [reinit_near]/[reinit_far] out of order. *)
+    @raise Invalid_argument on non-positive particle counts or
+    horizons, a negative report delay, or a resample ratio outside
+    (0, 1]. *)
 
 (** {1 Fixed model constants}
 
     Values every deployment so far runs with; they are not settable. *)
+
+val reinit_near : float
+(** Reader displacement (ft) below which a re-detection reuses the
+    existing particles unchanged (1). *)
+
+val reinit_far : float
+(** Reader displacement (ft) beyond which a re-detection discards all
+    old particles (6); in between, half are kept and half re-drawn at
+    the new location (§IV-A). *)
+
+val out_of_scope_after : int
+(** Epochs without a reading after which an object has left the
+    reader's scope (15). *)
 
 val init_overestimate : float
 (** Widening factor of the sensor-model-based initialization cone

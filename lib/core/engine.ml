@@ -8,13 +8,13 @@ type filter =
    the same "stage." namespace. *)
 module Obs = Rfid_obs.Metrics
 
-let sp_step = Obs.span Obs.global "stage.step"
-let sp_step_degraded = Obs.span Obs.global "stage.step_degraded"
-let sp_report = Obs.span Obs.global "stage.report"
-let c_epochs = Obs.counter Obs.global "engine.epochs"
-let c_degraded_epochs = Obs.counter Obs.global "engine.degraded_epochs"
-let c_events = Obs.counter Obs.global "engine.events"
-let c_degraded_events = Obs.counter Obs.global "engine.degraded_events"
+let sp_step = Obs.span "stage.step"
+let sp_step_degraded = Obs.span "stage.step_degraded"
+let sp_report = Obs.span "stage.report"
+let c_epochs = Obs.counter "engine.epochs"
+let c_degraded_epochs = Obs.counter "engine.degraded_epochs"
+let c_events = Obs.counter "engine.events"
+let c_degraded_events = Obs.counter "engine.degraded_events"
 
 type stats = {
   degraded_epochs : int;

@@ -8,25 +8,25 @@ module Obs = Rfid_obs.Metrics
 (* Observability handles. Stage spans cover the phases of [step] in
    order; health gauges/histograms expose the quantities DESIGN.md
    section 10 names. *)
-let sp_pose_memo = Obs.span Obs.global "stage.pose_memo"
-let sp_weighting = Obs.span Obs.global "stage.weighting"
-let sp_resampling = Obs.span Obs.global "stage.resampling"
-let sp_compression = Obs.span Obs.global "stage.compression"
-let h_object_ess = Obs.histogram Obs.global "health.object_ess"
-let h_object_budget = Obs.histogram Obs.global "health.object_budget"
-let g_reader_ess = Obs.gauge Obs.global "health.reader_ess"
-let g_scope_objects = Obs.gauge Obs.global "health.scope_objects"
-let g_particles_in_scope = Obs.gauge Obs.global "health.particles_in_scope"
-let g_index_boxes = Obs.gauge Obs.global "health.index_boxes"
-let c_obj_resamples = Obs.counter Obs.global "filter.object_resamples"
-let c_reader_resamples = Obs.counter Obs.global "filter.reader_resamples"
-let c_resamples_skipped = Obs.counter Obs.global "filter.resamples_skipped"
-let c_compressions = Obs.counter Obs.global "filter.compressions"
-let c_decompressions = Obs.counter Obs.global "filter.decompressions"
-let c_evictions = Obs.counter Obs.global "health.evicted_objects"
-let c_saturated = Obs.counter Obs.global "health.saturated_particles"
-let c_sensor_evals = Obs.counter Obs.global "health.sensor_evals"
-let c_memo_reused = Obs.counter Obs.global "health.pose_memo_reused"
+let sp_pose_memo = Obs.span "stage.pose_memo"
+let sp_weighting = Obs.span "stage.weighting"
+let sp_resampling = Obs.span "stage.resampling"
+let sp_compression = Obs.span "stage.compression"
+let h_object_ess = Obs.histogram "health.object_ess"
+let h_object_budget = Obs.histogram "health.object_budget"
+let g_reader_ess = Obs.gauge "health.reader_ess"
+let g_scope_objects = Obs.gauge "health.scope_objects"
+let g_particles_in_scope = Obs.gauge "health.particles_in_scope"
+let g_index_boxes = Obs.gauge "health.index_boxes"
+let c_obj_resamples = Obs.counter "filter.object_resamples"
+let c_reader_resamples = Obs.counter "filter.reader_resamples"
+let c_resamples_skipped = Obs.counter "filter.resamples_skipped"
+let c_compressions = Obs.counter "filter.compressions"
+let c_decompressions = Obs.counter "filter.decompressions"
+let c_evictions = Obs.counter "health.evicted_objects"
+let c_saturated = Obs.counter "health.saturated_particles"
+let c_sensor_evals = Obs.counter "health.sensor_evals"
+let c_memo_reused = Obs.counter "health.pose_memo_reused"
 
 type reader_particle = { mutable state : Reader_state.t; mutable log_w : float }
 
@@ -165,7 +165,7 @@ let budget_ladder config =
 
 (* Deterministic budget rule (DESIGN.md section 9): map posterior spread
    — sqrt of the weighted covariance trace — onto the rung ladder with
-   thresholds anchored at [reinit_near]. Spread at or above
+   thresholds anchored at [Config.reinit_near]. Spread at or above
    [reinit_near] earns the full budget; each halving of spread lowers
    the target one rung. The budget moves at most one rung per resample
    event, and stepping {e up} requires 1.5x the rung's down-threshold,
@@ -186,7 +186,7 @@ let next_budget t ~k ~spread =
   in
   if c < 0 then rungs.(0)
   else
-    let thr i = t.config.Config.reinit_near *. (0.5 ** float_of_int (last - i)) in
+    let thr i = Config.reinit_near *. (0.5 ** float_of_int (last - i)) in
     if c < last && spread >= 1.5 *. thr (c + 1) then rungs.(c + 1)
     else if c > 0 && spread < thr c then rungs.(c - 1)
     else rungs.(c)
@@ -764,22 +764,14 @@ let compress_object t (obj : obj_state) =
   | Active store when Ps.length store = 0 -> ()
   | Active store ->
       let w = Ps.normalized_weights store in
-      let g = Ps.fit_gaussian ~w store in
-      let ok =
-        match t.config.Config.compress_max_nll with
-        | None -> true
-        | Some bound -> Ps.avg_nll ~w g store <= bound
-      in
-      if ok then begin
-        Obs.incr c_compressions 1;
-        obj.belief <- Compressed g;
-        (* The moment-matched Gaussian carries the same mean/cov the
-           particle fit reported, but the representation switch is
-           flagged anyway: compression can fire on objects outside the
-           current scope, and the change feed promises to cover every
-           belief mutation. *)
-        Bitset.add t.dirty obj.obj_id
-      end
+      Obs.incr c_compressions 1;
+      obj.belief <- Compressed (Ps.fit_gaussian ~w store);
+      (* The moment-matched Gaussian carries the same mean/cov the
+         particle fit reported, but the representation switch is
+         flagged anyway: compression can fire on objects outside the
+         current scope, and the change feed promises to cover every
+         belief mutation. *)
+      Bitset.add t.dirty obj.obj_id
 
 let run_compression t e =
   if t.compress then begin
@@ -804,7 +796,7 @@ let run_compression t e =
    enqueued a later deadline of its own. Equivalent to testing every
    tracked object per epoch, but touches only fired candidates. *)
 let drain_evictions t e =
-  let horizon = t.config.Config.out_of_scope_after in
+  let horizon = Config.out_of_scope_after in
   let rec go () =
     match Queue.peek_opt t.evict_queue with
     | Some (fire, id) when fire <= e ->
@@ -843,8 +835,8 @@ let init_on_read t rng rw (obj : obj_state) ~reported =
       obj.reader_gen <- t.reader_gen
   | Active store ->
       let d = Vec3.dist reported obj.last_read_reader in
-      if d >= t.config.Config.reinit_far then init_fresh t rng rw obj store (Ps.length store)
-      else if d >= t.config.Config.reinit_near then begin
+      if d >= Config.reinit_far then init_fresh t rng rw obj store (Ps.length store)
+      else if d >= Config.reinit_near then begin
         refresh_pointers t rng rw obj;
         Common.fill_fresh_particles t.cache
           ~overestimate:Config.init_overestimate ~world:t.world ~pre:t.pre ~rw
@@ -955,7 +947,7 @@ let step t (obs : Types.observation) =
           obj.last_read <- e;
           obj.last_read_reader <- reported;
           obj.in_scope <- true;
-          Queue.push (e + t.config.Config.out_of_scope_after + 1, id) t.evict_queue;
+          Queue.push (e + Config.out_of_scope_after + 1, id) t.evict_queue;
           if t.compress then
             Queue.push (e + t.config.Config.compress_after, id) t.compress_queue);
   run_compression t e;
@@ -1294,7 +1286,7 @@ let restore ~world ~params ~config s =
      last read, pushed in deadline order so the lazy drain stays a
      head-of-queue scan. *)
   let evict_queue = Queue.create () in
-  let horizon = config.Config.out_of_scope_after in
+  let horizon = Config.out_of_scope_after in
   List.map (fun (o : obj_snapshot) -> (o.so_last_read + horizon + 1, o.so_id)) s.fs_objects
   |> List.sort compare
   |> List.iter (fun item -> Queue.push item evict_queue);

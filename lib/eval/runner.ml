@@ -21,16 +21,11 @@ let percentile sorted q =
   if n = 0 then 0.
   else sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
 
-let run_engine ?(params = Rfid_model.Params.default) ~config ?init_reader ?(seed = 0)
+let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
     (trace : Rfid_model.Trace.t) =
-  let init_reader =
-    match init_reader with
-    | Some r -> r
-    | None ->
-        if Array.length trace.Rfid_model.Trace.steps = 0 then
-          invalid_arg "Runner.run_engine: empty trace and no init_reader"
-        else trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
-  in
+  if Array.length trace.Rfid_model.Trace.steps = 0 then
+    invalid_arg "Runner.run_engine: empty trace";
+  let init_reader = trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader in
   let engine =
     Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
       ~init_reader ~num_objects:trace.Rfid_model.Trace.num_objects ~seed ()

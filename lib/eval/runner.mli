@@ -33,12 +33,12 @@ type result = {
 val run_engine :
   ?params:Rfid_model.Params.t ->
   config:Rfid_core.Config.t ->
-  ?init_reader:Rfid_model.Reader_state.t ->
   ?seed:int ->
   Rfid_model.Trace.t ->
   result
 (** Build an engine on the trace's world and stream every observation
-    through it. [params] defaults to {!Rfid_model.Params.default};
-    [init_reader] defaults to the trace's first true reader state (the
-    paper assumes R_1 known). The [Unfactorized] variant receives the
-    trace's object count automatically. *)
+    through it, starting from the trace's first true reader state (the
+    paper assumes R_1 known). [params] defaults to
+    {!Rfid_model.Params.default}. The [Unfactorized] variant receives
+    the trace's object count automatically.
+    @raise Invalid_argument on an empty trace. *)

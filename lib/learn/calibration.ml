@@ -1,45 +1,47 @@
 open Rfid_geom
 open Rfid_model
 
-type config = {
-  em_iters : int;
-  object_samples : int;
-  reader_samples : int;
-  neg_distance_cap : float;
-  filter_config : Rfid_core.Config.t;
-  l2 : float;
-  fit_motion : bool;
-  prior_miss_distance : float option;
-  prior_weight : float;
-  e_step_sigma_floor : float;
-  e_step_motion_floor : float;
-  bias_gain : float;
-  seed : int;
-}
+(* EM settings. The paper's premise is that EM needs no hand-set
+   parameters, so these are fixed. *)
 
-let default_config ?heading_model () =
-  let heading_model =
-    match heading_model with
-    | Some h -> h
-    | None -> Rfid_core.Config.Known_heading (fun _ -> 0.)
-  in
-  {
-    em_iters = 4;
-    object_samples = 10;
-    reader_samples = 10;
-    neg_distance_cap = 8.;
-    filter_config =
-      Rfid_core.Config.create ~variant:Rfid_core.Config.Factorized
-        ~num_reader_particles:100 ~num_object_particles:200 ~heading_model ();
-    l2 = 1e-3;
-    fit_motion = true;
-    prior_miss_distance = Some 12.;
-    prior_weight = 5.;
-    e_step_sigma_floor = 0.75;
-    e_step_motion_floor = 0.05;
-    bias_gain = 2.0;
-    seed = 7;
-  }
+(* Object particles harvested per (tag, epoch) in the E-step. *)
+let object_samples = 10
+
+(* Reader particles harvested per (shelf tag, epoch). *)
+let reader_samples = 10
+
+(* Misses farther than this (ft) from the reader are discarded: distant
+   misses are uninformative and would swamp the fit. *)
+let neg_distance_cap = 8.
+
+(* M-step ridge penalty. *)
+let l2 = 1e-3
+
+(* Physical prior: pseudo-misses at distances in [d, 2d] ft keep the
+   distance decay identified even when the training geometry never
+   pairs small angles with large distances. *)
+let prior_miss_distance = 12.
+
+(* Total weight of the pseudo-misses. *)
+let prior_weight = 5.
+
+(* Lower bound (ft) on the location-sensing sigma inside the E-step
+   filter, so shelf-tag evidence can move the reader posterior off the
+   reported track and expose systematic bias. *)
+let e_step_sigma_floor = 0.75
+
+(* Lower bound (ft) on the per-axis motion sigma of the E-step
+   proposal, so reader particles can explore away from the reported
+   track. *)
+let e_step_motion_floor = 0.05
+
+(* Over-relaxation factor on the location-sensing bias update: the
+   filtered posterior recovers only a fraction of a systematic offset
+   per EM round, so the innovation is amplified (1.0 = plain EM). *)
+let bias_gain = 2.0
+
+(* Seed of the E-step's particle and pseudo-miss draws. *)
+let seed = 7
 
 type evidence = {
   geometries : (float * float) array;
@@ -69,9 +71,8 @@ let sensing_sigma_of_reports observations =
     (axis (fun (v : Vec3.t) -> v.Vec3.y))
     (axis (fun (v : Vec3.t) -> v.Vec3.z))
 
-let e_step ~world ~params ~config ~observations ~init_reader =
-  if observations = [] then invalid_arg "Calibration.e_step: empty stream";
-  let rng = Rfid_prob.Rng.create ~seed:config.seed in
+let e_step ~world ~params ~filter_config ~observations ~init_reader =
+  let rng = Rfid_prob.Rng.create ~seed in
   (* Over-dispersed location sensing for the E-step: with the sensing
      sigma still at its (possibly tiny) initial value, the reader
      posterior would glue itself to the reported track and the shelf-tag
@@ -80,7 +81,7 @@ let e_step ~world ~params ~config ~observations ~init_reader =
      sigma from the residuals. *)
   let e_params =
     let s = params.Params.sensing in
-    let floor = config.e_step_sigma_floor in
+    let floor = e_step_sigma_floor in
     let sigma = s.Location_sensing.sigma in
     let sigma =
       Vec3.make
@@ -89,7 +90,7 @@ let e_step ~world ~params ~config ~observations ~init_reader =
         (Float.max floor sigma.Vec3.z)
     in
     let m = params.Params.motion in
-    let mfloor = config.e_step_motion_floor in
+    let mfloor = e_step_motion_floor in
     let msigma = m.Motion_model.sigma in
     let msigma =
       Vec3.make
@@ -108,12 +109,11 @@ let e_step ~world ~params ~config ~observations ~init_reader =
   in
   (* The proposal keeps the honest (uninflated) noise scale. *)
   let proposal_noise =
-    Rfid_core.Common.proposal_sigma config.filter_config.Rfid_core.Config.proposal
+    Rfid_core.Common.proposal_sigma filter_config.Rfid_core.Config.proposal
       ~motion:params.Params.motion ~sensing:params.Params.sensing
   in
   let filter_config =
-    { config.filter_config with
-      Rfid_core.Config.proposal_noise_override = Some proposal_noise }
+    { filter_config with Rfid_core.Config.proposal_noise_override = Some proposal_noise }
   in
   let filter =
     Rfid_core.Factored_filter.create ~world ~params:e_params ~config:filter_config
@@ -159,9 +159,9 @@ let e_step ~world ~params ~config ~observations ~init_reader =
             | Types.Object_tag _ -> ()
             | Types.Shelf_tag id ->
                 let read = List.mem id read_shelves in
-                if read || Vec3.dist reported tag_loc <= config.neg_distance_cap then begin
-                  let w = 1. /. float_of_int config.reader_samples in
-                  for _ = 1 to config.reader_samples do
+                if read || Vec3.dist reported tag_loc <= neg_distance_cap then begin
+                  let w = 1. /. float_of_int reader_samples in
+                  for _ = 1 to reader_samples do
                     let s = states.(Rfid_prob.Rng.categorical rng rw) in
                     let g =
                       Sensor_model.geometry ~reader_loc:s.Reader_state.loc
@@ -189,9 +189,9 @@ let e_step ~world ~params ~config ~observations ~init_reader =
               (* Mean location decides whether a miss is informative. *)
               let mean = ref Vec3.zero in
               Array.iteri (fun i l -> mean := Vec3.add !mean (Vec3.scale ow.(i) l)) locs;
-              if read || Vec3.dist reported !mean <= config.neg_distance_cap then begin
-                let w = 1. /. float_of_int config.object_samples in
-                for _ = 1 to config.object_samples do
+              if read || Vec3.dist reported !mean <= neg_distance_cap then begin
+                let w = 1. /. float_of_int object_samples in
+                for _ = 1 to object_samples do
                   let k = Rfid_prob.Rng.categorical rng ow in
                   let s = paired.(k) in
                   let g =
@@ -210,21 +210,19 @@ let e_step ~world ~params ~config ~observations ~init_reader =
      distance (the reader runs parallel to the shelf at a fixed
      clearance), leaving the distance decay unidentifiable; a few
      pseudo-misses at long range anchor it. *)
-  (match config.prior_miss_distance with
-  | None -> ()
-  | Some dmin ->
-      let n = 60 in
-      (* The prior must stay relevant as the harvested evidence grows,
-         otherwise a long trace of mis-attributed long-distance "reads"
-         (wide particle clouds early in EM) simply outvotes it and the
-         sensor collapses to "reads everywhere". *)
-      let total = List.fold_left ( +. ) 0. !ws in
-      let w = Float.max config.prior_weight (0.02 *. total) /. float_of_int n in
-      for _ = 1 to n do
-        let d = Rfid_prob.Rng.uniform rng ~lo:dmin ~hi:(2. *. dmin) in
-        let theta = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:Float.pi in
-        harvest (d, theta) false w
-      done);
+  let n = 60 in
+  (* The prior must stay relevant as the harvested evidence grows,
+     otherwise a long trace of mis-attributed long-distance "reads"
+     (wide particle clouds early in EM) simply outvotes it and the
+     sensor collapses to "reads everywhere". *)
+  let total = List.fold_left ( +. ) 0. !ws in
+  let w = Float.max prior_weight (0.02 *. total) /. float_of_int n in
+  let dmin = prior_miss_distance in
+  for _ = 1 to n do
+    let d = Rfid_prob.Rng.uniform rng ~lo:dmin ~hi:(2. *. dmin) in
+    let theta = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:Float.pi in
+    harvest (d, theta) false w
+  done;
   {
     geometries = Array.of_list (List.rev !geoms);
     outcomes = Array.of_list (List.rev !outs);
@@ -248,13 +246,13 @@ let fit_gaussian_vec3 diffs ~floor =
     (Vec3.make mx my mz, Vec3.make sx sy sz)
   end
 
-let m_step ~params ~config ~(ev : evidence) =
+let m_step ~params ~(ev : evidence) =
   let sensor =
     if Array.length ev.geometries = 0 then params.Params.sensor
     else begin
       let fitted =
-        Supervised.fit_from_pairs ~l2:config.l2 ~init:params.Params.sensor
-          ~w:ev.weights ~geometries:ev.geometries ~outcomes:ev.outcomes ()
+        Supervised.fit_from_pairs ~l2 ~init:params.Params.sensor ~w:ev.weights
+          ~geometries:ev.geometries ~outcomes:ev.outcomes ()
       in
       (* Degeneracy guard: a sensor claiming substantial read rates at
          absurd range is an EM spiral (wide particle clouds attribute
@@ -262,10 +260,10 @@ let m_step ~params ~config ~(ev : evidence) =
          Refit with a much heavier physical prior — rejecting the update
          outright can deadlock EM when even the starting point violates
          the check (e.g. a blind uniform init). *)
-      let far = match config.prior_miss_distance with Some d -> d | None -> 15. in
+      let far = prior_miss_distance in
       if Sensor_model.read_prob_at fitted ~d:far ~theta:0. <= 0.3 then fitted
       else begin
-        let rng = Rfid_prob.Rng.create ~seed:(config.seed + 1) in
+        let rng = Rfid_prob.Rng.create ~seed:(seed + 1) in
         let total = Array.fold_left ( +. ) 0. ev.weights in
         let extra = 120 in
         let w_extra = 0.2 *. total /. float_of_int extra in
@@ -278,95 +276,90 @@ let m_step ~params ~config ~(ev : evidence) =
         let outcomes = Array.append ev.outcomes (Array.make extra false) in
         let w = Array.append ev.weights (Array.make extra w_extra) in
         let salvaged =
-          Supervised.fit_from_pairs ~l2:config.l2 ~init:params.Params.sensor ~w
-            ~geometries ~outcomes ()
+          Supervised.fit_from_pairs ~l2 ~init:params.Params.sensor ~w ~geometries
+            ~outcomes ()
         in
         if Sensor_model.read_prob_at salvaged ~d:far ~theta:0. <= 0.3 then salvaged
         else params.Params.sensor
       end
     end
   in
-  if not config.fit_motion then { params with Params.sensor }
-  else begin
-    let track = ev.reader_track in
-    let n = Array.length track in
-    let displacement =
-      Array.init (Int.max 0 (n - 1)) (fun i ->
-          Vec3.sub (fst track.(i + 1)) (fst track.(i)))
+  let track = ev.reader_track in
+  let n = Array.length track in
+  let displacement =
+    Array.init (Int.max 0 (n - 1)) (fun i ->
+        Vec3.sub (fst track.(i + 1)) (fst track.(i)))
+  in
+  let velocity, motion_sigma = fit_gaussian_vec3 displacement ~floor:0.005 in
+  let residuals = Array.map (fun (mean, reported) -> Vec3.sub reported mean) track in
+  let raw_bias, _residual_sigma = fit_gaussian_vec3 residuals ~floor:0.005 in
+  (* Sensing noise by method of moments on the reported track itself:
+     reported_t = true_t + bias + eps_t gives, per axis,
+     var(reported_t - reported_{t-1}) = sigma_m^2 + 2 sigma_s^2.
+     Unlike residuals against the posterior mean — which shrink to
+     zero whenever the posterior hugs the reported track — this
+     estimator needs no anchor and stays honest with zero shelf tags.
+     The motion term is not subtracted (it cannot be separated from
+     the reporting noise without an anchor); with sigma_m << sigma_s,
+     as on every platform the paper considers, the overestimate is
+     sqrt(1 + (sigma_m/sigma_s)^2 / 2)-fold, i.e. negligible. *)
+  let reported_disp =
+    Array.init (Int.max 0 (n - 1)) (fun i -> Vec3.sub (snd track.(i + 1)) (snd track.(i)))
+  in
+  let sensing_sigma =
+    let axis f =
+      let disp_var = Rfid_prob.Stats.variance (Array.map f reported_disp) in
+      sqrt (Float.max 25e-6 (disp_var /. 2.))
     in
-    let velocity, motion_sigma = fit_gaussian_vec3 displacement ~floor:0.005 in
-    let residuals = Array.map (fun (mean, reported) -> Vec3.sub reported mean) track in
-    let raw_bias, _residual_sigma = fit_gaussian_vec3 residuals ~floor:0.005 in
-    (* Sensing noise by method of moments on the reported track itself:
-       reported_t = true_t + bias + eps_t gives, per axis,
-       var(reported_t - reported_{t-1}) = sigma_m^2 + 2 sigma_s^2.
-       Unlike residuals against the posterior mean — which shrink to
-       zero whenever the posterior hugs the reported track — this
-       estimator needs no anchor and stays honest with zero shelf tags.
-       The motion term is not subtracted (it cannot be separated from
-       the reporting noise without an anchor); with sigma_m << sigma_s,
-       as on every platform the paper considers, the overestimate is
-       sqrt(1 + (sigma_m/sigma_s)^2 / 2)-fold, i.e. negligible. *)
-    let reported_disp =
-      Array.init (Int.max 0 (n - 1)) (fun i -> Vec3.sub (snd track.(i + 1)) (snd track.(i)))
-    in
-    let sensing_sigma =
-      let axis f =
-        let disp_var = Rfid_prob.Stats.variance (Array.map f reported_disp) in
-        sqrt (Float.max 25e-6 (disp_var /. 2.))
-      in
-      Vec3.make
-        (axis (fun (v : Vec3.t) -> v.Vec3.x))
-        (axis (fun (v : Vec3.t) -> v.Vec3.y))
-        (axis (fun (v : Vec3.t) -> v.Vec3.z))
-    in
-    (* Over-relaxed bias update: the filtered posterior only recovers a
-       fraction of a systematic reported-location offset per EM round
-       (the sensing term keeps pulling it back toward the reported
-       track), so the raw residual mean under-estimates the true bias.
-       Amplifying the innovation accelerates the geometric convergence
-       without touching the variance estimates. *)
-    let old_bias = params.Params.sensing.Location_sensing.bias in
-    let bias =
-      (* Clamp the (amplified) innovation so one noisy EM round cannot
-         fling the bias estimate; convergence just takes another
-         round. *)
-      let innovation = Vec3.scale config.bias_gain (Vec3.sub raw_bias old_bias) in
-      let n = Vec3.norm innovation in
-      let innovation = if n > 0.3 then Vec3.scale (0.3 /. n) innovation else innovation in
-      Vec3.add old_bias innovation
-    in
-    let motion =
-      Motion_model.create ~velocity ~sigma:motion_sigma
-        ~heading_drift:params.Params.motion.Motion_model.heading_drift
-        ~heading_sigma:params.Params.motion.Motion_model.heading_sigma ()
-    in
-    let sensing = Location_sensing.create ~bias ~sigma:sensing_sigma () in
-    { params with Params.sensor; motion; sensing }
-  end
+    Vec3.make
+      (axis (fun (v : Vec3.t) -> v.Vec3.x))
+      (axis (fun (v : Vec3.t) -> v.Vec3.y))
+      (axis (fun (v : Vec3.t) -> v.Vec3.z))
+  in
+  (* Over-relaxed bias update: the filtered posterior only recovers a
+     fraction of a systematic reported-location offset per EM round
+     (the sensing term keeps pulling it back toward the reported
+     track), so the raw residual mean under-estimates the true bias.
+     Amplifying the innovation accelerates the geometric convergence
+     without touching the variance estimates. *)
+  let old_bias = params.Params.sensing.Location_sensing.bias in
+  let bias =
+    (* Clamp the (amplified) innovation so one noisy EM round cannot
+       fling the bias estimate; convergence just takes another
+       round. *)
+    let innovation = Vec3.scale bias_gain (Vec3.sub raw_bias old_bias) in
+    let n = Vec3.norm innovation in
+    let innovation = if n > 0.3 then Vec3.scale (0.3 /. n) innovation else innovation in
+    Vec3.add old_bias innovation
+  in
+  let motion =
+    Motion_model.create ~velocity ~sigma:motion_sigma
+      ~heading_drift:params.Params.motion.Motion_model.heading_drift
+      ~heading_sigma:params.Params.motion.Motion_model.heading_sigma ()
+  in
+  let sensing = Location_sensing.create ~bias ~sigma:sensing_sigma () in
+  { params with Params.sensor; motion; sensing }
 
-let calibrate ~world ~init ~config ~observations ~init_reader =
+let calibrate ?heading_model ~world ~init ~em_iters ~init_reader observations =
   if observations = [] then invalid_arg "Calibration.calibrate: empty stream";
+  let filter_config =
+    Rfid_core.Config.create ~variant:Rfid_core.Config.Factorized ?heading_model ()
+  in
   (* Seed the sensing sigma from the reported track before any EM round
      so the very first E-step proposal and weighting are realistic. *)
   let init =
-    if not config.fit_motion then init
-    else begin
-      let sigma = sensing_sigma_of_reports observations in
-      {
-        init with
-        Params.sensing =
-          Location_sensing.create
-            ~bias:init.Params.sensing.Location_sensing.bias ~sigma ();
-      }
-    end
+    {
+      init with
+      Params.sensing =
+        Location_sensing.create ~bias:init.Params.sensing.Location_sensing.bias
+          ~sigma:(sensing_sigma_of_reports observations) ();
+    }
   in
   let rec loop params iter =
     if iter = 0 then params
     else begin
-      let ev = e_step ~world ~params ~config ~observations ~init_reader in
-      let params = m_step ~params ~config ~ev in
-      loop params (iter - 1)
+      let ev = e_step ~world ~params ~filter_config ~observations ~init_reader in
+      loop (m_step ~params ~ev) (iter - 1)
     end
   in
-  loop init config.em_iters
+  loop init em_iters

@@ -16,10 +16,11 @@ let fit_from_pairs ?(l2 = 1e-4) ?init ?w ~geometries ~outcomes () =
   in
   Sensor_model.of_coef m.Rfid_prob.Logistic.coef
 
-let fit_sensor ?(samples = 20000) ?(l2 = 1e-4) ?(max_distance = 6.) ~read_prob ~seed () =
+(* Distances (ft) the fit samples and the error grid spans. *)
+let max_distance = 6.
+
+let fit_sensor ?(samples = 20000) ~read_prob ~seed () =
   if samples <= 0 then invalid_arg "Supervised.fit_sensor: samples must be positive";
-  if max_distance <= 0. then
-    invalid_arg "Supervised.fit_sensor: max_distance must be positive";
   let rng = Rfid_prob.Rng.create ~seed in
   let geometries =
     Array.init samples (fun _ ->
@@ -31,10 +32,10 @@ let fit_sensor ?(samples = 20000) ?(l2 = 1e-4) ?(max_distance = 6.) ~read_prob ~
       (fun (d, theta) -> Rfid_prob.Rng.bernoulli rng ~p:(read_prob ~d ~theta))
       geometries
   in
-  fit_from_pairs ~l2 ~geometries ~outcomes ()
+  fit_from_pairs ~geometries ~outcomes ()
 
-let mean_abs_error model ~read_prob ?(max_distance = 6.) ?(grid = 40) () =
-  if grid <= 1 then invalid_arg "Supervised.mean_abs_error: grid too small";
+let mean_abs_error model ~read_prob =
+  let grid = 40 in
   let acc = ref 0. and n = ref 0 in
   for i = 0 to grid - 1 do
     for j = 0 to grid - 1 do

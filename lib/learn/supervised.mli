@@ -11,17 +11,14 @@
 
 val fit_sensor :
   ?samples:int ->
-  ?l2:float ->
-  ?max_distance:float ->
   read_prob:(d:float -> theta:float -> float) ->
   seed:int ->
   unit ->
   Rfid_model.Sensor_model.t
 (** Draw [samples] (default 20000) geometries uniformly over
-    distance ∈ [0, max_distance] (default 6 ft) × angle ∈ [0, pi],
-    label each by a Bernoulli draw from [read_prob], and fit.
-    @raise Invalid_argument if [samples <= 0] or
-    [max_distance <= 0]. *)
+    distance ∈ [0, 6 ft] × angle ∈ [0, pi], label each by a Bernoulli
+    draw from [read_prob], and fit with the default ridge penalty of
+    {!fit_from_pairs}. @raise Invalid_argument if [samples <= 0]. *)
 
 val fit_from_pairs :
   ?l2:float ->
@@ -32,16 +29,13 @@ val fit_from_pairs :
   unit ->
   Rfid_model.Sensor_model.t
 (** Weighted logistic fit from explicit ((distance, angle), read?)
-    pairs — the M-step primitive of {!Calibration}.
+    pairs — the M-step primitive of {!Calibration}. [l2] is the ridge
+    penalty (default 1e-4).
     @raise Invalid_argument on shape mismatch or empty data. *)
 
 val mean_abs_error :
-  Rfid_model.Sensor_model.t ->
-  read_prob:(d:float -> theta:float -> float) ->
-  ?max_distance:float ->
-  ?grid:int ->
-  unit ->
-  float
-(** Mean absolute difference of read probabilities over a
-    distance × angle grid — how well a fitted model matches a reference
-    region (used to compare learned vs true models, Fig. 5(b)/(c)). *)
+  Rfid_model.Sensor_model.t -> read_prob:(d:float -> theta:float -> float) -> float
+(** Mean absolute difference of read probabilities over a 40 × 40 grid
+    of distance ∈ [0, 6 ft] × angle ∈ [0, pi] — how well a fitted model
+    matches a reference region (used to compare learned vs true models,
+    Fig. 5(b)/(c)). *)

@@ -6,8 +6,8 @@ type t = {
 }
 
 let create ?(sensor = Sensor_model.default) ?(motion = Motion_model.default)
-    ?(sensing = Location_sensing.default) ?(objects = Object_model.default) () =
-  { sensor; motion; sensing; objects }
+    ?(sensing = Location_sensing.default) () =
+  { sensor; motion; sensing; objects = Object_model.default }
 
 let default = create ()
 

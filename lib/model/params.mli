@@ -16,8 +16,9 @@ val create :
   ?sensor:Sensor_model.t ->
   ?motion:Motion_model.t ->
   ?sensing:Location_sensing.t ->
-  ?objects:Object_model.t ->
   unit ->
   t
+(** Omitted components take their defaults; the object model is always
+    {!Object_model.default}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -24,6 +24,3 @@ type observation = {
 }
 (** Synchronized per-epoch evidence: everything the world reveals at
     time t. *)
-
-module Tag_map : Map.S with type key = tag
-module Tag_set : Set.S with type elt = tag

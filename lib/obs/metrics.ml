@@ -44,10 +44,11 @@ type metric = M_counter of counter | M_gauge of gauge | M_hist of histogram
 
 type t = { table : (string, metric) Hashtbl.t; mu : Mutex.t }
 
-let create () = { table = Hashtbl.create 32; mu = Mutex.create () }
-let global = create ()
+let global = { table = Hashtbl.create 32; mu = Mutex.create () }
 
-let register t name make describe =
+(* Registration always goes to [global]. *)
+let register name make describe =
+  let t = global in
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
@@ -65,18 +66,18 @@ let register t name make describe =
       invalid_arg
         (Printf.sprintf "Metrics: %S is already registered with a different kind" name)
 
-let counter t name =
-  register t name
+let counter name =
+  register name
     (fun () -> M_counter { c_value = 0 })
     (function M_counter c -> Some c | _ -> None)
 
-let gauge t name =
-  register t name
+let gauge name =
+  register name
     (fun () -> M_gauge { g_value = Float.nan })
     (function M_gauge g -> Some g | _ -> None)
 
-let histogram t name =
-  register t name
+let histogram name =
+  register name
     (fun () ->
       M_hist
         {
@@ -146,7 +147,7 @@ let quantile h q =
     Float.max lo (Float.min hi answer)
   end
 
-let span t name = { sp_name = name; sp_hist = histogram t name }
+let span name = { sp_name = name; sp_hist = histogram name }
 
 (* CLOCK_MONOTONIC in seconds: a span never goes negative when the wall
    clock steps. *)
@@ -174,10 +175,10 @@ let counters_list t =
     (function name, M_counter c -> Some (name, counter_value c) | _ -> None)
     (sorted_metrics t)
 
-let gauges_list t =
+let gauges_list () =
   List.filter_map
     (function name, M_gauge g -> Some (name, g.g_value) | _ -> None)
-    (sorted_metrics t)
+    (sorted_metrics global)
 
 let histograms_list t =
   List.filter_map
@@ -206,7 +207,7 @@ let add_hist_json buf h =
     Buffer.add_char buf '}'
   end
 
-let dump_json ?(extra = []) t =
+let dump_json ?(extra = []) () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema\": \"obs/v1\"";
   List.iter
@@ -224,8 +225,8 @@ let dump_json ?(extra = []) t =
   in
   add_section "counters"
     (fun v -> Buffer.add_string buf (string_of_int v))
-    (counters_list t);
-  add_section "gauges" (fun v -> add_json_float buf v) (gauges_list t);
-  add_section "histograms" (fun h -> add_hist_json buf h) (histograms_list t);
+    (counters_list global);
+  add_section "gauges" (fun v -> add_json_float buf v) (gauges_list ());
+  add_section "histograms" (fun h -> add_hist_json buf h) (histograms_list global);
   Buffer.add_char buf '}';
   Buffer.contents buf

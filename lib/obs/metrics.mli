@@ -1,6 +1,6 @@
 (** Metrics registry for the inference stack.
 
-    A registry holds named {e counters} (monotone ints), {e gauges}
+    The process-wide registry holds named {e counters} (monotone ints), {e gauges}
     (last-write-wins floats) and {e histograms} (fixed log-scaled
     buckets), plus {e spans} — histograms fed by monotonic-clock timing
     of a code region. The design targets the hot-path budget of the
@@ -30,8 +30,8 @@ type t
 (** A registry: a namespace of metrics. *)
 
 val global : t
-(** The process-wide registry every built-in instrumentation site
-    records into. *)
+(** The process-wide registry: every metric registers and records
+    here. *)
 
 val reset : t -> unit
 (** Zero every value (counters, gauges, histogram buckets) while
@@ -42,7 +42,7 @@ val reset : t -> unit
 
 type counter
 
-val counter : t -> string -> counter
+val counter : string -> counter
 (** Find-or-register the counter [name]. Idempotent: the same name
     yields the same counter, so module-level handles in independent
     compilation units can share a metric.
@@ -58,7 +58,7 @@ val counter_value : counter -> int
 
 type gauge
 
-val gauge : t -> string -> gauge
+val gauge : string -> gauge
 (** Find-or-register the gauge [name] (same contract as {!counter}). *)
 
 val set : gauge -> float -> unit
@@ -70,7 +70,7 @@ val gauge_value : gauge -> float
 
 type histogram
 
-val histogram : t -> string -> histogram
+val histogram : string -> histogram
 (** Find-or-register the histogram [name] (same contract as
     {!counter}). *)
 
@@ -97,7 +97,7 @@ type span
 (** A named timed region: a histogram of durations in seconds plus a
     trace-event source. *)
 
-val span : t -> string -> span
+val span : string -> span
 (** Find-or-register span [name]; its histogram is registered under the
     same name ({!histogram} on that name returns it). *)
 
@@ -121,13 +121,13 @@ val stop : span -> float -> unit
 val counters_list : t -> (string * int) list
 (** All counters with their values, sorted by name. *)
 
-val gauges_list : t -> (string * float) list
+val gauges_list : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
 val histograms_list : t -> (string * histogram) list
 (** All histograms (spans included), sorted by name. *)
 
-val dump_json : ?extra:(string * string) list -> t -> string
+val dump_json : ?extra:(string * string) list -> unit -> string
 (** One deterministic JSON object:
     [{"schema": "obs/v1", <extra...>, "counters": {...},
     "gauges": {...}, "histograms": {"name": {"count": n, "sum": s,

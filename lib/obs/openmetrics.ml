@@ -19,7 +19,7 @@ let num v =
   else if v = Float.neg_infinity then "-Inf"
   else Printf.sprintf "%.9g" v
 
-let render registry =
+let render () =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   List.iter
@@ -27,13 +27,13 @@ let render registry =
       let n = sanitize_name name in
       line "# TYPE %s counter" n;
       line "%s_total %d" n v)
-    (Metrics.counters_list registry);
+    (Metrics.counters_list Metrics.global);
   List.iter
     (fun (name, v) ->
       let n = sanitize_name name in
       line "# TYPE %s gauge" n;
       line "%s %s" n (num v))
-    (Metrics.gauges_list registry);
+    (Metrics.gauges_list ());
   List.iter
     (fun (name, h) ->
       let n = sanitize_name name in
@@ -49,6 +49,6 @@ let render registry =
         line "%s_sum %s" n (num (Metrics.histogram_sum h))
       end;
       line "%s_count %d" n count)
-    (Metrics.histograms_list registry);
+    (Metrics.histograms_list Metrics.global);
   line "# EOF";
   Buffer.contents buf

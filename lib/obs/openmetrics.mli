@@ -1,4 +1,4 @@
-(** OpenMetrics text rendering of a {!Metrics} registry.
+(** OpenMetrics text rendering of the {!Metrics} registry.
 
     One {!render} call turns the registry's current read-out
     into the OpenMetrics text exposition format — the wire syntax
@@ -21,5 +21,5 @@
     protocol needs. Output ends with [# EOF]. Rendering is read-only
     and deterministic for a given registry state. *)
 
-val render : Metrics.t -> string
-(** The whole registry as one exposition-format document. *)
+val render : unit -> string
+(** The whole of {!Metrics.global} as one exposition-format document. *)

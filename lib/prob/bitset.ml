@@ -13,9 +13,7 @@ type t = {
   mutable card : int;
 }
 
-let create ?(capacity = 0) () =
-  let nwords = if capacity <= 0 then 1 else 1 + ((capacity - 1) / bits_per_word) in
-  { words = Array.make nwords 0; hwm = 0; card = 0 }
+let create () = { words = Array.make 1 0; hwm = 0; card = 0 }
 
 let cardinal t = t.card
 let is_empty t = t.card = 0

@@ -16,9 +16,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Empty set; [capacity] (default 0) pre-sizes the backing words for
-    elements in [0, capacity). Growth beyond it is automatic. *)
+val create : unit -> t
+(** Empty set of one backing word; growth is automatic. *)
 
 val mem : t -> int -> bool
 (** Membership; [false] for negative or never-added-range ints. *)

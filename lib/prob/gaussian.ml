@@ -64,7 +64,6 @@ let mahalanobis_sq t x =
   Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y
 
 let log_pdf t x = t.log_norm -. (0.5 *. mahalanobis_sq t x)
-let pdf t x = exp (log_pdf t x)
 
 let sample t rng =
   let d = dim t in

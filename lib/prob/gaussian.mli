@@ -31,7 +31,6 @@ val mean : t -> float array
 val cov : t -> Linalg.mat
 
 val log_pdf : t -> float array -> float
-val pdf : t -> float array -> float
 val sample : t -> Rng.t -> float array
 
 val fit : ?w:float array -> float array array -> t

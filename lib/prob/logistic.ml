@@ -18,8 +18,12 @@ let exp_underflow = -746.
 
 type model = { coef : float array }
 
-let fit ?(l2 = 1e-4) ?(max_iter = 400) ?(tol = 1e-8) ?init ?(nonpositive = []) ~x ~y ?w
-    ~dim () =
+(* Newton-step budget, and the coefficient-update max-norm below which
+   the fit has converged. *)
+let max_iter = 400
+let tol = 1e-8
+
+let fit ?(l2 = 1e-4) ?init ?(nonpositive = []) ~x ~y ?w ~dim () =
   List.iter
     (fun j ->
       if j < 0 || j >= dim then invalid_arg "Logistic.fit: constraint index out of range")

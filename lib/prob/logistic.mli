@@ -29,8 +29,6 @@ type model = { coef : float array }
 
 val fit :
   ?l2:float ->
-  ?max_iter:int ->
-  ?tol:float ->
   ?init:float array ->
   ?nonpositive:int list ->
   x:float array array ->
@@ -52,7 +50,7 @@ val fit :
     decays with distance" that guards against wild extrapolation where
     the data leaves a feature region unobserved.
 
-    Terminates after [max_iter] (default 400) Newton steps or when the
-    coefficient update's max-norm drops below [tol] (default 1e-8).
+    Terminates after 400 Newton steps or when the coefficient update's
+    max-norm drops below 1e-8.
     @raise Invalid_argument on shape mismatches, empty data, or a
     constraint index out of range. *)

@@ -251,22 +251,6 @@ let fit_gaussian ~w t =
         [| !cxx; !cxy; !cxz |]; [| !cyx; !cyy; !cyz |]; [| !czx; !czy; !czz |];
       |]
 
-(* Average weighted negative log-likelihood under [g] — the SoA form of
-   [Gaussian.avg_nll ~w g (Array.map Vec3.to_array locs)]. The 3-float
-   probe buffer is reused across particles. *)
-let avg_nll ~w g t =
-  let n = t.n in
-  if n = 0 then invalid_arg "Particle_store.avg_nll: empty store";
-  let p = Array.make 3 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    p.(0) <- FA.unsafe_get t.xs i;
-    p.(1) <- FA.unsafe_get t.ys i;
-    p.(2) <- FA.unsafe_get t.zs i;
-    acc := !acc -. (Array.unsafe_get w i *. Gaussian.log_pdf g p)
-  done;
-  !acc
-
 (* The backing slabs, for batched consumers (e.g. the sensor model's
    per-epoch accumulation): one cross-module call can then loop over
    the whole store with intrinsic unboxed accesses, where a

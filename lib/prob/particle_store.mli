@@ -138,8 +138,4 @@ val fit_gaussian : w:float array -> t -> Gaussian.t
     @raise Invalid_argument on an empty store or weight length
     mismatch. *)
 
-val avg_nll : w:float array -> Gaussian.t -> t -> float
-(** Weighted average negative log-likelihood of the particles under a
-    Gaussian (the compression acceptance test), with a reused probe
-    buffer. @raise Invalid_argument on an empty store. *)
 

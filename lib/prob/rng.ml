@@ -110,7 +110,7 @@ let bernoulli t ~p =
   let u = Int64.to_float (Int64.shift_right_logical z 11) *. 0x1p-53 in
   u < p
 
-let gaussian t ?(mu = 0.) ?(sigma = 1.) () =
+let gaussian t ?(sigma = 1.) () =
   if sigma < 0. then invalid_arg "Rng.gaussian: negative sigma";
   (* Marsaglia polar method; the second deviate is discarded to keep the
      generator state independent of call interleaving. The rejection
@@ -138,7 +138,8 @@ let gaussian t ?(mu = 0.) ?(sigma = 1.) () =
       rejected := false
     end
   done;
-  mu +. (sigma *. !result)
+  (* Adding 0. turns the -0. that [sigma = 0.] can give into +0. *)
+  0. +. (sigma *. !result)
 
 let categorical t w =
   let n = Array.length w in

@@ -64,9 +64,9 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [clamp 0 1 p]. *)
 
-val gaussian : t -> ?mu:float -> ?sigma:float -> unit -> float
-(** Normal deviate via the Marsaglia polar method. Defaults:
-    [mu = 0.], [sigma = 1.]. Requires [sigma >= 0.]. *)
+val gaussian : t -> ?sigma:float -> unit -> float
+(** Zero-mean normal deviate via the Marsaglia polar method, with
+    standard deviation [sigma] (default 1). Requires [sigma >= 0.]. *)
 
 val categorical : t -> float array -> int
 (** [categorical t w] draws an index proportionally to the non-negative

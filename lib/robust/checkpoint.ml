@@ -3,8 +3,8 @@ module Obs = Rfid_obs.Metrics
 let magic = "rfid_streams-checkpoint"
 let version = 2
 
-let sp_encode = Obs.span Obs.global "stage.checkpoint_encode"
-let sp_decode = Obs.span Obs.global "stage.checkpoint_decode"
+let sp_encode = Obs.span "stage.checkpoint_encode"
+let sp_decode = Obs.span "stage.checkpoint_decode"
 
 (* File layout (header is plain text so `head -2 FILE` identifies a
    checkpoint; payload is binary):

@@ -76,18 +76,18 @@ let counters t = List.map (fun f -> (f, count t f)) all_faults
    guard instances — the per-instance [counts] array stays the precise
    per-guard view), the stage span over [admit], and one counter per
    admission outcome. *)
-let sp_ingest = Obs.span Obs.global "stage.ingest"
+let sp_ingest = Obs.span "stage.ingest"
 
 let fault_obs =
   Array.of_list
     (List.map
-       (fun f -> Obs.counter Obs.global ("ingest.fault." ^ fault_name f))
+       (fun f -> Obs.counter ("ingest.fault." ^ fault_name f))
        all_faults)
 
-let c_admitted = Obs.counter Obs.global "ingest.admitted"
-let c_degraded = Obs.counter Obs.global "ingest.degraded"
-let c_rejected = Obs.counter Obs.global "ingest.rejected"
-let c_halted = Obs.counter Obs.global "ingest.halted"
+let c_admitted = Obs.counter "ingest.admitted"
+let c_degraded = Obs.counter "ingest.degraded"
+let c_rejected = Obs.counter "ingest.rejected"
+let c_halted = Obs.counter "ingest.halted"
 
 let note t fault =
   t.counts.(fault_index fault) <- t.counts.(fault_index fault) + 1;

@@ -1,9 +1,9 @@
 module Obs = Rfid_obs.Metrics
 module Types = Rfid_model.Types
 
-let sp_append = Obs.span Obs.global "stage.wal_append"
-let c_records = Obs.counter Obs.global "wal.records"
-let c_fsyncs = Obs.counter Obs.global "wal.fsyncs"
+let sp_append = Obs.span "stage.wal_append"
+let c_records = Obs.counter "wal.records"
+let c_fsyncs = Obs.counter "wal.fsyncs"
 
 let record_magic = "RWL1"
 

@@ -6,10 +6,10 @@ module Event = Rfid_core.Event
 module G = Rfid_prob.Gaussian.Univariate
 module Obs = Rfid_obs.Metrics
 
-let sp_maintain = Obs.span Obs.global "stage.query_maintain"
-let c_fit_cache_hits = Obs.counter Obs.global "query.fit_cache_hits"
-let c_index_updates = Obs.counter Obs.global "query.index_updates"
-let c_full_rebuilds = Obs.counter Obs.global "query.full_rebuilds"
+let sp_maintain = Obs.span "stage.query_maintain"
+let c_fit_cache_hits = Obs.counter "query.fit_cache_hits"
+let c_index_updates = Obs.counter "query.index_updates"
+let c_full_rebuilds = Obs.counter "query.full_rebuilds"
 
 let sigma_reach = 3.5
 let min_mass_floor = 0.001

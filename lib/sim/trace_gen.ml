@@ -30,10 +30,11 @@ let default_config ?sensor () =
     movements = [];
   }
 
-let straight_pass ?(speed = 0.1) ?(margin = 1.0) (wh : Warehouse.t) ~rounds =
+let straight_pass ?(speed = 0.1) (wh : Warehouse.t) ~rounds =
   if rounds <= 0 then invalid_arg "Trace_gen.straight_pass: rounds must be positive";
   if speed <= 0. then invalid_arg "Trace_gen.straight_pass: speed must be positive";
-  let run_length = wh.Warehouse.y_extent +. (2. *. margin) in
+  (* 1 ft of run-in and run-out at each end. *)
+  let run_length = wh.Warehouse.y_extent +. 2. in
   let epochs_per_pass = Int.max 1 (int_of_float (Float.ceil (run_length /. speed))) in
   List.init rounds (fun r ->
       let dir = if r mod 2 = 0 then 1. else -1. in

@@ -38,10 +38,9 @@ val default_config : ?sensor:Truth_sensor.t -> unit -> config
     0.01 ft, no velocity bias, Gaussian reports with zero bias and 0.01
     ft noise, readings every epoch, no movements. *)
 
-val straight_pass :
-  ?speed:float -> ?margin:float -> Warehouse.t -> rounds:int -> segment list
+val straight_pass : ?speed:float -> Warehouse.t -> rounds:int -> segment list
 (** Scan passes along the warehouse aisle: down the full y extent (plus
-    [margin] ft of run-in/out, default 1) at [speed] ft/epoch (default
+    1 ft of run-in and run-out at each end) at [speed] ft/epoch (default
     0.1, the paper's robot), reversing direction each round, always
     facing the shelves. @raise Invalid_argument if [rounds <= 0] or
     [speed <= 0]. *)

@@ -6,10 +6,10 @@ type t = {
 
 let deg x = x *. Float.pi /. 180.
 
-let cone ?(rr_major = 1.0) ?(range = 3.0) () =
+let cone ?(rr_major = 1.0) () =
   if not (rr_major >= 0. && rr_major <= 1.) then
     invalid_arg "Truth_sensor.cone: rr_major must be in [0, 1]";
-  if not (range > 0.) then invalid_arg "Truth_sensor.cone: range must be positive";
+  let range = 3.0 in
   let major_half = deg 15. and minor_half = deg 22.5 in
   let read_prob ~d ~theta =
     let theta = Float.abs theta in

@@ -12,13 +12,12 @@ type t = {
   half_angle : float;  (** angle beyond which the probability is 0 *)
 }
 
-val cone : ?rr_major:float -> ?range:float -> unit -> t
-(** The §V-A warehouse sensor: a cone with a 30° open angle for the
-    major detection range at uniform read rate [rr_major] (default 1.0),
-    plus an additional 15° for the minor detection range whose rate
-    decays linearly from [rr_major] to 0. Default [range] 3 ft.
-    @raise Invalid_argument unless [0 <= rr_major <= 1] and
-    [range > 0]. *)
+val cone : ?rr_major:float -> unit -> t
+(** The §V-A warehouse sensor: a cone 3 ft long with a 30° open angle
+    for the major detection range at uniform read rate [rr_major]
+    (default 1.0), plus an additional 15° for the minor detection range
+    whose rate decays linearly from [rr_major] to 0.
+    @raise Invalid_argument unless [0 <= rr_major <= 1]. *)
 
 val spherical : ?rr_center:float -> ?range:float -> ?angle_falloff:float -> unit -> t
 (** The §V-C lab antenna: a spherical region with a wide minor range

@@ -3,17 +3,18 @@ open Rfid_geom
 type t = {
   world : Rfid_model.World.t;
   object_locs : Vec3.t array;
-  aisle_width : float;
   y_extent : float;
 }
 
-let layout ?(objects_per_shelf = 10) ?(object_spacing = 0.5) ?(shelf_depth = 1.0)
-    ?(aisle_width = 1.5) ~num_objects () =
+(* Dimensions, ft. *)
+let object_spacing = 0.5
+let shelf_depth = 1.0
+let aisle_width = 1.5
+
+let layout ?(objects_per_shelf = 10) ~num_objects () =
   if num_objects <= 0 then invalid_arg "Warehouse.layout: num_objects must be positive";
   if objects_per_shelf <= 0 then
     invalid_arg "Warehouse.layout: objects_per_shelf must be positive";
-  if object_spacing <= 0. || shelf_depth <= 0. || aisle_width <= 0. then
-    invalid_arg "Warehouse.layout: dimensions must be positive";
   let num_shelves = (num_objects + objects_per_shelf - 1) / objects_per_shelf in
   let shelf_len = float_of_int objects_per_shelf *. object_spacing in
   let front_x = aisle_width in
@@ -37,7 +38,6 @@ let layout ?(objects_per_shelf = 10) ?(object_spacing = 0.5) ?(shelf_depth = 1.0
   {
     world;
     object_locs;
-    aisle_width;
     y_extent = float_of_int num_shelves *. shelf_len;
   }
 

@@ -12,12 +12,12 @@ type violation = {
   v_objects : int list;
 }
 
-type config = { weight_of : int -> float; window : int; limit : float }
-
-let default_config ~weight_of = { weight_of; window = 5; limit = 200. }
+(* The range window (epochs) and the limit (pounds per square foot). *)
+let window = 5
+let limit = 200.
 
 type t = {
-  cfg : config;
+  weight_of : int -> float;
   recent : (Rfid_model.Types.epoch * int) Queue.t;
       (* objects reported within the range window, oldest first *)
   latest_loc : (int, Vec3.t) Hashtbl.t;
@@ -25,10 +25,9 @@ type t = {
   reported : (cell, unit) Hashtbl.t;  (* cells already reported at [epoch] *)
 }
 
-let create cfg =
-  if cfg.window <= 0 then invalid_arg "Fire_code.create: window must be positive";
+let create ~weight_of =
   {
-    cfg;
+    weight_of;
     recent = Queue.create ();
     latest_loc = Hashtbl.create 64;
     epoch = min_int;
@@ -44,7 +43,7 @@ let push t (ev : Rfid_core.Event.t) =
   end;
   Hashtbl.replace t.latest_loc ev.Rfid_core.Event.ev_obj ev.Rfid_core.Event.ev_loc;
   Queue.push (e, ev.Rfid_core.Event.ev_obj) t.recent;
-  while fst (Queue.peek t.recent) <= e - t.cfg.window do
+  while fst (Queue.peek t.recent) <= e - window do
     ignore (Queue.pop t.recent)
   done;
   (* Group the window's objects by square-foot cell of their latest
@@ -57,13 +56,13 @@ let push t (ev : Rfid_core.Event.t) =
         Hashtbl.replace seen obj ();
         let c = cell_of (Hashtbl.find t.latest_loc obj) in
         let w, objs = Option.value (Hashtbl.find_opt cells c) ~default:(0., []) in
-        Hashtbl.replace cells c (w +. t.cfg.weight_of obj, obj :: objs)
+        Hashtbl.replace cells c (w +. t.weight_of obj, obj :: objs)
       end)
     t.recent;
   let vs =
     Hashtbl.fold
       (fun c (w, objs) acc ->
-        if w > t.cfg.limit && not (Hashtbl.mem t.reported c) then
+        if w > limit && not (Hashtbl.mem t.reported c) then
           { v_epoch = e; v_cell = c; v_weight = w; v_objects = List.sort Int.compare objs }
           :: acc
         else acc)

@@ -25,19 +25,12 @@ type violation = {
   v_objects : int list;  (** contributing objects, ascending id *)
 }
 
-type config = {
-  weight_of : int -> float;  (** pounds, by object id *)
-  window : int;  (** epochs (the paper's 5-second range window) *)
-  limit : float;  (** pounds per square foot (200) *)
-}
-
-val default_config : weight_of:(int -> float) -> config
-(** window = 5, limit = 200. *)
-
 type t
 
-val create : config -> t
-(** @raise Invalid_argument if [window <= 0]. *)
+val create : weight_of:(int -> float) -> t
+(** A query over a 5-epoch range window (the paper's 5 seconds) with
+    the 200 lb limit; [weight_of] gives an object's weight in pounds by
+    id. *)
 
 val run : t -> Rfid_core.Event.t list -> violation list
 (** Feed events in epoch order; returns the cells in violation, each

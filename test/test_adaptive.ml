@@ -83,7 +83,7 @@ let test_vacuous_cap_bit_identical () =
    counted, and with a near-zero ratio nearly every resample decision
    becomes a skip. *)
 let test_cap_below_trigger_skips () =
-  let skipped = Obs.counter Obs.global "filter.resamples_skipped" in
+  let skipped = Obs.counter "filter.resamples_skipped" in
   let before = Obs.counter_value skipped in
   ignore (run_events (config ~resample_ess_ratio:0.05 ()));
   let delta = Obs.counter_value skipped - before in

@@ -5,7 +5,7 @@ open Rfid_model
    missed per epoch; each presence period the window declares yields
    one event at its last present epoch. *)
 
-let smurf_epochs ?(config = Smurf.default_config ~read_range:3. ()) reads =
+let smurf_epochs reads =
   let obs =
     List.mapi
       (fun e read ->
@@ -16,7 +16,7 @@ let smurf_epochs ?(config = Smurf.default_config ~read_range:3. ()) reads =
         })
       reads
   in
-  Smurf.run ~world:(Util.two_shelf_world ()) ~config ~seed:1 obs
+  Smurf.run ~world:(Util.two_shelf_world ()) ~read_range:3. ~seed:1 obs
   |> List.map (fun (ev : Rfid_core.Event.t) -> ev.Rfid_core.Event.ev_epoch)
 
 let test_window_present_while_read () =
@@ -41,11 +41,10 @@ let test_window_detects_departure () =
   | es -> Alcotest.failf "expected one period, got %d" (List.length es)
 
 let test_window_cap () =
-  (* Tiny read rate pushes w* huge; with the window capped at 5 epochs
-     every 6-epoch gap between reads ends the period. *)
-  let config = { (Smurf.default_config ~read_range:3. ()) with Smurf.max_window = 5 } in
+  (* Tiny read rate pushes w* huge; with the window capped at 25 epochs
+     every 26-epoch gap between reads ends the period. *)
   Alcotest.(check int) "one period per read" 8
-    (List.length (smurf_epochs ~config (List.init 51 (fun e -> e mod 7 = 0))))
+    (List.length (smurf_epochs (List.init 190 (fun e -> e mod 27 = 0))))
 
 (* End-to-end SMURF and Uniform on simulated traces *)
 
@@ -67,7 +66,7 @@ let test_smurf_emits_events () =
   let wh, trace = scenario () in
   let events =
     Smurf.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Smurf.default_config ~read_range:3. ()) ~seed:2
+      ~read_range:3. ~seed:2
       (Trace.observations trace)
   in
   Alcotest.(check bool) "events produced" true (List.length events > 0);
@@ -84,7 +83,7 @@ let test_smurf_error_bounded_but_worse_than_nothing () =
   let wh, trace = scenario () in
   let events =
     Smurf.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Smurf.default_config ~read_range:3. ()) ~seed:2
+      ~read_range:3. ~seed:2
       (Trace.observations trace)
   in
   let err = Rfid_eval.Metrics.inference_error events trace in
@@ -109,7 +108,7 @@ let test_smurf_ignores_shelf_tags () =
   in
   let events =
     Smurf.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Smurf.default_config ~read_range:3. ()) ~seed:2 shelf_only
+      ~read_range:3. ~seed:2 shelf_only
   in
   Alcotest.(check int) "no object readings, no events" 0 (List.length events)
 
@@ -117,7 +116,7 @@ let test_uniform_baseline () =
   let wh, trace = scenario () in
   let events =
     Uniform.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Uniform.default_config ~read_range:3. ()) ~seed:2
+      ~read_range:3. ~seed:2
       (Trace.observations trace)
   in
   Util.check_close ~eps:0.01 "coverage" 1. (Util.coverage events trace);
@@ -143,12 +142,12 @@ let test_engine_beats_baselines () =
   let ours = Rfid_eval.Runner.run_engine ~params ~config ~seed:4 trace in
   let smurf_events =
     Smurf.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Smurf.default_config ~read_range:3. ()) ~seed:2
+      ~read_range:3. ~seed:2
       (Trace.observations trace)
   in
   let uniform_events =
     Uniform.run ~world:wh.Rfid_sim.Warehouse.world
-      ~config:(Uniform.default_config ~read_range:3. ()) ~seed:2
+      ~read_range:3. ~seed:2
       (Trace.observations trace)
   in
   let e_ours = ours.Rfid_eval.Runner.error.Rfid_eval.Metrics.mean_xy in
@@ -167,10 +166,11 @@ let test_engine_beats_baselines () =
     (e_smurf <= e_uniform +. 0.25)
 
 let test_config_validation () =
+  let world = Util.two_shelf_world () in
   Util.check_raises_invalid "bad smurf range" (fun () ->
-      ignore (Smurf.default_config ~read_range:0. ()));
+      ignore (Smurf.run ~world ~read_range:0. ~seed:1 []));
   Util.check_raises_invalid "bad uniform range" (fun () ->
-      ignore (Uniform.default_config ~read_range:(-1.) ()))
+      ignore (Uniform.run ~world ~read_range:(-1.) ~seed:1 []))
 
 let suite =
   ( "baselines",

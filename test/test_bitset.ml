@@ -37,7 +37,7 @@ let test_word_boundaries () =
   List.iter (fun i -> Alcotest.(check bool) "mem" true (Bitset.mem b i)) ids
 
 let test_clear_reuse () =
-  let b = Bitset.create ~capacity:4 () in
+  let b = Bitset.create () in
   for i = 0 to 200 do
     Bitset.add b (i * 3)
   done;

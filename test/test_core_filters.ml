@@ -8,9 +8,7 @@ let test_config_validation () =
   Util.check_raises_invalid "zero particles" (fun () ->
       ignore (Config.create ~num_reader_particles:0 ()));
   Util.check_raises_invalid "bad ratio" (fun () ->
-      ignore (Config.create ~resample_ratio:1.5 ()));
-  Util.check_raises_invalid "reinit order" (fun () ->
-      ignore (Config.create ~reinit_near:5. ~reinit_far:1. ()))
+      ignore (Config.create ~resample_ratio:1.5 ()))
 
 let test_event () =
   let ev =
@@ -244,10 +242,10 @@ let test_newly_seen_semantics () =
    genuine eviction. *)
 let test_eviction_queue_edges () =
   let world = Util.two_shelf_world () in
-  let horizon = 5 in
+  let horizon = Config.out_of_scope_after in
   let config =
     Config.create ~variant:Config.Factorized ~num_reader_particles:8
-      ~num_object_particles:16 ~out_of_scope_after:horizon ()
+      ~num_object_particles:16 ()
   in
   let loc = Util.vec3 0. 5. 0. in
   let filter =
@@ -255,7 +253,7 @@ let test_eviction_queue_edges () =
       ~init_reader:(Reader_state.make ~loc ~heading:0.)
       ~rng:(Rfid_prob.Rng.create ~seed:3)
   in
-  let evictions = Rfid_obs.Metrics.counter Rfid_obs.Metrics.global "health.evicted_objects" in
+  let evictions = Rfid_obs.Metrics.counter "health.evicted_objects" in
   let base = Rfid_obs.Metrics.counter_value evictions in
   let step e tags =
     Factored_filter.step filter

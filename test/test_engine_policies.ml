@@ -1,6 +1,6 @@
 (* Focused tests of engine policies and edge cases not covered by the
-   main filter suite: compression gating, report scheduling corner
-   cases, estimate statistics, and configuration interplay. *)
+   main filter suite: report scheduling corner cases, estimate
+   statistics, and configuration interplay. *)
 open Rfid_core
 open Rfid_model
 
@@ -24,45 +24,6 @@ let scenario ?(num_objects = 8) ?(rounds = 1) ?(seed = 77) () =
       (Rfid_prob.Rng.create ~seed)
   in
   (wh, trace)
-
-let test_compress_nll_gate_blocks () =
-  (* An impossible NLL bound means nothing ever qualifies for
-     compression: the engine behaves exactly like Factorized_indexed. *)
-  let wh, trace = scenario () in
-  let config =
-    Config.create ~variant:Config.Factorized_compressed ~num_reader_particles:60
-      ~num_object_particles:100 ~compress_after:8
-      ~compress_max_nll:(Some neg_infinity) ()
-  in
-  let rng = Rfid_prob.Rng.create ~seed:5 in
-  let filter =
-    Factored_filter.create ~world:wh.Rfid_sim.Warehouse.world
-      ~params:(Lazy.force fitted_params) ~config
-      ~init_reader:(Rfid_sim.Warehouse.reader_start wh) ~rng
-  in
-  List.iter (fun o -> Factored_filter.step filter o) (Trace.observations trace);
-  List.iter
-    (fun obj ->
-      Alcotest.(check bool) "never compressed" false
-        (Factored_filter.is_compressed filter obj))
-    (Factored_filter.known_objects filter)
-
-let test_compress_nll_gate_allows () =
-  (* A permissive bound compresses everything that leaves scope. *)
-  let wh, trace = scenario () in
-  let config =
-    Config.create ~variant:Config.Factorized_compressed ~num_reader_particles:60
-      ~num_object_particles:100 ~compress_after:8 ~compress_max_nll:(Some 1e9) ()
-  in
-  let rng = Rfid_prob.Rng.create ~seed:5 in
-  let filter =
-    Factored_filter.create ~world:wh.Rfid_sim.Warehouse.world
-      ~params:(Lazy.force fitted_params) ~config
-      ~init_reader:(Rfid_sim.Warehouse.reader_start wh) ~rng
-  in
-  List.iter (fun o -> Factored_filter.step filter o) (Trace.observations trace);
-  Alcotest.(check bool) "first object compressed" true
-    (Factored_filter.is_compressed filter 0)
 
 let test_event_covariance_is_sane () =
   let _, trace = scenario () in
@@ -174,10 +135,6 @@ let test_decompress_particle_count () =
 let suite =
   ( "engine_policies",
     [
-      Alcotest.test_case "compression NLL gate blocks" `Quick
-        test_compress_nll_gate_blocks;
-      Alcotest.test_case "compression NLL gate allows" `Quick
-        test_compress_nll_gate_allows;
       Alcotest.test_case "event covariance sane" `Quick test_event_covariance_is_sane;
       Alcotest.test_case "multiple encounters, multiple events" `Quick
         test_multiple_encounters_emit_multiple_events;

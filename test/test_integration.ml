@@ -82,13 +82,10 @@ let test_lab_pipeline () =
   let rig = Rfid_sim.Lab.deployment ~timeout_ms:500 () in
   let heading_model = Rfid_core.Config.Known_heading Rfid_sim.Lab.heading in
   let train = Rfid_sim.Lab.scan rig ~seed:8 in
-  let cal = Rfid_learn.Calibration.default_config ~heading_model () in
-  let cal = { cal with Rfid_learn.Calibration.em_iters = 2 } in
   let learned =
-    Rfid_learn.Calibration.calibrate ~world:rig.Rfid_sim.Lab.world
-      ~init:Params.default ~config:cal
-      ~observations:(Trace.observations train)
-      ~init_reader:train.Trace.steps.(0).Trace.true_reader
+    Rfid_learn.Calibration.calibrate ~heading_model ~world:rig.Rfid_sim.Lab.world
+      ~init:Params.default ~em_iters:2
+      ~init_reader:train.Trace.steps.(0).Trace.true_reader (Trace.observations train)
   in
   let trace = Rfid_sim.Lab.scan rig ~seed:7 in
   let config =
@@ -98,11 +95,8 @@ let test_lab_pipeline () =
   let ours = Rfid_eval.Runner.run_engine ~params:learned ~config ~seed:4 trace in
   let range = Float.min 8. (Sensor_model.detection_range learned.Params.sensor) in
   let uniform =
-    Rfid_baselines.Uniform.run ~world:rig.Rfid_sim.Lab.world
-      ~config:
-        (Rfid_baselines.Uniform.default_config ~heading_of:Rfid_sim.Lab.heading
-           ~read_range:range ())
-      ~seed:5 (Trace.observations trace)
+    Rfid_baselines.Uniform.run ~world:rig.Rfid_sim.Lab.world ~read_range:range
+      ~heading_of:Rfid_sim.Lab.heading ~seed:5 (Trace.observations trace)
   in
   let e_ours = ours.Rfid_eval.Runner.error.Rfid_eval.Metrics.mean_xy in
   let e_uniform =
@@ -176,8 +170,7 @@ let test_stream_pipeline () =
   in
   let events = Rfid_core.Engine.run engine (Trace.observations trace) in
   let fire =
-    Rfid_stream.Fire_code.create
-      (Rfid_stream.Fire_code.default_config ~weight_of:(fun _ -> 60.))
+    Rfid_stream.Fire_code.create ~weight_of:(fun _ -> 60.)
   in
   let violations = Rfid_stream.Fire_code.run fire events in
   Alcotest.(check bool) "overload detected" true (List.length violations > 0);

@@ -9,7 +9,7 @@ let test_supervised_fit_quality () =
   in
   let mae =
     Rfid_learn.Supervised.mean_abs_error m
-      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob ()
+      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
   in
   Alcotest.(check bool) (Printf.sprintf "MAE %.4f < 0.05" mae) true (mae < 0.05);
   (* Decay constraints respected. *)
@@ -46,7 +46,6 @@ let test_fit_from_pairs_recovers () =
   let mae =
     Rfid_learn.Supervised.mean_abs_error m
       ~read_prob:(fun ~d ~theta -> Sensor_model.read_prob_at truth ~d ~theta)
-      ()
   in
   Alcotest.(check bool) (Printf.sprintf "planted recovery MAE %.4f" mae) true (mae < 0.02)
 
@@ -68,11 +67,8 @@ let training_setup ~shelf_tags_kept ~seed =
 
 let calibrate_with ?(init = Params.default) ~shelf_tags_kept () =
   let world, trace = training_setup ~shelf_tags_kept ~seed:17 in
-  let config = Rfid_learn.Calibration.default_config () in
-  let config = { config with Rfid_learn.Calibration.em_iters = 3 } in
-  Rfid_learn.Calibration.calibrate ~world ~init ~config
-    ~observations:(Trace.observations trace)
-    ~init_reader:trace.Trace.steps.(0).Trace.true_reader
+  Rfid_learn.Calibration.calibrate ~world ~init ~em_iters:3
+    ~init_reader:trace.Trace.steps.(0).Trace.true_reader (Trace.observations trace)
 
 let test_em_learns_reasonable_sensor () =
   (* Start from an uninformative sensor (a coin flip at every geometry)
@@ -82,11 +78,11 @@ let test_em_learns_reasonable_sensor () =
   let learned = calibrate_with ~init ~shelf_tags_kept:4 () in
   let mae =
     Rfid_learn.Supervised.mean_abs_error learned.Params.sensor
-      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob ()
+      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
   in
   let mae_blind =
     Rfid_learn.Supervised.mean_abs_error blind
-      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob ()
+      ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
   in
   Alcotest.(check bool)
     (Printf.sprintf "EM MAE %.4f well below blind init %.4f" mae mae_blind)
@@ -123,13 +119,10 @@ let test_em_detects_systematic_bias () =
       ~config:config_gen
       (Rfid_prob.Rng.create ~seed:23)
   in
-  let cal = Rfid_learn.Calibration.default_config () in
-  let cal = { cal with Rfid_learn.Calibration.em_iters = 5 } in
   let learned =
     Rfid_learn.Calibration.calibrate ~world:wh.Rfid_sim.Warehouse.world
-      ~init:Params.default ~config:cal
-      ~observations:(Trace.observations trace)
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader
+      ~init:Params.default ~em_iters:5
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader (Trace.observations trace)
   in
   let bias = learned.Params.sensing.Location_sensing.bias in
   (* EM recovers most of the systematic offset; the filtered (not
@@ -140,12 +133,11 @@ let test_em_detects_systematic_bias () =
 
 let test_calibrate_validation () =
   let world, _ = training_setup ~shelf_tags_kept:4 ~seed:1 in
-  let config = Rfid_learn.Calibration.default_config () in
   Util.check_raises_invalid "empty stream" (fun () ->
       ignore
-        (Rfid_learn.Calibration.calibrate ~world ~init:Params.default ~config
-           ~observations:[]
-           ~init_reader:(Reader_state.make ~loc:Rfid_geom.Vec3.zero ~heading:0.)))
+        (Rfid_learn.Calibration.calibrate ~world ~init:Params.default ~em_iters:4
+           ~init_reader:(Reader_state.make ~loc:Rfid_geom.Vec3.zero ~heading:0.)
+           []))
 
 let suite =
   ( "learn",

@@ -66,8 +66,11 @@ let test_object_model () =
 let test_params () =
   let p = Params.default in
   Alcotest.(check bool) "default sensor" true (p.Params.sensor = Sensor_model.default);
-  let custom = Params.create ~objects:({ Object_model.move_prob = 0.5 }) () in
-  Util.check_close "override" 0.5 custom.Params.objects.Object_model.move_prob;
+  let blind = Sensor_model.of_coef [| 0.; 0.; 0.; 0.; 0. |] in
+  let custom = Params.create ~sensor:blind () in
+  Alcotest.(check bool) "override" true (custom.Params.sensor = blind);
+  Alcotest.(check bool) "default object model" true
+    (custom.Params.objects = Object_model.default);
   (* pp does not raise *)
   ignore (Format.asprintf "%a" Params.pp p)
 

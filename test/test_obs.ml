@@ -151,10 +151,10 @@ let test_buckets () =
   (* Values outside the bucket range (NaN, negatives, tiny, huge) must
      land in a bucket, and quantiles stay monotone in [q] across many
      octaves. *)
-  let h = M.histogram M.global "test.buckets" in
+  let h = M.histogram "test.buckets" in
   List.iter (M.observe h) [ 1e-12; Float.nan; -1.0; 1e300 ];
   Alcotest.(check int) "extremes counted" 4 (M.histogram_count h);
-  let h2 = M.histogram M.global "test.buckets.octaves" in
+  let h2 = M.histogram "test.buckets.octaves" in
   for i = 0 to 200 do
     M.observe h2 (1e-9 *. Float.exp2 (float_of_int i /. 10.))
   done;
@@ -169,20 +169,19 @@ let test_buckets () =
 (* Counters, gauges, histogram read-out *)
 
 let check_in_dump what needle =
-  let s = M.dump_json M.global in
+  let s = M.dump_json () in
   if not (Util.contains_sub s needle) then Alcotest.failf "%s: %S not in %s" what needle s
 
 let test_values () =
-  let r = M.global in
-  let c = M.counter r "test.values.c" in
+  let c = M.counter "test.values.c" in
   M.incr c 2;
   M.incr c 15;
   Alcotest.(check int) "counter sums increments" 17 (M.counter_value c);
-  let g = M.gauge r "test.values.g" in
+  let g = M.gauge "test.values.g" in
   M.set g 1.5;
   M.set g 2.5;
   Alcotest.(check (float 0.)) "gauge last write wins" 2.5 (M.gauge_value g);
-  let h = M.histogram r "test.values.h" in
+  let h = M.histogram "test.values.h" in
   let values = [ 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ] in
   List.iter (M.observe h) values;
   Alcotest.(check int) "hist count" (List.length values) (M.histogram_count h);
@@ -191,14 +190,13 @@ let test_values () =
     "\"test.values.h\": {\"count\": 8, \"sum\": 127.5, \"min\": 0.5, \"max\": 64,"
 
 let test_quantiles () =
-  let r = M.global in
-  let h = M.histogram r "test.q" in
+  let h = M.histogram "test.q" in
   Alcotest.(check bool) "empty quantile is nan" true (Float.is_nan (M.quantile h 0.5));
   M.observe h 3.0;
   (* One observation: every quantile clamps into [min, max] = [3, 3]. *)
   Alcotest.(check (float 0.)) "single value p50" 3.0 (M.quantile h 0.5);
   Alcotest.(check (float 0.)) "single value p99" 3.0 (M.quantile h 0.99);
-  let h2 = M.histogram r "test.q2" in
+  let h2 = M.histogram "test.q2" in
   for i = 1 to 1000 do
     M.observe h2 (float_of_int i)
   done;
@@ -212,7 +210,7 @@ let test_quantiles () =
           rel)
     [ (0.5, 500.); (0.95, 950.); (0.99, 990.) ];
   (* Reset zeroes values but keeps handles usable. *)
-  M.reset r;
+  M.reset M.global;
   Alcotest.(check int) "reset empties histogram" 0 (M.histogram_count h2);
   M.observe h2 1.0;
   Alcotest.(check int) "handle alive after reset" 1 (M.histogram_count h2)
@@ -221,9 +219,8 @@ let test_quantiles () =
 (* Spans *)
 
 let test_spans () =
-  let r = M.global in
-  let outer = M.span r "test.span.outer" in
-  let inner = M.span r "test.span.inner" in
+  let outer = M.span "test.span.outer" in
+  let inner = M.span "test.span.inner" in
   let spin s =
     let t_end = Unix.gettimeofday () +. s in
     while Unix.gettimeofday () < t_end do () done
@@ -235,7 +232,7 @@ let test_spans () =
     M.stop inner t1;
     M.stop outer t0
   done;
-  let ho = M.histogram r "test.span.outer" and hi = M.histogram r "test.span.inner" in
+  let ho = M.histogram "test.span.outer" and hi = M.histogram "test.span.inner" in
   Alcotest.(check int) "outer count" 3 (M.histogram_count ho);
   Alcotest.(check int) "inner count" 3 (M.histogram_count hi);
   (* Nesting: each outer interval contains its inner one. *)
@@ -247,39 +244,36 @@ let test_spans () =
 (* Spans read CLOCK_MONOTONIC, so a sleep is timed by the clock the
    sleep itself is measured against. *)
 let test_span_monotonic () =
-  let r = M.global in
-  let sp = M.span r "test.span.sleep" in
+  let sp = M.span "test.span.sleep" in
   let t0 = M.start sp in
   Unix.sleepf 0.002;
   M.stop sp t0;
-  let v = M.histogram_sum (M.histogram r "test.span.sleep") in
+  let v = M.histogram_sum (M.histogram "test.span.sleep") in
   if not (v >= 0.002 -. 1e-9 && v < 1.0) then
     Alcotest.failf "a 2 ms sleep recorded %g s" v
 
 let test_registration_conflicts () =
-  let r = M.global in
-  let c = M.counter r "test.same-name" in
-  let c' = M.counter r "test.same-name" in
+  let c = M.counter "test.same-name" in
+  let c' = M.counter "test.same-name" in
   M.incr c 1;
   M.incr c' 1;
   Alcotest.(check int) "same name, same counter" 2 (M.counter_value c);
   Alcotest.check_raises "kind conflict rejected"
     (Invalid_argument "Metrics: \"test.same-name\" is already registered with a different kind")
-    (fun () -> ignore (M.histogram r "test.same-name"))
+    (fun () -> ignore (M.histogram "test.same-name"))
 
 (* ------------------------------------------------------------------ *)
 (* JSON dump *)
 
 let test_dump_json () =
-  let r = M.global in
-  M.reset r;
-  M.incr (M.counter r "test.dump.epochs") 42;
-  M.set (M.gauge r "test.dump.reader_ess") 12.5;
-  let h = M.histogram r "test.dump.step" in
+  M.reset M.global;
+  M.incr (M.counter "test.dump.epochs") 42;
+  M.set (M.gauge "test.dump.reader_ess") 12.5;
+  let h = M.histogram "test.dump.step" in
   M.observe h 0.001;
   M.observe h 0.002;
-  ignore (M.histogram r "test.dump.unused");
-  let s = M.dump_json ~extra:[ ("epoch", "7") ] r in
+  ignore (M.histogram "test.dump.unused");
+  let s = M.dump_json ~extra:[ ("epoch", "7") ] () in
   let keys, numbers = validate_json s in
   Alcotest.(check (list string)) "top-level keys"
     [ "schema"; "epoch"; "counters"; "gauges"; "histograms" ]
@@ -324,9 +318,9 @@ let test_engine_snapshots_monotone () =
   List.iteri
     (fun i obs ->
       ignore (Rfid_core.Engine.step engine obs);
-      if i mod 10 = 0 then snapshots := M.dump_json M.global :: !snapshots)
+      if i mod 10 = 0 then snapshots := M.dump_json () :: !snapshots)
     (Rfid_model.Trace.observations trace);
-  snapshots := M.dump_json M.global :: !snapshots;
+  snapshots := M.dump_json () :: !snapshots;
   let snapshots = List.rev !snapshots in
   Alcotest.(check bool) "several snapshots" true (List.length snapshots >= 3);
   let last = ref (-1.) in

@@ -113,8 +113,7 @@ let run_interleaving ~variant ~seed ~steps_budget =
   let obs = Array.of_list (Trace.observations trace) in
   let config =
     Config.create ~variant ~num_reader_particles:30 ~num_object_particles:40
-      ~out_of_scope_after:4 ~report_delay:3 ~compress_after:5
-      ~degraded_widen_after:2 ()
+      ~report_delay:3 ~compress_after:5 ~degraded_widen_after:2 ()
   in
   let engine = ref (make_engine config) in
   let qi = Query.create () in
@@ -214,20 +213,22 @@ let run_dirty_completeness ~label config ~degraded_burst =
   !saw_dirty_all
 
 let test_dirty_eviction () =
+  let evictions = Rfid_obs.Metrics.counter "health.evicted_objects" in
+  let base = Rfid_obs.Metrics.counter_value evictions in
   ignore
     (run_dirty_completeness ~label:"eviction"
        (Config.create ~variant:Config.Factorized_indexed
-          ~num_reader_particles:30 ~num_object_particles:40
-          ~out_of_scope_after:2 ~report_delay:2 ())
-       ~degraded_burst:0)
+          ~num_reader_particles:30 ~num_object_particles:40 ~report_delay:2 ())
+       ~degraded_burst:0);
+  Alcotest.(check bool) "objects were evicted" true
+    (Rfid_obs.Metrics.counter_value evictions > base)
 
 let test_dirty_adaptive_budget () =
   ignore
     (run_dirty_completeness ~label:"adaptive budget"
        (Config.create ~variant:Config.Factorized_indexed
           ~num_reader_particles:30 ~num_object_particles:80
-          ~min_object_particles:10 ~resample_ess_ratio:0.9
-          ~out_of_scope_after:3 ())
+          ~min_object_particles:10 ~resample_ess_ratio:0.9 ())
        ~degraded_burst:0)
 
 let test_dirty_compression () =
@@ -235,7 +236,7 @@ let test_dirty_compression () =
     (run_dirty_completeness ~label:"compression"
        (Config.create ~variant:Config.Factorized_compressed
           ~num_reader_particles:30 ~num_object_particles:40
-          ~compress_after:3 ~out_of_scope_after:4 ())
+          ~compress_after:3 ())
        ~degraded_burst:0)
 
 let test_dirty_degraded_widening () =

@@ -463,15 +463,14 @@ let test_near_far_center () =
 
 let test_openmetrics () =
   let module M = Rfid_obs.Metrics in
-  let reg = M.global in
-  M.incr (M.counter reg "test.om.epochs") 3;
-  M.set (M.gauge reg "test om depth") 7.5;
-  M.set (M.gauge reg "9a-b:c d") 1.;
-  let h = M.histogram reg "test.om.latency" in
+  M.incr (M.counter "test.om.epochs") 3;
+  M.set (M.gauge "test om depth") 7.5;
+  M.set (M.gauge "9a-b:c d") 1.;
+  let h = M.histogram "test.om.latency" in
   M.observe h 0.002;
   M.observe h 0.004;
-  ignore (M.histogram reg "test.om.empty");
-  let text = Rfid_obs.Openmetrics.render reg in
+  ignore (M.histogram "test.om.empty");
+  let text = Rfid_obs.Openmetrics.render () in
   List.iter
     (fun needle ->
       if not (Util.contains_sub text needle) then

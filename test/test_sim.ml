@@ -5,7 +5,7 @@ open Rfid_geom
 (* Truth sensors *)
 
 let test_cone_sensor_shape () =
-  let s = Truth_sensor.cone ~rr_major:0.9 ~range:3. () in
+  let s = Truth_sensor.cone ~rr_major:0.9 () in
   let p = s.Truth_sensor.read_prob in
   Util.check_close "major uniform" 0.9 (p ~d:1. ~theta:0.1);
   Util.check_close "major boundary" 0.9 (p ~d:2.9 ~theta:(14. *. Float.pi /. 180.));

@@ -6,7 +6,7 @@ let ev ~epoch ~obj ~x ~y = Event.make ~epoch ~obj ~loc:(Util.vec3 x y 0.) ()
 (* Fire code query *)
 
 let weight_of _ = 60.
-let fire_code events = Fire_code.run (Fire_code.create (Fire_code.default_config ~weight_of)) events
+let fire_code events = Fire_code.run (Fire_code.create ~weight_of) events
 
 let test_fire_code_triggers () =
   (* Three 60-lb objects land in the same square foot within the window:
@@ -57,7 +57,7 @@ let test_window_fold () =
   (* The cell's weight is the sum over the window's entries in that
      cell: 70 + 80 + 90 lb, not counting the object in another cell. *)
   let weight_of obj = 60. +. (10. *. float_of_int obj) in
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
+  let q = Fire_code.create ~weight_of in
   match
     Fire_code.run q
       [
@@ -73,14 +73,12 @@ let test_window_fold () =
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
 let test_window_same_epoch () =
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
+  let q = Fire_code.create ~weight_of in
   (match Fire_code.run q (List.init 4 (fun i -> ev ~epoch:5 ~obj:i ~x:2.5 ~y:3.5)) with
   | [ v ] -> Alcotest.(check (list int)) "all kept" [ 0; 1; 2; 3 ] v.Fire_code.v_objects
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
   Util.check_raises_invalid "regression" (fun () ->
-      ignore (Fire_code.run q [ ev ~epoch:4 ~obj:9 ~x:0. ~y:0. ]));
-  Util.check_raises_invalid "bad window" (fun () ->
-      ignore (Fire_code.create { (Fire_code.default_config ~weight_of) with window = 0 }))
+      ignore (Fire_code.run q [ ev ~epoch:4 ~obj:9 ~x:0. ~y:0. ]))
 
 let test_fire_code_relocation_supersedes () =
   (* Object 1 moves to another cell; the fourth object arrives in the
@@ -109,7 +107,7 @@ let test_fire_code_cell_of () =
 let test_fire_code_once_per_epoch () =
   (* A later event in the same epoch must not report the cell again;
      the next epoch reports it anew. *)
-  let q = Fire_code.create (Fire_code.default_config ~weight_of) in
+  let q = Fire_code.create ~weight_of in
   let hot = List.init 4 (fun i -> ev ~epoch:0 ~obj:i ~x:2.5 ~y:3.5) in
   let vs = Fire_code.run q (hot @ [ ev ~epoch:0 ~obj:4 ~x:7.5 ~y:7.5 ]) in
   Alcotest.(check (list string)) "reported once"

@@ -1,14 +1,25 @@
-(* dead_exports: report every value a library interface (lib/*/*.mli)
-   exports that no other module uses.
+(* dead_exports: report every export of a library interface
+   (lib/*/*.mli) that no other module uses, and every optional argument
+   of an exported function that no module passes.
 
    It reads the typed trees dune leaves in the build directory: the
    .cmti of each library module for its exports, and the .cmt of every
-   module in the user directories for the values they reference. Opens,
-   local opens and module aliases are resolved as the compiler resolved
-   them, so a use is found however it is spelled. Run after a build of
-   the @check alias, which writes a .cmt for executables too:
+   module in the user directories for the values they reference and the
+   optional arguments they pass. Opens, local opens and module aliases
+   are resolved as the compiler resolved them, so a use is found however
+   it is spelled. Run after a build of the @check alias, which writes a
+   .cmt for executables too:
 
      dune build @check && dune exec tools/dead_exports.exe -- _build/default
+
+   Three kinds of export are checked:
+   - a value, used when a module other than its own references it;
+   - an optional argument [?l] of an exported function, used when any
+     module, its own included, applies the function with [~l] or [?l]
+     (a setting nobody sets is a constant);
+   - a submodule given by a named module type (say [Set.S with ...]),
+     whose values are that type's contract, used when a module other
+     than its own mentions any path through it.
 
    Prints one line per unused export and exits 1 if there is any that
    the allow-list below does not name, or if the allow-list has gone
@@ -24,6 +35,12 @@ let user_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "smoke"; "crash"; "fuzz"; 
    against or a probe of state the public path changes. *)
 let allowed =
   [
+    (* seam: the golden fixtures pin a short compression horizon *)
+    "Rfid_core.Config.create ?compress_after";
+    (* seam: the golden fixtures pin a short widening horizon *)
+    "Rfid_core.Config.create ?degraded_widen_after";
+    (* seam: the golden fixtures pin a short report delay *)
+    "Rfid_core.Config.create ?report_delay";
     (* probe: whether an object's belief is in its compressed form *)
     "Rfid_core.Factored_filter.is_compressed";
     (* probe: live boxes in the sensing-region index *)
@@ -41,8 +58,9 @@ let allowed =
     "Rfid_model.Sensor_model.log_prob_pre";
     (* probe: a gauge's last value *)
     "Rfid_obs.Metrics.gauge_value";
-    (* reference: the density the particle-store scores are checked against *)
-    "Rfid_prob.Gaussian.pdf";
+    (* reference: the density the fit, the sampler and the confidence
+       ellipse are checked against *)
+    "Rfid_prob.Gaussian.log_pdf";
     (* reference: L^T in the L L^T = A check of the Cholesky factor *)
     "Rfid_prob.Linalg.transpose";
     (* reference: the product in the L L^T = A check *)
@@ -65,6 +83,8 @@ let allowed =
     "Rfid_serve.Server.default_config";
     (* reference: the reply-backlog bound the slow-reader test asserts *)
     "Rfid_serve.Server.max_out_bytes";
+    (* seam: lets a test stop the accept loop *)
+    "Rfid_serve.Server.run ?should_stop";
   ]
 
 let rec files_under dir =
@@ -95,22 +115,40 @@ let unmangle name =
   done;
   Buffer.contents b
 
-(* The values an interface writes out, submodules included. A
-   submodule given by a named module type (say [Map.S with ...])
-   exports that type's contract, not values of this project, so it is
-   skipped. *)
-let rec sig_values prefix (sg : Typedtree.signature) =
+type export =
+  | Value of string
+  | Optional of string * string  (** function, label *)
+  | Opaque of string  (** submodule given by a named module type *)
+
+let name = function
+  | Value k | Opaque k -> k
+  | Optional (k, l) -> k ^ " ?" ^ l
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
+(* What an interface exports, submodules included. *)
+let rec sig_exports prefix (sg : Typedtree.signature) =
   List.concat_map
     (fun (item : Typedtree.signature_item) ->
       match item.Typedtree.sig_desc with
-      | Typedtree.Tsig_value vd -> [ prefix ^ "." ^ Ident.name vd.Typedtree.val_id ]
-      | Typedtree.Tsig_module
-          { md_id = Some id; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
-          sig_values (prefix ^ "." ^ Ident.name id) sg
+      | Typedtree.Tsig_value vd ->
+          let k = prefix ^ "." ^ Ident.name vd.Typedtree.val_id in
+          Value k
+          :: List.map (fun l -> Optional (k, l))
+               (optional_labels vd.Typedtree.val_desc.Typedtree.ctyp_type)
+      | Typedtree.Tsig_module { md_id = Some id; md_type; _ } -> (
+          let k = prefix ^ "." ^ Ident.name id in
+          match md_type.Typedtree.mty_desc with
+          | Typedtree.Tmty_signature sg -> sig_exports k sg
+          | _ -> [ Opaque k ])
       | _ -> [])
     sg.Typedtree.sig_items
 
-(* Exports: "<Lib>.<Module>[.<Sub>].<value>" -> the .mli that declares it. *)
+(* Exports -> the .mli that declares each. *)
 let exports root =
   files_under (Filename.concat root "lib")
   |> List.filter (fun f -> Filename.check_suffix f ".cmti")
@@ -119,12 +157,13 @@ let exports root =
          match cmt.Cmt_format.cmt_annots with
          | Cmt_format.Interface sg ->
              let mli = Option.value cmt.Cmt_format.cmt_sourcefile ~default:f in
-             List.map (fun k -> (k, mli))
-               (sig_values (unmangle cmt.Cmt_format.cmt_modname) sg)
+             List.map (fun e -> (e, mli))
+               (sig_exports (unmangle cmt.Cmt_format.cmt_modname) sg)
          | _ -> [])
 
-(* Every value path the user modules reference, with local module
-   aliases expanded. *)
+(* The exports the user modules use, by [name]: every value path they
+   reference, every module path they mention, and every optional
+   argument they pass, with local module aliases expanded. *)
 let uses root =
   let used = Hashtbl.create 4096 in
   List.iter
@@ -140,7 +179,8 @@ let uses root =
       end;
       cmts
       |> List.iter (fun f ->
-             match (Cmt_format.read_cmt f).Cmt_format.cmt_annots with
+             let cmt = Cmt_format.read_cmt f in
+             match cmt.Cmt_format.cmt_annots with
              | Cmt_format.Implementation str ->
                  let aliases = Hashtbl.create 16 in
                  let rec comps = function
@@ -152,6 +192,40 @@ let uses root =
                    | _ -> []
                  in
                  let key p = String.concat "." (comps p) in
+                 (* A path and every module prefix of it. *)
+                 let mention p =
+                   ignore
+                     (List.fold_left
+                        (fun acc c ->
+                          let k = if acc = "" then c else acc ^ "." ^ c in
+                          Hashtbl.replace used k ();
+                          k)
+                        "" (comps p))
+                 in
+                 (* The module's own top-level values and submodules, so
+                    that a pass of an optional argument from inside it
+                    counts. *)
+                 let self = Hashtbl.create 64 in
+                 let modname = unmangle cmt.Cmt_format.cmt_modname in
+                 let note_self id =
+                   Hashtbl.replace self (Ident.unique_name id) (modname ^ "." ^ Ident.name id)
+                 in
+                 List.iter
+                   (fun (si : Typedtree.structure_item) ->
+                     match si.Typedtree.str_desc with
+                     | Typedtree.Tstr_value (_, vbs) ->
+                         List.iter note_self (Typedtree.let_bound_idents vbs)
+                     | Typedtree.Tstr_module { mb_id = Some id; _ } -> note_self id
+                     | _ -> ())
+                   str.Typedtree.str_items;
+                 let rec callee_key = function
+                   | Path.Pident id when Hashtbl.mem aliases (Ident.unique_name id) ->
+                       callee_key (Hashtbl.find aliases (Ident.unique_name id))
+                   | Path.Pident id when Hashtbl.mem self (Ident.unique_name id) ->
+                       Hashtbl.find self (Ident.unique_name id)
+                   | Path.Pdot (p, s) -> callee_key p ^ "." ^ s
+                   | p -> key p
+                 in
                  let rec alias_target (me : Typedtree.module_expr) =
                    match me.Typedtree.mod_desc with
                    | Typedtree.Tmod_ident (p, _) -> Some p
@@ -177,10 +251,31 @@ let uses root =
                      expr =
                        (fun sub e ->
                          (match e.Typedtree.exp_desc with
-                         | Typedtree.Texp_ident (p, _, _) -> Hashtbl.replace used (key p) ()
+                         | Typedtree.Texp_ident (p, _, _) -> mention p
+                         | Typedtree.Texp_apply
+                             ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+                             List.iter
+                               (function
+                                 | Asttypes.Optional l, Some (a : Typedtree.expression)
+                                   when a.exp_loc <> Location.none ->
+                                     Hashtbl.replace used (name (Optional (callee_key p, l))) ()
+                                 | _ -> ())
+                               args
                          | Typedtree.Texp_letmodule (id, _, _, me, _) -> note_alias id me
                          | _ -> ());
                          default_iterator.expr sub e);
+                     module_expr =
+                       (fun sub me ->
+                         (match me.Typedtree.mod_desc with
+                         | Typedtree.Tmod_ident (p, _) -> mention p
+                         | _ -> ());
+                         default_iterator.module_expr sub me);
+                     typ =
+                       (fun sub ct ->
+                         (match ct.Typedtree.ctyp_desc with
+                         | Typedtree.Ttyp_constr (p, _, _) -> mention p
+                         | _ -> ());
+                         default_iterator.typ sub ct);
                    }
                  in
                  it.structure it str
@@ -192,23 +287,33 @@ let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "_build/default" in
   let used = uses root in
   let exports = exports root in
-  let dead = List.filter (fun (k, _) -> not (Hashtbl.mem used k)) exports in
-  let fatal = List.filter (fun (k, _) -> not (List.mem k allowed)) dead in
+  let dead = List.filter (fun (e, _) -> not (Hashtbl.mem used (name e))) exports in
+  let fatal = List.filter (fun (e, _) -> not (List.mem (name e) allowed)) dead in
   List.iter
-    (fun (k, mli) ->
-      Printf.printf "%s: %s has no user outside its module%s\n" mli k
-        (if List.mem k allowed then " (allowed)" else ""))
+    (fun (e, mli) ->
+      let what =
+        match e with
+        | Value _ -> "has no user outside its module"
+        | Optional _ -> "is passed by no user"
+        | Opaque _ -> "is mentioned by no user outside its module"
+      in
+      Printf.printf "%s: %s %s%s\n" mli (name e) what
+        (if List.mem (name e) allowed then " (allowed)" else ""))
     dead;
-  let stale = List.filter (fun k -> not (List.mem_assoc k dead)) allowed in
+  let stale =
+    List.filter (fun k -> not (List.exists (fun (e, _) -> name e = k) dead)) allowed
+  in
   List.iter
     (fun k ->
       Printf.printf "tools/dead_exports.ml: allow-list entry %s %s\n" k
-        (if List.mem_assoc k exports then "has a user now" else "names no export"))
+        (if List.exists (fun (e, _) -> name e = k) exports then "has a user now"
+         else "names no export"))
     stale;
   if fatal <> [] || stale <> [] then begin
     Printf.printf
       "dead-exports: FAIL: %d unused export(s), %d stale allow-list entr(ies); delete \
-       or hide unused exports, or allow-list them with a reason; drop stale entries\n"
+       or hide unused exports, make unpassed optional arguments constants, or \
+       allow-list them with a reason; drop stale entries\n"
       (List.length fatal) (List.length stale);
     exit 1
   end
