@@ -640,6 +640,24 @@ let measure_scaling () =
   let big = words 5000 in
   (small, big, if small > 0. then big /. small else infinity)
 
+(* Allocation bound on the sensor fit every `rfid_clean serve` boot
+   runs (Supervised.fit_sensor at seed 99 on the default cone). The fit
+   makes 284,061 minor words: the 20,000 feature rows and the boxed
+   floats of its draws, plus each Newton step's small solve. The bound
+   is under twice that, so an allocation per sample back in the Newton
+   loop fails the gate (the two-pass fit made 17.06 M). The count is
+   exact, so the check is fatal. *)
+let fit_workload = "Supervised.fit_sensor, default cone, 20000 samples, seed 99"
+let fit_max_minor_words = 500_000.
+
+let measure_fit_minor_words () =
+  let cone = Rfid_sim.Truth_sensor.cone () in
+  let before = Gc.minor_words () in
+  ignore
+    (Rfid_learn.Supervised.fit_sensor ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
+       ~seed:99 ());
+  Gc.minor_words () -. before
+
 (* The time bound is generous — wall-clock on a shared machine is far
    noisier than allocation counts, which are exact — and the check it
    feeds is warn-only unless explicitly promoted (PERF_GATE_TIME_FATAL,
@@ -910,6 +928,17 @@ let check_gate ~baseline_path =
          enforce it.\n\
          %!"
         time_bound;
+  Printf.printf "perf-gate: measuring %s\n%!" fit_workload;
+  let fit_words = measure_fit_minor_words () in
+  Printf.printf "perf-gate: %-16s %.0f minor words (limit %.0f)\n%!" "sensor fit" fit_words
+    fit_max_minor_words;
+  if fit_words > fit_max_minor_words then begin
+    Printf.eprintf
+      "perf-gate: FAIL — the sensor fit allocated %.0f minor words, over the %.0f \
+       bound: a Newton step allocates per sample again.\n"
+      fit_words fit_max_minor_words;
+    failed := true
+  end;
   Printf.printf "perf-gate: measuring %s\n%!" scaling_workload;
   let bound = number "scaling_max_ratio" in
   let small, big, ratio = measure_scaling () in

@@ -53,8 +53,12 @@ type evidence = {
 (* Anchor-free sensing-noise estimate straight from the reported
    track: var(reported_t - reported_{t-1}) = sigma_m^2 + 2 sigma_s^2
    per axis (the motion term is not separable without an anchor and is
-   negligible in practice). Available before any filtering, so even the
-   first E-step runs with a realistic sigma. *)
+   negligible in practice: with sigma_m << sigma_s the overestimate is
+   sqrt(1 + (sigma_m/sigma_s)^2 / 2)-fold). Unlike residuals against
+   the posterior mean, which shrink to zero whenever the posterior hugs
+   the reported track, it stays honest with zero shelf tags. Available
+   before any filtering, so even the first E-step runs with a realistic
+   sigma, and EM never revises it. *)
 let sensing_sigma_of_reports observations =
   let reports =
     Array.of_list
@@ -293,29 +297,6 @@ let m_step ~params ~(ev : evidence) =
   let velocity, motion_sigma = fit_gaussian_vec3 displacement ~floor:0.005 in
   let residuals = Array.map (fun (mean, reported) -> Vec3.sub reported mean) track in
   let raw_bias, _residual_sigma = fit_gaussian_vec3 residuals ~floor:0.005 in
-  (* Sensing noise by method of moments on the reported track itself:
-     reported_t = true_t + bias + eps_t gives, per axis,
-     var(reported_t - reported_{t-1}) = sigma_m^2 + 2 sigma_s^2.
-     Unlike residuals against the posterior mean — which shrink to
-     zero whenever the posterior hugs the reported track — this
-     estimator needs no anchor and stays honest with zero shelf tags.
-     The motion term is not subtracted (it cannot be separated from
-     the reporting noise without an anchor); with sigma_m << sigma_s,
-     as on every platform the paper considers, the overestimate is
-     sqrt(1 + (sigma_m/sigma_s)^2 / 2)-fold, i.e. negligible. *)
-  let reported_disp =
-    Array.init (Int.max 0 (n - 1)) (fun i -> Vec3.sub (snd track.(i + 1)) (snd track.(i)))
-  in
-  let sensing_sigma =
-    let axis f =
-      let disp_var = Rfid_prob.Stats.variance (Array.map f reported_disp) in
-      sqrt (Float.max 25e-6 (disp_var /. 2.))
-    in
-    Vec3.make
-      (axis (fun (v : Vec3.t) -> v.Vec3.x))
-      (axis (fun (v : Vec3.t) -> v.Vec3.y))
-      (axis (fun (v : Vec3.t) -> v.Vec3.z))
-  in
   (* Over-relaxed bias update: the filtered posterior only recovers a
      fraction of a systematic reported-location offset per EM round
      (the sensing term keeps pulling it back toward the reported
@@ -337,7 +318,11 @@ let m_step ~params ~(ev : evidence) =
       ~heading_drift:params.Params.motion.Motion_model.heading_drift
       ~heading_sigma:params.Params.motion.Motion_model.heading_sigma ()
   in
-  let sensing = Location_sensing.create ~bias ~sigma:sensing_sigma () in
+  (* The sensing sigma stays [calibrate]'s estimate from the reported
+     track ({!sensing_sigma_of_reports}). *)
+  let sensing =
+    Location_sensing.create ~bias ~sigma:params.Params.sensing.Location_sensing.sigma ()
+  in
   { params with Params.sensor; motion; sensing }
 
 let calibrate ?heading_model ~world ~init ~em_iters ~init_reader observations =

@@ -1,11 +1,7 @@
 open Rfid_model
 
-let fit_from_pairs ?(l2 = 1e-4) ?init ?w ~geometries ~outcomes () =
-  let n = Array.length geometries in
-  if n = 0 then invalid_arg "Supervised.fit_from_pairs: empty data";
-  if Array.length outcomes <> n then
-    invalid_arg "Supervised.fit_from_pairs: shape mismatch";
-  let x = Array.map (fun (d, theta) -> Sensor_model.features ~d ~theta) geometries in
+(* Weighted logistic fit over feature rows of {!Sensor_model.features}. *)
+let fit_features ?(l2 = 1e-4) ?init ?w ~x ~outcomes () =
   let init = Option.map Sensor_model.to_coef init in
   (* Decay coefficients constrained non-positive — the paper's stated
      expectation, and the guard against extrapolation artifacts where
@@ -16,23 +12,37 @@ let fit_from_pairs ?(l2 = 1e-4) ?init ?w ~geometries ~outcomes () =
   in
   Sensor_model.of_coef m.Rfid_prob.Logistic.coef
 
+let fit_from_pairs ?l2 ?init ?w ~geometries ~outcomes () =
+  let n = Array.length geometries in
+  if n = 0 then invalid_arg "Supervised.fit_from_pairs: empty data";
+  if Array.length outcomes <> n then
+    invalid_arg "Supervised.fit_from_pairs: shape mismatch";
+  let x = Array.map (fun (d, theta) -> Sensor_model.features ~d ~theta) geometries in
+  fit_features ?l2 ?init ?w ~x ~outcomes ()
+
 (* Distances (ft) the fit samples and the error grid spans. *)
 let max_distance = 6.
 
 let fit_sensor ?(samples = 20000) ~read_prob ~seed () =
   if samples <= 0 then invalid_arg "Supervised.fit_sensor: samples must be positive";
   let rng = Rfid_prob.Rng.create ~seed in
-  let geometries =
-    Array.init samples (fun _ ->
-        ( Rfid_prob.Rng.uniform rng ~lo:0. ~hi:max_distance,
-          Rfid_prob.Rng.uniform rng ~lo:0. ~hi:Float.pi ))
+  (* Every geometry is drawn before any read outcome, the angle before
+     the distance within a sample: the draw order the seed pins. *)
+  let d = Float.Array.create samples and theta = Float.Array.create samples in
+  let x =
+    Array.init samples (fun i ->
+        let t = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:Float.pi in
+        let r = Rfid_prob.Rng.uniform rng ~lo:0. ~hi:max_distance in
+        Float.Array.set theta i t;
+        Float.Array.set d i r;
+        Sensor_model.features ~d:r ~theta:t)
   in
   let outcomes =
-    Array.map
-      (fun (d, theta) -> Rfid_prob.Rng.bernoulli rng ~p:(read_prob ~d ~theta))
-      geometries
+    Array.init samples (fun i ->
+        Rfid_prob.Rng.bernoulli rng
+          ~p:(read_prob ~d:(Float.Array.get d i) ~theta:(Float.Array.get theta i)))
   in
-  fit_from_pairs ~geometries ~outcomes ()
+  fit_features ~x ~outcomes ()
 
 let mean_abs_error model ~read_prob =
   let grid = 40 in

@@ -33,12 +33,6 @@ let mat_vec a v =
       done;
       !s)
 
-let dot u v =
-  if Array.length u <> Array.length v then invalid_arg "Linalg.dot: size mismatch";
-  let s = ref 0. in
-  Array.iteri (fun i x -> s := !s +. (x *. v.(i))) u;
-  !s
-
 let cholesky_attempt a n =
   let l = Array.make_matrix n n 0. in
   let ok = ref true in

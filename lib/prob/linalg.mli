@@ -13,7 +13,6 @@ val copy : mat -> mat
 val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> float array -> float array
-val dot : float array -> float array -> float
 
 val cholesky : mat -> mat
 (** Lower-triangular [l] with [l * l^T = a] for a symmetric positive

@@ -17,6 +17,21 @@ let test_supervised_fit_quality () =
   Alcotest.(check bool) "a2 <= 0" true (m.Sensor_model.a2 <= 0.);
   Alcotest.(check bool) "b2 <= 0" true (m.Sensor_model.b2 <= 0.)
 
+(* The sensor every `rfid_clean serve` boot fits (seed 99, default
+   cone), pinned to the bit: drift here changes every served answer. *)
+let test_supervised_fit_pinned () =
+  let m =
+    Rfid_learn.Supervised.fit_sensor ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
+      ~seed:99 ()
+  in
+  Alcotest.(check (list string))
+    "seed-99 coefficients"
+    [
+      "0x1.d42adabf8f4bdp+2"; "0x0p+0"; "-0x1.52e0a5a4cc4p-1"; "0x0p+0";
+      "-0x1.a35ff20224accp+5";
+    ]
+    (Array.to_list (Array.map (Printf.sprintf "%h") (Sensor_model.to_coef m)))
+
 let test_supervised_validation () =
   Util.check_raises_invalid "zero samples" (fun () ->
       ignore
@@ -143,6 +158,8 @@ let suite =
   ( "learn",
     [
       Alcotest.test_case "supervised fit quality" `Quick test_supervised_fit_quality;
+      Alcotest.test_case "supervised fit pinned at seed 99" `Quick
+        test_supervised_fit_pinned;
       Alcotest.test_case "supervised validation" `Quick test_supervised_validation;
       Alcotest.test_case "fit_from_pairs planted recovery" `Quick
         test_fit_from_pairs_recovers;

