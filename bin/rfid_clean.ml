@@ -10,7 +10,7 @@
 
    infer and serve share their durability flags (Rfid_robust.Session
    owns what they mean); infer, replay and serve share the engine
-   flags.
+   flags and build their pipeline through Rfid_serve.Bootstrap.
 
    The full table/figure reproduction harness is a separate executable:
    dune exec bench/main.exe. *)
@@ -18,6 +18,7 @@
 open Cmdliner
 open Rfid_model
 module Session = Rfid_robust.Session
+module Bootstrap = Rfid_serve.Bootstrap
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -258,28 +259,18 @@ let durability_term =
 let build_scenario ~objects ~rounds ~read_rate ~seed =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
   let sensor = Rfid_sim.Truth_sensor.cone ~rr_major:read_rate () in
-  let trace =
-    Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
-      ~object_locs:wh.Rfid_sim.Warehouse.object_locs
-      ~start:(Rfid_sim.Warehouse.reader_start wh)
-      ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds)
-      ~config:(Rfid_sim.Trace_gen.default_config ~sensor ())
-      (Rfid_prob.Rng.create ~seed)
-  in
-  (wh, sensor, trace)
-
-let fitted_params (sensor : Rfid_sim.Truth_sensor.t) =
-  let fitted =
-    Rfid_learn.Supervised.fit_sensor ~read_prob:sensor.Rfid_sim.Truth_sensor.read_prob
-      ~seed:99 ()
-  in
-  Params.create ~sensor:fitted ()
+  Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
+    ~object_locs:wh.Rfid_sim.Warehouse.object_locs
+    ~start:(Rfid_sim.Warehouse.reader_start wh)
+    ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds)
+    ~config:(Rfid_sim.Trace_gen.default_config ~sensor ())
+    (Rfid_prob.Rng.create ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 
 let simulate objects rounds read_rate seed out =
-  let _, _, trace = build_scenario ~objects ~rounds ~read_rate ~seed in
+  let trace = build_scenario ~objects ~rounds ~read_rate ~seed in
   let observations = Trace.observations trace in
   match out with
   | Some path ->
@@ -465,9 +456,8 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
      snapshots below must start from zero for their deltas to mean
      anything. *)
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
-  let wh, sensor, trace = build_scenario ~objects ~rounds ~read_rate ~seed in
-  let world = wh.Rfid_sim.Warehouse.world in
-  let params = fitted_params sensor in
+  let trace = build_scenario ~objects ~rounds ~read_rate ~seed in
+  let boot = Bootstrap.of_config ~read_rate ~objects ~seed config in
   let faults = faults_of_flags ff in
   let observations = Trace.observations trace in
   let observations =
@@ -477,19 +467,8 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
       Rfid_sim.Faults.apply faults ~seed:ff.ff_seed observations
     end
   in
-  let guard =
-    Rfid_robust.Ingest.create ~drop_out_of_order
-      ~bounds:(World.bounding_box world) ~max_object_id:objects ()
-  in
-  let session =
-    Session.start ?resume ~guard
-      ~fresh:(fun () ->
-        Rfid_core.Engine.create ~world ~params ~config
-          ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
-          ~num_objects:objects ~seed ())
-      ~restore:(Rfid_core.Engine.restore ~world ~params ~config)
-      durability.session
-  in
+  let guard = Bootstrap.fresh_guard ~drop_out_of_order boot in
+  let session = Bootstrap.start_session ?resume boot ~guard durability.session in
   let engine = Session.engine session in
   let restored = durability.session.recover || resume <> None in
   let observations =
@@ -653,29 +632,14 @@ let replay file { objects; seed; config } lenient =
         else Trace_io.read_observations ic)
   in
   Printf.printf "# replaying %d observations from %s\n%!" (List.length observations) file;
-  (* The stream file carries no world description; reconstruct the
-     default warehouse geometry for the declared object count (the same
-     convention `simulate` used to produce it). *)
-  let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
-  let sensor = Rfid_sim.Truth_sensor.cone () in
-  let params = fitted_params sensor in
-  let init_reader =
-    match observations with
-    | o :: _ ->
-        Reader_state.make ~loc:o.Types.o_reported_loc ~heading:0.
-    | [] -> Rfid_sim.Warehouse.reader_start wh
-  in
-  let engine =
-    Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world ~params ~config
-      ~init_reader ~num_objects:objects ~seed ()
-  in
+  let boot = Bootstrap.of_config ~objects ~seed config in
   (* The guard alone decides what a duplicate or reordered epoch means;
      a lenient replay should survive whatever the file contains, so it
      drops out-of-order epochs instead of halting on them. *)
-  let guard =
-    Rfid_robust.Ingest.create ~drop_out_of_order:lenient ~max_object_id:objects ()
+  let guard = Bootstrap.fresh_guard ~drop_out_of_order:lenient boot in
+  let result =
+    Rfid_robust.Ingest.run_engine guard (Bootstrap.fresh_engine boot) observations
   in
-  let result = Rfid_robust.Ingest.run_engine guard engine observations in
   Format.eprintf "# ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
   match result with
   | Error (_, msg) ->
@@ -770,14 +734,9 @@ let lab_cmd =
 let serve host port { objects; seed; config } admit_cap max_steps_per_tick events_keep
     durability metrics_push metrics_push_every =
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
-  let boot = Rfid_serve.Bootstrap.of_config ~objects ~seed config in
-  let guard = Rfid_serve.Bootstrap.fresh_guard boot in
-  let session =
-    Session.start ~guard
-      ~fresh:(fun () -> Rfid_serve.Bootstrap.fresh_engine boot)
-      ~restore:(Rfid_serve.Bootstrap.restore_engine boot)
-      durability.session
-  in
+  let boot = Bootstrap.of_config ~objects ~seed config in
+  let guard = Bootstrap.fresh_guard boot in
+  let session = Bootstrap.start_session boot ~guard durability.session in
   let hooks =
     {
       Rfid_serve.Core.on_events = Session.log_events session;

@@ -44,7 +44,11 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
   let lat = Array.make (Int.max epochs 1) 0. in
   Gc.full_major ();
   let baseline_words = (Gc.stat ()).Gc.live_words in
+  (* Minor words from [Gc.minor_words], which counts the current minor
+     heap too: the [Gc.quick_stat] field only advances at a minor
+     collection, so its delta over a short run can read 0. *)
   let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Rfid_obs.Metrics.now () in
   let max_scope = ref 0 in
   let i = ref 0 in
@@ -62,6 +66,7 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
   in
   let events = events @ Rfid_core.Engine.flush engine in
   let elapsed_s = Rfid_obs.Metrics.now () -. t0 in
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   Gc.full_major ();
   let live_heap_mb =
@@ -70,7 +75,7 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
     /. 1_048_576.
   in
   let per_epoch x = if epochs = 0 then 0. else x /. float_of_int epochs in
-  let minor_alloc = g1.Gc.minor_words -. g0.Gc.minor_words in
+  let minor_alloc = w1 -. w0 in
   (* Words allocated directly on the major heap: major growth minus what
      the minor collector promoted into it. *)
   let major_alloc =

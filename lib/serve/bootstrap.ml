@@ -7,9 +7,9 @@ type t = {
   seed : int;
 }
 
-let of_config ~objects ~seed config =
+let of_config ?read_rate ~objects ~seed config =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
-  let sensor = Rfid_sim.Truth_sensor.cone () in
+  let sensor = Rfid_sim.Truth_sensor.cone ?rr_major:read_rate () in
   let fitted =
     Rfid_learn.Supervised.fit_sensor
       ~read_prob:sensor.Rfid_sim.Truth_sensor.read_prob ~seed:99 ()
@@ -31,11 +31,13 @@ let fresh_engine t =
   Rfid_core.Engine.create ~world:t.world ~params:t.params ~config:t.config
     ~init_reader:t.init_reader ~num_objects:t.num_objects ~seed:t.seed ()
 
-let restore_engine t snapshot =
-  Rfid_core.Engine.restore ~world:t.world ~params:t.params ~config:t.config
-    snapshot
-
-let fresh_guard t =
-  Rfid_robust.Ingest.create ~drop_out_of_order:true
+let fresh_guard ?(drop_out_of_order = true) t =
+  Rfid_robust.Ingest.create ~drop_out_of_order
     ~bounds:(Rfid_model.World.bounding_box t.world)
     ~max_object_id:t.num_objects ()
+
+let start_session ?resume t ~guard config =
+  Rfid_robust.Session.start ?resume ~guard
+    ~fresh:(fun () -> fresh_engine t)
+    ~restore:(Rfid_core.Engine.restore ~world:t.world ~params:t.params ~config:t.config)
+    config

@@ -1,20 +1,19 @@
-(** Shared serving fixture: one place that builds the world, the fitted
-    sensor parameters, the engine configuration and the ingest guard
-    for a given [(objects, seed, variant, budget)] tuple.
+(** The one pipeline constructor: world, fitted sensor parameters,
+    engine, ingest guard and durable session for a given
+    [(objects, seed, config)].
 
-    Three parties must agree on this construction to the bit: the
-    [rfid_clean serve] process, the offline replay the serve-smoke gate
-    diffs it against, and the PROTOCOL.md conformance runner. Engine
-    output is deterministic given the fixture, so centralizing the
-    recipe here is what makes "bit-identical posteriors vs batch
-    replay" a meaningful check rather than a fixture-drift lottery.
+    [rfid_clean infer], [rfid_clean replay] and [rfid_clean serve] all
+    build their pipeline here, as do the serve-smoke gate's in-process
+    reference and the PROTOCOL.md conformance runner. Engine output is
+    deterministic given the fixture, so one recipe is what makes
+    "[replay] of a file prints the events [serve] computes from the
+    same lines" a meaningful check rather than a fixture-drift lottery.
 
-    The conventions mirror the [replay] subcommand: warehouse layout
-    from {!Rfid_sim.Warehouse.layout}, cone sensor, parameters fitted
-    with {!Rfid_learn.Supervised.fit_sensor} at seed 99, reader
-    initialized at {!Rfid_sim.Warehouse.reader_start}. The guard drops
-    out-of-order epochs (rather than halting) because a network stream
-    reorders more casually than a file replay. *)
+    The recipe: warehouse layout from {!Rfid_sim.Warehouse.layout} (an
+    observation stream carries no world description), cone sensor
+    fitted once with {!Rfid_learn.Supervised.fit_sensor} at seed 99,
+    and one rule for the initial reader: {!Rfid_sim.Warehouse.reader_start}.
+    Every guard checks the world's bounds and the object universe. *)
 
 type t = {
   world : Rfid_model.World.t;
@@ -25,9 +24,12 @@ type t = {
   seed : int;
 }
 
-val of_config : objects:int -> seed:int -> Rfid_core.Config.t -> t
+val of_config :
+  ?read_rate:float -> objects:int -> seed:int -> Rfid_core.Config.t -> t
 (** The fixture around an already-validated engine configuration (the
-    CLI's engine flags build one). *)
+    CLI's engine flags build one). [read_rate] is the cone's major-range
+    read rate the sensor is fitted to (default 1.0; [infer --read-rate]
+    sets it). *)
 
 val make :
   objects:int ->
@@ -42,8 +44,17 @@ val make :
 
 val fresh_engine : t -> Rfid_core.Engine.t
 
-val restore_engine : t -> Rfid_core.Engine.snapshot -> Rfid_core.Engine.t
+val fresh_guard : ?drop_out_of_order:bool -> t -> Rfid_robust.Ingest.t
+(** Ingest guard over the fixture's world bounds and object universe.
+    An out-of-order epoch is dropped by default (a network stream
+    reorders more casually than a file); [~drop_out_of_order:false]
+    halts on it instead. *)
 
-val fresh_guard : t -> Rfid_robust.Ingest.t
-(** Ingest guard over the fixture's world bounds and object universe,
-    with [~drop_out_of_order:true]. *)
+val start_session :
+  ?resume:string ->
+  t ->
+  guard:Rfid_robust.Ingest.t ->
+  Rfid_robust.Session.config ->
+  Rfid_robust.Session.t
+(** {!Rfid_robust.Session.start} over a fresh or restored engine of the
+    fixture; [guard] is the one the caller keeps feeding. *)

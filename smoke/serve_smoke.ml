@@ -7,7 +7,8 @@
       every query reply (greeting, AT for all objects, RANGE, STATS,
       EVENTS after DRAIN) byte-identical to an in-process replay of
       the same PUT lines through the same {!Rfid_serve.Bootstrap}
-      fixture;
+      fixture, and `rfid_clean replay` of those lines to print the
+      same events;
    2. backpressure — with `--admit-cap 2` and the tick PAUSEd, the
       third PUT must answer exactly `BUSY 2/2`, never drop silently;
    3. durability — run with WAL + checkpoints + durable events, SIGKILL
@@ -91,6 +92,33 @@ let queries =
 
 (* ---------------- phase 1: socket vs in-process, byte for byte ----- *)
 
+(* `rfid_clean replay` of the PUT lines, written to [dir] as a stream
+   file, with the server's engine flags; each CSV event rendered at the
+   precision of an event line's location. *)
+let replay_events ~cli ~dir ~put_lines =
+  let file = Filename.concat dir "puts.csv" in
+  let oc = open_out file in
+  List.iter (fun l -> output_string oc (l ^ "\n")) put_lines;
+  close_out oc;
+  let pid =
+    spawn ~cli ~dir ~name:"replay"
+      [
+        "replay"; "-i"; file;
+        "-n"; string_of_int num_objects;
+        "--seed"; string_of_int seed;
+        "-k"; string_of_int particles;
+      ]
+  in
+  wait_exit ~name:"replay" pid;
+  String.split_on_char '\n' (read_file (Filename.concat dir "replay.out"))
+  |> List.filter_map (fun l ->
+         match
+           Scanf.sscanf l "%d,%d,%f,%f,%f%!"
+             (Printf.sprintf "t=%d obj=%d loc=(%.3f, %.3f, %.3f)")
+         with
+         | event -> Some event
+         | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+
 let phase_consistency ~cli ~dir ~put_lines =
   let pid = spawn ~cli ~dir ~name:"consistency" base_args in
   let port = wait_port ~dir ~name:"consistency" ~pid in
@@ -140,8 +168,22 @@ let phase_consistency ~cli ~dir ~put_lines =
   List.iter check before_drain;
   ignore (Rfid_serve.Core.handle_line core "DRAIN");
   List.iter check after_drain;
-  Printf.printf "serve-smoke: consistency ok (%d epochs, %d queries bit-identical)\n%!"
-    (List.length put_lines) (List.length live)
+  let replayed = replay_events ~cli ~dir ~put_lines in
+  let reference = fst (Rfid_serve.Core.handle_line core "EVENTS 0") in
+  let reference =
+    (* Each event line up to its location, the part replay's CSV holds. *)
+    String.split_on_char '\n' reference
+    |> List.filter (fun l -> starts_with ~prefix:"t=" l)
+    |> List.map (fun l -> String.sub l 0 (String.index l ')' + 1))
+  in
+  if replayed <> reference then
+    failwith
+      (Printf.sprintf "replay events differ from EVENTS 0:\n  replay: %s\n  ref:    %s"
+         (String.concat " | " replayed) (String.concat " | " reference));
+  Printf.printf
+    "serve-smoke: consistency ok (%d epochs, %d queries bit-identical, %d replayed \
+     events equal)\n%!"
+    (List.length put_lines) (List.length live) (List.length replayed)
 
 (* ---------------- phase 2: BUSY under forced overflow -------------- *)
 

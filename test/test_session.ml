@@ -64,13 +64,7 @@ let durable_config dir ~recover =
 let start config =
   let boot = Lazy.force boot in
   let guard = Bootstrap.fresh_guard boot in
-  let s =
-    Session.start ~guard
-      ~fresh:(fun () -> Bootstrap.fresh_engine boot)
-      ~restore:(Bootstrap.restore_engine boot)
-      config
-  in
-  (s, guard)
+  (Bootstrap.start_session boot ~guard config, guard)
 
 let checkpoint_every = 20
 
