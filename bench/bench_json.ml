@@ -640,13 +640,15 @@ let measure_scaling () =
   let big = words 5000 in
   (small, big, if small > 0. then big /. small else infinity)
 
-(* Allocation bound on the sensor fit every `rfid_clean serve` boot
-   runs (Supervised.fit_sensor at seed 99 on the default cone). The fit
-   makes 284,061 minor words: the 20,000 feature rows and the boxed
-   floats of its draws, plus each Newton step's small solve. The bound
-   is under twice that, so an allocation per sample back in the Newton
-   loop fails the gate (the two-pass fit made 17.06 M). The count is
-   exact, so the check is fatal. *)
+(* Allocation bound on the supervised sensor fit (Supervised.fit_sensor
+   at seed 99 on the default cone). Boots ship that fit's result as a
+   constant, but `infer --read-rate` fits at runtime and EM refits the
+   sensor every round through the same Newton loop. The fit makes
+   284,061 minor words: the 20,000 feature rows and the boxed floats of
+   its draws, plus each Newton step's small solve. The bound is under
+   twice that, so an allocation per sample back in the Newton loop
+   fails the gate (the two-pass fit made 17.06 M). The count is exact,
+   so the check is fatal. *)
 let fit_workload = "Supervised.fit_sensor, default cone, 20000 samples, seed 99"
 let fit_max_minor_words = 500_000.
 
@@ -656,6 +658,19 @@ let measure_fit_minor_words () =
   ignore
     (Rfid_learn.Supervised.fit_sensor ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
        ~seed:99 ());
+  Gc.minor_words () -. before
+
+(* Allocation bound on a default boot's fixture, what `serve` builds
+   before it listens. It takes the sensor constant and allocates 64,436
+   minor words, mostly the 5000-object warehouse; a boot that fits the
+   sensor again adds the fit's 284,061 (348,509 in all) and fails.
+   Exact, so fatal. *)
+let boot_workload = "Bootstrap.make, 5000 objects, default cone"
+let boot_max_minor_words = 100_000.
+
+let measure_boot_minor_words () =
+  let before = Gc.minor_words () in
+  ignore (Rfid_serve.Bootstrap.make ~objects:5000 ~seed:7 ());
   Gc.minor_words () -. before
 
 (* The time bound is generous — wall-clock on a shared machine is far
@@ -937,6 +952,17 @@ let check_gate ~baseline_path =
       "perf-gate: FAIL — the sensor fit allocated %.0f minor words, over the %.0f \
        bound: a Newton step allocates per sample again.\n"
       fit_words fit_max_minor_words;
+    failed := true
+  end;
+  Printf.printf "perf-gate: measuring %s\n%!" boot_workload;
+  let boot_words = measure_boot_minor_words () in
+  Printf.printf "perf-gate: %-16s %.0f minor words (limit %.0f)\n%!" "boot fixture"
+    boot_words boot_max_minor_words;
+  if boot_words > boot_max_minor_words then begin
+    Printf.eprintf
+      "perf-gate: FAIL — a default boot allocated %.0f minor words, over the %.0f \
+       bound: it fits the sensor again instead of taking Bootstrap's constant.\n"
+      boot_words boot_max_minor_words;
     failed := true
   end;
   Printf.printf "perf-gate: measuring %s\n%!" scaling_workload;

@@ -10,10 +10,13 @@
     same lines" a meaningful check rather than a fixture-drift lottery.
 
     The recipe: warehouse layout from {!Rfid_sim.Warehouse.layout} (an
-    observation stream carries no world description), cone sensor
-    fitted once with {!Rfid_learn.Supervised.fit_sensor} at seed 99,
-    and one rule for the initial reader: {!Rfid_sim.Warehouse.reader_start}.
-    Every guard checks the world's bounds and the object universe. *)
+    observation stream carries no world description), the cone sensor's
+    {!Rfid_learn.Supervised.fit_sensor} fit at seed 99, and one rule for
+    the initial reader: {!Rfid_sim.Warehouse.reader_start}. The default
+    cone's fit ships as a constant (the learn suite checks it against a
+    runtime fit bit for bit), so only another read rate fits at
+    construction. Every guard checks the world's bounds and the object
+    universe. *)
 
 type t = {
   world : Rfid_model.World.t;
@@ -28,8 +31,9 @@ val of_config :
   ?read_rate:float -> objects:int -> seed:int -> Rfid_core.Config.t -> t
 (** The fixture around an already-validated engine configuration (the
     CLI's engine flags build one). [read_rate] is the cone's major-range
-    read rate the sensor is fitted to (default 1.0; [infer --read-rate]
-    sets it). *)
+    read rate the sensor is fitted to (default 1.0, whose fit is the
+    shipped constant; any other value, as [infer --read-rate] sets,
+    runs the fit here). *)
 
 val make :
   objects:int ->

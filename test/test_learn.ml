@@ -17,20 +17,46 @@ let test_supervised_fit_quality () =
   Alcotest.(check bool) "a2 <= 0" true (m.Sensor_model.a2 <= 0.);
   Alcotest.(check bool) "b2 <= 0" true (m.Sensor_model.b2 <= 0.)
 
-(* The sensor every `rfid_clean serve` boot fits (seed 99, default
-   cone), pinned to the bit: drift here changes every served answer. *)
+let hex_coef m = Array.to_list (Array.map (Printf.sprintf "%h") (Sensor_model.to_coef m))
+
+let booted_sensor (b : Rfid_serve.Bootstrap.t) = b.Rfid_serve.Bootstrap.params.Params.sensor
+
+let boot_at ?read_rate () =
+  booted_sensor
+    (Rfid_serve.Bootstrap.of_config ?read_rate ~objects:4 ~seed:1
+       (Rfid_core.Config.create ()))
+
+(* Every default boot takes the constant in lib/serve/bootstrap.ml
+   instead of fitting; it must stay the runtime fit at seed 99 on the
+   default cone to the bit, or served answers would depend on whether
+   a path fitted or not. *)
 let test_supervised_fit_pinned () =
   let m =
     Rfid_learn.Supervised.fit_sensor ~read_prob:cone.Rfid_sim.Truth_sensor.read_prob
       ~seed:99 ()
   in
   Alcotest.(check (list string))
-    "seed-99 coefficients"
-    [
-      "0x1.d42adabf8f4bdp+2"; "0x0p+0"; "-0x1.52e0a5a4cc4p-1"; "0x0p+0";
-      "-0x1.a35ff20224accp+5";
-    ]
-    (Array.to_list (Array.map (Printf.sprintf "%h") (Sensor_model.to_coef m)))
+    "runtime fit = the sensor Bootstrap.make builds"
+    (hex_coef m)
+    (hex_coef (booted_sensor (Rfid_serve.Bootstrap.make ~objects:4 ~seed:1 ())))
+
+(* Read rate 1.0 (what `infer` passes by default) takes the shipped
+   constant: two boots share one sensor value, where each runtime fit
+   returns a fresh one. Any other rate still fits at construction. *)
+let test_bootstrap_sensor_by_read_rate () =
+  let at_one = boot_at ~read_rate:1.0 () in
+  Alcotest.(check bool) "read_rate 1.0 shares the constant" true (at_one == boot_at ());
+  Alcotest.(check bool) "so does Bootstrap.make" true
+    (at_one == booted_sensor (Rfid_serve.Bootstrap.make ~objects:4 ~seed:1 ()));
+  let cone07 = Rfid_sim.Truth_sensor.cone ~rr_major:0.7 () in
+  let at_07 = hex_coef (boot_at ~read_rate:0.7 ()) in
+  Alcotest.(check (list string))
+    "read_rate 0.7 = runtime fit of cone ~rr_major:0.7"
+    (hex_coef
+       (Rfid_learn.Supervised.fit_sensor ~read_prob:cone07.Rfid_sim.Truth_sensor.read_prob
+          ~seed:99 ()))
+    at_07;
+  Alcotest.(check bool) "and differs from the default" true (at_07 <> hex_coef at_one)
 
 let test_supervised_validation () =
   Util.check_raises_invalid "zero samples" (fun () ->
@@ -160,6 +186,8 @@ let suite =
       Alcotest.test_case "supervised fit quality" `Quick test_supervised_fit_quality;
       Alcotest.test_case "supervised fit pinned at seed 99" `Quick
         test_supervised_fit_pinned;
+      Alcotest.test_case "bootstrap sensor by read rate" `Quick
+        test_bootstrap_sensor_by_read_rate;
       Alcotest.test_case "supervised validation" `Quick test_supervised_validation;
       Alcotest.test_case "fit_from_pairs planted recovery" `Quick
         test_fit_from_pairs_recovers;
