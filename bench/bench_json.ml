@@ -428,7 +428,7 @@ let run_serving_point ~objects ~rounds () =
      so every probe returned O(objects) answers and p95 measured reply
      volume, not maintenance.) *)
   let world_box =
-    Rfid_model.World.bounding_box boot.Rfid_serve.Bootstrap.world
+    Rfid_model.World.bounding_box (Rfid_serve.Bootstrap.world boot)
   in
   let extent =
     world_box.Rfid_geom.Box2.max_y -. world_box.Rfid_geom.Box2.min_y

@@ -490,7 +490,7 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
     if metrics <> None && metrics_every > 0 && n mod metrics_every = 0 then
       take_snapshot ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Rfid_obs.Metrics.now () in
   let events, stopped =
     guarded_run ~on_admitted ~session ~guard
       ~checkpoint_every:durability.checkpoint_every ~stop_after observations
@@ -518,7 +518,7 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
   else if (not restored) && Rfid_sim.Faults.is_none faults then begin
     let error = Rfid_eval.Metrics.inference_error events trace in
     Format.printf "%a | %.1fs total@." Rfid_eval.Metrics.pp_error error
-      (Unix.gettimeofday () -. t0)
+      (Rfid_obs.Metrics.now () -. t0)
   end
 
 let infer_cmd =
@@ -731,8 +731,8 @@ let lab_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
-let serve host port { objects; seed; config } admit_cap max_steps_per_tick events_keep
-    durability metrics_push metrics_push_every =
+let serve host port { objects; seed; config } admit_cap events_keep durability
+    metrics_push metrics_push_every =
   Rfid_obs.Metrics.reset Rfid_obs.Metrics.global;
   let boot = Bootstrap.of_config ~objects ~seed config in
   let guard = Bootstrap.fresh_guard boot in
@@ -764,12 +764,12 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
   let g_epoch = Rfid_obs.Metrics.gauge "serve.epoch" in
   let g_queue = Rfid_obs.Metrics.gauge "serve.queue_depth" in
   let g_admitted = Rfid_obs.Metrics.gauge "serve.admitted" in
-  let last_push = ref (Unix.gettimeofday ()) in
+  let last_push = ref (Rfid_obs.Metrics.now ()) in
   let on_pass ~out_backlog:_ =
     match pusher with
     | None -> ()
     | Some p ->
-        let now = Unix.gettimeofday () in
+        let now = Rfid_obs.Metrics.now () in
         if now -. !last_push >= metrics_push_every then begin
           last_push := now;
           Rfid_obs.Metrics.set g_epoch (float_of_int (Rfid_serve.Core.epoch core));
@@ -780,11 +780,10 @@ let serve host port { objects; seed; config } admit_cap max_steps_per_tick event
           Rfid_serve.Push.send p (Rfid_obs.Openmetrics.render ())
         end
   in
-  let server_config = { Rfid_serve.Server.host; port; max_steps_per_tick } in
   let on_listening ~host ~port =
     Printf.printf "# rfid-serve listening on %s:%d\n%!" host port
   in
-  Rfid_serve.Server.run ~on_listening ~on_pass core server_config;
+  Rfid_serve.Server.run ~on_listening ~on_pass ~host ~port core;
   (* The loop has returned: stop was requested and Core.drain ran
      (flush + checkpoint through the hooks). Close the durable tail. *)
   Session.close session;
@@ -826,15 +825,6 @@ let serve_cmd =
             "Admission queue bound: PUTs beyond N queued observations are \
              refused with BUSY (never dropped silently).")
   in
-  let max_steps_per_tick =
-    Arg.(
-      value
-      & opt (int_at_least 1) 256
-      & info [ "max-steps-per-tick" ] ~docv:"N"
-          ~doc:
-            "Queued observations stepped through the engine per server loop \
-             pass — bounds how long ingest can starve query latency.")
-  in
   let events_keep =
     Arg.(
       value
@@ -875,8 +865,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const serve $ host $ port $ engine_term $ admit_cap $ max_steps_per_tick
-      $ events_keep $ durability_term $ metrics_push $ metrics_push_every)
+      const serve $ host $ port $ engine_term $ admit_cap $ events_keep
+      $ durability_term $ metrics_push $ metrics_push_every)
 
 (* ------------------------------------------------------------------ *)
 

@@ -198,7 +198,7 @@ let fuzz_protocol rng boot =
     Rfid_serve.Core.create
       ~guard:(Rfid_serve.Bootstrap.fresh_guard boot)
       ~engine:(Rfid_serve.Bootstrap.fresh_engine boot)
-      ~num_objects:boot.Rfid_serve.Bootstrap.num_objects
+      ~num_objects:(Rfid_serve.Bootstrap.num_objects boot)
       ~admit_cap:(1 + Rfid_prob.Rng.int rng 8)
       ~events_keep:(1 + Rfid_prob.Rng.int rng 8)
       ()

@@ -38,6 +38,10 @@ let of_config ?(read_rate = 1.0) ~objects ~seed config =
     seed;
   }
 
+let world t = t.world
+let num_objects t = t.num_objects
+let sensor t = t.params.Rfid_model.Params.sensor
+
 let make ~objects ~seed ?variant ?particles () =
   of_config ~objects ~seed
     (Rfid_core.Config.create ?variant ?num_object_particles:particles ())

@@ -18,14 +18,9 @@
     construction. Every guard checks the world's bounds and the object
     universe. *)
 
-type t = {
-  world : Rfid_model.World.t;
-  params : Rfid_model.Params.t;
-  config : Rfid_core.Config.t;
-  init_reader : Rfid_model.Reader_state.t;
-  num_objects : int;
-  seed : int;
-}
+type t
+(** World, fitted parameters, engine configuration, initial reader,
+    object count and engine seed. *)
 
 val of_config :
   ?read_rate:float -> objects:int -> seed:int -> Rfid_core.Config.t -> t
@@ -45,6 +40,13 @@ val make :
 (** {!of_config} over {!Rfid_core.Config.create}'s defaults, which
     match the CLI's: [variant = Factorized_indexed], [particles = 200],
     no adaptation, [resample_ess = 1.0]. *)
+
+val world : t -> Rfid_model.World.t
+val num_objects : t -> int
+
+val sensor : t -> Rfid_model.Sensor_model.t
+(** The sensor model in the fixture's parameters: the shipped constant
+    or a fit made at construction. *)
 
 val fresh_engine : t -> Rfid_core.Engine.t
 

@@ -1,6 +1,4 @@
-type config = { host : string; port : int; max_steps_per_tick : int }
-
-let default_config = { host = "127.0.0.1"; port = 0; max_steps_per_tick = 256 }
+module Obs = Rfid_obs.Metrics
 
 (* Accept cap: connections past it are accepted and closed at once. *)
 let max_conns = 64
@@ -9,6 +7,26 @@ let max_conns = 64
    least this often; after a tick that left queued work behind the
    loop polls instead. *)
 let tick_timeout = 0.05
+
+(* Seconds of queued epochs a tick steps before the loop serves sockets
+   again; read on CLOCK_MONOTONIC. *)
+let tick_budget = 0.002
+
+let sp_tick = Obs.span "stage.serve_tick"
+
+(* Step queued epochs one at a time until [tick_budget] is spent: at
+   least one, and the budget is only checked between epochs. Returns
+   the number stepped; the span records only ticks that stepped. *)
+let budgeted_tick core =
+  let t0 = Obs.start sp_tick in
+  let rec go steps =
+    if Core.tick core ~max_steps:1 = 0 then steps
+    else if Obs.now () -. t0 >= tick_budget then steps + 1
+    else go (steps + 1)
+  in
+  let steps = go 0 in
+  if steps > 0 then Obs.stop sp_tick t0;
+  steps
 
 let max_out_bytes = 1 lsl 20
 
@@ -103,8 +121,8 @@ let install_signal_handlers () =
     [ Sys.sigterm; Sys.sigint ]
 
 let run ?(on_listening = fun ~host:_ ~port:_ -> ())
-    ?(on_pass = fun ~out_backlog:_ -> ()) ?(should_stop = fun () -> false) core
-    config =
+    ?(on_pass = fun ~out_backlog:_ -> ()) ?(should_stop = fun () -> false) ~host
+    ~port core =
   stop_requested := false;
   install_signal_handlers ();
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -112,7 +130,7 @@ let run ?(on_listening = fun ~host:_ ~port:_ -> ())
   let () =
     try
       Unix.bind listen_fd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
+        (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
       Unix.listen listen_fd 16;
       Unix.set_nonblock listen_fd
     with e ->
@@ -122,9 +140,9 @@ let run ?(on_listening = fun ~host:_ ~port:_ -> ())
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
+    | Unix.ADDR_UNIX _ -> port
   in
-  on_listening ~host:config.host ~port:bound_port;
+  on_listening ~host ~port:bound_port;
   let conns : conn list ref = ref [] in
   let close_conn conn =
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
@@ -215,7 +233,7 @@ let run ?(on_listening = fun ~host:_ ~port:_ -> ())
     List.iter
       (fun conn -> if conn.closing && pending_out conn = 0 then close_conn conn)
       !conns;
-    let steps = Core.tick core ~max_steps:config.max_steps_per_tick in
+    let steps = budgeted_tick core in
     backlogged := steps > 0 && Core.queue_depth core > 0;
     on_pass
       ~out_backlog:

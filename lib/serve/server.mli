@@ -9,9 +9,11 @@
     buffered, frames it ({!Framing}), answers each complete line
     through {!Core.handle_line} and writes the replies of that read
     straight away, in one write; only then does the engine get a
-    bounded tick ([max_steps_per_tick] queued observations), so a reply
-    never waits behind inference and one firehose client cannot starve
-    queries on other connections. Accepted sockets set [TCP_NODELAY].
+    tick bounded by time (below), so a reply never waits behind
+    inference and one firehose client cannot starve queries on other
+    connections: a request that arrives during a burst waits at most
+    the tick budget plus one epoch step. Accepted sockets set
+    [TCP_NODELAY].
 
     Connections are non-blocking end to end. A client that stops
     reading grows only its own reply backlog, and only to
@@ -23,19 +25,18 @@
     effort to flush pending replies, closes every socket and
     returns — the documented "graceful drain" lifecycle. *)
 
-type config = {
-  host : string;  (** bind address, default ["127.0.0.1"] *)
-  port : int;  (** 0 picks an ephemeral port *)
-  max_steps_per_tick : int;
-      (** queued observations stepped per loop pass *)
-}
-(** Two limits are fixed: at most 64 connections at once (a connection
-    past that is accepted and closed at once), and a select wait of at
-    most 50 ms, so a pass runs at least that often (the loop only polls
-    while a tick left queued work behind). *)
-
-val default_config : config
-(** [{host = "127.0.0.1"; port = 0; max_steps_per_tick = 256}] *)
+(** Three limits are fixed:
+    - [max_conns]: at most 64 connections at once (a connection past
+      that is accepted and closed at once);
+    - [tick_timeout]: a select wait of at most 50 ms, so a pass runs at
+      least that often (the loop only polls while a tick left queued
+      work behind);
+    - [tick_budget]: each pass's tick steps queued epochs one at a time
+      until 2 ms have passed on CLOCK_MONOTONIC ({!Rfid_obs.Metrics.now}).
+      A tick with work steps at least one epoch and stops only between
+      epochs, so it lasts at most the budget plus one step. The span
+      [stage.serve_tick] records each tick that stepped an epoch: its
+      histogram is tick time against this budget. *)
 
 val max_out_bytes : int
 (** Read backpressure threshold (1 MiB): a connection with more unsent
@@ -48,10 +49,12 @@ val run :
   ?on_listening:(host:string -> port:int -> unit) ->
   ?on_pass:(out_backlog:int -> unit) ->
   ?should_stop:(unit -> bool) ->
+  host:string ->
+  port:int ->
   Core.t ->
-  config ->
   unit
-(** Serve until a stop is requested, then drain and return.
+(** Serve on [host:port] until a stop is requested, then drain and
+    return. [port = 0] picks an ephemeral port.
 
     [on_listening] fires once with the bound address — with [port = 0]
     this is the only way to learn the actual port. [on_pass] fires

@@ -19,7 +19,7 @@ let test_supervised_fit_quality () =
 
 let hex_coef m = Array.to_list (Array.map (Printf.sprintf "%h") (Sensor_model.to_coef m))
 
-let booted_sensor (b : Rfid_serve.Bootstrap.t) = b.Rfid_serve.Bootstrap.params.Params.sensor
+let booted_sensor = Rfid_serve.Bootstrap.sensor
 
 let boot_at ?read_rate () =
   booted_sensor

@@ -130,7 +130,8 @@ let test_admission () =
 (* ------------------------------------------------------------------ *)
 (* Shared fixture *)
 
-let boot = lazy (Bootstrap.make ~objects:8 ~seed:42 ~particles:60 ())
+let boot_seed = 42
+let boot = lazy (Bootstrap.make ~objects:8 ~seed:boot_seed ~particles:60 ())
 
 let observation epoch x y tags =
   {
@@ -225,7 +226,7 @@ let test_event_ring () =
 
 let make_core ?admit_cap ?events_keep boot =
   Core.create ~guard:(Bootstrap.fresh_guard boot)
-    ~engine:(Bootstrap.fresh_engine boot) ~num_objects:boot.Bootstrap.num_objects
+    ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
     ?admit_cap ?events_keep ()
 
 let req core line =
@@ -308,7 +309,7 @@ let test_core_drain_order () =
   in
   let core =
     Core.create ~guard:(Bootstrap.fresh_guard boot) ~engine:(Bootstrap.fresh_engine boot)
-      ~num_objects:boot.Bootstrap.num_objects ~hooks ()
+      ~num_objects:(Bootstrap.num_objects boot) ~hooks ()
   in
   List.iter
     (fun obs -> ignore (req core ("PUT " ^ Rfid_model.Trace_io.observation_to_line obs)))
@@ -340,7 +341,7 @@ let test_core_halted_latch () =
   in
   let core =
     Core.create ~guard:(Rfid_robust.Ingest.create ())
-      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:boot.Bootstrap.num_objects ()
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot) ()
   in
   put_all core;
   let halted =
@@ -370,20 +371,21 @@ let test_core_halted_latch () =
 (* ------------------------------------------------------------------ *)
 (* Far-off requests: PROTOCOL.md accepts any finite bound or center *)
 
-let far_boot = lazy (Bootstrap.make ~objects:50 ~seed:3 ~particles:30 ())
+let far_seed = 3
+let far_boot = lazy (Bootstrap.make ~objects:50 ~seed:far_seed ~particles:30 ())
 
 (* One warehouse pass, which reads every object of [far_boot]. *)
 let far_obs =
   lazy
     (let boot = Lazy.force far_boot in
-     let wh = Rfid_sim.Warehouse.layout ~num_objects:boot.Bootstrap.num_objects () in
+     let wh = Rfid_sim.Warehouse.layout ~num_objects:(Bootstrap.num_objects boot) () in
      Rfid_model.Trace.observations
        (Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
           ~object_locs:wh.Rfid_sim.Warehouse.object_locs
           ~start:(Rfid_sim.Warehouse.reader_start wh)
           ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds:1)
           ~config:(Rfid_sim.Trace_gen.default_config ())
-          (Rfid_prob.Rng.create ~seed:boot.Bootstrap.seed)))
+          (Rfid_prob.Rng.create ~seed:far_seed)))
 
 let reply_count reply = Scanf.sscanf reply "OK %d" Fun.id
 
@@ -420,7 +422,7 @@ let test_range_far_bounds () =
     (Lazy.force far_obs);
   ignore (req core "SYNC");
   let near_box = reply_count (req core "RANGE -100 -100 100 100") in
-  Alcotest.(check int) "every object in the +-100 box" boot.Bootstrap.num_objects near_box;
+  Alcotest.(check int) "every object in the +-100 box" (Bootstrap.num_objects boot) near_box;
   List.iter
     (fun e ->
       Alcotest.(check int)
@@ -537,26 +539,32 @@ let test_push_udp () =
 (* Server loop over loopback: Server.run in its own domain on port 0,
    driven by blocking clients from the test's domain. *)
 
+(* The first [n] epochs of a path. *)
+let rec take_epochs n = function
+  | [] -> []
+  | (seg : Rfid_sim.Trace_gen.segment) :: rest ->
+      if n <= seg.seg_epochs then [ { seg with seg_epochs = n } ]
+      else seg :: take_epochs (n - seg.seg_epochs) rest
+
 (* PUT lines for [epochs] consecutive epochs of scan passes over the
-   fixture's warehouse. *)
-let put_lines boot ~epochs =
-  let wh = Rfid_sim.Warehouse.layout ~num_objects:boot.Bootstrap.num_objects () in
+   fixture's warehouse, generated at the fixture's own [seed]. The path
+   stops after [epochs]: one pass of a large warehouse is thousands. *)
+let put_lines ~seed boot ~epochs =
+  let wh = Rfid_sim.Warehouse.layout ~num_objects:(Bootstrap.num_objects boot) () in
   let rec gen rounds =
     let trace =
       Rfid_sim.Trace_gen.run ~world:wh.Rfid_sim.Warehouse.world
         ~object_locs:wh.Rfid_sim.Warehouse.object_locs
         ~start:(Rfid_sim.Warehouse.reader_start wh)
-        ~path:(Rfid_sim.Trace_gen.straight_pass wh ~rounds)
+        ~path:(take_epochs epochs (Rfid_sim.Trace_gen.straight_pass wh ~rounds))
         ~config:
           (Rfid_sim.Trace_gen.default_config ~sensor:(Rfid_sim.Truth_sensor.cone ()) ())
-        (Rfid_prob.Rng.create ~seed:boot.Bootstrap.seed)
+        (Rfid_prob.Rng.create ~seed)
     in
     let obs = Rfid_model.Trace.observations trace in
     if List.length obs >= epochs then obs else gen (2 * rounds)
   in
-  gen 1
-  |> List.filteri (fun i _ -> i < epochs)
-  |> List.map (fun o -> "PUT " ^ Rfid_model.Trace_io.observation_to_line o)
+  List.map (fun o -> "PUT " ^ Rfid_model.Trace_io.observation_to_line o) (gen 1)
 
 type live = {
   port : int;
@@ -564,7 +572,7 @@ type live = {
   drained_at : float Atomic.t;  (* when a pass last saw the queue empty out *)
 }
 
-let with_server ?(config = Server.default_config) ?(probe = ignore) core f =
+let with_server ?(probe = ignore) core f =
   let port = Atomic.make 0 in
   let stop = Atomic.make false in
   let max_backlog = Atomic.make 0 in
@@ -583,7 +591,7 @@ let with_server ?(config = Server.default_config) ?(probe = ignore) core f =
           ~on_listening:(fun ~host:_ ~port:p -> Atomic.set port p)
           ~on_pass
           ~should_stop:(fun () -> Atomic.get stop)
-          core config)
+          ~host:"127.0.0.1" ~port:0 core)
   in
   let deadline = Unix.gettimeofday () +. 10. in
   while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
@@ -633,7 +641,8 @@ let queue_paused c lines =
     (fun i _ -> expect_line c "PUT queued" (Printf.sprintf "OK %d" (i + 1)))
     lines
 
-let big_boot = lazy (Bootstrap.make ~objects:200 ~seed:7 ~particles:60 ())
+let big_seed = 7
+let big_boot = lazy (Bootstrap.make ~objects:200 ~seed:big_seed ~particles:60 ())
 
 let wait_until ~what ~timeout cond =
   let deadline = Unix.gettimeofday () +. timeout in
@@ -642,27 +651,41 @@ let wait_until ~what ~timeout cond =
   done;
   if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
 
-(* PUT lines for a backlog that takes [boot] about 600 ms to step on
-   this machine, timed on a fresh core. *)
-let slow_backlog boot =
-  let probe = put_lines boot ~epochs:300 in
+(* PUT lines for a backlog that takes [big_boot] about 600 ms to step
+   on this machine, timed on a fresh core. *)
+let slow_backlog () =
+  let boot = Lazy.force big_boot in
+  let probe = put_lines ~seed:big_seed boot ~epochs:300 in
   let core = make_core ~admit_cap:300 boot in
   List.iter (fun l -> ignore (req core l)) probe;
   let t0 = Unix.gettimeofday () in
   ignore (Core.tick core ~max_steps:300);
   let per_step = (Unix.gettimeofday () -. t0) /. 300. in
   let epochs = int_of_float (Float.ceil (0.6 /. per_step)) in
-  (epochs, put_lines boot ~epochs)
+  (epochs, put_lines ~seed:big_seed boot ~epochs)
 
 (* A reply leaves in the pass that read its request, not after that
-   pass's tick: with a tick of at least 300 ms queued behind RESUME, the
-   PING beside it is still answered at once. *)
+   pass's tick. The first epoch stepped after RESUME takes 300 ms in an
+   [on_admitted] hook (as a checkpoint in that hook would), so the tick
+   of the pass that reads "RESUME\nPING" lasts at least that long
+   whatever the tick budget; the PING beside the RESUME is still
+   answered at once. *)
 let test_server_reply_before_tick () =
   let boot = Lazy.force big_boot in
-  let epochs, lines = slow_backlog boot in
-  let core = make_core ~admit_cap:epochs boot in
-  let config = { Server.default_config with Server.max_steps_per_tick = epochs } in
-  with_server ~config core (fun live ->
+  let lines = put_lines ~seed:big_seed boot ~epochs:4 in
+  let slow = Atomic.make true in
+  let hooks =
+    {
+      Core.no_hooks with
+      Core.on_admitted = (fun _ -> if Atomic.exchange slow false then Unix.sleepf 0.3);
+    }
+  in
+  let core =
+    Core.create ~guard:(Bootstrap.fresh_guard boot)
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
+      ~admit_cap:4 ~hooks ()
+  in
+  with_server core (fun live ->
       let c = connect live in
       Fun.protect
         ~finally:(fun () -> close_client c)
@@ -683,13 +706,78 @@ let test_server_reply_before_tick () =
             Alcotest.failf "pong took %.0f ms, behind a %.0f ms tick"
               (waited *. 1e3) (tick *. 1e3)))
 
+(* The server's tick budget, documented in server.mli. *)
+let tick_budget = 0.002
+
+let burst_seed = 11
+let burst_boot = lazy (Bootstrap.make ~objects:5000 ~seed:burst_seed ())
+
+(* A query waits behind at most one budgeted tick. 1024 epochs of a
+   5000-object fixture are queued behind RESUME; PINGs sent one after
+   another from a second connection through the burst must each be
+   answered within the budget plus the slowest step plus 50 ms of
+   scheduling slack. A step is timed as the gap between consecutive
+   admitted epochs, which also counts any pass between them, so the
+   bound only errs wide. *)
+let test_server_burst_ping () =
+  let boot = Lazy.force burst_boot in
+  let epochs = 1024 in
+  let lines = put_lines ~seed:burst_seed boot ~epochs in
+  let stepped = Atomic.make 0 in
+  let slowest = Atomic.make 0. in
+  let last = ref None in
+  let hooks =
+    {
+      Core.no_hooks with
+      Core.on_admitted =
+        (fun _ ->
+          let now = Unix.gettimeofday () in
+          Option.iter
+            (fun t -> if now -. t > Atomic.get slowest then Atomic.set slowest (now -. t))
+            !last;
+          last := Some now;
+          Atomic.incr stepped);
+    }
+  in
+  let core =
+    Core.create ~guard:(Bootstrap.fresh_guard boot)
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
+      ~admit_cap:epochs ~hooks ()
+  in
+  with_server core (fun live ->
+      let writer = connect live in
+      let reader = connect live in
+      Fun.protect
+        ~finally:(fun () ->
+          close_client writer;
+          close_client reader)
+        (fun () ->
+          queue_paused writer lines;
+          send writer "RESUME\n";
+          expect_line writer "resumed" "OK running";
+          let worst = ref 0. and pings = ref 0 in
+          while Atomic.get stepped < epochs do
+            let t0 = Unix.gettimeofday () in
+            send reader "PING\n";
+            expect_line reader "pong" "OK pong";
+            worst := Float.max !worst (Unix.gettimeofday () -. t0);
+            incr pings
+          done;
+          let bound = tick_budget +. Atomic.get slowest +. 0.05 in
+          if !worst > bound then
+            Alcotest.failf
+              "slowest of %d pongs took %.1f ms; budget %.0f ms + slowest step \
+               %.1f ms + 50 ms slack is %.1f ms"
+              !pings (!worst *. 1e3) (tick_budget *. 1e3)
+              (Atomic.get slowest *. 1e3) (bound *. 1e3)))
+
 (* Replies are not held for the peer's delayed ACK (TCP_NODELAY). A
    PING sent while a long SYNC runs is read in the pass after the SYNC
    reply went out; the client has not ACKed that reply yet, and Nagle
    would hold the pong until its delayed-ACK timer fired. *)
 let test_server_no_nagle_hold () =
   let boot = Lazy.force big_boot in
-  let epochs, lines = slow_backlog boot in
+  let epochs, lines = slow_backlog () in
   let core = make_core ~admit_cap:epochs boot in
   with_server core (fun live ->
       let c = connect live in
@@ -715,7 +803,7 @@ let test_server_no_nagle_hold () =
    time runs from its first admitted epoch to its [on_pass]. *)
 let test_server_idle_drain () =
   let boot = Lazy.force boot in
-  let lines = put_lines boot ~epochs:1024 in
+  let lines = put_lines ~seed:boot_seed boot ~epochs:1024 in
   let pass_start = ref None in
   let tick_sum = Atomic.make 0. in
   let hooks =
@@ -735,7 +823,7 @@ let test_server_idle_drain () =
   in
   let core =
     Core.create ~guard:(Bootstrap.fresh_guard boot)
-      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:boot.Bootstrap.num_objects
+      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
       ~admit_cap:1024 ~hooks ()
   in
   with_server ~probe core (fun live ->
@@ -760,7 +848,7 @@ let test_server_idle_drain () =
 let test_server_out_backpressure () =
   let boot = Lazy.force big_boot in
   let core = make_core ~admit_cap:4096 boot in
-  List.iter (fun l -> ignore (req core l)) (put_lines boot ~epochs:1100);
+  List.iter (fun l -> ignore (req core l)) (put_lines ~seed:big_seed boot ~epochs:1100);
   ignore (req core "SYNC");
   let range = "RANGE -1000 -1000 1000 1000 0.001" in
   let one_reply = String.length (req core range) in
@@ -793,7 +881,7 @@ let test_server_out_backpressure () =
 let test_server_write_no_copy () =
   let boot = Lazy.force big_boot in
   let core = make_core ~admit_cap:4096 boot in
-  List.iter (fun l -> ignore (req core l)) (put_lines boot ~epochs:1100);
+  List.iter (fun l -> ignore (req core l)) (put_lines ~seed:big_seed boot ~epochs:1100);
   ignore (req core "SYNC");
   let range = "RANGE -1000 -1000 1000 1000 0.001" in
   let count = 500 in
@@ -1017,6 +1105,7 @@ let suite =
       Alcotest.test_case "push: UDP loopback" `Quick test_push_udp;
       Alcotest.test_case "server: reply before tick" `Quick
         test_server_reply_before_tick;
+      Alcotest.test_case "server: PING through a burst" `Quick test_server_burst_ping;
       Alcotest.test_case "server: no Nagle hold" `Quick test_server_no_nagle_hold;
       Alcotest.test_case "server: idle drain" `Quick test_server_idle_drain;
       Alcotest.test_case "server: reply backpressure" `Quick

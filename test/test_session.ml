@@ -285,7 +285,7 @@ let test_recover_after_drain () =
     in
     let core =
       Rfid_serve.Core.create ~guard ~engine:(Session.engine s)
-        ~num_objects:(Lazy.force boot).Bootstrap.num_objects ~admit_cap:(List.length obs)
+        ~num_objects:(Bootstrap.num_objects (Lazy.force boot)) ~admit_cap:(List.length obs)
         ~checkpoint_every ~hooks ()
     in
     List.iter

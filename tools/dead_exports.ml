@@ -71,6 +71,8 @@ let allowed =
     "Rfid_prob.Scratch.allocations";
     (* probe: the decision step_engine acts on but does not return *)
     "Rfid_robust.Ingest.admit";
+    (* probe: which sensor a boot took, the shipped constant or a fit *)
+    "Rfid_serve.Bootstrap.sensor";
     (* probe: bytes the line framer holds back *)
     "Rfid_serve.Framing.pending_bytes";
     (* probe: datagrams the metrics pusher sent *)
@@ -79,8 +81,6 @@ let allowed =
     "Rfid_serve.Push.send_errors";
     (* probe: Gaussian refits the query cache performed *)
     "Rfid_serve.Query.fit_count";
-    (* reference: the stock config the server tests start from *)
-    "Rfid_serve.Server.default_config";
     (* reference: the reply-backlog bound the slow-reader test asserts *)
     "Rfid_serve.Server.max_out_bytes";
     (* seam: lets a test stop the accept loop *)
