@@ -224,10 +224,10 @@ let test_event_ring () =
 (* ------------------------------------------------------------------ *)
 (* Core: wire answers vs a direct engine replay *)
 
-let make_core ?admit_cap ?events_keep boot =
+let make_core ?admit_cap ?events_keep ?hooks boot =
   Core.create ~guard:(Bootstrap.fresh_guard boot)
     ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
-    ?admit_cap ?events_keep ()
+    ?admit_cap ?events_keep ?hooks ()
 
 let req core line =
   let reply, _close = Core.handle_line core line in
@@ -680,11 +680,7 @@ let test_server_reply_before_tick () =
       Core.on_admitted = (fun _ -> if Atomic.exchange slow false then Unix.sleepf 0.3);
     }
   in
-  let core =
-    Core.create ~guard:(Bootstrap.fresh_guard boot)
-      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
-      ~admit_cap:4 ~hooks ()
-  in
+  let core = make_core ~admit_cap:4 ~hooks boot in
   with_server core (fun live ->
       let c = connect live in
       Fun.protect
@@ -739,11 +735,7 @@ let test_server_burst_ping () =
           Atomic.incr stepped);
     }
   in
-  let core =
-    Core.create ~guard:(Bootstrap.fresh_guard boot)
-      ~engine:(Bootstrap.fresh_engine boot) ~num_objects:(Bootstrap.num_objects boot)
-      ~admit_cap:epochs ~hooks ()
-  in
+  let core = make_core ~admit_cap:epochs ~hooks boot in
   with_server core (fun live ->
       let writer = connect live in
       let reader = connect live in
