@@ -168,7 +168,7 @@ let engine_term =
      $ min_particles_arg $ resample_ess_arg $ domains_arg))
 
 (* The durability flags shared by infer and serve; Session owns what
-   they mean, the caller owns the checkpoint cadence. *)
+   they mean, Core runs the checkpoint cadence. *)
 type durability = { session : Session.config; checkpoint_every : int }
 
 let durability_term =
@@ -255,6 +255,19 @@ let durability_term =
     ret
       (const make $ checkpoint $ checkpoint_keep $ checkpoint_every $ wal
      $ wal_fsync_every $ events $ recover))
+
+(* The Core hooks of infer and serve: the session logs events and the
+   flush marker and publishes checkpoints, beside the caller's own. *)
+let session_hooks ~on_events ~on_admitted session =
+  {
+    Rfid_serve.Core.on_events =
+      (fun evs ->
+        Session.log_events session evs;
+        on_events evs);
+    on_flush_mark = (fun () -> Session.flush_mark session);
+    on_admitted;
+    on_checkpoint = (fun _ -> Session.checkpoint session);
+  }
 
 let build_scenario ~objects ~rounds ~read_rate ~seed =
   let wh = Rfid_sim.Warehouse.layout ~num_objects:objects () in
@@ -378,45 +391,6 @@ let on_ooo_arg =
     & info [ "on-out-of-order" ] ~docv:"POLICY"
         ~doc:"What to do with an out-of-order epoch: $(b,halt) (default) or $(b,drop).")
 
-(* Drive a (possibly corrupted) observation stream through the ingest
-   guard into the engine, logging each batch of emitted events durably
-   as it appears (so events hit disk in emission order, before the
-   checkpoint that covers them) and checkpointing every
-   [checkpoint_every] admitted epochs and at exit.  Returns the events
-   plus whether the run stopped early ([--stop-after] or an
-   out-of-order halt). *)
-let guarded_run ~on_admitted ~session ~guard ~checkpoint_every ~stop_after
-    observations =
-  let engine = Session.engine session in
-  let events = ref [] in
-  let admitted = ref 0 in
-  let stopped = ref false in
-  (try
-     List.iter
-       (fun obs ->
-         (match stop_after with
-         | Some e when Rfid_core.Engine.epoch engine >= e -> raise Exit
-         | Some _ | None -> ());
-         let before = Rfid_core.Engine.epoch engine in
-         match Rfid_robust.Ingest.step_engine guard engine obs with
-         | Ok evs ->
-             Session.log_events session evs;
-             events := List.rev_append evs !events;
-             if Rfid_core.Engine.epoch engine > before then begin
-               incr admitted;
-               on_admitted !admitted;
-               if checkpoint_every > 0 && !admitted mod checkpoint_every = 0 then
-                 Session.checkpoint session
-             end
-         | Error (_, msg) ->
-             prerr_endline msg;
-             raise Exit)
-       observations
-   with Exit -> stopped := true);
-  if !stopped then Session.checkpoint session
-  else events := List.rev_append (Session.finish session) !events;
-  (List.rev !events, !stopped)
-
 (* Write the collected observability snapshots as one JSON document;
    snapshots are ordered oldest first. *)
 let write_metrics_file ~path snapshots =
@@ -490,12 +464,33 @@ let infer { objects; seed; config } rounds read_rate ff drop_out_of_order
     if metrics <> None && metrics_every > 0 && n mod metrics_every = 0 then
       take_snapshot ()
   in
-  let t0 = Rfid_obs.Metrics.now () in
-  let events, stopped =
-    guarded_run ~on_admitted ~session ~guard
-      ~checkpoint_every:durability.checkpoint_every ~stop_after observations
+  let events = ref [] in
+  let on_events evs = events := List.rev_append evs !events in
+  let core =
+    Rfid_serve.Core.create ~guard ~engine ~num_objects:objects
+      ~checkpoint_every:durability.checkpoint_every
+      ~hooks:(session_hooks ~on_events ~on_admitted session)
+      ()
   in
-  let events = Session.replayed session @ events in
+  let t0 = Rfid_obs.Metrics.now () in
+  (* Step until the stream ends (false), or [--stop-after] or a guard
+     halt stops it early (true). *)
+  let at_stop () =
+    match stop_after with Some e -> Rfid_core.Engine.epoch engine >= e | None -> false
+  in
+  let rec run = function
+    | [] -> false
+    | _ when at_stop () -> true
+    | obs :: rest -> (
+        match Rfid_serve.Core.ingest core obs with
+        | Ok () -> run rest
+        | Error (_, msg) ->
+            prerr_endline msg;
+            true)
+  in
+  let stopped = run observations in
+  if stopped then Session.checkpoint session else Rfid_serve.Core.drain core;
+  let events = Session.replayed session @ List.rev !events in
   Session.close session;
   List.iter (fun ev -> Format.printf "%a@." Rfid_core.Event.pp ev) events;
   let stats = Rfid_core.Engine.stats engine in
@@ -737,18 +732,12 @@ let serve host port { objects; seed; config } admit_cap events_keep durability
   let boot = Bootstrap.of_config ~objects ~seed config in
   let guard = Bootstrap.fresh_guard boot in
   let session = Bootstrap.start_session boot ~guard durability.session in
-  let hooks =
-    {
-      Rfid_serve.Core.on_events = Session.log_events session;
-      on_flush_mark = (fun () -> Session.flush_mark session);
-      on_admitted = ignore;
-      on_checkpoint = (fun _ -> Session.checkpoint session);
-    }
-  in
   let core =
     Rfid_serve.Core.create ~guard ~engine:(Session.engine session)
       ~num_objects:objects ~admit_cap ~events_keep
-      ~checkpoint_every:durability.checkpoint_every ~hooks ()
+      ~checkpoint_every:durability.checkpoint_every
+      ~hooks:(session_hooks ~on_events:ignore ~on_admitted:ignore session)
+      ()
   in
   (* A recovered server answers EVENTS with the history the
      uninterrupted one would have (a fresh run's log is empty). *)

@@ -211,13 +211,6 @@ let checkpoint t =
       else Checkpoint.save ~path snapshot)
     t.config.checkpoint
 
-let finish t =
-  checkpoint t;
-  flush_mark t;
-  let evs = Engine.flush t.engine in
-  log_events t evs;
-  evs
-
 let close t =
   Option.iter Wal.close t.wal_writer;
   Option.iter

@@ -1,8 +1,10 @@
 (** One durable run of the engine: start-up, running and shutdown of
     the checkpoint + write-ahead-log + events-log assembly that makes a
     run restartable. [rfid_clean infer] and [rfid_clean serve] both go
-    through here, so the kill-anywhere proof ([make crash-test], both
-    modes) covers one implementation.
+    through here, and both step their stream through
+    [Rfid_serve.Core] with the same hooks into this module, so the
+    kill-anywhere proof ([make crash-test], both modes) covers one
+    implementation.
 
     {2 Ordering rules}
 
@@ -29,12 +31,10 @@
 
     While running, every {!checkpoint} publish first fsyncs the WAL and
     the events log (the durability barrier: a published checkpoint
-    implies everything it covers is on disk). The end of the stream
-    ({!finish}) checkpoints {e before} it writes the marker and the
-    flush events, so every checkpoint holds a pre-flush engine: a
-    recovery, even of a run that completed, trims the flush events and
-    regenerates them behind a new marker. {!close} syncs and closes
-    both files. *)
+    implies everything it covers is on disk). The end-of-stream order
+    of checkpoint, marker and flush events is [Rfid_serve.Core.drain]'s;
+    this module only writes what it is handed. {!close} syncs and
+    closes both files. *)
 
 type config = {
   checkpoint : string option;
@@ -76,16 +76,12 @@ val log_events : t -> Rfid_core.Event.t list -> unit
     line each. *)
 
 val flush_mark : t -> unit
-(** Append the ["# flush"] marker. Only for a caller that flushes the
-    engine itself, in {!finish}'s order (the server's [DRAIN] hooks). *)
+(** Append the ["# flush"] marker, which recovery trims the events log
+    at ([Rfid_serve.Core.drain]'s [on_flush_mark] hook). *)
 
 val checkpoint : t -> unit
 (** Publish a checkpoint of {!engine} behind the durability barrier.
     No-op without [checkpoint]. *)
-
-val finish : t -> Rfid_core.Event.t list
-(** End the stream: {!checkpoint}, {!flush_mark}, then flush the
-    engine and log the flush events, which are returned. *)
 
 val close : t -> unit
 (** Sync and close the WAL and events log. With a WAL it prints

@@ -1,5 +1,5 @@
-(** The one pipeline constructor: world, fitted sensor parameters,
-    engine, ingest guard and durable session for a given
+(** The one pipeline constructor: world, sensor parameters, engine,
+    ingest guard and durable session for a given
     [(objects, seed, config)].
 
     [rfid_clean infer], [rfid_clean replay] and [rfid_clean serve] all

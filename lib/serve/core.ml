@@ -69,28 +69,29 @@ let admitted t = t.admitted
 let engine t = t.engine
 let preload_event t ev = Query.record_event t.query ev
 
-(* One queued observation through the guard into the engine. Epoch
+(* One observation through the guard into the engine. Epoch
    bookkeeping keys off the engine's own clock: a Rejected decision (or
    a duplicate the engine skips) advances nothing and must not count as
    admitted or fire hooks. The query layer needs no notification — it
    drains the engine's change feed on its next query. *)
-let step_one t obs =
+let ingest t obs =
   let before = Engine.epoch t.engine in
   match Ingest.step_engine t.guard t.engine obs with
   | Error (fault, msg) ->
-      t.halted <- Some (Printf.sprintf "%s: %s" (Ingest.fault_name fault) msg)
+      t.halted <- Some (Printf.sprintf "%s: %s" (Ingest.fault_name fault) msg);
+      Error (fault, msg)
   | Ok events ->
-      let after = Engine.epoch t.engine in
-      if after > before then begin
+      if Engine.epoch t.engine > before then begin
         t.admitted <- t.admitted + 1;
-        t.hooks.on_admitted after;
+        t.hooks.on_admitted t.admitted;
         if events <> [] then begin
           List.iter (Query.record_event t.query) events;
           t.hooks.on_events events
         end;
         if t.checkpoint_every > 0 && t.admitted mod t.checkpoint_every = 0 then
           t.hooks.on_checkpoint t.engine
-      end
+      end;
+      Ok ()
 
 (* Step queued observations until [max_steps] are done, the queue is
    empty or the guard halts. [SYNC]/[DRAIN] call it without a step cap
@@ -102,7 +103,7 @@ let rec run_queue t ~max_steps steps =
     match Admission.take t.queue with
     | None -> steps
     | Some obs ->
-        step_one t obs;
+        ignore (ingest t obs);
         run_queue t ~max_steps (steps + 1)
 
 let tick t ~max_steps = if t.paused then 0 else run_queue t ~max_steps 0
@@ -112,9 +113,7 @@ let drain t =
   if not t.draining then begin
     process_queue t;
     if t.halted = None then begin
-      (* Checkpoint, marker, then the flush events: recovery always
-         restores a pre-flush engine, trims the log at the marker and
-         regenerates what follows it (Rfid_robust.Session). *)
+      (* The end-of-stream order core.mli states for [drain]. *)
       t.hooks.on_checkpoint t.engine;
       t.hooks.on_flush_mark ();
       (* [flush] emits pending reports but moves no posterior, so the

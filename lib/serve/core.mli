@@ -6,7 +6,8 @@
     engine. {!Server} shuttles bytes between this module and
     connections; the PROTOCOL.md conformance test and the fuzzer drive
     it directly, in-process, so every documented exchange is exercised
-    without a socket in the loop.
+    without a socket in the loop. [rfid_clean infer] steps its stream
+    with {!ingest} and {!drain}: both commands share this one loop.
 
     Request grammar, reply grammar, and the error taxonomy are
     normative in PROTOCOL.md; this interface only summarizes the state
@@ -27,16 +28,16 @@ type hooks = {
       (** fired with each batch of newly emitted events, after they are
           in the ring — the durable events log writes here *)
   on_flush_mark : unit -> unit;
-      (** fired when [DRAIN] flushes the engine, after its
-          [on_checkpoint] and before [on_events] delivers the flush
+      (** fired by {!drain} between its checkpoint and the flush
           events — the events log writes its ["# flush"] marker here *)
   on_admitted : int -> unit;
-      (** fired with the new engine epoch each time a queued
-          observation advances it — WAL sync cadence hangs here *)
+      (** fired with {!admitted} each time a step advances the engine's
+          epoch, before that step's [on_events] — [infer
+          --metrics-every] snapshots here *)
   on_checkpoint : Rfid_core.Engine.t -> unit;
-      (** fired on the checkpoint cadence and on [DRAIN]; the server
-          binary snapshots and saves here, behind its durability
-          barrier *)
+      (** fired on the checkpoint cadence and by {!drain}; both
+          commands snapshot and save here, behind the session's
+          durability barrier *)
 }
 
 val no_hooks : hooks
@@ -66,20 +67,33 @@ val handle_line : t -> string -> string * bool
     empty request line and otherwise one or more [\n]-terminated lines;
     [close] is [true] only for [QUIT]. Never raises on any input. *)
 
+val ingest :
+  t ->
+  Rfid_model.Types.observation ->
+  (unit, Rfid_robust.Ingest.fault * string) result
+(** Step one observation through the guard into the engine now,
+    outside the queue and the pause latch, firing the hooks as {!tick}
+    does. A guard halt latches {e halted} and is returned as the
+    error; call it no more after that. *)
+
 val tick : t -> max_steps:int -> int
 (** Step up to [max_steps] queued observations through the engine;
     returns how many were processed. No-op (0) while paused, halted, or
     empty. *)
 
 val drain : t -> unit
-(** The [DRAIN] action without the reply: process the whole queue,
-    fire [on_checkpoint] and [on_flush_mark], flush the engine, latch
-    draining. Idempotent. The server's SIGTERM path calls this. *)
+(** End the stream ([DRAIN] without the reply): process the queue,
+    then, unless halted, fire [on_checkpoint], [on_flush_mark], and
+    [on_events] with the engine's flush events; latch draining.
+    Idempotent. This is the one end-of-stream order: every checkpoint
+    holds a pre-flush engine, so recovery trims the events log at the
+    marker and regenerates the flush events. [infer] and the server's
+    [DRAIN] and SIGTERM paths call it. *)
 
 val queue_depth : t -> int
 val epoch : t -> int
 val admitted : t -> int
-(** Queued observations that advanced the engine's epoch so far. *)
+(** Steps that advanced the engine's epoch since {!create}. *)
 
 val engine : t -> Rfid_core.Engine.t
 val preload_event : t -> Rfid_core.Event.t -> unit

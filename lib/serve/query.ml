@@ -183,6 +183,7 @@ let range t ~engine ~min_x ~min_y ~max_x ~max_y ~min_mass =
     invalid_arg "Query.range: bounds must be finite";
   if min_x > max_x || min_y > max_y then
     invalid_arg "Query.range: min bound exceeds max bound";
+  if not (finite min_mass) then invalid_arg "Query.range: min-mass must be finite";
   let min_mass = Float.max min_mass min_mass_floor in
   maintain t ~engine;
   let probe = Box2.make ~min_x ~min_y ~max_x ~max_y in

@@ -64,8 +64,8 @@ val range :
 (** Objects whose posterior mass inside the XY box reaches [min_mass]
     (clamped to at least 0.001, which keeps the σ-box pruning sound),
     in ascending object id.
-    @raise Invalid_argument if a min bound exceeds its max or any bound
-    is not finite. *)
+    @raise Invalid_argument if a min bound exceeds its max, or any
+    bound or [min_mass] is not finite. *)
 
 val at : t -> engine:Rfid_core.Engine.t -> int -> (Rfid_geom.Vec3.t * float) option
 (** Posterior mean and sd_xy (√ of the mean XY variance) of one

@@ -414,13 +414,18 @@ let test_float_bytes_range_masses () =
     Alcotest.failf "RANGE sweep returned only %d values" (List.length !vs);
   check_float_bytes "RANGE sweep" !vs
 
-let test_range_far_bounds () =
-  let boot = Lazy.force far_boot in
-  let core = make_core ~admit_cap:100_000 boot in
+(* A core that has stepped [far_obs]. *)
+let far_core () =
+  let core = make_core ~admit_cap:100_000 (Lazy.force far_boot) in
   List.iter
     (fun o -> ignore (req core ("PUT " ^ Rfid_model.Trace_io.observation_to_line o)))
     (Lazy.force far_obs);
   ignore (req core "SYNC");
+  core
+
+let test_range_far_bounds () =
+  let boot = Lazy.force far_boot in
+  let core = far_core () in
   let near_box = reply_count (req core "RANGE -100 -100 100 100") in
   Alcotest.(check int) "every object in the +-100 box" (Bootstrap.num_objects boot) near_box;
   List.iter
@@ -430,6 +435,22 @@ let test_range_far_bounds () =
         near_box
         (reply_count (req core (Printf.sprintf "RANGE -%s -%s %s %s" e e e e))))
     [ "1e19"; "1e300" ]
+
+(* A min-mass that is not a finite number is refused like a
+   non-finite bound, not compared against (a NaN floor passes no mass,
+   so the box would answer empty). *)
+let test_range_nonfinite_mass () =
+  let core = far_core () in
+  let box = "RANGE -100 -100 100 100" in
+  Alcotest.(check int) "a finite min-mass finds every object"
+    (Bootstrap.num_objects (Lazy.force far_boot))
+    (reply_count (req core (box ^ " 0.5")));
+  List.iter
+    (fun m ->
+      Alcotest.(check string) ("min-mass " ^ m)
+        "ERR 401 bad-argument: Query.range: min-mass must be finite\n"
+        (req core (box ^ " " ^ m)))
+    [ "nan"; "-nan"; "inf"; "-inf" ]
 
 (* NEAR against brute force over the engine's estimates: the k means
    closest to the center, ties by id. *)
@@ -1089,6 +1110,7 @@ let suite =
       Alcotest.test_case "core: wire = direct replay" `Quick test_core_consistency;
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
       Alcotest.test_case "core: RANGE with far finite bounds" `Quick test_range_far_bounds;
+      Alcotest.test_case "core: RANGE non-finite min-mass" `Quick test_range_nonfinite_mass;
       Alcotest.test_case "query: NEAR far from every object" `Quick test_near_far_center;
       Alcotest.test_case "core: halted latch" `Quick test_core_halted_latch;
       Alcotest.test_case "core: DRAIN checkpoints, marks, flushes" `Quick

@@ -1,11 +1,13 @@
 (* Rfid_robust.Session: the events-log helpers it owns, and the
    start / journal / checkpoint / recover cycle that `rfid_clean infer`
-   and `rfid_clean serve` both run through it. *)
+   and `rfid_clean serve` both run through it, stepping their streams
+   through Rfid_serve.Core. *)
 open Rfid_model
 module Session = Rfid_robust.Session
 module Event = Rfid_core.Event
 module Engine = Rfid_core.Engine
 module Bootstrap = Rfid_serve.Bootstrap
+module Core = Rfid_serve.Core
 
 let read_file path =
   let ic = open_in_bin path in
@@ -68,28 +70,37 @@ let start config =
 
 let checkpoint_every = 20
 
-(* Feed observations the way both commands do: step through the guard,
-   log what comes out, checkpoint on the admitted-epoch cadence. *)
-let feed (s, guard) obs =
-  let engine = Session.engine s in
-  let admitted = ref 0 in
+(* A Core over the session, with the hooks both commands give it: the
+   session's events log, its flush marker and its checkpoints. Its
+   queue holds a whole trace. *)
+let core_of (s, guard) =
+  let hooks =
+    {
+      Core.on_events = Session.log_events s;
+      on_flush_mark = (fun () -> Session.flush_mark s);
+      on_admitted = ignore;
+      on_checkpoint = (fun _ -> Session.checkpoint s);
+    }
+  in
+  Core.create ~guard ~engine:(Session.engine s)
+    ~num_objects:(Bootstrap.num_objects (Lazy.force boot))
+    ~admit_cap:(List.length (Lazy.force observations)) ~checkpoint_every ~hooks ()
+
+(* Step observations the way infer does, one [Core.ingest] each. *)
+let ingest core obs =
   List.iter
     (fun o ->
-      let before = Engine.epoch engine in
-      match Rfid_robust.Ingest.step_engine guard engine o with
-      | Error (_, msg) -> Alcotest.failf "guard halted: %s" msg
-      | Ok evs ->
-          Session.log_events s evs;
-          if Engine.epoch engine > before then begin
-            incr admitted;
-            if !admitted mod checkpoint_every = 0 then Session.checkpoint s
-          end)
+      match Core.ingest core o with
+      | Ok () -> ()
+      | Error (_, msg) -> Alcotest.failf "guard halted: %s" msg)
     obs
 
-let finish (s, _) =
-  let flushed = Session.finish s in
-  Session.close s;
-  flushed
+(* Feed a whole stream the way infer does and end it, then close. *)
+let run_to_end (s, guard) obs =
+  let core = core_of (s, guard) in
+  ingest core obs;
+  Core.drain core;
+  Session.close s
 
 let same_file ~golden_dir ~dir name =
   Alcotest.(check string) (name ^ " byte-identical to the uninterrupted session")
@@ -211,17 +222,14 @@ let test_recover_matches_uninterrupted () =
       let golden_dir = Filename.concat dir "golden" and victim_dir = Filename.concat dir "victim" in
       Unix.mkdir golden_dir 0o755;
       Unix.mkdir victim_dir 0o755;
-      let golden = durable_config golden_dir ~recover:false in
-      let g = start golden in
-      feed g obs;
-      ignore (finish g);
+      run_to_end (start (durable_config golden_dir ~recover:false)) obs;
       (* Victim: stop five epochs past the fourth checkpoint (epoch 79),
          after events at 67-81, leaving a torn event line and a torn WAL
          record behind, as a crash would. *)
       let victim = durable_config victim_dir ~recover:false in
       let v = start victim in
       let cut = 85 in
-      feed v (List.filteri (fun i _ -> i < cut) obs);
+      ingest (core_of v) (List.filteri (fun i _ -> i < cut) obs);
       let crashed_epoch = Engine.epoch (Session.engine (fst v)) in
       Session.close (fst v);
       write_file ~append:true (Filename.concat victim_dir "events.log") "t=999 obj=1 loc=(1.0";
@@ -236,8 +244,7 @@ let test_recover_matches_uninterrupted () =
         (read_file (Filename.concat victim_dir "events.log"))
         (String.concat "" (List.map (fun ev -> pp_line ev ^ "\n") (Session.logged_events (fst r))));
       (* Re-feed the whole trace: the guard drops what the log already has. *)
-      feed r obs;
-      ignore (finish r);
+      run_to_end r obs;
       let same = same_file ~golden_dir ~dir:victim_dir in
       (* Each WAL entry journaled exactly once: replayed entries are not
          logged again, re-fed ones are dropped before the journal. *)
@@ -248,60 +255,29 @@ let test_recover_matches_uninterrupted () =
    due, so the end-of-stream flush has reports to emit. *)
 let flushing_obs = lazy (List.filteri (fun i _ -> i < 130) (Lazy.force observations))
 
+(* Feed a whole stream the way serve does, PUT lines and then DRAIN,
+   and close. *)
+let serve_to_end (s, guard) obs =
+  let core = core_of (s, guard) in
+  List.iter
+    (fun o -> ignore (Core.handle_line core ("PUT " ^ Trace_io.observation_to_line o)))
+    obs;
+  Core.drain core;
+  Session.close s
+
 (* A run that completed and is then recovered anyway (killed while it
    stayed up with nothing left to write): the last checkpoint predates
    the flush, so recovery trims the flush events at the marker and the
-   second finish regenerates them. *)
-let test_recover_after_finish () =
+   second end of stream regenerates them. *)
+let recover_after_end run () =
   let obs = Lazy.force flushing_obs in
   with_tmp_dir (fun dir ->
       let golden_dir = Filename.concat dir "golden" and done_dir = Filename.concat dir "done" in
       Unix.mkdir golden_dir 0o755;
       Unix.mkdir done_dir 0o755;
-      List.iter
-        (fun d ->
-          let s = start (durable_config d ~recover:false) in
-          feed s obs;
-          Alcotest.(check bool) "the flush emits events" true (finish s <> []))
-        [ golden_dir; done_dir ];
-      let r = start (durable_config done_dir ~recover:true) in
-      feed r obs;
-      ignore (finish r);
-      same_file ~golden_dir ~dir:done_dir "events.log")
-
-(* The same for the server: its DRAIN runs through Core's hooks. *)
-let test_recover_after_drain () =
-  let obs = Lazy.force flushing_obs in
-  let serve dir ~recover =
-    let config = durable_config dir ~recover in
-    let s, guard = start config in
-    let hooks =
-      {
-        Rfid_serve.Core.on_events = Session.log_events s;
-        on_flush_mark = (fun () -> Session.flush_mark s);
-        on_admitted = ignore;
-        on_checkpoint = (fun _ -> Session.checkpoint s);
-      }
-    in
-    let core =
-      Rfid_serve.Core.create ~guard ~engine:(Session.engine s)
-        ~num_objects:(Bootstrap.num_objects (Lazy.force boot)) ~admit_cap:(List.length obs)
-        ~checkpoint_every ~hooks ()
-    in
-    List.iter
-      (fun o ->
-        ignore (Rfid_serve.Core.handle_line core ("PUT " ^ Trace_io.observation_to_line o)))
-      obs;
-    Rfid_serve.Core.drain core;
-    Session.close s
-  in
-  with_tmp_dir (fun dir ->
-      let golden_dir = Filename.concat dir "golden" and done_dir = Filename.concat dir "done" in
-      Unix.mkdir golden_dir 0o755;
-      Unix.mkdir done_dir 0o755;
-      serve golden_dir ~recover:false;
-      serve done_dir ~recover:false;
-      serve done_dir ~recover:true;
+      run (start (durable_config golden_dir ~recover:false)) obs;
+      run (start (durable_config done_dir ~recover:false)) obs;
+      run (start (durable_config done_dir ~recover:true)) obs;
       let rec after_mark = function
         | "# flush" :: rest -> List.filter (( <> ) "") rest
         | _ :: rest -> after_mark rest
@@ -345,6 +321,6 @@ let suite =
         test_fresh_run_clears_stale_checkpoints;
       Alcotest.test_case "recover matches uninterrupted" `Quick
         test_recover_matches_uninterrupted;
-      Alcotest.test_case "recover after finish" `Quick test_recover_after_finish;
-      Alcotest.test_case "recover after DRAIN" `Quick test_recover_after_drain;
+      Alcotest.test_case "recover after finish" `Quick (recover_after_end run_to_end);
+      Alcotest.test_case "recover after DRAIN" `Quick (recover_after_end serve_to_end);
     ] )

@@ -24,7 +24,9 @@
    Prints one line per unused export and exits 1 if there is any that
    the allow-list below does not name, or if the allow-list has gone
    stale: an entry that names no export, or whose export now has a
-   user. *)
+   user. On success it prints the count of settable values: exported
+   optional arguments plus the fields of exported configuration
+   records. *)
 
 (* Directories whose modules count as users. Tests do not: an export
    only tests call is dead code unless the allow-list says why not. *)
@@ -148,18 +150,46 @@ let rec sig_exports prefix (sg : Typedtree.signature) =
       | _ -> [])
     sg.Typedtree.sig_items
 
-(* Exports -> the .mli that declares each. *)
-let exports root =
+(* The fields of the configuration records an interface exports: a
+   record type named [config], and [Config.t]. *)
+let rec config_fields prefix (sg : Typedtree.signature) =
+  List.fold_left
+    (fun n (item : Typedtree.signature_item) ->
+      match item.Typedtree.sig_desc with
+      | Typedtree.Tsig_type (_, decls) ->
+          List.fold_left
+            (fun n (d : Typedtree.type_declaration) ->
+              match d.Typedtree.typ_kind with
+              | Typedtree.Ttype_record labels
+                when Ident.name d.Typedtree.typ_id = "config"
+                     || (String.ends_with ~suffix:".Config" prefix
+                        && Ident.name d.Typedtree.typ_id = "t") ->
+                  n + List.length labels
+              | _ -> n)
+            n decls
+      | Typedtree.Tsig_module
+          { md_id = Some id; md_type = { mty_desc = Typedtree.Tmty_signature sg; _ }; _ } ->
+          n + config_fields (prefix ^ "." ^ Ident.name id) sg
+      | _ -> n)
+    0 sg.Typedtree.sig_items
+
+(* The library interfaces, with the .mli each was read from. *)
+let interfaces root =
   files_under (Filename.concat root "lib")
   |> List.filter (fun f -> Filename.check_suffix f ".cmti")
-  |> List.concat_map (fun f ->
+  |> List.filter_map (fun f ->
          let cmt = Cmt_format.read_cmt f in
          match cmt.Cmt_format.cmt_annots with
          | Cmt_format.Interface sg ->
              let mli = Option.value cmt.Cmt_format.cmt_sourcefile ~default:f in
-             List.map (fun e -> (e, mli))
-               (sig_exports (unmangle cmt.Cmt_format.cmt_modname) sg)
-         | _ -> [])
+             Some (unmangle cmt.Cmt_format.cmt_modname, mli, sg)
+         | _ -> None)
+
+(* Exports -> the .mli that declares each. *)
+let exports interfaces =
+  List.concat_map
+    (fun (modname, mli, sg) -> List.map (fun e -> (e, mli)) (sig_exports modname sg))
+    interfaces
 
 (* The exports the user modules use, by [name]: every value path they
    reference, every module path they mention, and every optional
@@ -286,7 +316,8 @@ let uses root =
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "_build/default" in
   let used = uses root in
-  let exports = exports root in
+  let interfaces = interfaces root in
+  let exports = exports interfaces in
   let dead = List.filter (fun (e, _) -> not (Hashtbl.mem used (name e))) exports in
   let fatal = List.filter (fun (e, _) -> not (List.mem (name e) allowed)) dead in
   List.iter
@@ -317,4 +348,17 @@ let () =
       (List.length fatal) (List.length stale);
     exit 1
   end
-  else Printf.printf "dead-exports: OK\n"
+  else begin
+    Printf.printf "dead-exports: OK\n";
+    (* Every value a caller can set without editing a library: the
+       optional arguments of exported functions and the fields of the
+       exported configuration records. Printed only, no gate. *)
+    let optionals =
+      List.length (List.filter (function Optional _, _ -> true | _ -> false) exports)
+    in
+    let fields =
+      List.fold_left (fun n (modname, _, sg) -> n + config_fields modname sg) 0 interfaces
+    in
+    Printf.printf "settable values: %d optional arguments + %d config fields = %d\n" optionals
+      fields (optionals + fields)
+  end
