@@ -129,7 +129,7 @@ let run_robust_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
   let engine =
     Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
       ~init_reader:trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
-      ~num_objects:trace.Rfid_model.Trace.num_objects ~seed:7 ()
+      ~seed:7 ()
   in
   let guard =
     Rfid_robust.Ingest.create
@@ -185,7 +185,7 @@ let run_durability_point ~objects ~params ~(trace : Rfid_model.Trace.t) =
   let engine =
     Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
       ~init_reader:trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
-      ~num_objects:trace.Rfid_model.Trace.num_objects ~seed:7 ()
+      ~seed:7 ()
   in
   let prefix =
     List.filteri (fun i _ -> i < 150) (Rfid_model.Trace.observations trace)

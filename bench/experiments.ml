@@ -346,11 +346,9 @@ let scalability ?(large = false) () =
       let trace = built.Scenarios.trace in
       let params = Scenarios.cone_params () in
       if n <= 20 then begin
-        let config =
-          Rfid_core.Config.create ~variant:Rfid_core.Config.Unfactorized
-            ~num_reader_particles:10000 ()
-        in
-        record n "unfactorized" (Scenarios.run ~params ~config trace)
+        let config = Rfid_core.Config.create ~num_reader_particles:10000 () in
+        record n "unfactorized"
+          (Rfid_eval.Runner.run_joint ~params ~config ~seed:7 trace)
       end;
       if n <= 500 then
         record n "factorized"

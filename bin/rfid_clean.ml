@@ -133,7 +133,6 @@ let domains_arg =
 let variant_arg =
   let variants =
     [
-      ("unfactorized", Rfid_core.Config.Unfactorized);
       ("factorized", Rfid_core.Config.Factorized);
       ("indexed", Rfid_core.Config.Factorized_indexed);
       ("compressed", Rfid_core.Config.Factorized_compressed);
@@ -144,9 +143,8 @@ let variant_arg =
     & opt (enum variants) Rfid_core.Config.Factorized_indexed
     & info [ "variant" ] ~docv:"VARIANT"
         ~doc:
-          "Engine variant: $(b,unfactorized), $(b,factorized), $(b,indexed) \
-           (factorized + spatial index), or $(b,compressed) (+ belief \
-           compression).")
+          "Engine variant: $(b,factorized), $(b,indexed) (factorized + \
+           spatial index), or $(b,compressed) (+ belief compression).")
 
 (* The engine flags shared by infer, replay and serve, validated by
    the one Config.create call: a value it rejects is a usage error. *)

@@ -336,7 +336,7 @@ let () =
          Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world
            ~params:Params.default ~config
            ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
-           ~num_objects:6 ~seed ()
+           ~seed ()
        in
        let guard =
          Rfid_robust.Ingest.create ~drop_out_of_order:(iter land 1 = 1)

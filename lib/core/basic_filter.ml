@@ -4,10 +4,10 @@ module Ps = Rfid_prob.Particle_store
 module Obs = Rfid_obs.Metrics
 
 (* Observability handles. The stage spans share names with the
-   factored filter's — only one filter runs per engine, so the shared
-   histograms always describe the active one. The joint filter keeps a
-   single weight vector, hence one joint ESS histogram instead of the
-   factored per-object/reader split. *)
+   factored filter's; the joint filter runs only in experiments and tests,
+   so the shared histograms describe whichever filter the run drives.
+   The joint filter keeps a single weight vector, hence one joint ESS
+   histogram instead of the factored per-object/reader split. *)
 let sp_pose_memo = Obs.span "stage.pose_memo"
 let sp_weighting = Obs.span "stage.weighting"
 let sp_resampling = Obs.span "stage.resampling"
@@ -51,13 +51,6 @@ type t = {
   last_read : int array;  (* -1 = never *)
   last_read_reader : Vec3.t array;
   mutable newly_seen : int list;
-  mutable consecutive_degraded : int;
-  mutable degraded_total : int;
-  mutable known_count : int;  (* objects with last_read >= 0 *)
-  (* Change feed (see Factored_filter's): the joint weights move every
-     epoch, so every estimate may change every epoch — the feed is
-     simply "everything changed since the last clear". *)
-  mutable changed_all : bool;
 }
 
 let slot t p i = (p * t.num_objects) + i
@@ -105,10 +98,6 @@ let create ~world ~params ~config ~init_reader ~num_objects ~rng =
     last_read = Array.make num_objects (-1);
     last_read_reader = Array.make num_objects Vec3.zero;
     newly_seen = [];
-    consecutive_degraded = 0;
-    degraded_total = 0;
-    known_count = 0;
-    changed_all = false;
   }
 
 let num_particles t = Array.length t.readers
@@ -298,7 +287,6 @@ let step t (obs : Types.observation) =
   (* Bookkeeping for scope tracking. *)
   for i = 0 to t.num_objects - 1 do
     if t.obj_read.(i) then begin
-      if t.last_read.(i) < 0 then t.known_count <- t.known_count + 1;
       if t.last_read.(i) < 0 || e - t.last_read.(i) > Config.out_of_scope_after
       then t.newly_seen <- i :: t.newly_seen;
       t.last_read.(i) <- e;
@@ -306,183 +294,7 @@ let step t (obs : Types.observation) =
     end
   done;
   t.last_reported <- Some reported;
-  t.consecutive_degraded <- 0;
-  t.changed_all <- true;
   t.epoch <- e
-
-(* Degraded epoch: no usable location fix. The reader belief advances
-   by the motion model alone with inflated proposal noise (dead
-   reckoning). Shelf tags read during the outage still carry evidence —
-   their positions are known exactly — so [shelf_tags] re-weights the
-   reader hypotheses against them; with none (the default) weights are
-   untouched. Once the outage outlasts [degraded_widen_after], object
-   hypotheses start diffusing too: the filter's knowledge of where
-   things are genuinely decays. *)
-let dead_reckon ?(shelf_tags = []) t ~epoch:e =
-  if e <= t.epoch then
-    invalid_arg "Basic_filter.dead_reckon: observations out of epoch order";
-  t.newly_seen <- [];
-  let motion = t.params.Params.motion in
-  let scale = Config.degraded_noise_scale in
-  let s = motion.Motion_model.sigma in
-  let sigma = Vec3.make (s.Vec3.x *. scale) (s.Vec3.y *. scale) (s.Vec3.z *. scale) in
-  t.consecutive_degraded <- t.consecutive_degraded + 1;
-  t.degraded_total <- t.degraded_total + 1;
-  let widen = t.consecutive_degraded >= t.config.Config.degraded_widen_after in
-  let wsigma =
-    let w = Config.degraded_widen_sigma in
-    Vec3.make w w 0.
-  in
-  for p = 0 to num_particles t - 1 do
-    let r = t.readers.(p) in
-    let loc =
-      Common.jitter (Vec3.add r.Reader_state.loc motion.Motion_model.velocity) ~sigma
-        t.rng
-    in
-    let heading =
-      Common.propose_heading t.config.Config.heading_model ~motion ~epoch:e
-        ~current:r.Reader_state.heading t.rng
-    in
-    t.readers.(p) <- Reader_state.make ~loc ~heading;
-    if widen then
-      for i = 0 to t.num_objects - 1 do
-        if t.last_read.(i) >= 0 then begin
-          let s = slot t p i in
-          let cur = Vec3.make (Ps.x t.store s) (Ps.y t.store s) (Ps.z t.store s) in
-          let l = Common.jitter cur ~sigma:wsigma t.rng in
-          let l =
-            if World.contains t.world l then l else World.clamp_to_shelves t.world l
-          in
-          Ps.set_loc t.store s ~x:l.Vec3.x ~y:l.Vec3.y ~z:l.Vec3.z
-        end
-      done
-  done;
-  (* Reader localization from shelf tags read this epoch: accumulate
-     their (read-only, never culled) sensor terms against the freshly
-     dead-reckoned poses and fold into the joint weights. Ids arrive
-     deduplicated and ascending from the engine. *)
-  if shelf_tags <> [] then begin
-    refresh_memo t;
-    let j = num_particles t in
-    let acc = t.accbuf in
-    Array.fill acc 0 j 0.;
-    let calls = ref 0 in
-    List.iter
-      (fun id ->
-        match World.shelf_tag_location t.world id with
-        | tag_loc ->
-            calls := !calls + j;
-            ignore
-              (Sensor_model.pre_accumulate_tag t.pre ~tx:tag_loc.Vec3.x
-                 ~ty:tag_loc.Vec3.y ~tz:tag_loc.Vec3.z ~read:true
-                 ~miss_weight:Config.shelf_miss_weight acc)
-        | exception Not_found -> ())
-      shelf_tags;
-    for p = 0 to j - 1 do
-      t.log_ws.(p) <- t.log_ws.(p) +. acc.(p)
-    done;
-    Obs.incr c_sensor_evals !calls;
-    (* Keep weights centred, as the evidence path does. *)
-    let z = Rfid_prob.Stats.log_sum_exp t.log_ws in
-    if Float.is_finite z then
-      for p = 0 to j - 1 do
-        t.log_ws.(p) <- t.log_ws.(p) -. z
-      done
-  end;
-  t.changed_all <- true;
-  t.epoch <- e
-
-let degraded_epochs t = t.degraded_total
-
-(* Checkpointable state: everything [step]/[dead_reckon] read or write,
-   as plain data. Static structure (world, params, config, sensor
-   cache) is reconstructed by [restore] from the same creation inputs.
-   The slab is serialized to the same logical (reader, locations,
-   log weight) rows as before the SoA layout, so snapshots stay
-   layout-independent. *)
-type snapshot = {
-  s_rng : int64;
-  s_num_objects : int;
-  s_particles : (Reader_state.t * Vec3.t array * float) array;
-  s_last_reported : Vec3.t option;
-  s_epoch : int;
-  s_last_read : int array;
-  s_last_read_reader : Vec3.t array;
-  s_newly_seen : int list;
-  s_consecutive_degraded : int;
-  s_degraded_total : int;
-}
-
-let snapshot t =
-  {
-    s_rng = Rfid_prob.Rng.state t.rng;
-    s_num_objects = t.num_objects;
-    s_particles =
-      Array.init (num_particles t) (fun p ->
-          ( t.readers.(p),
-            Array.init t.num_objects (fun i ->
-                let s = slot t p i in
-                Vec3.make (Ps.x t.store s) (Ps.y t.store s) (Ps.z t.store s)),
-            t.log_ws.(p) ));
-    s_last_reported = t.last_reported;
-    s_epoch = t.epoch;
-    s_last_read = Array.copy t.last_read;
-    s_last_read_reader = Array.copy t.last_read_reader;
-    s_newly_seen = t.newly_seen;
-    s_consecutive_degraded = t.consecutive_degraded;
-    s_degraded_total = t.degraded_total;
-  }
-
-let snapshot_epoch s = s.s_epoch
-
-let restore ~world ~params ~config s =
-  let j = Array.length s.s_particles in
-  let n = s.s_num_objects in
-  let store = Ps.create ~n:(j * n) in
-  let log_ws = Array.make j 0. in
-  let readers =
-    Array.init j (fun p ->
-        let reader, locs, log_w = s.s_particles.(p) in
-        Array.iteri
-          (fun i (l : Vec3.t) ->
-            Ps.set_loc store ((p * n) + i) ~x:l.Vec3.x ~y:l.Vec3.y ~z:l.Vec3.z)
-          locs;
-        log_ws.(p) <- log_w;
-        reader)
-  in
-  {
-    world;
-    params;
-    config;
-    rng = Rfid_prob.Rng.of_state s.s_rng;
-    num_objects = n;
-    readers;
-    spare_readers = Array.copy readers;
-    store;
-    spare = Ps.create ~n:(j * n);
-    log_ws;
-    accbuf = Array.make j 0.;
-    wbuf = Array.make j 0.;
-    idxbuf = Array.make j 0;
-    obj_read = Array.make n false;
-    shelf_read = Hashtbl.create 8;
-    pre = Sensor_model.precompute params.Params.sensor ~n:j;
-    cache =
-      Common.Sensor_cache.create ~threshold:Config.detection_threshold
-        ~max_range:Config.max_sensing_range
-        params.Params.sensor;
-    shelf_tags = Array.of_list (World.shelf_tags world);
-    last_reported = s.s_last_reported;
-    epoch = s.s_epoch;
-    last_read = Array.copy s.s_last_read;
-    last_read_reader = Array.copy s.s_last_read_reader;
-    newly_seen = s.s_newly_seen;
-    consecutive_degraded = s.s_consecutive_degraded;
-    degraded_total = s.s_degraded_total;
-    known_count =
-      Array.fold_left (fun acc r -> if r >= 0 then acc + 1 else acc) 0 s.s_last_read;
-    changed_all = true;
-  }
 
 let weights t = Rfid_prob.Stats.normalize_log_weights t.log_ws
 
@@ -499,24 +311,6 @@ let estimate t obj =
     Some (Vec3.of_array (Rfid_prob.Gaussian.mean g), Rfid_prob.Gaussian.cov g)
   end
 
-let reader_estimate t =
-  let w = weights t in
-  let acc = ref Vec3.zero in
-  Array.iteri
-    (fun p r -> acc := Vec3.add !acc (Vec3.scale w.(p) r.Reader_state.loc))
-    t.readers;
-  !acc
-
 let newly_seen t = t.newly_seen
-
-let iter_known t f =
-  for i = 0 to t.num_objects - 1 do
-    if t.last_read.(i) >= 0 then f i
-  done
-
-let num_known t = t.known_count
-let changes_dirty_all t = t.changed_all
-let iter_dirty _ _ = ()
-let clear_changes t = t.changed_all <- false
 
 let epoch t = t.epoch

@@ -1,4 +1,4 @@
-type variant = Unfactorized | Factorized | Factorized_indexed | Factorized_compressed
+type variant = Factorized | Factorized_indexed | Factorized_compressed
 type resample_scheme = Systematic | Multinomial | Residual
 type proposal = From_velocity | From_reported_displacement | From_reported_location
 

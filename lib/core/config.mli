@@ -1,10 +1,10 @@
 (** Engine configuration: particle budgets, the scalability variant
-    (§IV), proposal choices, and the report policy. *)
+    (§IV), proposal choices, and the report policy. The engine runs the
+    factorized filter only; the basic joint filter of §IV-A
+    ([Basic_filter]) reads the same record but ignores [variant] and
+    [num_object_particles]. *)
 
 type variant =
-  | Unfactorized
-      (** basic particle filter of §IV-A: joint particles over the
-          reader and every object *)
   | Factorized  (** §IV-B: reader particles + per-object particle lists *)
   | Factorized_indexed  (** §IV-B + the spatial index of §IV-C *)
   | Factorized_compressed  (** §IV-B + §IV-C + belief compression (§IV-D) *)
@@ -57,7 +57,7 @@ type t = {
   resample_ratio : float;  (** resample when ESS < ratio * n (0.5) *)
   resample_ess_ratio : float;
       (** additional ESS cap on every resample (object, reader and the
-          unfactorized joint): the gather+swap runs only when
+          basic filter's joint one): the gather+swap runs only when
           additionally [ess < resample_ess_ratio * n]. The default 1.0
           is vacuous (ESS never exceeds n), preserving bit-identical
           behavior; lowering it below [resample_ratio] skips resamples

@@ -1,14 +1,17 @@
 (** The streaming inference engine: consumes synchronized observations
     and produces the clean location-event stream (§II-A's output).
 
-    [Engine] wraps one of the filter implementations selected by
-    {!Config.variant} and adds the report policy: the paper's systems
-    emit an event for an object a fixed delay after it enters the
-    reader's scope during the current scan ("within x seconds after an
-    object was read"), so downstream queries see one stable location per
-    object per encounter instead of a fluctuating estimate. [flush]
-    emits events for encounters still pending at stream end (e.g. "upon
-    completion of a full area scan").
+    [Engine] wraps the factorized filter ([Factored_filter], in the
+    flavour {!Config.variant} selects) and adds the report policy
+    ({!Report_queue}): the paper's systems emit an event for an object
+    a fixed delay after it enters the reader's scope during the current
+    scan ("within x seconds after an object was read"), so downstream
+    queries see one stable location per object per encounter instead of
+    a fluctuating estimate. [flush] emits events for encounters still
+    pending at stream end (e.g. "upon completion of a full area scan").
+    The basic joint filter of §IV-A is not served; it runs only as the
+    scalability baseline and Eq. 5 reference, through
+    [Rfid_eval.Runner.run_joint].
 
     The engine consumes one strictly increasing epoch sequence.
     Real streams duplicate and reorder epochs; [Rfid_robust.Ingest]
@@ -34,15 +37,11 @@ val create :
   params:Rfid_model.Params.t ->
   config:Config.t ->
   init_reader:Rfid_model.Reader_state.t ->
-  ?num_objects:int ->
   ?seed:int ->
   unit ->
   t
-(** [num_objects] is required by the [Unfactorized] variant (its joint
-    particles hold a location per object) and ignored otherwise.
-    [seed] (default 0) makes the engine deterministic.
-    @raise Invalid_argument if the variant is [Unfactorized] and
-    [num_objects] is missing. *)
+(** [seed] (default 0) makes the engine deterministic. Objects are
+    discovered from the stream; nothing about them is declared. *)
 
 val step : t -> Rfid_model.Types.observation -> Event.t list
 (** Feed one epoch; returns the events whose report delay expired at
@@ -81,20 +80,19 @@ val iter_estimates :
     ascending object-id order, with its current mean and covariance —
     the query layer ([Rfid_serve.Query]) builds its spatial index of
     posterior bounding boxes through this without materializing an
-    intermediate list per object. List- and sort-free: the filters
-    keep their known sets in sorted form. *)
+    intermediate list per object. List- and sort-free: the filter
+    keeps its known set in sorted form. *)
 
 val num_known : t -> int
 (** Number of known objects, O(1). *)
 
 (** {1 Change feed}
 
-    The filters record which objects' posteriors may have changed
+    The filter records which objects' posteriors may have changed
     since the consumer's last {!clear_changes}: each step's processed
     scope, belief compressions, and — through {!changes_dirty_all} —
-    degraded-mode widening and {!restore}, which touch everything
-    (the Unfactorized variant reports everything changed on every
-    epoch, since the joint weights move). Conservative but complete:
+    degraded-mode widening and {!restore}, which touch everything.
+    Conservative but complete:
     an id the feed does not flag has a bitwise-unchanged estimate.
     Single consumer — in the serving stack, [Rfid_serve.Query]. *)
 
@@ -115,8 +113,8 @@ val epoch : t -> Rfid_model.Types.epoch
 (** Epoch of the last admitted observation (-1 for a fresh engine). *)
 
 val objects_processed_last_step : t -> int
-(** Factored variants: objects touched by the last step; for
-    [Unfactorized] this is the declared object count. *)
+(** Objects touched by the last step (the index narrows this to the
+    reader's neighbourhood). *)
 
 val config : t -> Config.t
 (** The configuration the engine was created with. *)
@@ -154,12 +152,8 @@ val set_journal : t -> (journal_entry -> unit) option -> unit
     field by field; treat it as read-only elsewhere. Adding or
     removing a field changes that format: bump the codec's format
     version with it. *)
-type filter_snapshot =
-  | Basic_snapshot of Basic_filter.snapshot * int  (** declared object count *)
-  | Factored_snapshot of Factored_filter.snapshot
-
 type snapshot = {
-  es_filter : filter_snapshot;
+  es_filter : Factored_filter.snapshot;
   es_pending : (int * int) list;  (** (due epoch, object) report queue *)
   es_scheduled : int list;  (** objects with a pending report, ascending *)
   es_degraded_run : int;
@@ -183,4 +177,4 @@ val restore :
     observations yields exactly the events the uninterrupted run would
     have produced, for every variant.
     @raise Invalid_argument if [config.variant] disagrees with the
-    snapshot. *)
+    snapshot on the spatial index. *)

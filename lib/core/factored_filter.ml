@@ -191,15 +191,15 @@ let next_budget t ~k ~spread =
     else if c > 0 && spread < thr c then rungs.(c - 1)
     else rungs.(c)
 
+(* (spatial index, belief compression) of a variant. *)
+let features config =
+  match config.Config.variant with
+  | Config.Factorized -> (false, false)
+  | Config.Factorized_indexed -> (true, false)
+  | Config.Factorized_compressed -> (true, true)
+
 let create ~world ~params ~config ~init_reader ~rng =
-  let use_index, compress =
-    match config.Config.variant with
-    | Config.Unfactorized ->
-        invalid_arg "Factored_filter.create: use Basic_filter for Unfactorized"
-    | Config.Factorized -> (false, false)
-    | Config.Factorized_indexed -> (true, false)
-    | Config.Factorized_compressed -> (true, true)
-  in
+  let use_index, compress = features config in
   let substream = Rfid_prob.Rng.split rng in
   let readers =
     Array.init config.Config.num_reader_particles (fun _ ->
@@ -1222,14 +1222,7 @@ let snapshot t =
 let snapshot_epoch s = s.fs_epoch
 
 let restore ~world ~params ~config s =
-  let use_index, compress =
-    match config.Config.variant with
-    | Config.Unfactorized ->
-        invalid_arg "Factored_filter.restore: use Basic_filter for Unfactorized"
-    | Config.Factorized -> (false, false)
-    | Config.Factorized_indexed -> (true, false)
-    | Config.Factorized_compressed -> (true, true)
-  in
+  let use_index, compress = features config in
   (match (use_index, s.fs_index) with
   | true, None | false, Some _ ->
       invalid_arg

@@ -35,8 +35,7 @@ val create :
   t
 (** The [config.variant] field selects plain [Factorized] (all known
     objects processed every epoch), [Factorized_indexed], or
-    [Factorized_compressed]. [Unfactorized] is rejected.
-    @raise Invalid_argument on [Unfactorized]. *)
+    [Factorized_compressed]. *)
 
 val step : t -> Rfid_model.Types.observation -> unit
 (** Advance one epoch. @raise Invalid_argument if observations arrive

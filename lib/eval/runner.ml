@@ -21,15 +21,15 @@ let percentile sorted q =
   if n = 0 then 0.
   else sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
 
-let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
-    (trace : Rfid_model.Trace.t) =
+let init_reader (trace : Rfid_model.Trace.t) =
   if Array.length trace.Rfid_model.Trace.steps = 0 then
-    invalid_arg "Runner.run_engine: empty trace";
-  let init_reader = trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader in
-  let engine =
-    Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
-      ~init_reader ~num_objects:trace.Rfid_model.Trace.num_objects ~seed ()
-  in
+    invalid_arg "Runner: empty trace";
+  trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
+
+(* The one measurement loop: [step] feeds an observation and returns
+   its events, [scope] reads the objects the last step touched, and
+   [flush] ends the stream. *)
+let measure ~step ~scope ~flush (trace : Rfid_model.Trace.t) =
   let observations = Rfid_model.Trace.observations trace in
   let total_readings =
     List.fold_left
@@ -56,15 +56,14 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
     List.concat_map
       (fun obs ->
         let e0 = Rfid_obs.Metrics.now () in
-        let evs = Rfid_core.Engine.step engine obs in
+        let evs = step obs in
         lat.(!i) <- Rfid_obs.Metrics.now () -. e0;
         incr i;
-        max_scope :=
-          Int.max !max_scope (Rfid_core.Engine.objects_processed_last_step engine);
+        max_scope := Int.max !max_scope (scope ());
         evs)
       observations
   in
-  let events = events @ Rfid_core.Engine.flush engine in
+  let events = events @ flush () in
   let elapsed_s = Rfid_obs.Metrics.now () -. t0 in
   let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
@@ -103,3 +102,41 @@ let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
     lat_p95_us = 1e6 *. percentile sorted 0.95;
     lat_p99_us = 1e6 *. percentile sorted 0.99;
   }
+
+let run_engine ?(params = Rfid_model.Params.default) ~config ?(seed = 0)
+    (trace : Rfid_model.Trace.t) =
+  let engine =
+    Rfid_core.Engine.create ~world:trace.Rfid_model.Trace.world ~params ~config
+      ~init_reader:(init_reader trace) ~seed ()
+  in
+  measure ~step:(Rfid_core.Engine.step engine)
+    ~scope:(fun () -> Rfid_core.Engine.objects_processed_last_step engine)
+    ~flush:(fun () -> Rfid_core.Engine.flush engine)
+    trace
+
+let run_joint ~params ~config ~seed (trace : Rfid_model.Trace.t) =
+  let num_objects = trace.Rfid_model.Trace.num_objects in
+  let filter =
+    Rfid_core.Basic_filter.create ~world:trace.Rfid_model.Trace.world ~params ~config
+      ~init_reader:(init_reader trace) ~num_objects
+      ~rng:(Rfid_prob.Rng.create ~seed)
+  in
+  let reports =
+    Rfid_core.Report_queue.create ~delay:config.Rfid_core.Config.report_delay
+      ~estimate:(Rfid_core.Basic_filter.estimate filter)
+  in
+  let step (obs : Rfid_model.Types.observation) =
+    Rfid_core.Basic_filter.step filter obs;
+    Rfid_core.Report_queue.schedule reports ~epoch:obs.Rfid_model.Types.o_epoch
+      (Rfid_core.Basic_filter.newly_seen filter);
+    Rfid_core.Report_queue.drain_due reports ~at:obs.Rfid_model.Types.o_epoch
+      ~degraded:false
+  in
+  (* Every joint particle holds every object, so each step touches the
+     whole declared universe. *)
+  measure ~step
+    ~scope:(fun () -> num_objects)
+    ~flush:(fun () ->
+      Rfid_core.Report_queue.flush reports ~at:(Rfid_core.Basic_filter.epoch filter)
+        ~degraded:false)
+    trace

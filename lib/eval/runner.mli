@@ -1,5 +1,6 @@
-(** Experiment driver: run an engine over a trace and measure accuracy
-    and cost — the loop every bench and example shares. *)
+(** Experiment runner: run a filter over a trace and measure accuracy
+    and cost — the loop every bench and example shares, for the engine
+    ({!run_engine}) and the basic joint filter ({!run_joint}) alike. *)
 
 type result = {
   events : Rfid_core.Event.t list;
@@ -39,6 +40,19 @@ val run_engine :
 (** Build an engine on the trace's world and stream every observation
     through it, starting from the trace's first true reader state (the
     paper assumes R_1 known). [params] defaults to
-    {!Rfid_model.Params.default}. The [Unfactorized] variant receives
-    the trace's object count automatically.
+    {!Rfid_model.Params.default}.
+    @raise Invalid_argument on an empty trace. *)
+
+val run_joint :
+  params:Rfid_model.Params.t ->
+  config:Rfid_core.Config.t ->
+  seed:int ->
+  Rfid_model.Trace.t ->
+  result
+(** The same run and measurements for the basic joint filter of §IV-A
+    ([Rfid_core.Basic_filter], with [config.num_reader_particles] joint
+    particles over the trace's declared objects), reported through the
+    engine's report policy ([Rfid_core.Report_queue]): the paper's
+    Fig. 5(i)/(j) baseline. It never dead-reckons, so every event is
+    undegraded, and [max_objects_processed] is the object count.
     @raise Invalid_argument on an empty trace. *)

@@ -1,11 +1,10 @@
 open Rfid_geom
 open Rfid_model
 module E = Rfid_core.Engine
-module BF = Rfid_core.Basic_filter
 module FF = Rfid_core.Factored_filter
 
 let magic = "RCOD"
-let version = 2
+let version = 3
 
 (* Adler-32 (RFC 1950), hand-rolled so the format needs no zlib
    binding. Deferring the modulo amortizes it: 5552 is the largest
@@ -248,74 +247,6 @@ let enter_section track c name =
   cursor ~pos:body_start ~len:body_len c.data
 
 (* ------------------------------------------------------------------ *)
-(* Basic (joint) filter snapshot.                                      *)
-
-let encode_basic buf (s : BF.snapshot) =
-  let body = Buffer.create 256 in
-  let take () =
-    let r = Buffer.contents body in
-    Buffer.clear body;
-    r
-  in
-  add_int body s.BF.s_num_objects;
-  add_int body s.BF.s_epoch;
-  add_opt add_vec3 body s.BF.s_last_reported;
-  add_int body s.BF.s_consecutive_degraded;
-  add_int body s.BF.s_degraded_total;
-  add_list add_int body s.BF.s_newly_seen;
-  add_section buf "meta" (take ());
-  add_i64 body s.BF.s_rng;
-  add_section buf "rng" (take ());
-  add_array
-    (fun b (reader, locs, log_w) ->
-      add_reader_state b reader;
-      add_array add_vec3 b locs;
-      add_f b log_w)
-    body s.BF.s_particles;
-  add_section buf "particles" (take ());
-  add_array add_int body s.BF.s_last_read;
-  add_array add_vec3 body s.BF.s_last_read_reader;
-  add_section buf "scope" (take ())
-
-let decode_basic track c : BF.snapshot =
-  let meta = enter_section track c "meta" in
-  let s_num_objects = r_int meta in
-  let s_epoch = r_int meta in
-  let s_last_reported = r_opt r_vec3 meta in
-  let s_consecutive_degraded = r_int meta in
-  let s_degraded_total = r_int meta in
-  let s_newly_seen = r_list ~elem_bytes:8 r_int meta in
-  let rng = enter_section track c "rng" in
-  let s_rng = r_i64 rng in
-  let particles = enter_section track c "particles" in
-  let s_particles =
-    (* 32-byte reader state + 8-byte locs header + 8-byte weight: the
-       per-particle floor even with zero tracked objects. *)
-    r_array ~elem_bytes:48 ~dummy:(Reader_state.make ~loc:Vec3.zero ~heading:0., [||], 0.)
-      (fun c ->
-        let reader = r_reader_state c in
-        let locs = r_array ~elem_bytes:24 ~dummy:Vec3.zero r_vec3 c in
-        let log_w = r_f c in
-        (reader, locs, log_w))
-      particles
-  in
-  let scope = enter_section track c "scope" in
-  let s_last_read = r_array ~elem_bytes:8 ~dummy:0 r_int scope in
-  let s_last_read_reader = r_array ~elem_bytes:24 ~dummy:Vec3.zero r_vec3 scope in
-  {
-    BF.s_rng;
-    s_num_objects;
-    s_particles;
-    s_last_reported;
-    s_epoch;
-    s_last_read;
-    s_last_read_reader;
-    s_newly_seen;
-    s_consecutive_degraded;
-    s_degraded_total;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Factored filter snapshot.                                           *)
 
 let add_belief b = function
@@ -464,45 +395,30 @@ let decode_factored track c : FF.snapshot =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Engine envelope (shared tail section) and the public entry points.  *)
+(* Engine envelope (tail section) and the public entry points.         *)
 
-let encode_engine_section buf (s : E.snapshot) ~basic_count =
+let encode_engine_section buf (s : E.snapshot) =
   let body = Buffer.create 64 in
-  add_int body basic_count;
   add_list add_int_pair body s.E.es_pending;
   add_list add_int body s.E.es_scheduled;
   add_int body s.E.es_degraded_run;
   add_int body s.E.es_degraded_event_count;
   add_section buf "engine" (Buffer.contents body)
 
-let decode_engine_section track c ~filter_of_count =
+let decode_engine_section track c es_filter =
   let eng = enter_section track c "engine" in
-  let basic_count = r_int eng in
   let es_pending = r_list ~elem_bytes:16 r_int_pair eng in
   let es_scheduled = r_list ~elem_bytes:8 r_int eng in
   let es_degraded_run = r_int eng in
   let es_degraded_event_count = r_int eng in
-  {
-    E.es_filter = filter_of_count basic_count;
-    es_pending;
-    es_scheduled;
-    es_degraded_run;
-    es_degraded_event_count;
-  }
+  { E.es_filter; es_pending; es_scheduled; es_degraded_run; es_degraded_event_count }
 
 let encode (s : E.snapshot) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   add_u8 buf version;
-  (match s.E.es_filter with
-  | E.Basic_snapshot (fs, n) ->
-      add_u8 buf 0;
-      encode_basic buf fs;
-      encode_engine_section buf s ~basic_count:n
-  | E.Factored_snapshot fs ->
-      add_u8 buf 1;
-      encode_factored buf fs;
-      encode_engine_section buf s ~basic_count:0);
+  encode_factored buf s.E.es_filter;
+  encode_engine_section buf s;
   Buffer.contents buf
 
 let decode data =
@@ -519,20 +435,8 @@ let decode data =
           (Printf.sprintf "codec: unsupported version %d (this build reads v%d)"
              v version)
       else begin
-        let snapshot =
-          match r_u8 c with
-          | 0 ->
-              let fs = decode_basic current c in
-              decode_engine_section current c
-                ~filter_of_count:(fun n -> E.Basic_snapshot (fs, n))
-          | 1 ->
-              let fs = decode_factored current c in
-              decode_engine_section current c
-                ~filter_of_count:(fun _ -> E.Factored_snapshot fs)
-          | k ->
-              raise
-                (Corrupt (pos c - 1, Printf.sprintf "unknown snapshot kind %d" k))
-        in
+        let fs = decode_factored current c in
+        let snapshot = decode_engine_section current c fs in
         if remaining c <> 0 then
           Error
             (Printf.sprintf "codec: %d trailing bytes after the last section"

@@ -7,8 +7,8 @@
     word, every float its IEEE-754 bits likewise, so the bytes mean the
     same thing on any platform and any future build.
 
-    Layout: a 4-byte magic (["RCOD"]), a version byte, a snapshot-kind
-    byte, then a fixed sequence of {e sections} — [name, body length,
+    Layout: a 4-byte magic (["RCOD"]), a version byte, then a fixed
+    sequence of {e sections} — [name, body length,
     body, Adler-32 of the body] — covering the complete snapshot: RNG
     states, particle slabs, index entries, compression queue, pending
     reports, degraded-mode counters. Per-section framing means a decode

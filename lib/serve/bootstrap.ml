@@ -48,7 +48,7 @@ let make ~objects ~seed ?variant ?particles () =
 
 let fresh_engine t =
   Rfid_core.Engine.create ~world:t.world ~params:t.params ~config:t.config
-    ~init_reader:t.init_reader ~num_objects:t.num_objects ~seed:t.seed ()
+    ~init_reader:t.init_reader ~seed:t.seed ()
 
 let fresh_guard ?(drop_out_of_order = true) t =
   Rfid_robust.Ingest.create ~drop_out_of_order

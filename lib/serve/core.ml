@@ -54,7 +54,6 @@ let create ~guard ~engine ~num_objects ?(admit_cap = 1024) ?events_keep
 
 let variant_name t =
   match (Engine.config t.engine).Config.variant with
-  | Config.Unfactorized -> "unfactorized"
   | Config.Factorized -> "factorized"
   | Config.Factorized_indexed -> "indexed"
   | Config.Factorized_compressed -> "compressed"

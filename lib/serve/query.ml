@@ -138,7 +138,7 @@ let refit t obj (mean : Vec3.t) (cov : Rfid_prob.Linalg.mat) =
 
 (* Bring the cache and index up to date with the engine, visiting only
    what changed: a wholesale rebuild on the first call, every object when the change feed says
-   everything moved (degraded widening, Unfactorized), and otherwise
+   everything moved (degraded widening, restore), and otherwise
    exactly the dirty ids. Consumes the feed. *)
 let maintain t ~engine =
   let t0 = Obs.start sp_maintain in

@@ -27,9 +27,9 @@ let scenario =
      in
      (wh, trace))
 
-let config ?(variant = Rfid_core.Config.Factorized_indexed) ?min_object_particles
-    ?resample_ess_ratio () =
-  Rfid_core.Config.create ~variant ~num_reader_particles:25
+let config ?min_object_particles ?resample_ess_ratio () =
+  Rfid_core.Config.create ~variant:Rfid_core.Config.Factorized_indexed
+    ~num_reader_particles:25
     ~num_object_particles:full_budget ?min_object_particles ?resample_ess_ratio
     ~report_delay:5 ()
 
@@ -41,7 +41,7 @@ let adaptive_config () =
 let make_engine config =
   let wh, trace = Lazy.force scenario in
   E.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default ~config
-    ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects ~seed:23 ()
+    ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:23 ()
 
 let run_events config =
   let _, trace = Lazy.force scenario in
@@ -57,27 +57,28 @@ let check_streams_equal what a b =
           Rfid_core.Event.pp y)
     a b
 
+(* The basic joint filter reads the same ESS cap on its one resample. *)
+let run_joint_events config =
+  let _, trace = Lazy.force scenario in
+  (Rfid_eval.Runner.run_joint ~params:Params.default ~config ~seed:23 trace)
+    .Rfid_eval.Runner.events
+
 (* Any ESS cap at or above the classic 0.5 trigger is vacuous: the cap
    only vetoes a resample whose ESS is simultaneously below 0.5*n and
    at or above ratio*n, which is unsatisfiable for ratio >= 0.5. The
    event stream must therefore be bit-identical to the default's, for
-   the factorized filters and the unfactorized joint filter alike. *)
+   the factorized filter and the basic joint filter alike. *)
 let test_vacuous_cap_bit_identical () =
   List.iter
-    (fun variant ->
-      let what =
-        match variant with
-        | Rfid_core.Config.Unfactorized -> "unfactorized"
-        | _ -> "factorized+index"
-      in
-      let reference = run_events (config ~variant ()) in
+    (fun (what, run) ->
+      let reference = run (config ()) in
       List.iter
         (fun ratio ->
-          let capped = run_events (config ~variant ~resample_ess_ratio:ratio ()) in
+          let capped = run (config ~resample_ess_ratio:ratio ()) in
           check_streams_equal (Printf.sprintf "%s ess cap %.2f" what ratio) reference
             capped)
         [ 1.0; 0.75; 0.5 ])
-    [ Rfid_core.Config.Unfactorized; Rfid_core.Config.Factorized_indexed ]
+    [ ("joint", run_joint_events); ("factorized+index", run_events) ]
 
 (* Below the trigger the cap must actually bite: vetoed resamples are
    counted, and with a near-zero ratio nearly every resample decision
@@ -91,16 +92,13 @@ let test_cap_below_trigger_skips () =
     (Printf.sprintf "ESS cap 0.05 vetoed some resamples (got %d)" delta)
     true (delta > 0)
 
-let active_budgets snapshot =
-  match (snapshot : E.snapshot).E.es_filter with
-  | E.Factored_snapshot fs ->
-      List.filter_map
-        (fun so ->
-          match so.FF.so_belief with
-          | FF.Snap_active parts -> Some (Array.length parts)
-          | FF.Snap_compressed _ -> None)
-        fs.FF.fs_objects
-  | E.Basic_snapshot _ -> Alcotest.fail "expected a factored snapshot"
+let active_budgets (snapshot : E.snapshot) =
+  List.filter_map
+    (fun so ->
+      match so.FF.so_belief with
+      | FF.Snap_active parts -> Some (Array.length parts)
+      | FF.Snap_compressed _ -> None)
+    snapshot.E.es_filter.FF.fs_objects
 
 (* Drive an adaptive engine to midstream and hand back the engine, the
    remaining observations, and its snapshot — which must already hold

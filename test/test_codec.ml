@@ -5,7 +5,6 @@
 open Rfid_model
 module Codec = Rfid_robust.Codec
 module Vec3 = Rfid_geom.Vec3
-module BF = Rfid_core.Basic_filter
 module FF = Rfid_core.Factored_filter
 module E = Rfid_core.Engine
 
@@ -30,7 +29,7 @@ let engine_at_midstream ~variant =
   let engine =
     E.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
       ~config:(config_for variant)
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:4 ~seed:23 ()
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:23 ()
   in
   let stream = Trace.observations trace in
   let n = List.length stream in
@@ -67,7 +66,6 @@ let test_roundtrip_matrix () =
     (fun variant ->
       let what =
         match variant with
-        | Rfid_core.Config.Unfactorized -> "unfactorized"
         | Rfid_core.Config.Factorized -> "factorized"
         | Rfid_core.Config.Factorized_indexed -> "indexed"
         | Rfid_core.Config.Factorized_compressed -> "compressed"
@@ -92,7 +90,6 @@ let test_roundtrip_matrix () =
               Rfid_core.Event.pp x Rfid_core.Event.pp y)
         a b)
     [
-      Rfid_core.Config.Unfactorized;
       Rfid_core.Config.Factorized;
       Rfid_core.Config.Factorized_indexed;
       Rfid_core.Config.Factorized_compressed;
@@ -120,34 +117,6 @@ let reader_gen =
 
 let small_list g = QCheck.Gen.(list_size (int_bound 5) g)
 let small_array g = QCheck.Gen.(array_size (int_bound 5) g)
-
-let basic_snapshot_gen =
-  let open QCheck.Gen in
-  let* num_objects = int_bound 3 in
-  let* rng_state = ui64 in
-  let* particles =
-    small_array
-      (triple reader_gen (array_repeat num_objects vec3_gen) float_gen)
-  in
-  let* last_reported = option vec3_gen in
-  let* epoch = int_bound 1000 in
-  let* last_read = array_repeat num_objects (int_bound 500) in
-  let* last_read_reader = array_repeat num_objects vec3_gen in
-  let* newly_seen = small_list (int_bound 3) in
-  let* cons_degraded = int_bound 5 in
-  let+ degraded_total = int_bound 50 in
-  {
-    BF.s_rng = rng_state;
-    s_num_objects = num_objects;
-    s_particles = particles;
-    s_last_reported = last_reported;
-    s_epoch = epoch;
-    s_last_read = last_read;
-    s_last_read_reader = last_read_reader;
-    s_newly_seen = newly_seen;
-    s_consecutive_degraded = cons_degraded;
-    s_degraded_total = degraded_total;
-  }
 
 let box2_gen =
   (* Box2.make wants finite bounds with min <= max. *)
@@ -229,13 +198,7 @@ let factored_snapshot_gen =
 
 let engine_snapshot_gen =
   let open QCheck.Gen in
-  let* filter =
-    frequency
-      [
-        (1, map2 (fun s n -> E.Basic_snapshot (s, n)) basic_snapshot_gen (int_bound 8));
-        (2, map (fun s -> E.Factored_snapshot s) factored_snapshot_gen);
-      ]
-  in
+  let* filter = factored_snapshot_gen in
   let* pending = small_list (pair (int_bound 1000) (int_bound 50)) in
   let* scheduled = small_list (int_bound 1000) in
   let* dr = int_bound 10 in
@@ -310,21 +273,26 @@ let tiny_snapshot =
     (let _, engine, _ = engine_at_midstream ~variant:Rfid_core.Config.Factorized_indexed in
      E.snapshot engine)
 
-(* A stream stamped with an older codec version (v1 carried two engine
-   counters this layout no longer has) is refused by version, before
-   any section is read. *)
+(* A stream stamped with an older codec version is refused by version,
+   before any section is read: v1 carried two engine counters this
+   layout no longer has, and v2 a snapshot-kind byte and the joint
+   filter's object count. *)
 let test_old_version_refused () =
-  let data = Bytes.of_string (Codec.encode (Lazy.force tiny_snapshot)) in
+  let data = Codec.encode (Lazy.force tiny_snapshot) in
   (* The version byte follows the 4-byte magic. *)
-  let version = Char.code (Bytes.get data 4) in
-  Alcotest.(check bool) "current version is past v1" true (version > 1);
-  Bytes.set data 4 (Char.chr 1);
-  match Codec.decode (Bytes.to_string data) with
-  | Ok _ -> Alcotest.fail "v1 codec stream decoded; it must be refused"
-  | Error msg ->
-      Alcotest.(check string) "refusal names the version"
-        (Printf.sprintf "codec: unsupported version 1 (this build reads v%d)" version)
-        msg
+  let version = Char.code data.[4] in
+  Alcotest.(check bool) "current version is past v2" true (version > 2);
+  for old = 1 to version - 1 do
+    let stamped = Bytes.of_string data in
+    Bytes.set stamped 4 (Char.chr old);
+    match Codec.decode (Bytes.to_string stamped) with
+    | Ok _ -> Alcotest.failf "v%d codec stream decoded; it must be refused" old
+    | Error msg ->
+        Alcotest.(check string) "refusal names the version"
+          (Printf.sprintf "codec: unsupported version %d (this build reads v%d)" old
+             version)
+          msg
+  done
 
 let test_every_flip_rejected () =
   let data = Codec.encode (Lazy.force tiny_snapshot) in

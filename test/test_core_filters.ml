@@ -1,5 +1,5 @@
-(* Tests of the inference core: Config, Event, Basic_filter,
-   Factored_filter, Engine. *)
+(* Tests of the inference core: Config, Event, Basic_filter (through
+   Runner.run_joint), Factored_filter, Engine. *)
 open Rfid_core
 open Rfid_model
 open Rfid_geom
@@ -89,24 +89,15 @@ let test_index_reduces_scope () =
 
 let test_unfactorized_runs () =
   let _, trace = scenario ~num_objects:3 () in
-  let config =
-    Config.create ~variant:Config.Unfactorized ~num_reader_particles:400 ()
-  in
+  let config = Config.create ~num_reader_particles:400 () in
   let r =
-    Rfid_eval.Runner.run_engine ~params:(Lazy.force fitted_params) ~config ~seed:5 trace
+    Rfid_eval.Runner.run_joint ~params:(Lazy.force fitted_params) ~config ~seed:5 trace
   in
   Alcotest.(check int) "events" 3 (List.length r.Rfid_eval.Runner.events);
   Alcotest.(check bool)
     (Printf.sprintf "XY error %.3f sane" r.Rfid_eval.Runner.error.Rfid_eval.Metrics.mean_xy)
     true
     (r.Rfid_eval.Runner.error.Rfid_eval.Metrics.mean_xy < 1.5)
-
-let test_unfactorized_needs_num_objects () =
-  let wh, _ = scenario () in
-  Util.check_raises_invalid "missing num_objects" (fun () ->
-      Engine.create ~world:wh.Rfid_sim.Warehouse.world ~params:Params.default
-        ~config:(Config.create ~variant:Config.Unfactorized ())
-        ~init_reader:(Rfid_sim.Warehouse.reader_start wh) ())
 
 let test_epoch_order_enforced () =
   let wh, trace = scenario () in
@@ -365,8 +356,6 @@ let suite =
       Alcotest.test_case "variants agree" `Quick test_variants_agree;
       Alcotest.test_case "index reduces scope" `Quick test_index_reduces_scope;
       Alcotest.test_case "unfactorized runs" `Slow test_unfactorized_runs;
-      Alcotest.test_case "unfactorized needs num_objects" `Quick
-        test_unfactorized_needs_num_objects;
       Alcotest.test_case "epoch order enforced" `Quick test_epoch_order_enforced;
       Alcotest.test_case "missed readings still reported" `Quick
         test_missed_readings_still_reported;

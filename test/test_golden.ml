@@ -3,8 +3,11 @@
    reckoning (with posterior widening) and end-of-stream flush, the
    engine's event stream is compared bit-for-bit — floats printed in
    hex — against fixtures captured before the SoA hot-path refactor.
-   Any change to RNG draw order or floating-point evaluation order in
-   either filter shows up here as a one-line diff.
+   The basic joint filter runs the same scenario through
+   [Runner.run_joint], which steps every observation (the joint filter
+   does not dead-reckon). Any change to RNG draw order or
+   floating-point evaluation order in either filter shows up here as a
+   one-line diff.
 
    Regenerate (only when an intentional behaviour change lands):
      RFID_GOLDEN_PROMOTE=$PWD/test/golden dune exec test/test_main.exe -- test golden
@@ -15,9 +18,8 @@ open Rfid_model
    plus an ESS resample cap), pinning the adaptive machinery's RNG draw
    order and budget walk the same way the fixed-budget fixtures pin the
    hot path. *)
-let variants =
+let engine_variants =
   [
-    (false, Rfid_core.Config.Unfactorized, "unfactorized");
     (false, Rfid_core.Config.Factorized, "factorized");
     (false, Rfid_core.Config.Factorized_indexed, "factorized_indexed");
     (false, Rfid_core.Config.Factorized_compressed, "factorized_compressed");
@@ -47,19 +49,20 @@ let degraded_epochs_of trace =
   List.filteri (fun i _ -> (i >= 6 && i < 9) || (i >= n / 2 && i < (n / 2) + 3)) obs
   |> List.map (fun (o : Types.observation) -> o.Types.o_epoch)
 
-let run ~adaptive ~variant =
+let config ~adaptive ~variant =
+  Rfid_core.Config.create ~variant ~num_reader_particles:40
+    ~num_object_particles:60
+    ?min_object_particles:(if adaptive then Some 15 else None)
+    ?resample_ess_ratio:(if adaptive then Some 0.25 else None)
+    ~compress_after:10 ~degraded_widen_after:2 ~report_delay:5 ()
+
+let run_engine ~adaptive ~variant =
   let wh, trace = Lazy.force scenario in
-  let config =
-    Rfid_core.Config.create ~variant ~num_reader_particles:40
-      ~num_object_particles:60
-      ?min_object_particles:(if adaptive then Some 15 else None)
-      ?resample_ess_ratio:(if adaptive then Some 0.25 else None)
-      ~compress_after:10 ~degraded_widen_after:2 ~report_delay:5 ()
-  in
+  let config = config ~adaptive ~variant in
   let engine =
     Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world
       ~params:Params.default ~config
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:12 ~seed:5 ()
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:5 ()
   in
   let degraded = degraded_epochs_of trace in
   let stepped =
@@ -71,6 +74,12 @@ let run ~adaptive ~variant =
       (Trace.observations trace)
   in
   stepped @ Rfid_core.Engine.flush engine
+
+let run_joint () =
+  let _, trace = Lazy.force scenario in
+  let config = config ~adaptive:false ~variant:Rfid_core.Config.Factorized in
+  (Rfid_eval.Runner.run_joint ~params:Params.default ~config ~seed:5 trace)
+    .Rfid_eval.Runner.events
 
 let dump_events events =
   let b = Buffer.create 4096 in
@@ -115,8 +124,8 @@ let check_dump what expected got =
       (try List.nth gl i with _ -> "<missing>")
   end
 
-let test_variant (adaptive, variant, name) () =
-  let dump = dump_events (run ~adaptive ~variant) in
+let test_fixture (name, run) () =
+  let dump = dump_events (run ()) in
   Alcotest.(check bool) (name ^ ": events exist") true (String.length dump > 0);
   (match Sys.getenv_opt "RFID_GOLDEN_PROMOTE" with
   | Some dir ->
@@ -130,10 +139,15 @@ let test_variant (adaptive, variant, name) () =
         (read_file (Filename.concat "golden" (name ^ ".txt")))
         dump)
 
+let fixtures =
+  ("unfactorized", run_joint)
+  :: List.map
+       (fun (adaptive, variant, name) -> (name, fun () -> run_engine ~adaptive ~variant))
+       engine_variants
+
 let suite =
   ( "golden",
     List.map
-      (fun (adaptive, variant, name) ->
-        Alcotest.test_case (name ^ " event stream") `Quick
-          (test_variant (adaptive, variant, name)))
-      variants )
+      (fun (name, run) ->
+        Alcotest.test_case (name ^ " event stream") `Quick (test_fixture (name, run)))
+      fixtures )

@@ -312,7 +312,7 @@ let test_engine_snapshots_monotone () =
     Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world
       ~params:Rfid_model.Params.default ~config
       ~init_reader:trace.Rfid_model.Trace.steps.(0).Rfid_model.Trace.true_reader
-      ~num_objects:6 ~seed:5 ()
+      ~seed:5 ()
   in
   let snapshots = ref [] in
   List.iteri

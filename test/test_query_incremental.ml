@@ -40,8 +40,7 @@ let make_engine config =
   let wh, trace = Lazy.force fixture in
   Engine.create ~world:wh.Rfid_sim.Warehouse.world
     ~params:Rfid_model.Params.default ~config
-    ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects ~seed:5
-    ()
+    ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:5 ()
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identity of the incremental cache vs a from-scratch rebuild *)
@@ -164,9 +163,6 @@ let test_interleaving_compressed () =
   run_interleaving ~variant:Config.Factorized_compressed ~seed:7
     ~steps_budget:60
 
-let test_interleaving_unfactorized () =
-  run_interleaving ~variant:Config.Unfactorized ~seed:11 ~steps_budget:40
-
 (* ------------------------------------------------------------------ *)
 (* Change-feed completeness: changed ==> flagged *)
 
@@ -256,8 +252,6 @@ let suite =
       prop_interleavings_indexed;
       Alcotest.test_case "interleavings (compressed)" `Quick
         test_interleaving_compressed;
-      Alcotest.test_case "interleavings (unfactorized)" `Quick
-        test_interleaving_unfactorized;
       Alcotest.test_case "dirty-set complete under eviction" `Quick
         test_dirty_eviction;
       Alcotest.test_case "dirty-set complete under adaptive budgets" `Quick

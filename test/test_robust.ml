@@ -27,7 +27,7 @@ let small_engine ?(variant = Rfid_core.Config.Factorized_indexed) ?(seed = 11) (
       ~config:
         (Rfid_core.Config.create ~variant ~num_reader_particles:30
            ~num_object_particles:40 ())
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:4 ~seed ()
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed ()
   in
   (wh, trace, engine)
 
@@ -344,65 +344,61 @@ let test_degraded_shelf_tag_localization () =
      survive: feeding them to [step_degraded ~tags] must anchor the
      reader posterior near the read tag, while a blind twin restored
      from the same snapshot drifts on dead reckoning alone. *)
+  let wh, trace = Lazy.force small_scenario in
+  let world = wh.Rfid_sim.Warehouse.world in
+  let config =
+    Rfid_core.Config.create ~variant:Rfid_core.Config.Factorized_indexed
+      ~num_reader_particles:30 ~num_object_particles:40 ()
+  in
+  let engine =
+    Rfid_core.Engine.create ~world ~params:Params.default ~config
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:11 ()
+  in
+  let stream = Trace.observations trace in
+  let n = List.length stream in
+  let outage_lo = n / 3 and outage_len = 20 in
   List.iter
-    (fun variant ->
-      let wh, trace = Lazy.force small_scenario in
-      let world = wh.Rfid_sim.Warehouse.world in
-      let config =
-        Rfid_core.Config.create ~variant ~num_reader_particles:30
-          ~num_object_particles:40 ()
-      in
-      let engine =
-        Rfid_core.Engine.create ~world ~params:Params.default ~config
-          ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:4
-          ~seed:11 ()
-      in
-      let stream = Trace.observations trace in
-      let n = List.length stream in
-      let outage_lo = n / 3 and outage_len = 20 in
-      List.iter
-        (fun (o : Types.observation) ->
-          if o.Types.o_epoch < outage_lo then ignore (Rfid_core.Engine.step engine o))
-        stream;
-      (* Twins from one snapshot: identical state, identical RNG. *)
-      let snap = Rfid_core.Engine.snapshot engine in
-      let restore () =
-        Rfid_core.Engine.restore ~world ~params:Params.default ~config snap
-      in
-      let informed = restore () and blind = restore () in
-      let nearest_tag e =
-        let loc = trace.Trace.steps.(e).Trace.true_reader.Reader_state.loc in
-        List.fold_left
-          (fun (bt, bl) (t, l) ->
-            if Rfid_geom.Vec3.dist_xy loc l < Rfid_geom.Vec3.dist_xy loc bl then (t, l)
-            else (bt, bl))
-          (List.hd (World.shelf_tags world))
-          (World.shelf_tags world)
-      in
-      let informed_events = ref [] in
-      for e = outage_lo to outage_lo + outage_len - 1 do
-        let tag, _ = nearest_tag e in
-        informed_events :=
-          List.rev_append
-            (Rfid_core.Engine.step_degraded ~tags:[ tag ] informed ~epoch:e)
-            !informed_events;
-        ignore (Rfid_core.Engine.step_degraded blind ~epoch:e)
-      done;
-      List.iter
-        (fun (ev : Rfid_core.Event.t) ->
-          Alcotest.(check bool) "outage events flagged degraded" true
-            ev.Rfid_core.Event.ev_degraded)
+    (fun (o : Types.observation) ->
+      if o.Types.o_epoch < outage_lo then ignore (Rfid_core.Engine.step engine o))
+    stream;
+  (* Twins from one snapshot: identical state, identical RNG. *)
+  let snap = Rfid_core.Engine.snapshot engine in
+  let restore () =
+    Rfid_core.Engine.restore ~world ~params:Params.default ~config snap
+  in
+  let informed = restore () and blind = restore () in
+  let nearest_tag e =
+    let loc = trace.Trace.steps.(e).Trace.true_reader.Reader_state.loc in
+    List.fold_left
+      (fun (bt, bl) (t, l) ->
+        if Rfid_geom.Vec3.dist_xy loc l < Rfid_geom.Vec3.dist_xy loc bl then (t, l)
+        else (bt, bl))
+      (List.hd (World.shelf_tags world))
+      (World.shelf_tags world)
+  in
+  let informed_events = ref [] in
+  for e = outage_lo to outage_lo + outage_len - 1 do
+    let tag, _ = nearest_tag e in
+    informed_events :=
+      List.rev_append
+        (Rfid_core.Engine.step_degraded ~tags:[ tag ] informed ~epoch:e)
         !informed_events;
-      let last = outage_lo + outage_len - 1 in
-      let _, anchor = nearest_tag last in
-      let d engine =
-        Rfid_geom.Vec3.dist_xy (Rfid_core.Engine.reader_estimate engine) anchor
-      in
-      let di = d informed and db = d blind in
-      Alcotest.(check bool)
-        (Printf.sprintf "shelf tags localize the reader (%.2f < %.2f)" di db)
-        true (di < db))
-    [ Rfid_core.Config.Unfactorized; Rfid_core.Config.Factorized_indexed ]
+    ignore (Rfid_core.Engine.step_degraded blind ~epoch:e)
+  done;
+  List.iter
+    (fun (ev : Rfid_core.Event.t) ->
+      Alcotest.(check bool) "outage events flagged degraded" true
+        ev.Rfid_core.Event.ev_degraded)
+    !informed_events;
+  let last = outage_lo + outage_len - 1 in
+  let _, anchor = nearest_tag last in
+  let d engine =
+    Rfid_geom.Vec3.dist_xy (Rfid_core.Engine.reader_estimate engine) anchor
+  in
+  let di = d informed and db = d blind in
+  Alcotest.(check bool)
+    (Printf.sprintf "shelf tags localize the reader (%.2f < %.2f)" di db)
+    true (di < db)
 
 let suite =
   ( "robust",

@@ -1032,7 +1032,6 @@ let core_of_flags flags =
   let seed = geti "seed" 42 in
   let variant =
     match List.assoc_opt "variant" flags with
-    | Some "unfactorized" -> Rfid_core.Config.Unfactorized
     | Some "factorized" -> Rfid_core.Config.Factorized
     | Some "compressed" -> Rfid_core.Config.Factorized_compressed
     | Some "indexed" | None -> Rfid_core.Config.Factorized_indexed

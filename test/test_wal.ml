@@ -132,7 +132,7 @@ let test_checkpoint_plus_wal_recovery () =
   let make () =
     Rfid_core.Engine.create ~world:wh.Rfid_sim.Warehouse.world
       ~params:Params.default ~config
-      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~num_objects:4 ~seed:17 ()
+      ~init_reader:trace.Trace.steps.(0).Trace.true_reader ~seed:17 ()
   in
   let stream = Trace.observations trace in
   let n = List.length stream in
